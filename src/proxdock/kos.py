@@ -209,11 +209,8 @@ def ellipse_distance(qx, qy, ax: float, ay: float):
 
 
 def _lobe_frame(points: np.ndarray, lobe: HalfEllipse):
-    rel = points - lobe.center
-    c, s = math.cos(lobe.theta), math.sin(lobe.theta)
-    xp = c * rel[..., 0] + s * rel[..., 1]
-    yp = -s * rel[..., 0] + c * rel[..., 1]
-    return xp, yp
+    return target_frame(points[..., 0], points[..., 1], math.cos(lobe.theta),
+                        math.sin(lobe.theta), lobe.center)
 
 
 def signed_distance(chaser_pos, region: KosRegion) -> float:
@@ -259,39 +256,52 @@ def signed_distance_batch(points, target_thetas, states, target_pos, cfg: KosCon
 # Smooth constraint forms for the optimizer (raw implicit quadratics; same
 # zero sets as the exact definitions above).
 
-def smooth_circle(px, py, center, radius: float):
-    """g = |p-c|^2 - r^2 with gradient; Hessian is 2*I."""
+def circle_value(px, py, center, radius: float):
+    """g = |p-c|^2 - r^2, the value of smooth_circle."""
     dx = px - center[0]
     dy = py - center[1]
-    val = dx * dx + dy * dy - radius * radius
-    return val, 2.0 * dx, 2.0 * dy
+    return dx * dx + dy * dy - radius * radius
 
 
-def _smoothstep(t):
-    tc = np.clip(t, 0.0, 1.0)
-    s = tc * tc * (3.0 - 2.0 * tc)
-    ds = np.where((t > 0.0) & (t < 1.0), 6.0 * tc * (1.0 - tc), 0.0)
-    dds = np.where((t > 0.0) & (t < 1.0), 6.0 - 12.0 * tc, 0.0)
-    return s, ds, dds
+def smooth_circle(px, py, center, radius: float):
+    """g = |p-c|^2 - r^2 with gradient; Hessian is 2*I."""
+    return circle_value(px, py, center, radius), 2.0 * (px - center[0]), 2.0 * (py - center[1])
 
 
-def smooth_lobe(px, py, target_theta, center, a_lat: float, b_norm: float, side: int):
-    """Blended half-ellipse constraint g >= 0 with gradient and 2x2 Hessian.
-
-    On the active side this is the raw implicit (x'/b)^2 + (y'/a)^2 - 1; past
-    the docking axis the constraint releases smoothly over BLEND_BAND.
-    """
-    th = np.asarray(target_theta, dtype=float)
-    c, s = np.cos(th), np.sin(th)
+def target_frame(px, py, cos_th, sin_th, center):
+    """Point(s) in the target frame: x' along the docking normal, y' lateral."""
     rx = px - center[0]
     ry = py - center[1]
-    xp = c * rx + s * ry
-    yp = -s * rx + c * ry
-    e = (xp / b_norm) ** 2 + (yp / a_lat) ** 2 - 1.0
+    return cos_th * rx + sin_th * ry, -sin_th * rx + cos_th * ry
 
+
+def lobe_value(xp, yp, a_lat: float, b_norm: float, side):
+    """Blended half-ellipse value at target-frame coordinates (xp, yp).
+
+    On the active side this is the raw implicit (x'/b)^2 + (y'/a)^2 - 1; past
+    the docking axis the constraint releases smoothly over BLEND_BAND through
+    a smoothstep blend.  smooth_lobe returns exactly this value.
+    """
+    e = (xp / b_norm) ** 2 + (yp / a_lat) ** 2 - 1.0
+    tc = np.clip(-side * yp / BLEND_BAND, 0.0, 1.0)
+    return e + RELEASE_SLACK * (tc * tc * (3.0 - 2.0 * tc))
+
+
+def smooth_lobe(px, py, cos_th, sin_th, center, a_lat: float, b_norm: float, side):
+    """lobe_value at inertial point(s) with its gradient and 2x2 Hessian.
+
+    cos_th, sin_th are the cosine and sine of the target attitude.
+    """
+    c, s = cos_th, sin_th
+    xp, yp = target_frame(px, py, c, s, center)
+    val = lobe_value(xp, yp, a_lat, b_norm, side)
+
+    # smoothstep derivatives, zero outside the open blend band
     t = -side * yp / BLEND_BAND
-    blend, dblend, ddblend = _smoothstep(t)
-    val = e + RELEASE_SLACK * blend
+    tc = np.clip(t, 0.0, 1.0)
+    band = (t > 0.0) & (t < 1.0)
+    dblend = np.where(band, 6.0 * tc * (1.0 - tc), 0.0)
+    ddblend = np.where(band, 6.0 - 12.0 * tc, 0.0)
 
     # gradients of the local coordinates: dxp = (c, s), dyp = (-s, c)
     de_dxp = 2.0 * xp / b_norm**2

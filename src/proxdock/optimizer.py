@@ -273,11 +273,13 @@ class _Transcription:
         circle_knots = np.flatnonzero(sched == KosState.STATE_I.value)
         lobe_knots = np.tile(np.arange(N + 1), 2)
         lobe_sides = np.repeat([1.0, -1.0], N + 1)
+        cos_th, sin_th = np.cos(th), np.sin(th)
         self._rs = rs
         self._circle_knots = circle_knots
         self._lobe_knots = lobe_knots
         self._lobe_sides = lobe_sides
-        self._lobe_theta = th[lobe_knots]
+        self._lobe_cos = cos_th[lobe_knots]
+        self._lobe_sin = sin_th[lobe_knots]
         self._center = p.target.position
         knots_all = np.concatenate([circle_knots, lobe_knots])
         self.ineq_ix = 9 * knots_all
@@ -296,7 +298,6 @@ class _Transcription:
         return self.objective.value_flat(z), self.objective.gradient_flat(z)
 
     def ineq_full(self, z):
-        p = self.problem
         nc = len(self._circle_knots)
         g = np.empty(self.m_in)
         gx = np.empty(self.m_in)
@@ -314,15 +315,25 @@ class _Transcription:
         px = z[9 * self._lobe_knots]
         py = z[9 * self._lobe_knots + 1]
         v, dgx, dgy, lxx, lxy, lyy = koslib.smooth_lobe(
-            px, py, self._lobe_theta, self._center, self._rs, self._rs / 2.0, self._lobe_sides)
+            px, py, self._lobe_cos, self._lobe_sin, self._center, self._rs, self._rs / 2.0,
+            self._lobe_sides)
         g[nc:], gx[nc:], gy[nc:] = v, dgx, dgy
         hxx[nc:], hxy[nc:], hyy[nc:] = lxx, lxy, lyy
         return g, gx, gy, hxx, hxy, hyy
 
     def ineq_values(self, z):
+        """Constraint values only; bit for bit ineq_full(z)[0]."""
         if self.m_in == 0:
             return np.zeros(0)
-        return self.ineq_full(z)[0]
+        nc = len(self._circle_knots)
+        g = np.empty(self.m_in)
+        if nc:
+            g[:nc] = koslib.circle_value(z[9 * self._circle_knots], z[9 * self._circle_knots + 1],
+                                         self._center, self._rs)
+        xp, yp = koslib.target_frame(z[9 * self._lobe_knots], z[9 * self._lobe_knots + 1],
+                                     self._lobe_cos, self._lobe_sin, self._center)
+        g[nc:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0, self._lobe_sides)
+        return g
 
 
 def build_objective(problem: OptProblem) -> ObjectiveModel:

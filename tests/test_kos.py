@@ -244,7 +244,7 @@ class TestSmoothForms:
         v, _, _ = smooth_circle(np.array([rs]), np.array([0.0]), np.zeros(2), rs)
         assert v[0] == pytest.approx(0.0, abs=1e-14)
         # lobe on the active side equals the raw implicit
-        v, *_ = smooth_lobe(np.array([0.0]), np.array([rs]), np.array([0.0]),
+        v, *_ = smooth_lobe(np.array([0.0]), np.array([rs]), np.array([1.0]), np.array([0.0]),
                             np.zeros(2), rs, rs / 2, np.array([1.0]))
         assert v[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -256,7 +256,8 @@ class TestSmoothForms:
             px, py = rng.uniform(-0.8, 0.8, 2)
             th = rng.uniform(-3, 3)
             side = rng.choice([-1.0, 1.0])
-            args = (np.array([th]), np.array([0.05, -0.02]), rs, rs / 2, np.array([side]))
+            args = (np.cos([th]), np.sin([th]), np.array([0.05, -0.02]), rs, rs / 2,
+                    np.array([side]))
             h = 1e-7
             v0, gx, gy, *_ = smooth_lobe(np.array([px]), np.array([py]), *args)
             vx1, *_ = smooth_lobe(np.array([px + h]), np.array([py]), *args)

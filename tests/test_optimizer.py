@@ -8,12 +8,13 @@ import scipy.sparse.linalg as spla
 
 from proxdock.dynamics import (BodyParams, BodyState, TargetState, Wrench,
                                euler_step, target_state_at, wrap_angle)
-from proxdock.kos import KosConfig, KosState
+from proxdock.kos import BLEND_BAND, KosConfig, KosState, r_safe
 from proxdock.nlp import InfeasibleError
 from proxdock.optimizer import (AllCandidatesFailed, OptProblem,
                                 build_constraints, build_goal_state,
                                 build_objective, duration_candidates,
                                 pack_variables, plan, solve, unpack_variables)
+from proxdock.optimizer import _Transcription
 
 
 def simple_problem(N=40, kos=False, **overrides):
@@ -171,6 +172,47 @@ class TestConstraints:
         np.testing.assert_array_equal(wrenches, w2)
 
 
+class TestValuePath:
+    """ineq_values(z) must equal ineq_full(z)[0] bit for bit: the inner loop
+    compares merit values computed through both paths with ==."""
+
+    @staticmethod
+    def knots_near_kos(p):
+        """Knot positions laid out in the rotating target frame: inside the
+        blend band on both sides of the docking axis, on the axis and the band
+        edges, inside the circle and well outside everything."""
+        rs = r_safe(p.kos_cfg)
+        band = [0.3 * BLEND_BAND, 0.7 * BLEND_BAND, BLEND_BAND, 0.0,
+                -0.3 * BLEND_BAND, -0.7 * BLEND_BAND, -BLEND_BAND]
+        local = [(xp, yp) for xp in (0.1, 0.5 * rs, 0.95 * rs, 1.2 * rs) for yp in band]
+        local += [(0.0, 0.0), (-0.5 * rs, 0.2 * rs), (0.1 * rs, -0.6 * rs), (2.0, -1.5)]
+        rng = np.random.default_rng(8)
+        states = rng.normal(size=(p.N + 1, 6))
+        th = p.target.theta0 + p.target.omega * np.arange(p.N + 1) * p.dt
+        for k in range(p.N + 1):
+            xp, yp = local[k % len(local)]
+            c, s = math.cos(th[k]), math.sin(th[k])
+            states[k, 0] = p.target.x + c * xp - s * yp
+            states[k, 1] = p.target.y + s * xp + c * yp
+        return pack_variables(states, rng.normal(size=(p.N, 3)))
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["all_state_i", "mixed"])
+    def test_values_equal_full_bit_for_bit(self, mixed):
+        target = TargetState(omega=0.37, theta0=0.4, x=0.2, y=-0.1)
+        p = simple_problem(N=80, kos=True, target=target)
+        if mixed:
+            sched = [KosState.STATE_I] * 30 + [KosState.STATE_II] * 20 \
+                + [KosState.STATE_I] * 10 + [KosState.STATE_II] * 21
+            p = replace(p, kos_schedule=tuple(sched))
+        tr = _Transcription(p)
+        z = self.knots_near_kos(p)
+        g = tr.ineq_values(z)
+        assert g.shape == (tr.m_in,)
+        assert np.array_equal(g, tr.ineq_full(z)[0])
+        # some knots lie inside the circle
+        assert np.any(g[:tr.m_in - 2 * (p.N + 1)] < 0)
+
+
 class TestSolve:
     def test_reaches_goal_against_lq_oracle(self):
         # unconstrained transcription has a closed-form KKT solution; compare
@@ -180,7 +222,6 @@ class TestSolve:
         sol = solve(p)
         assert np.hypot(*(sol.states[-1, :2] - sol.x_goal[:2])) <= 1e-3
 
-        from proxdock.optimizer import _Transcription
         tr = _Transcription(p)
         n, m = tr.n, tr.E.shape[0]
         H = sp.diags(tr.obj_hess_diag).tocsr()
