@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -345,7 +346,9 @@ def cmd_plan(config_path, out_dir, seed=None):
         f"  terminal pos error   : {pos_err:.6g} m",
         f"  terminal att residual: {abs(best.states[-1, 2] - best.theta_finish):.3g} rad",
         f"  solver               : {best.solver_stats.outer_iterations} outer / "
-        f"{best.solver_stats.newton_iterations} newton, "
+        f"{best.solver_stats.newton_iterations} newton "
+        f"({best.solver_stats.inner_stalls} stalled, "
+        f"{best.solver_stats.inner_capped} capped inner loops), "
         f"kkt {best.solver_stats.kkt_residual:.2e}, "
         f"viol {best.solver_stats.constraint_violation:.2e}",
         f"  wall time            : {wall:.2f} s",
@@ -406,11 +409,15 @@ def _sweep_point(args):
                                           best.states[-1, 1] - best.x_goal[1])),
                    att_err=abs(wrap_angle(best.states[-1, 2] - best.theta_finish)),
                    reason="")
-    except AllCandidatesFailed as ex:
+    except Exception as ex:  # one failing point must not abort the sweep
+        if isinstance(ex, AllCandidatesFailed):
+            reason = str(ex.reasons[0])[:60].replace(" ", "_") if ex.reasons else "failed"
+        else:
+            traceback.print_exc(file=sys.stderr)
+            reason = type(ex).__name__
         rec = dict(converged=0, duration=math.nan, objective=math.nan,
                    goal=math.nan, kinetic=math.nan, effort=math.nan,
-                   pos_err=math.nan, att_err=math.nan,
-                   reason=str(ex.reasons[0])[:60].replace(" ", "_") if ex.reasons else "failed")
+                   pos_err=math.nan, att_err=math.nan, reason=reason)
     rec["wall_time"] = time.perf_counter() - t0
     return rec
 

@@ -7,6 +7,13 @@ assembled in symmetric lower-banded storage (the interleaved knot ordering
 gives bandwidth 14) and factored by LAPACK's banded Cholesky, so each Newton
 step is O(N).
 
+The inner loop has three exits: the projected gradient is within the outer
+loop's current tolerance; a stall, where the accepted line-search step
+leaves the AL merit unchanged (or no trial lowers it), so the iterate sits
+at the merit's rounding floor; or max_inner Newton steps.  After a stall or
+the cap the outer multiplier/penalty update carries on.  SolverStats counts
+the stalled and capped inner loops.
+
 The problem object must expose::
 
     n, lb, ub                      decision size and box bounds
@@ -18,6 +25,10 @@ The problem object must expose::
     m_in, ineq_ix, ineq_iy         inequality count and variable indices
     ineq_values(z)                 -> g
     ineq_full(z)                   -> (g, gx, gy, hxx, hxy, hyy)
+
+ineq_values is the value-only path used by line-search trials; it must equal
+ineq_full(z)[0] bit for bit, because the stall exit compares a trial merit
+(from ineq_values) with the current merit (from ineq_full) by ==.
 """
 from __future__ import annotations
 
@@ -31,6 +42,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 class SolverStats:
     outer_iterations: int = 0
     newton_iterations: int = 0
+    inner_stalls: int = 0      # inner loops ended for lack of progress
+    inner_capped: int = 0      # inner loops that took max_inner Newton steps
     kkt_residual: float = np.inf
     constraint_violation: float = np.inf
     mu_final: float = 0.0
@@ -150,6 +163,11 @@ def _band_matvec(ab, d):
 
 
 def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
+    """Minimize the AL merit over the box; returns (z, Newton steps, exit).
+
+    exit names the inner loop's exit (see the module docstring): "tol",
+    "stall" or "cap".
+    """
     lb, ub = prob.lb, prob.ub
     bw = prob.bandwidth
     nit = 0
@@ -159,7 +177,7 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
         pg = _projected_grad(z, grad, lb, ub)
         pgn = float(np.max(np.abs(pg))) if len(pg) else 0.0
         if pgn <= tol:
-            break
+            return z, nit, "tol"
         nit += 1
         ab = _assemble_banded(prob, m, ineq, base)
         active = np.flatnonzero(((z <= lb + 1e-11) & (grad > 0)) | ((z >= ub - 1e-11) & (grad < 0)))
@@ -183,7 +201,6 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
         if d is None:
             d = -pg  # hopeless Hessian; fall back to steepest descent
 
-        accepted = False
         alpha = 1.0
         for _ in range(40):
             zt = np.clip(z + alpha * d, lb, ub)
@@ -194,22 +211,24 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
                 continue
             ft = _al_value(prob, zt, m)
             if ft <= f + 1e-4 * gs:
-                z = zt
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             # last resort: short projected gradient step
             gn = max(1.0, pgn)
             for expo in range(30):
                 zt = np.clip(z - (0.5**expo / gn) * pg, lb, ub)
-                if _al_value(prob, zt, m) < f:
-                    z = zt
-                    accepted = True
+                ft = _al_value(prob, zt, m)
+                if ft < f:
                     break
-            if not accepted:
-                break
-    return z, nit
+            else:
+                return z, nit, "stall"
+        z = zt
+        if ft == f:
+            # the merit's rounding floor: further steps only spin; the outer
+            # multiplier/penalty update takes over from here
+            return z, nit, "stall"
+    return z, nit, "cap"
 
 
 def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
@@ -230,8 +249,10 @@ def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
 
     for outer in range(max_outer):
         stats.outer_iterations = outer + 1
-        z, nit = _inner_newton(prob, z, m, base, tol=omega, max_iter=max_inner)
+        z, nit, exit_ = _inner_newton(prob, z, m, base, tol=omega, max_iter=max_inner)
         stats.newton_iterations += nit
+        stats.inner_stalls += exit_ == "stall"
+        stats.inner_capped += exit_ == "cap"
 
         h = prob.E @ z - prob.e_rhs
         hinf = float(np.max(np.abs(h))) if len(h) else 0.0

@@ -12,7 +12,6 @@ lowest-objective converged solution wins.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -444,10 +443,8 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         z0 = pack_variables(states, wrenches)
     else:
         z0 = default_initial_guess(problem)
-    t0 = time.perf_counter()
     z, lam, eta, stats = solve_al(tr, z0, kkt_tol=kkt_tol, feas_tol=feas_tol,
                                   max_outer=max_outer, max_inner=max_inner)
-    stats.message += f" in {time.perf_counter() - t0:.2f}s"
     states, wrenches = unpack_variables(z, problem.N)
     breakdown = tr.objective.breakdown(states, wrenches)
     return PlannedTrajectory(

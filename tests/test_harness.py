@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from proxdock import records
+from proxdock import harness, records
 from proxdock.harness import (ConfigError, cmd_audit, cmd_plan, cmd_sweep1,
                               cmd_sweep2, cmd_track, grid_values, load_config,
                               main)
@@ -188,6 +188,33 @@ class TestSweeps:
             rows_sans_walltime(tmp_path / "b" / "sweep2_points.txt")
         assert (tmp_path / "a" / "sweep2_summary.txt").read_bytes() == \
             (tmp_path / "b" / "sweep2_summary.txt").read_bytes()
+
+    def test_failing_point_is_recorded_not_fatal(self, tmp_path, monkeypatch):
+        cfgtext = (
+            "sweep1.omega_start = 0.5\nsweep1.omega_step = 0.5\nsweep1.omega_stop = 1.5\n"
+            "sweep1.f_start = 0.33\nsweep1.f_step = 0.33\nsweep1.f_stop = 0.33\n"
+        )
+        real_plan = harness.plan
+
+        def plan_failing_at_one_omega(theta_approach, template, **kw):
+            if template.target.omega == 1.0:
+                raise ValueError("injected failure")
+            return real_plan(theta_approach, template, **kw)
+
+        monkeypatch.setattr(harness, "plan", plan_failing_at_one_omega)
+        srows = cmd_sweep1(write(tmp_path, cfgtext), tmp_path / "s", parallel=1)
+        pts = records.read_table(tmp_path / "s" / "sweep1_points.txt", "sweep1-points")
+        summ = records.read_table(tmp_path / "s" / "sweep1_summary.txt", "sweep1-summary")
+        pc = pts["columns"]
+        by_omega = {float(r[pc.index("omega")]): r for r in pts["rows"]}
+        assert sorted(by_omega) == [0.5, 1.0, 1.5]
+        failed = by_omega[1.0]
+        assert failed[pc.index("converged")] == "0"
+        assert failed[pc.index("reason")] == "ValueError"
+        for om in (0.5, 1.5):
+            assert by_omega[om][pc.index("converged")] == "1"
+        assert [r[2:4] for r in srows] == [[1, 0], [0, 1], [1, 0]]
+        assert len(summ["rows"]) == 3
 
     def test_sweep_aggregates_recomputable(self, tmp_path):
         cfgtext = (

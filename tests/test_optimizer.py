@@ -297,6 +297,8 @@ class TestPlan:
         assert KosState.STATE_II in best.kos_states
         first = best.kos_states.index(KosState.STATE_II)
         assert best.times[first] >= 0.9 * best.times[-1]
+        # no inner Newton loop spins up to max_inner on zero-progress steps
+        assert best.solver_stats.inner_capped == 0
 
     def test_static_target_ladder(self):
         t = TargetState(omega=0.0, theta0=0.3)
