@@ -7,13 +7,12 @@ from .dynamics import (BodyParams, BodyState, TargetState, ThrusterCommand,
                        ThrusterLayout, Wrench, default_layout, euler_step,
                        state_derivative, target_state_at, total_wrench,
                        wrap_angle)
-from .kos import (Circle, HalfEllipse, KosConfig, KosRegion, KosState,
-                  build_region, classify, corner_safe_angle_threshold, r_safe,
-                  signed_distance)
+from .kos import (KosConfig, KosState, classify, corner_safe_angle_threshold,
+                  r_safe, signed_distance_batch)
 from .nlp import InfeasibleError, NotConvergedError, SolverStats
 from .optimizer import (AllCandidatesFailed, DurationCandidate, OptProblem,
-                        PlannedTrajectory, build_constraints, build_goal_state,
-                        build_objective, duration_candidates, plan, solve)
+                        PlannedTrajectory, build_goal_state, duration_candidates,
+                        plan, solve)
 from .sim import (ConfigMisaligned, SimConfig, SimResult, audit_safety,
                   relative_velocity_target_frame, run)
 

@@ -235,11 +235,6 @@ def euler_matrices(p: BodyParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def wrap_angle(a: float) -> float:
     """Wrap to (-pi, pi]; states stay unwrapped, only error metrics wrap."""
     w = math.remainder(a, 2.0 * math.pi)

@@ -1,8 +1,8 @@
 """Command-line front end: config ingestion, plan/track pipeline, sweeps.
 
 Config files are flat `key = value` text with dotted section names (full
-schema in DEFAULTS below and in the README); an empty or missing file yields
-the nominal scenario.  Subcommands: plan, track, sweep1, sweep2, audit.
+schema in DEFAULTS below); an empty or missing file yields the nominal
+scenario.  Subcommands: plan, track, sweep1, sweep2, audit.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from . import records
 from .controller import PdGains
 from .dynamics import (BodyParams, BodyState, TargetState, default_layout,
                        wrap_angle)
-from .kos import KosConfig, KosState, r_safe
+from .kos import KosConfig, KosState
 from .optimizer import (AllCandidatesFailed, OptProblem, plan)
 from .sim import SimConfig, audit_safety, run
 
@@ -119,6 +119,19 @@ DEFAULTS = {
     "sweep2.min_duration": ("auto", _parse_float_or_auto),
     "sweep2.goal_corotate": (True, _parse_bool),
 }
+
+# Each sweep's two grid axes, outer first: (config key prefix, in degrees,
+# table column).  An axis reads <prefix>_start/_step/_stop, with a _deg
+# suffix on each key when the axis is in degrees.
+SWEEP_AXES = {
+    "sweep1": (("sweep1.omega", False, "omega"), ("sweep1.f", False, "f_thr")),
+    "sweep2": (("sweep2.theta", True, "theta_deg"), ("sweep2.omega", False, "omega")),
+}
+
+
+def _axis_keys(prefix: str, degrees: bool) -> tuple[str, str, str]:
+    unit = "_deg" if degrees else ""
+    return tuple(f"{prefix}_{part}{unit}" for part in ("start", "step", "stop"))
 
 
 @dataclass
@@ -291,16 +304,15 @@ def _validate(cfg: RunConfig, errors: list) -> None:
         errors.append("ctrl.n_slots must be >= 1")
     if v["opt.max_candidates"] < 1:
         errors.append("opt.max_candidates must be >= 1")
-    for sweep in ("sweep1", "sweep2"):
-        for axis in ("omega",) + (("f",) if sweep == "sweep1" else ("theta",)):
-            prefix = f"{sweep}.{axis}" if axis != "theta" else f"{sweep}.theta"
-            step = v.get(f"{prefix}_step", v.get(f"{prefix}_step_deg"))
-            start = v.get(f"{prefix}_start", v.get(f"{prefix}_start_deg"))
-            stop = v.get(f"{prefix}_stop", v.get(f"{prefix}_stop_deg"))
-            if step is not None and step <= 0:
-                errors.append(f"{prefix}_step must be positive")
-            if None not in (start, stop) and stop < start:
-                errors.append(f"{prefix}_stop must be >= {prefix}_start")
+    for sweep, axes in SWEEP_AXES.items():
+        if v[f"{sweep}.max_candidates"] < 1:
+            errors.append(f"{sweep}.max_candidates must be >= 1")
+        for prefix, degrees, _ in axes:
+            start, step, stop = _axis_keys(prefix, degrees)
+            if v[step] <= 0:
+                errors.append(f"{step} must be positive")
+            if v[stop] < v[start]:
+                errors.append(f"{stop} must be >= {start}")
     try:
         cfg.sim_config().steps_per_period()
     except Exception as ex:
@@ -433,103 +445,83 @@ _POINT_COLUMNS = ["converged", "duration", "objective", "goal", "kinetic",
                   "effort", "pos_err", "att_err", "wall_time", "reason"]
 
 
-def cmd_sweep1(config_path, out_dir, parallel=1):
-    """Target-spin x thrust-force sweep; aggregates error stats per omega."""
-    cfg = load_config(config_path)
+def _grid_sweep(cfg: RunConfig, out_dir, sweep: str, parallel: int, point,
+                summary_columns, summarize):
+    """Run a sweep's two-axis grid and write its points and summary tables.
+
+    point(a, b) maps an (outer, inner) pair of grid values to the plan inputs
+    (theta_approach [rad], omega, f_thr).  summarize(converged records) gives
+    the summary_columns of one outer value.  Returns the summary rows.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    omegas = grid_values(cfg["sweep1.omega_start"], cfg["sweep1.omega_step"],
-                         cfg["sweep1.omega_stop"])
-    forces = grid_values(cfg["sweep1.f_start"], cfg["sweep1.f_step"],
-                         cfg["sweep1.f_stop"])
-    theta_approach = cfg["opt.theta_approach"]
+    axes = SWEEP_AXES[sweep]
+    outer, inner = (grid_values(*(cfg[k] for k in _axis_keys(prefix, degrees)))
+                    for prefix, degrees, _ in axes)
+    md = cfg[f"{sweep}.min_duration"]
     tasks = []
-    for i, om in enumerate(omegas):
-        for j, f in enumerate(forces):
-            md = cfg["sweep1.min_duration"]
-            md = cfg.auto_min_duration(f_thr=f) if md == "auto" else md
-            tasks.append((cfg.values, theta_approach, float(om), float(f),
-                          cfg["sweep1.max_candidates"], md, cfg["sweep1.goal_corotate"]))
+    for a in outer:
+        for b in inner:
+            theta_approach, omega, f_thr = point(float(a), float(b))
+            tasks.append((cfg.values, theta_approach, omega, f_thr,
+                          cfg[f"{sweep}.max_candidates"],
+                          cfg.auto_min_duration(f_thr=f_thr) if md == "auto" else md,
+                          cfg[f"{sweep}.goal_corotate"]))
     recs = _run_points(tasks, parallel)
 
-    rows = []
-    idx = 0
-    for i, om in enumerate(omegas):
-        for j, f in enumerate(forces):
-            r = recs[idx]; idx += 1
-            rows.append([i, j, float(om), float(f)] + [r[c] for c in _POINT_COLUMNS])
-    records.write_table(out / "sweep1_points.txt", "sweep1-points",
-                        ["i_omega", "j_f", "omega", "f_thr"] + _POINT_COLUMNS,
+    index_columns = [f"{ij}_{prefix.split('.')[1]}" for ij, (prefix, _, _) in zip("ij", axes)]
+    rows = [[i, j, float(a), float(b)] + [recs[i * len(inner) + j][c] for c in _POINT_COLUMNS]
+            for i, a in enumerate(outer) for j, b in enumerate(inner)]
+    points_path = out / f"{sweep}_points.txt"
+    records.write_table(points_path, f"{sweep}-points",
+                        index_columns + [col for _, _, col in axes] + _POINT_COLUMNS,
                         rows, cfg.resolved_lines())
 
     srows = []
-    for i, om in enumerate(omegas):
-        sub = [recs[i * len(forces) + j] for j in range(len(forces))]
+    for i, a in enumerate(outer):
+        sub = recs[i * len(inner):(i + 1) * len(inner)]
         ok = [r for r in sub if r["converged"]]
-        if ok:
-            errs = np.array([r["pos_err"] for r in ok])
-            terms = np.array([[r["goal"], r["kinetic"], r["effort"]] for r in ok])
-            mean_terms = terms.mean(axis=0)
-            dominant = ("goal", "kinetic", "effort")[int(np.argmax(mean_terms))]
-            srows.append([i, float(om), len(ok), len(sub) - len(ok),
-                          errs.mean(), errs.std(), *mean_terms, dominant])
-        else:
-            srows.append([i, float(om), 0, len(sub), math.nan, math.nan,
-                          math.nan, math.nan, math.nan, "-"])
-    records.write_table(out / "sweep1_summary.txt", "sweep1-summary",
-                        ["i_omega", "omega", "n_converged", "n_failed",
-                         "pos_err_mean", "pos_err_std", "goal_mean",
-                         "kinetic_mean", "effort_mean", "dominant_term"],
-                        srows, cfg.resolved_lines())
-    print(f"sweep1: {len(rows)} points -> {out/'sweep1_points.txt'}, {out/'sweep1_summary.txt'}")
+        srows.append([i, float(a), len(ok), len(sub) - len(ok)] + summarize(ok))
+    summary_path = out / f"{sweep}_summary.txt"
+    records.write_table(summary_path, f"{sweep}-summary",
+                        [index_columns[0], axes[0][2], "n_converged", "n_failed"]
+                        + summary_columns, srows, cfg.resolved_lines())
+    print(f"{sweep}: {len(rows)} points -> {points_path}, {summary_path}")
     return srows
+
+
+def _sweep1_summary(ok) -> list:
+    if not ok:
+        return [math.nan] * 5 + ["-"]
+    errs = np.array([r["pos_err"] for r in ok])
+    mean_terms = np.array([[r["goal"], r["kinetic"], r["effort"]] for r in ok]).mean(axis=0)
+    dominant = ("goal", "kinetic", "effort")[int(np.argmax(mean_terms))]
+    return [errs.mean(), errs.std(), *mean_terms, dominant]
+
+
+def _sweep2_summary(ok) -> list:
+    if not ok:
+        return [math.nan] * 3
+    errs = np.array([r["pos_err"] for r in ok])
+    return [errs.mean(), errs.std(), errs.max()]
+
+
+def cmd_sweep1(config_path, out_dir, parallel=1):
+    """Target-spin x thrust-force sweep; aggregates error stats per omega."""
+    cfg = load_config(config_path)
+    return _grid_sweep(cfg, out_dir, "sweep1", parallel,
+                       lambda omega, f_thr: (cfg["opt.theta_approach"], omega, f_thr),
+                       ["pos_err_mean", "pos_err_std", "goal_mean", "kinetic_mean",
+                        "effort_mean", "dominant_term"], _sweep1_summary)
 
 
 def cmd_sweep2(config_path, out_dir, parallel=1):
     """Approach-attitude polar sweep at fixed thrust; stats per sector."""
     cfg = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    thetas = grid_values(cfg["sweep2.theta_start_deg"], cfg["sweep2.theta_step_deg"],
-                         cfg["sweep2.theta_stop_deg"])
-    omegas = grid_values(cfg["sweep2.omega_start"], cfg["sweep2.omega_step"],
-                         cfg["sweep2.omega_stop"])
-    f_thr = cfg["sweep2.f_thr"]
-    md_cfg = cfg["sweep2.min_duration"]
-    md = cfg.auto_min_duration(f_thr=f_thr) if md_cfg == "auto" else md_cfg
-    tasks = []
-    for i, th in enumerate(thetas):
-        for j, om in enumerate(omegas):
-            tasks.append((cfg.values, math.radians(float(th)), float(om), float(f_thr),
-                          cfg["sweep2.max_candidates"], md, cfg["sweep2.goal_corotate"]))
-    recs = _run_points(tasks, parallel)
-
-    rows = []
-    idx = 0
-    for i, th in enumerate(thetas):
-        for j, om in enumerate(omegas):
-            r = recs[idx]; idx += 1
-            rows.append([i, j, float(th), float(om)] + [r[c] for c in _POINT_COLUMNS])
-    records.write_table(out / "sweep2_points.txt", "sweep2-points",
-                        ["i_theta", "j_omega", "theta_deg", "omega"] + _POINT_COLUMNS,
-                        rows, cfg.resolved_lines())
-
-    srows = []
-    for i, th in enumerate(thetas):
-        sub = [recs[i * len(omegas) + j] for j in range(len(omegas))]
-        ok = [r for r in sub if r["converged"]]
-        if ok:
-            errs = np.array([r["pos_err"] for r in ok])
-            srows.append([i, float(th), len(ok), len(sub) - len(ok),
-                          errs.mean(), errs.std(), errs.max()])
-        else:
-            srows.append([i, float(th), 0, len(sub), math.nan, math.nan, math.nan])
-    records.write_table(out / "sweep2_summary.txt", "sweep2-summary",
-                        ["i_theta", "theta_deg", "n_converged", "n_failed",
-                         "pos_err_mean", "pos_err_std", "pos_err_max"],
-                        srows, cfg.resolved_lines())
-    print(f"sweep2: {len(rows)} points -> {out/'sweep2_points.txt'}, {out/'sweep2_summary.txt'}")
-    return srows
+    return _grid_sweep(cfg, out_dir, "sweep2", parallel,
+                       lambda theta_deg, omega: (math.radians(theta_deg), omega,
+                                                 cfg["sweep2.f_thr"]),
+                       ["pos_err_mean", "pos_err_std", "pos_err_max"], _sweep2_summary)
 
 
 def cmd_audit(record_path, config_path, fail_below=None):

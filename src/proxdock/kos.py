@@ -10,12 +10,10 @@ module (same zero sets).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .dynamics import BodyState
 
 # Smooth-constraint tuning shared with the optimizer: half-plane activation is
 # blended over a short spatial band so constraint gradients stay continuous,
@@ -89,76 +87,12 @@ def corner_safe_angle_threshold(cfg: KosConfig) -> float:
     return math.acos(math.sqrt(cos2))
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: np.ndarray
-    radius: float
+def classify(points, target_thetas, target_pos, cfg: KosConfig) -> np.ndarray:
+    """Per-point KosState values (ints) over a trajectory.
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-
-
-@dataclass(frozen=True)
-class HalfEllipse:
-    """Ellipse lobe active on one side of the docking axis.
-
-    Local frame: x' along the docking normal (target +x face), y' lateral.
-    semi_minor lies along x', semi_major along y'.  The lobe constrains points
-    with side * y' >= 0 only.
+    State II iff the chaser is in front of the docking face, within the
+    angular threshold of its normal, and inside the distance threshold.
     """
-
-    center: np.ndarray
-    theta: float          # target attitude = docking-normal angle [rad]
-    semi_major: float     # lateral extent [m]
-    semi_minor: float     # extent along the normal [m]
-    side: int             # +1 or -1
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.side not in (-1, 1):
-            raise ValueError("side must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class KosRegion:
-    state: KosState
-    primitives: tuple = field(default_factory=tuple)
-
-
-def build_region(state: KosState, target_theta: float, target_pos, cfg: KosConfig) -> KosRegion:
-    """Forbidden-region primitives in the inertial frame for the given state."""
-    pos = np.asarray(target_pos, dtype=float)
-    rs = r_safe(cfg)
-    lobes = (
-        HalfEllipse(pos, target_theta, rs, rs / 2.0, +1),
-        HalfEllipse(pos, target_theta, rs, rs / 2.0, -1),
-    )
-    if state is KosState.STATE_I:
-        return KosRegion(state, (Circle(pos, rs),) + lobes)
-    return KosRegion(state, lobes)
-
-
-def classify(chaser: BodyState, target_theta: float, target_pos, cfg: KosConfig) -> KosState:
-    """State II iff the chaser is in front of the docking face, within the
-    angular threshold of its normal, and inside the distance threshold."""
-    rel = chaser.position - np.asarray(target_pos, dtype=float)
-    dist = float(np.linalg.norm(rel))
-    if dist <= 1e-12:
-        return KosState.STATE_I
-    normal = np.array([math.cos(target_theta), math.sin(target_theta)])
-    along = float(rel @ normal)
-    if along <= 0.0:
-        return KosState.STATE_I
-    dev = math.acos(min(1.0, max(-1.0, along / dist)))
-    if dev > cfg.angle_threshold:
-        return KosState.STATE_I
-    if dist > cfg.dist_threshold_factor * r_safe(cfg):
-        return KosState.STATE_I
-    return KosState.STATE_II
-
-
-def classify_batch(points, target_thetas, target_pos, cfg: KosConfig) -> np.ndarray:
-    """Vectorized classify over a trajectory; returns KosState values (ints)."""
     pts = np.asarray(points, dtype=float)
     th = np.asarray(target_thetas, dtype=float)
     rel = pts - np.asarray(target_pos, dtype=float)
@@ -169,6 +103,20 @@ def classify_batch(points, target_thetas, target_pos, cfg: KosConfig) -> np.ndar
     ok = (dist > 1e-12) & (along > 0.0) & (dev <= cfg.angle_threshold) \
         & (dist <= cfg.dist_threshold_factor * r_safe(cfg))
     return np.where(ok, KosState.STATE_II.value, KosState.STATE_I.value)
+
+
+def latch(states, delay: int = 0) -> np.ndarray:
+    """State II from the first State II entry, delay entries later, to the end.
+
+    The final-approach classification latches: once its conditions have held,
+    the zone is not re-inflated mid-capture.  states are KosState values (ints).
+    """
+    sv = np.asarray(states)
+    out = np.full(len(sv), KosState.STATE_I.value)
+    hits = np.flatnonzero(sv == KosState.STATE_II.value)
+    if len(hits):
+        out[hits[0] + delay:] = KosState.STATE_II.value
+    return out
 
 
 def ellipse_distance(qx, qy, ax: float, ay: float):
@@ -208,30 +156,12 @@ def ellipse_distance(qx, qy, ax: float, ay: float):
     return np.where(inside, -dist, dist)
 
 
-def _lobe_frame(points: np.ndarray, lobe: HalfEllipse):
-    return target_frame(points[..., 0], points[..., 1], math.cos(lobe.theta),
-                        math.sin(lobe.theta), lobe.center)
-
-
-def signed_distance(chaser_pos, region: KosRegion) -> float:
-    """Exact audit distance: min over active primitives, negative if forbidden."""
-    p = np.asarray(chaser_pos, dtype=float)
-    best = math.inf
-    for prim in region.primitives:
-        if isinstance(prim, Circle):
-            g = float(np.linalg.norm(p - prim.center)) - prim.radius
-        else:
-            xp, yp = _lobe_frame(p[None, :], prim)
-            if prim.side * yp[0] < 0.0:
-                continue
-            g = float(ellipse_distance(xp, yp, prim.semi_minor, prim.semi_major)[0])
-        best = min(best, g)
-    return best
-
-
 def signed_distance_batch(points, target_thetas, states, target_pos, cfg: KosConfig) -> np.ndarray:
-    """Vectorized exact distances for a trajectory history.
+    """Exact audit distances for a trajectory history, negative if forbidden.
 
+    Each is the minimum over the primitives active in that point's state: the
+    circle (State I only) and the half-ellipse lobes (semi-minor r_safe/2
+    along the docking normal, semi-major r_safe lateral).
     points: (n, 2); target_thetas: (n,); states: (n,) of KosState (or int value).
     """
     pts = np.asarray(points, dtype=float)

@@ -12,20 +12,20 @@ lowest-objective converged solution wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import kos as koslib
 from .dynamics import (BodyParams, BodyState, TargetState, Wrench,
-                       euler_matrices, target_state_at, wrap_angle)
+                       euler_matrices, wrap_angle)
 from .kos import KosConfig, KosState
 from .nlp import (InfeasibleError, NotConvergedError, SolverStats, solve_al)
 
 __all__ = [
     "OptProblem", "PlannedTrajectory", "DurationCandidate", "AllCandidatesFailed",
-    "duration_candidates", "build_objective", "build_constraints", "solve", "plan",
+    "duration_candidates", "solve", "plan",
     "build_goal_state", "pack_variables", "unpack_variables",
     "NotConvergedError", "InfeasibleError",
 ]
@@ -183,13 +183,6 @@ class ObjectiveModel:
     def gradient_flat(self, z: np.ndarray) -> np.ndarray:
         return 2.0 * self.q * z + self.c
 
-    def value(self, states, wrenches) -> float:
-        return self.value_flat(pack_variables(states, wrenches))
-
-    def gradient(self, states, wrenches):
-        g = self.gradient_flat(pack_variables(states, wrenches))
-        return unpack_variables(g, self.problem.N)
-
     def breakdown(self, states, wrenches) -> tuple[float, float, float]:
         """(goal, kinetic, effort) terms; they sum to the objective."""
         p = self.problem
@@ -335,56 +328,6 @@ class _Transcription:
         return g
 
 
-def build_objective(problem: OptProblem) -> ObjectiveModel:
-    return ObjectiveModel(problem)
-
-
-class ConstraintModel:
-    """Test- and audit-facing view of the transcription constraints."""
-
-    def __init__(self, tr: _Transcription):
-        self._tr = tr
-        self.E = tr.E
-        self.rhs = tr.e_rhs
-
-    def equality_residuals(self, states, wrenches) -> dict:
-        z = pack_variables(states, wrenches)
-        r = self._tr.E @ z - self._tr.e_rhs
-        N = self._tr.N
-        return {
-            "init": r[:6],
-            "defects": r[6:6 + 6 * N].reshape(N, 6),
-            "terminal": float(r[6 + 6 * N]),
-        }
-
-    def kos_values(self, states) -> np.ndarray:
-        """Smooth keep-out constraint values at every knot (scheduled regions)."""
-        states = np.asarray(states, dtype=float)
-        z = pack_variables(states, np.zeros((self._tr.N, 3)))
-        return self._tr.ineq_values(z)
-
-    def kos_exact_min(self, states) -> float:
-        """Exact audit distance minimized over knots (scheduled regions)."""
-        p = self._tr.problem
-        if p.kos_cfg is None:
-            return math.inf
-        states = np.asarray(states, dtype=float)
-        tk = np.arange(p.N + 1) * p.dt
-        th = p.target.theta0 + p.target.omega * tk
-        g = koslib.signed_distance_batch(states[:, :2], th, p.schedule(), p.target.position, p.kos_cfg)
-        return float(np.min(g))
-
-    def wrench_bound_violation(self, wrenches) -> float:
-        w = np.asarray(wrenches, dtype=float)
-        lo = self._tr.problem.wrench_min.as_array()
-        hi = self._tr.problem.wrench_max.as_array()
-        return float(max(np.max(lo - w, initial=0.0), np.max(w - hi, initial=0.0)))
-
-
-def build_constraints(problem: OptProblem) -> ConstraintModel:
-    return ConstraintModel(_Transcription(problem))
-
-
 def default_initial_guess(problem: OptProblem) -> np.ndarray:
     """Pose interpolation with zero wrenches, detoured around the keep-out circle.
 
@@ -521,15 +464,9 @@ def _classified_schedule(sol: PlannedTrajectory, target: TargetState,
     trajectory starts its descent only after the live conditions have held
     for that long, so the flown relaxation never leads the classification.
     """
-    raw = []
-    for k, t in enumerate(sol.times):
-        th, pos = target_state_at(float(t), target)
-        raw.append(koslib.classify(sol.state_at(k), th, pos, cfg))
-    out = [KosState.STATE_I] * len(raw)
-    if KosState.STATE_II in raw:
-        first = min(raw.index(KosState.STATE_II) + delay_knots, len(raw))
-        out[first:] = [KosState.STATE_II] * (len(raw) - first)
-    return out
+    th = target.theta0 + target.omega * sol.times
+    raw = koslib.classify(sol.states[:, :2], th, target.position, cfg)
+    return [KosState(v) for v in koslib.latch(raw, delay_knots)]
 
 
 def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,

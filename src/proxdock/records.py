@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kos as koslib
-from .kos import Circle, HalfEllipse, KosConfig, KosState
+from .kos import KosConfig, KosState
 from .dynamics import TargetState
 from .nlp import SolverStats
 from .optimizer import PlannedTrajectory
@@ -52,7 +51,10 @@ def _header(kind: str, config_lines, meta: dict, columns) -> list[str]:
 def _parse_header(lines, kind: str):
     if not lines or not lines[0].startswith(f"# proxdock {kind} v"):
         raise RecordError(f"not a proxdock {kind} record")
-    version = int(lines[0].rsplit("v", 1)[1])
+    try:
+        version = int(lines[0].rsplit("v", 1)[1])
+    except ValueError:
+        raise RecordError(f"bad {kind} format version: {lines[0]!r}") from None
     if version > FORMAT_VERSION:
         raise RecordError(f"unsupported {kind} format version {version}")
     meta, config, columns = {}, [], None
@@ -72,16 +74,29 @@ def _parse_header(lines, kind: str):
     return meta, config, columns
 
 
-def _primitive_lines(region, t: float) -> list[str]:
-    out = []
-    for p in region.primitives:
-        if isinstance(p, Circle):
-            out.append(f"# kos_primitive: t={_fmt(t)} state={region.state.value} "
-                       f"circle {_fmt(p.center[0])} {_fmt(p.center[1])} {_fmt(p.radius)}")
-        else:
-            out.append(f"# kos_primitive: t={_fmt(t)} state={region.state.value} "
-                       f"half_ellipse {_fmt(p.center[0])} {_fmt(p.center[1])} {_fmt(p.theta)} "
-                       f"{_fmt(p.semi_major)} {_fmt(p.semi_minor)} {p.side:+d}")
+def _data_block(lines, kind: str, ncols: int) -> np.ndarray:
+    """The numeric rows below the header as an (n, ncols) array."""
+    try:
+        data = np.array([[float(v) for v in ln.split()]
+                         for ln in lines if ln and not ln.startswith("#")])
+    except ValueError as ex:  # non-numeric field or ragged rows
+        raise RecordError(f"{kind} data block malformed: {ex}") from None
+    if data.ndim != 2 or data.shape[1] != ncols:
+        raise RecordError(f"{kind} data block malformed")
+    return data
+
+
+def _primitive_lines(state: KosState, t: float, target_theta: float, center,
+                     cfg: KosConfig) -> list[str]:
+    """The state's keep-out primitives at time t: the circle (State I only),
+    then the +1 and -1 half-ellipse lobes."""
+    rs = koslib.r_safe(cfg)
+    head = f"# kos_primitive: t={_fmt(t)} state={state.value} "
+    c = f"{_fmt(center[0])} {_fmt(center[1])}"
+    out = [head + f"circle {c} {_fmt(rs)}"] if state is KosState.STATE_I else []
+    for side in (+1, -1):
+        out.append(head + f"half_ellipse {c} {_fmt(target_theta)} {_fmt(rs)} "
+                   f"{_fmt(rs / 2.0)} {side:+d}")
     return out
 
 
@@ -108,12 +123,10 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
     }
     lines = _header("trajectory", config_lines, meta, TRAJECTORY_COLUMNS)
     if kos_cfg is not None:
-        lines += _primitive_lines(
-            koslib.build_region(sched[0], target.theta0, target.position, kos_cfg), 0.0)
         t_end = float(plan.times[-1])
-        lines += _primitive_lines(
-            koslib.build_region(sched[-1], target.theta0 + target.omega * t_end,
-                                target.position, kos_cfg), t_end)
+        lines += _primitive_lines(sched[0], 0.0, target.theta0, target.position, kos_cfg)
+        lines += _primitive_lines(sched[-1], t_end, target.theta0 + target.omega * t_end,
+                                  target.position, kos_cfg)
     for k, t in enumerate(plan.times):
         if k < plan.N:
             w = plan.wrenches[k]
@@ -132,32 +145,34 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
     meta, config, columns = _parse_header(lines, "trajectory")
     if columns != TRAJECTORY_COLUMNS:
         raise RecordError(f"unexpected trajectory columns: {columns}")
-    data = np.array([[float(v) for v in ln.split()]
-                     for ln in lines if ln and not ln.startswith("#")])
-    if data.ndim != 2 or data.shape[1] != len(TRAJECTORY_COLUMNS):
-        raise RecordError("trajectory data block malformed")
+    data = _data_block(lines, "trajectory", len(TRAJECTORY_COLUMNS))
     times = data[:, 0]
     states = data[:, 1:7]
     wrenches = data[:-1, 7:10]
     if np.any(~np.isfinite(wrenches)):
         raise RecordError("non-finite wrench rows before the final knot")
-    kos_states = [KosState(int(v)) for v in data[:, 10]]
-    stats = SolverStats(kkt_residual=float(meta.get("kkt_residual", "inf")),
-                        constraint_violation=float(meta.get("constraint_violation", "inf")),
-                        message="loaded from file")
-    plan = PlannedTrajectory(
-        times=times, states=states, wrenches=wrenches,
-        objective_value=float(meta["objective_value"]),
-        objective_breakdown=(float(meta["objective_goal"]),
-                             float(meta["objective_kinetic"]),
-                             float(meta["objective_effort"])),
-        kos_states=kos_states,
-        converged=bool(int(meta["converged"])),
-        solver_stats=stats,
-        x_goal=np.array([float(v) for v in meta["x_goal"].split()]),
-        theta_finish=float(meta["theta_finish"]),
-        dt=float(meta["dt"]),
-    )
+    try:
+        kos_states = [KosState(int(v)) for v in data[:, 10]]
+        stats = SolverStats(kkt_residual=float(meta.get("kkt_residual", "inf")),
+                            constraint_violation=float(meta.get("constraint_violation", "inf")),
+                            message="loaded from file")
+        plan = PlannedTrajectory(
+            times=times, states=states, wrenches=wrenches,
+            objective_value=float(meta["objective_value"]),
+            objective_breakdown=(float(meta["objective_goal"]),
+                                 float(meta["objective_kinetic"]),
+                                 float(meta["objective_effort"])),
+            kos_states=kos_states,
+            converged=bool(int(meta["converged"])),
+            solver_stats=stats,
+            x_goal=np.array([float(v) for v in meta["x_goal"].split()]),
+            theta_finish=float(meta["theta_finish"]),
+            dt=float(meta["dt"]),
+        )
+    except KeyError as ex:
+        raise RecordError(f"trajectory meta lacks {ex.args[0]!r}") from None
+    except ValueError as ex:  # unparsable meta value or unknown kos_state
+        raise RecordError(f"trajectory record malformed: {ex}") from None
     return plan, {"meta": meta, "config": config}
 
 
@@ -182,10 +197,7 @@ def read_run_record(path):
     meta, config, columns = _parse_header(lines, "run")
     if columns != RUN_COLUMNS:
         raise RecordError(f"unexpected run columns: {columns}")
-    data = np.array([[float(v) for v in ln.split()]
-                     for ln in lines if ln and not ln.startswith("#")])
-    if data.ndim != 2 or data.shape[1] != len(RUN_COLUMNS):
-        raise RecordError("run data block malformed")
+    data = _data_block(lines, "run", len(RUN_COLUMNS))
     return {"times": data[:, 0], "states": data[:, 1:7],
             "relative_velocity": data[:, 7:9], "g": data[:, 9],
             "meta": meta, "config": config}

@@ -9,7 +9,7 @@ plant/controller discrepancies; everything is reproducible from the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from . import kos as koslib
 from .controller import (PdGains, Wrench, body_to_world, continuous_duty,
                          pwm_schedule, tracking_error)
 from .dynamics import (BodyParams, BodyState, TargetState, ThrusterLayout,
-                       default_layout, euler_step, target_state_at, total_wrench,
-                       wrap_angle)
+                       default_layout, euler_step, total_wrench, wrap_angle)
 from .kos import KosConfig
 from .optimizer import PlannedTrajectory
 
@@ -71,17 +70,8 @@ class SimResult:
     min_kos_distance: float
 
 
-def relative_velocity_target_frame(chaser: BodyState, target_theta: float,
-                                   target_omega: float, target_pos) -> np.ndarray:
-    """Chaser velocity seen by an observer rotating with the target."""
-    pos = np.asarray(target_pos, dtype=float)
-    rel = chaser.position - pos
-    v = chaser.velocity - target_omega * np.array([-rel[1], rel[0]])
-    c, s = math.cos(target_theta), math.sin(target_theta)
-    return np.array([c * v[0] + s * v[1], -s * v[0] + c * v[1]])
-
-
-def _relative_velocity_series(states, times, target: TargetState) -> np.ndarray:
+def relative_velocity_target_frame(states, times, target: TargetState) -> np.ndarray:
+    """Chaser velocities seen by an observer rotating with the target, (n, 2)."""
     th = target.theta0 + target.omega * times
     rel = states[:, :2] - target.position
     vx = states[:, 3] + target.omega * rel[:, 1]
@@ -91,17 +81,10 @@ def _relative_velocity_series(states, times, target: TargetState) -> np.ndarray:
 
 
 def kos_distance_series(states, times, target: TargetState, cfg: KosConfig) -> np.ndarray:
-    """Exact signed distance at every step.
-
-    The final-approach classification latches: once the State II conditions
-    have held, later steps keep the relaxed region (the mission does not
-    re-inflate the zone mid-capture while the chaser sits at the dock point).
-    """
+    """Exact signed distance at every step, classification latched (kos.latch)."""
     th = target.theta0 + target.omega * np.asarray(times, dtype=float)
     pts = np.asarray(states, dtype=float)[:, :2]
-    sv = koslib.classify_batch(pts, th, target.position, cfg)
-    latched = np.maximum.accumulate(sv == koslib.KosState.STATE_II.value)
-    sv = np.where(latched, koslib.KosState.STATE_II.value, koslib.KosState.STATE_I.value)
+    sv = koslib.latch(koslib.classify(pts, th, target.position, cfg))
     return koslib.signed_distance_batch(pts, th, sv, target.position, cfg)
 
 
@@ -178,7 +161,7 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
                 step += 1
                 states[step] = state.as_array()
 
-    relvel = _relative_velocity_series(states, times, target)
+    relvel = relative_velocity_target_frame(states, times, target)
     g = kos_distance_series(states, times, target, kos_cfg)
     return SimResult(
         times=times,

@@ -48,6 +48,11 @@ class TestLoadConfig:
         assert "body.mass" in str(ex.value)
         assert "layout.f_thr" in str(ex.value)
 
+    @pytest.mark.parametrize("sweep", ["sweep1", "sweep2"])
+    def test_sweep_max_candidates_validated(self, tmp_path, sweep):
+        with pytest.raises(ConfigError, match=f"{sweep}.max_candidates"):
+            load_config(write(tmp_path, f"{sweep}.max_candidates = 0\n"))
+
     def test_bad_syntax_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
             load_config(write(tmp_path, "body.mass = 10\nnonsense\n"))
@@ -84,6 +89,14 @@ def planned(tmp_path_factory):
     out = tmp_path_factory.mktemp("plan_out")
     traj = cmd_plan(None, out)
     return out, traj
+
+
+# Minimal well-formed record heads (no meta) and two trajectory knots.
+TRAJECTORY_HEAD = ("# proxdock trajectory v1\n# columns: "
+                   + " ".join(records.TRAJECTORY_COLUMNS) + "\n")
+TRAJECTORY_ROWS = ("0 1 0 0 0 0 0 0 0 0 1 0.5\n"
+                   "0.1 1 0 0 0 0 0 nan nan nan 1 0.5\n")
+RUN_HEAD = "# proxdock run v1\n# columns: " + " ".join(records.RUN_COLUMNS) + "\n"
 
 
 class TestPlanTrackCli:
@@ -143,6 +156,31 @@ class TestPlanTrackCli:
     def test_track_rejects_malformed_file(self, tmp_path):
         bogus = tmp_path / "t.txt"
         bogus.write_text("# not a trajectory\n1 2 3\n")
+        assert main(["track", str(bogus), "--out", str(tmp_path / "o")]) == 2
+
+    def test_track_rejects_bad_format_version(self, tmp_path):
+        bogus = tmp_path / "t.txt"
+        bogus.write_text(TRAJECTORY_HEAD.replace(" v1", " vX") + TRAJECTORY_ROWS)
+        assert main(["track", str(bogus), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command", ["track", "audit"])
+    @pytest.mark.parametrize("defect", ["non_numeric", "ragged"])
+    def test_malformed_data_row_rejected(self, tmp_path, command, defect):
+        head, columns = ((TRAJECTORY_HEAD, records.TRAJECTORY_COLUMNS) if command == "track"
+                         else (RUN_HEAD, records.RUN_COLUMNS))
+        row = " ".join(["0.5"] * len(columns))
+        bad = row.replace("0.5", "abc", 1) if defect == "non_numeric" else row + " 0.5"
+        bogus = tmp_path / "r.txt"
+        bogus.write_text(head + row + "\n" + bad + "\n")
+        if command == "track":
+            argv = ["track", str(bogus), "--out", str(tmp_path / "o")]
+        else:
+            argv = ["audit", str(bogus)]
+        assert main(argv) == 2
+
+    def test_track_rejects_missing_meta_key(self, tmp_path):
+        bogus = tmp_path / "t.txt"
+        bogus.write_text(TRAJECTORY_HEAD + TRAJECTORY_ROWS)
         assert main(["track", str(bogus), "--out", str(tmp_path / "o")]) == 2
 
 
@@ -216,6 +254,20 @@ class TestSweeps:
         assert [r[2:4] for r in srows] == [[1, 0], [0, 1], [1, 0]]
         assert len(summ["rows"]) == 3
 
+    @staticmethod
+    def assert_summary_recomputes(out, sweep, index, stats):
+        """Each summary row's stats equal those of its converged points."""
+        pts = records.read_table(out / f"{sweep}_points.txt", f"{sweep}-points")
+        summ = records.read_table(out / f"{sweep}_summary.txt", f"{sweep}-summary")
+        pc, sc = pts["columns"], summ["columns"]
+        for srow in summ["rows"]:
+            i = srow[sc.index(index)]
+            errs = [float(r[pc.index("pos_err")]) for r in pts["rows"]
+                    if r[pc.index(index)] == i and r[pc.index("converged")] == "1"]
+            for column, stat in stats.items():
+                assert float(srow[sc.index(column)]) == pytest.approx(
+                    float(stat(errs)), abs=1e-12)
+
     def test_sweep_aggregates_recomputable(self, tmp_path):
         cfgtext = (
             "sweep1.omega_start = 0.2\nsweep1.omega_step = 0.2\nsweep1.omega_stop = 0.4\n"
@@ -223,17 +275,18 @@ class TestSweeps:
         )
         cfg_path = write(tmp_path, cfgtext)
         cmd_sweep1(cfg_path, tmp_path / "s")
-        pts = records.read_table(tmp_path / "s" / "sweep1_points.txt", "sweep1-points")
-        summ = records.read_table(tmp_path / "s" / "sweep1_summary.txt", "sweep1-summary")
-        pc, sc = pts["columns"], summ["columns"]
-        for srow in summ["rows"]:
-            i = srow[sc.index("i_omega")]
-            errs = [float(r[pc.index("pos_err")]) for r in pts["rows"]
-                    if r[pc.index("i_omega")] == i and r[pc.index("converged")] == "1"]
-            assert float(srow[sc.index("pos_err_mean")]) == pytest.approx(
-                float(np.mean(errs)), abs=1e-12)
-            assert float(srow[sc.index("pos_err_std")]) == pytest.approx(
-                float(np.std(errs)), abs=1e-12)
+        self.assert_summary_recomputes(tmp_path / "s", "sweep1", "i_omega",
+                                       {"pos_err_mean": np.mean, "pos_err_std": np.std})
+        cfgtext = (
+            "sweep2.theta_start_deg = 0\nsweep2.theta_step_deg = 180\n"
+            "sweep2.theta_stop_deg = 180\n"
+            "sweep2.omega_start = 0.5\nsweep2.omega_step = 0.5\nsweep2.omega_stop = 1.0\n"
+            "sweep2.f_thr = 0.33\n"
+        )
+        cmd_sweep2(write(tmp_path, cfgtext, "cfg2.txt"), tmp_path / "s2")
+        self.assert_summary_recomputes(tmp_path / "s2", "sweep2", "i_theta",
+                                       {"pos_err_mean": np.mean, "pos_err_std": np.std,
+                                        "pos_err_max": np.max})
 
     def test_failed_points_recorded_not_fatal(self, tmp_path):
         cfgtext = (

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from proxdock import records
 from proxdock.dynamics import BodyState
-from proxdock.kos import (Circle, HalfEllipse, KosConfig, KosState,
-                          build_region, classify, classify_batch,
+from proxdock.kos import (KosConfig, KosState, classify,
                           corner_safe_angle_threshold, ellipse_distance,
-                          r_safe, signed_distance, signed_distance_batch,
-                          smooth_circle, smooth_lobe)
+                          latch, r_safe, signed_distance_batch, smooth_circle,
+                          smooth_lobe)
 
 SQ2 = math.sqrt(2.0)
 
@@ -36,6 +36,53 @@ def corner_safe_oracle(cfg, angle_res_deg=0.1, dist_res=0.001):
         if d < touch_radius:
             last_unsafe = phi
     return last_unsafe
+
+
+def classify_oracle(chaser: BodyState, target_theta, target_pos, cfg) -> KosState:
+    """Scalar classification from the definition: State II iff the chaser is
+    in front of the docking face, within the angular threshold of its normal,
+    and inside the distance threshold."""
+    rel = chaser.position - np.asarray(target_pos, dtype=float)
+    dist = float(np.linalg.norm(rel))
+    if dist <= 1e-12:
+        return KosState.STATE_I
+    normal = np.array([math.cos(target_theta), math.sin(target_theta)])
+    along = float(rel @ normal)
+    if along <= 0.0:
+        return KosState.STATE_I
+    dev = math.acos(min(1.0, max(-1.0, along / dist)))
+    if dev > cfg.angle_threshold:
+        return KosState.STATE_I
+    if dist > cfg.dist_threshold_factor * r_safe(cfg):
+        return KosState.STATE_I
+    return KosState.STATE_II
+
+
+def region_distance_oracle(p, state, target_theta, target_pos, cfg, sides=(1, -1)) -> float:
+    """Exact keep-out distance from the definition, one primitive at a time:
+    the circle (State I only) and each half-ellipse lobe of `sides` whose
+    half-plane (side * y' >= 0 in the target frame) holds the point."""
+    p = np.asarray(p, dtype=float)
+    center = np.asarray(target_pos, dtype=float)
+    rs = r_safe(cfg)
+    best = math.inf
+    if state is KosState.STATE_I:
+        best = float(np.linalg.norm(p - center)) - rs
+    c, s = math.cos(target_theta), math.sin(target_theta)
+    rx, ry = p - center
+    xp, yp = c * rx + s * ry, -s * rx + c * ry
+    for side in sides:
+        if side * yp >= 0.0:
+            best = min(best, float(ellipse_distance(xp, yp, rs / 2.0, rs)))
+    return best
+
+
+def classify_one(chaser: BodyState, target_theta, target_pos, cfg) -> KosState:
+    return KosState(classify([chaser.position], [target_theta], target_pos, cfg)[0])
+
+
+def distance_one(p, state, target_theta, target_pos, cfg) -> float:
+    return float(signed_distance_batch([p], [target_theta], [state], target_pos, cfg)[0])
 
 
 class TestRSafe:
@@ -95,15 +142,15 @@ class TestClassify:
 
     def test_far_on_normal_is_state_one(self):
         s = BodyState(x=10 * self.rs)
-        assert classify(s, 0.0, [0, 0], self.cfg) is KosState.STATE_I
+        assert classify_one(s, 0.0, [0, 0], self.cfg) is KosState.STATE_I
 
     def test_close_on_normal_is_state_two(self):
         s = BodyState(x=1.4 * self.rs)
-        assert classify(s, 0.0, [0, 0], self.cfg) is KosState.STATE_II
+        assert classify_one(s, 0.0, [0, 0], self.cfg) is KosState.STATE_II
 
     def test_behind_target_is_state_one(self):
         s = BodyState(x=-1.2 * self.rs)
-        assert classify(s, 0.0, [0, 0], self.cfg) is KosState.STATE_I
+        assert classify_one(s, 0.0, [0, 0], self.cfg) is KosState.STATE_I
 
     def test_angle_gate(self):
         d = 1.2 * self.rs
@@ -111,8 +158,8 @@ class TestClassify:
         outside = self.cfg.angle_threshold * 1.1
         s_in = BodyState(x=d * math.cos(inside), y=d * math.sin(inside))
         s_out = BodyState(x=d * math.cos(outside), y=d * math.sin(outside))
-        assert classify(s_in, 0.0, [0, 0], self.cfg) is KosState.STATE_II
-        assert classify(s_out, 0.0, [0, 0], self.cfg) is KosState.STATE_I
+        assert classify_one(s_in, 0.0, [0, 0], self.cfg) is KosState.STATE_II
+        assert classify_one(s_out, 0.0, [0, 0], self.cfg) is KosState.STATE_I
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(11)
@@ -124,17 +171,25 @@ class TestClassify:
             c, s = math.cos(delta), math.sin(delta)
             R = np.array([[c, -s], [s, c]])
             p_rot = pos + R @ (p - pos)
-            st1 = classify(BodyState(x=p[0], y=p[1]), th_t, pos, self.cfg)
-            st2 = classify(BodyState(x=p_rot[0], y=p_rot[1]), th_t + delta, pos, self.cfg)
+            st1 = classify_one(BodyState(x=p[0], y=p[1]), th_t, pos, self.cfg)
+            st2 = classify_one(BodyState(x=p_rot[0], y=p_rot[1]), th_t + delta, pos, self.cfg)
             assert st1 is st2
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(-1.5, 1.5, size=(300, 2))
         thetas = rng.uniform(-6, 6, 300)
-        vals = classify_batch(pts, thetas, [0, 0], self.cfg)
+        vals = classify(pts, thetas, [0, 0], self.cfg)
         for p, th, v in zip(pts, thetas, vals):
-            assert classify(BodyState(x=p[0], y=p[1]), th, [0, 0], self.cfg).value == v
+            assert classify_oracle(BodyState(x=p[0], y=p[1]), th, [0, 0], self.cfg).value == v
+
+    def test_latch_from_first_state_two(self):
+        one, two = KosState.STATE_I.value, KosState.STATE_II.value
+        raw = [one, one, two, one, two, one, one]
+        assert latch(raw).tolist() == [one, one, two, two, two, two, two]
+        assert latch(raw, delay=3).tolist() == [one] * 5 + [two] * 2
+        assert latch(raw, delay=10).tolist() == [one] * 7
+        assert latch([one] * 4, delay=1).tolist() == [one] * 4
 
 
 class TestRegion:
@@ -142,30 +197,34 @@ class TestRegion:
         self.cfg = KosConfig()
         self.rs = r_safe(self.cfg)
 
+    def primitives(self, state, theta, pos=(0.0, 0.0)):
+        """(kind, fields) of each `# kos_primitive:` line a trajectory record writes."""
+        lines = records._primitive_lines(state, 0.0, theta, pos, self.cfg)
+        return [(ln.split()[4], [float(v) for v in ln.split()[5:]]) for ln in lines]
+
     def test_primitive_counts(self):
-        r1 = build_region(KosState.STATE_I, 0.3, [0, 0], self.cfg)
-        r2 = build_region(KosState.STATE_II, 0.3, [0, 0], self.cfg)
-        assert len(r1.primitives) == 3
-        assert sum(isinstance(p, Circle) for p in r1.primitives) == 1
-        assert len(r2.primitives) == 2
-        assert all(isinstance(p, HalfEllipse) for p in r2.primitives)
+        r1 = self.primitives(KosState.STATE_I, 0.3)
+        r2 = self.primitives(KosState.STATE_II, 0.3)
+        assert len(r1) == 3
+        assert sum(kind == "circle" for kind, _ in r1) == 1
+        assert len(r2) == 2
+        assert all(kind == "half_ellipse" for kind, _ in r2)
 
     def test_rigid_rotation_of_primitives(self):
         pos = np.array([0.4, -0.2])
-        base = build_region(KosState.STATE_II, 0.2, pos, self.cfg)
-        rot = build_region(KosState.STATE_II, 0.2 + 0.5, pos, self.cfg)
-        for p0, p1 in zip(base.primitives, rot.primitives):
-            assert p1.theta == pytest.approx(p0.theta + 0.5)
-            np.testing.assert_allclose(p1.center, p0.center)
+        base = self.primitives(KosState.STATE_II, 0.2, pos)
+        rot = self.primitives(KosState.STATE_II, 0.2 + 0.5, pos)
+        for (_, p0), (_, p1) in zip(base, rot):
+            assert p1[2] == pytest.approx(p0[2] + 0.5)
+            np.testing.assert_allclose(p1[:2], p0[:2])
 
     def test_circle_signed_distance_examples(self):
-        region = build_region(KosState.STATE_I, 0.0, [0, 0], self.cfg)
-        assert signed_distance([2 * self.rs, 0.0], region) == pytest.approx(self.rs, rel=1e-12)
-        assert signed_distance([self.rs, 0.0], region) == pytest.approx(0.0, abs=1e-12)
+        args = (KosState.STATE_I, 0.0, [0, 0], self.cfg)
+        assert distance_one([2 * self.rs, 0.0], *args) == pytest.approx(self.rs, rel=1e-12)
+        assert distance_one([self.rs, 0.0], *args) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_ellipse_center_vs_boundary_sampling(self):
-        region = build_region(KosState.STATE_II, 0.0, [0, 0], self.cfg)
-        got = signed_distance([0.0, 0.0], region)
+        got = distance_one([0.0, 0.0], KosState.STATE_II, 0.0, [0, 0], self.cfg)
         # brute-force nearest boundary point on a fine sampling
         t = np.linspace(0, 2 * math.pi, 1_000_001)
         bx = (self.rs / 2) * np.cos(t)
@@ -175,44 +234,45 @@ class TestRegion:
         assert got == pytest.approx(ref, abs=1e-9)
 
     def test_half_ellipse_inactive_half_ignored(self):
-        lobe = HalfEllipse(np.zeros(2), 0.0, self.rs, self.rs / 2, +1)
-        region = build_region(KosState.STATE_II, 0.0, [0, 0], self.cfg)
         # a point on the -y side is governed by the -1 lobe only
         p = [0.1, -0.2]
-        only_minus = [pr for pr in region.primitives if pr.side == -1]
-        d_minus = signed_distance(p, type(region)(KosState.STATE_II, tuple(only_minus)))
-        assert signed_distance(p, region) == pytest.approx(d_minus, rel=1e-12)
-        del lobe
+        d_minus = region_distance_oracle(p, KosState.STATE_II, 0.0, [0, 0], self.cfg, sides=(-1,))
+        assert distance_one(p, KosState.STATE_II, 0.0, [0, 0], self.cfg) == \
+            pytest.approx(d_minus, rel=1e-12)
 
     def test_forbidden_interior_detected(self):
-        region = build_region(KosState.STATE_I, 0.7, [0, 0], self.cfg)
         rng = np.random.default_rng(5)
+        pts = []
         for _ in range(500):
             r = rng.uniform(0, self.rs * 0.999)
             ang = rng.uniform(0, 2 * math.pi)
-            assert signed_distance([r * math.cos(ang), r * math.sin(ang)], region) < 1e-12
+            pts.append([r * math.cos(ang), r * math.sin(ang)])
+        g = signed_distance_batch(pts, np.full(500, 0.7), [KosState.STATE_I] * 500,
+                                  [0, 0], self.cfg)
+        assert np.all(g < 1e-12)
 
     def test_state2_forbidden_subset_of_state1(self):
         # criterion: containment on 10,000 sampled points
         rng = np.random.default_rng(17)
         pts = rng.uniform(-1.0, 1.0, size=(10_000, 2))
-        th = 0.6
-        r1 = build_region(KosState.STATE_I, th, [0, 0], self.cfg)
-        r2 = build_region(KosState.STATE_II, th, [0, 0], self.cfg)
-        for p in pts:
-            if signed_distance(p, r2) < 0:
-                assert signed_distance(p, r1) < 0
+        th = np.full(len(pts), 0.6)
+        g1 = signed_distance_batch(pts, th, [KosState.STATE_I] * len(pts), [0, 0], self.cfg)
+        g2 = signed_distance_batch(pts, th, [KosState.STATE_II] * len(pts), [0, 0], self.cfg)
+        assert np.all(g1[g2 < 0] < 0)
 
     def test_continuity_within_half_plane(self):
-        region = build_region(KosState.STATE_II, 0.4, [0, 0], self.cfg)
         rng = np.random.default_rng(23)
+        p0, p1 = [], []
         for _ in range(200):
             p = rng.uniform(-0.8, 0.8, 2)
             step = rng.normal(size=2) * 1e-7
-            g0 = signed_distance(p, region)
-            g1 = signed_distance(p + step, region)
-            if math.isfinite(g0) and math.isfinite(g1):
-                assert abs(g1 - g0) < 1e-5
+            p0.append(p)
+            p1.append(p + step)
+        args = (np.full(200, 0.4), [KosState.STATE_II] * 200, [0, 0], self.cfg)
+        g0 = signed_distance_batch(p0, *args)
+        g1 = signed_distance_batch(p1, *args)
+        finite = np.isfinite(g0) & np.isfinite(g1)
+        assert np.all(np.abs(g1 - g0)[finite] < 1e-5)
 
 
 class TestEllipseDistance:
@@ -276,8 +336,8 @@ def test_signed_distance_batch_matches_regions():
     states = rng.choice([KosState.STATE_I, KosState.STATE_II], 200)
     g = signed_distance_batch(pts, thetas, states, [0, 0], cfg)
     for i in range(200):
-        region = build_region(states[i], thetas[i], [0, 0], cfg)
-        assert g[i] == pytest.approx(signed_distance(pts[i], region), rel=1e-10, abs=1e-12)
+        ref = region_distance_oracle(pts[i], states[i], thetas[i], [0, 0], cfg)
+        assert g[i] == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
 def test_config_validation():

@@ -8,11 +8,11 @@ import scipy.sparse.linalg as spla
 
 from proxdock.dynamics import (BodyParams, BodyState, TargetState, Wrench,
                                euler_step, target_state_at, wrap_angle)
-from proxdock.kos import BLEND_BAND, KosConfig, KosState, r_safe
+from proxdock.kos import (BLEND_BAND, KosConfig, KosState, r_safe,
+                          signed_distance_batch)
 from proxdock.nlp import InfeasibleError
-from proxdock.optimizer import (AllCandidatesFailed, OptProblem,
-                                build_constraints, build_goal_state,
-                                build_objective, duration_candidates,
+from proxdock.optimizer import (AllCandidatesFailed, ObjectiveModel, OptProblem,
+                                build_goal_state, duration_candidates,
                                 pack_variables, plan, solve, unpack_variables)
 from proxdock.optimizer import _Transcription
 
@@ -32,6 +32,18 @@ def simple_problem(N=40, kos=False, **overrides):
     )
     kw.update(overrides)
     return OptProblem(**kw)
+
+
+def equality_residuals(p, states, wrenches) -> dict:
+    """Initial-state, defect and terminal-attitude rows of E z - e."""
+    tr = _Transcription(p)
+    r = tr.E @ pack_variables(states, wrenches) - tr.e_rhs
+    return {"init": r[:6], "defects": r[6:6 + 6 * p.N].reshape(p.N, 6),
+            "terminal": float(r[6 + 6 * p.N])}
+
+
+def objective_value(p, states, wrenches) -> float:
+    return ObjectiveModel(p).value_flat(pack_variables(states, wrenches))
 
 
 def nominal_template(**overrides):
@@ -81,23 +93,21 @@ class TestObjective:
     def test_zero_at_goal_at_rest(self):
         p = simple_problem(N=5, x_init=BodyState(x=-1.0, theta=0.4),
                            x_goal=BodyState(x=-1.0, theta=0.4), theta_finish=0.4)
-        obj = build_objective(p)
         states = np.tile(p.x_goal.as_array(), (6, 1))
-        assert obj.value(states, np.zeros((5, 3))) == pytest.approx(0.0, abs=1e-12)
+        assert objective_value(p, states, np.zeros((5, 3))) == pytest.approx(0.0, abs=1e-12)
 
     def test_kinetic_only_contribution(self):
         p = simple_problem(N=2)
-        obj = build_objective(p)
         states = np.tile(p.x_goal.as_array(), (3, 1))
         states[0, 3] = 0.2  # velocity at one interior knot
         expected = p.w_kin * p.dt * 0.5 * p.body.mass * 0.2**2
-        got = obj.value(states, np.zeros((2, 3)))
+        got = objective_value(p, states, np.zeros((2, 3)))
         # knot N sits on the goal so only the kinetic term contributes
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_three_knot_hand_computed(self):
         p = simple_problem(N=2, w_goal=3.0, w_u=2.0, w_kin=1.5)
-        obj = build_objective(p)
+        obj = ObjectiveModel(p)
         rng = np.random.default_rng(1)
         states = rng.normal(size=(3, 6))
         wrenches = rng.normal(size=(2, 3))
@@ -107,7 +117,8 @@ class TestObjective:
         kinetic = sum(1.5 * dt * (0.5 * m * (states[k, 3] ** 2 + states[k, 4] ** 2)
                                   + 0.5 * inertia * states[k, 5] ** 2) for k in range(2))
         effort = sum(2.0 * dt * (wrenches[k] @ wrenches[k]) for k in range(2))
-        assert obj.value(states, wrenches) == pytest.approx(goal + kinetic + effort, rel=1e-12)
+        assert objective_value(p, states, wrenches) == pytest.approx(goal + kinetic + effort,
+                                                                     rel=1e-12)
         b = obj.breakdown(states, wrenches)
         assert b[0] == pytest.approx(goal, rel=1e-12)
         assert b[1] == pytest.approx(kinetic, rel=1e-12)
@@ -116,7 +127,7 @@ class TestObjective:
     def test_gradient_matches_central_differences(self):
         # criterion: relative error <= 1e-4 at random feasible points
         p = simple_problem(N=8)
-        obj = build_objective(p)
+        obj = ObjectiveModel(p)
         rng = np.random.default_rng(6)
         z = rng.normal(size=9 * 8 + 6)
         grad = obj.gradient_flat(z)
@@ -135,28 +146,26 @@ class TestConstraints:
     def test_stationary_feasible(self):
         s = BodyState(x=-1.0, theta=0.4)
         p = simple_problem(N=2, x_init=s, x_goal=s, theta_finish=0.4)
-        cm = build_constraints(p)
         states = np.tile(s.as_array(), (3, 1))
-        res = cm.equality_residuals(states, np.zeros((2, 3)))
+        res = equality_residuals(p, states, np.zeros((2, 3)))
         assert np.abs(res["init"]).max() == 0
         assert np.abs(res["defects"]).max() == 0
         assert res["terminal"] == 0
 
     def test_knot_at_target_center_flagged(self):
         p = simple_problem(N=4, kos=True)
-        cm = build_constraints(p)
         states = np.tile(p.x_init.as_array(), (5, 1))
         states[2, :2] = 0.0  # knot parked at the target's center
-        assert np.min(cm.kos_values(states)) < 0
+        z = pack_variables(states, np.zeros((4, 3)))
+        assert np.min(_Transcription(p).ineq_values(z)) < 0
 
     def test_defect_residuals_match_euler_recompute(self):
         # oracle: recompute defects through dynamics.euler_step directly
         p = simple_problem(N=12)
-        cm = build_constraints(p)
         rng = np.random.default_rng(9)
         states = rng.normal(size=(13, 6))
         wrenches = rng.normal(size=(12, 3))
-        res = cm.equality_residuals(states, wrenches)
+        res = equality_residuals(p, states, wrenches)
         for k in range(12):
             stepped = euler_step(BodyState.from_array(states[k]),
                                  Wrench.from_array(wrenches[k]), p.body, p.dt)
@@ -252,10 +261,13 @@ class TestSolve:
         # terminal attitude equality
         assert abs(sol.states[-1, 2] - p.theta_finish) <= 1e-6
         # exact keep-out audit at knots
-        cm = build_constraints(p)
-        assert cm.kos_exact_min(sol.states) >= -1e-6
+        th = p.target.theta0 + p.target.omega * np.arange(p.N + 1) * p.dt
+        g = signed_distance_batch(sol.states[:, :2], th, p.schedule(), p.target.position,
+                                  p.kos_cfg)
+        assert float(np.min(g)) >= -1e-6
         # wrench box with slack
-        assert cm.wrench_bound_violation(sol.wrenches) <= 1e-10
+        lo, hi = p.wrench_min.as_array(), p.wrench_max.as_array()
+        assert max(np.max(lo - sol.wrenches), np.max(sol.wrenches - hi), 0.0) <= 1e-10
         # breakdown consistency
         assert sum(sol.objective_breakdown) == pytest.approx(sol.objective_value, rel=1e-9)
 
@@ -271,8 +283,7 @@ class TestSolve:
         sol = solve(p)
         c = 7.5
         p2 = replace(p, w_goal=p.w_goal * c, w_u=p.w_u * c, w_kin=p.w_kin * c)
-        obj2 = build_objective(p2)
-        assert obj2.value(sol.states, sol.wrenches) == pytest.approx(
+        assert objective_value(p2, sol.states, sol.wrenches) == pytest.approx(
             c * sol.objective_value, rel=1e-9)
         sol2 = solve(p2, sol)
         np.testing.assert_allclose(

@@ -26,6 +26,13 @@ def stationary_plan(pose=BodyState(x=1.0), n=50):
         x_goal=pose.as_array(), theta_finish=pose.theta, dt=0.1)
 
 
+def relative_velocity_one(chaser: BodyState, target_theta, target_omega, target_pos):
+    """Target-frame velocity of one chaser state, with the target at target_theta."""
+    target = TargetState(omega=target_omega, theta0=target_theta,
+                         x=target_pos[0], y=target_pos[1])
+    return relative_velocity_target_frame(chaser.as_array()[None, :], np.zeros(1), target)[0]
+
+
 @pytest.fixture(scope="module")
 def nominal():
     body = BodyParams()
@@ -42,12 +49,12 @@ class TestRelativeVelocity:
     def test_corotating_chaser_has_zero(self):
         om, r = 0.3, 0.8
         chaser = BodyState(x=r, y=0.0, vx=0.0, vy=om * r)
-        v = relative_velocity_target_frame(chaser, 0.7, om, [0, 0])
+        v = relative_velocity_one(chaser, 0.7, om, [0, 0])
         np.testing.assert_allclose(v, [0, 0], atol=1e-15)
 
     def test_static_target_plain_rotation(self):
         chaser = BodyState(x=1.0, vx=0.2, vy=-0.1)
-        v = relative_velocity_target_frame(chaser, math.pi / 2, 0.0, [0, 0])
+        v = relative_velocity_one(chaser, math.pi / 2, 0.0, [0, 0])
         np.testing.assert_allclose(v, [-0.1, -0.2], atol=1e-15)
 
     def test_finite_difference_oracle(self):
@@ -59,7 +66,7 @@ class TestRelativeVelocity:
             th0 = rng.uniform(-3, 3)
             s = BodyState.from_array(np.concatenate([rng.uniform(-1, 1, 3),
                                                      rng.uniform(-0.5, 0.5, 3)]))
-            v = relative_velocity_target_frame(s, th0, om, pos)
+            v = relative_velocity_one(s, th0, om, pos)
             h = 1e-6
 
             def frame_pos(t):
