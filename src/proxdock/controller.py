@@ -3,6 +3,9 @@
 Pipeline per control period: 6-state PD error -> inertial wrench (plus the
 planned feed-forward wrench when enabled) -> body frame -> box-constrained
 least-squares duty allocation over the 8 thrusters -> PWM ON/OFF pattern.
+States are float arrays [x, y, theta, vx, vy, omega] and wrenches float
+arrays [Fx, Fy, tau] (see `dynamics`); a tracking error is a state-shaped
+array with its attitude entry wrapped to (-pi, pi].
 """
 from __future__ import annotations
 
@@ -12,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .dynamics import (NUM_THRUSTERS, BodyState, ThrusterLayout, Wrench,
-                       wrap_angle)
-
-RIDGE = 1e-9  # relative tie-break toward minimum-norm duty (the 3x8 system is wide)
-
-
-def effective_ridge(A: np.ndarray) -> float:
-    """Ridge weight scaled by the allocation matrix so the wrench-residual
-    bias stays below the tie-break's own magnitude regardless of f_max."""
-    return RIDGE * np.linalg.norm(A, 2) ** 2
+from .dynamics import NUM_THRUSTERS, ThrusterLayout, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -41,108 +35,70 @@ class PdGains:
             raise ValueError("at least one gain must be positive")
 
 
-@dataclass(frozen=True)
-class TrackingError:
-    e_x: float
-    e_y: float
-    e_theta: float   # wrapped to (-pi, pi]
-    e_vx: float
-    e_vy: float
-    e_omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e_x, self.e_y, self.e_theta, self.e_vx, self.e_vy, self.e_omega])
+def tracking_error(ref: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """ref - actual, with the attitude entry wrapped to (-pi, pi]."""
+    e = ref - actual
+    e[2] = wrap_angle(e[2])
+    return e
 
 
-@dataclass(frozen=True)
-class PwmSchedule:
-    """Binary firing pattern over the sub-slots of one control period."""
-
-    n_slots: int
-    pattern: np.ndarray   # (8, n_slots) of 0/1
-
-    def __post_init__(self):
-        pat = np.asarray(self.pattern)
-        object.__setattr__(self, "pattern", pat)
-        if pat.shape != (NUM_THRUSTERS, self.n_slots):
-            raise ValueError("pattern must be 8 x n_slots")
-
-    def delivered_duty(self) -> np.ndarray:
-        return self.pattern.sum(axis=1) / self.n_slots
-
-
-def tracking_error(ref: BodyState, actual: BodyState) -> TrackingError:
-    d = ref.as_array() - actual.as_array()
-    return TrackingError(d[0], d[1], wrap_angle(d[2]), d[3], d[4], d[5])
-
-
-def pd_wrench(e: TrackingError, gains: PdGains) -> Wrench:
+def pd_wrench(e: np.ndarray, gains: PdGains) -> np.ndarray:
     """Inertial-frame wrench request from the tracking error."""
-    return Wrench(
-        gains.kp_pos * e.e_x + gains.kd_pos * e.e_vx,
-        gains.kp_pos * e.e_y + gains.kd_pos * e.e_vy,
-        gains.kp_att * e.e_theta + gains.kd_att * e.e_omega,
-    )
+    return np.array([gains.kp_pos * e[0] + gains.kd_pos * e[3],
+                     gains.kp_pos * e[1] + gains.kd_pos * e[4],
+                     gains.kp_att * e[2] + gains.kd_att * e[5]])
 
 
-def world_to_body(w: Wrench, theta: float) -> Wrench:
+def world_to_body(w: np.ndarray, theta: float) -> np.ndarray:
     """Rotate the force pair by R(theta)^T; torque is frame-invariant about z."""
     c, s = math.cos(theta), math.sin(theta)
-    return Wrench(c * w.fx + s * w.fy, -s * w.fx + c * w.fy, w.tau)
+    return np.array([c * w[0] + s * w[1], -s * w[0] + c * w[1], w[2]])
 
 
-def body_to_world(w: Wrench, theta: float) -> Wrench:
+def body_to_world(w: np.ndarray, theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
-    return Wrench(c * w.fx - s * w.fy, s * w.fx + c * w.fy, w.tau)
+    return np.array([c * w[0] - s * w[1], s * w[0] + c * w[1], w[2]])
 
 
-def allocate_duty(w_body: Wrench, layout: ThrusterLayout) -> tuple[np.ndarray, Wrench]:
+def allocate_duty(w_body: np.ndarray, layout: ThrusterLayout) -> tuple[np.ndarray, np.ndarray]:
     """Duty ratios minimizing |B u f_max - w|^2 over the box [0,1]^8.
 
     Among exact minimizers the minimum-norm duty is returned (interior
     solutions via the pseudoinverse, otherwise active-set BVLS with a tiny
     ridge).  Returns (u, residual wrench = B u f_max - w).
     """
-    A = layout.effectiveness_matrix() * layout.f_max
-    w = w_body.as_array()
-    u = np.linalg.pinv(A) @ w
+    u = layout.A_pinv @ w_body
     if np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12):
         u = np.clip(u, 0.0, 1.0)
     else:
-        aug = np.vstack([A, math.sqrt(effective_ridge(A)) * np.eye(NUM_THRUSTERS)])
-        rhs = np.concatenate([w, np.zeros(NUM_THRUSTERS)])
-        res = lsq_linear(aug, rhs, bounds=(0.0, 1.0), method="bvls")
+        rhs = np.concatenate([w_body, np.zeros(NUM_THRUSTERS)])
+        res = lsq_linear(layout.A_ridge, rhs, bounds=(0.0, 1.0), method="bvls")
         u = np.clip(res.x, 0.0, 1.0)
-    return u, Wrench.from_array(A @ u - w)
+    return u, layout.A @ u - w_body
 
 
-def pwm_schedule(u: np.ndarray, n_slots: int) -> PwmSchedule:
-    """Leading-edge PWM: round(u*n_slots) ON slots from the start of the period."""
+def pwm_schedule(u: np.ndarray, n_slots: int) -> np.ndarray:
+    """Leading-edge PWM: round(u*n_slots) ON slots from the start of the period.
+
+    Returns the (8, n_slots) int8 firing pattern of one control period.
+    """
     u = np.asarray(u, dtype=float)
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
+    if u.shape != (NUM_THRUSTERS,):
+        raise ValueError("duty vector must have 8 entries")
+    if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):  # also rejects nan
         raise ValueError("duty ratios must lie in [0, 1]")
     k = np.rint(np.clip(u, 0.0, 1.0) * n_slots).astype(int)
-    pattern = (np.arange(n_slots)[None, :] < k[:, None]).astype(np.int8)
-    return PwmSchedule(n_slots, pattern)
+    return (np.arange(n_slots)[None, :] < k[:, None]).astype(np.int8)
 
 
-def continuous_duty(ref: BodyState, actual: BodyState, gains: PdGains,
+def continuous_duty(ref: np.ndarray, actual: np.ndarray, gains: PdGains,
                     layout: ThrusterLayout,
-                    feed_forward: Wrench | None = None) -> np.ndarray:
+                    feed_forward: np.ndarray | None = None) -> np.ndarray:
     """Duty vector before PWM: error -> PD (+feed-forward) -> body frame -> allocate."""
-    e = tracking_error(ref, actual)
-    w = pd_wrench(e, gains)
+    w = pd_wrench(tracking_error(ref, actual), gains)
     if feed_forward is not None:
-        w = Wrench(w.fx + feed_forward.fx, w.fy + feed_forward.fy, w.tau + feed_forward.tau)
-    w_body = world_to_body(w, actual.theta)
-    u, _ = allocate_duty(w_body, layout)
+        w = w + feed_forward
+    u, _ = allocate_duty(world_to_body(w, actual[2]), layout)
     return u
-
-
-def control_step(ref: BodyState, actual: BodyState, gains: PdGains,
-                 layout: ThrusterLayout, n_slots: int,
-                 feed_forward: Wrench | None = None) -> PwmSchedule:
-    """Full tracking step: error -> PD (+feed-forward) -> body frame -> duty -> PWM."""
-    return pwm_schedule(continuous_duty(ref, actual, gains, layout, feed_forward), n_slots)

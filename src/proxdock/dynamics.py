@@ -1,9 +1,12 @@
 """Planar rigid-body model of the chaser.
 
-State convention: [x, y, theta, vx, vy, omega] in the inertial frame, with
-theta stored unwrapped (no modular reduction) so attitude arithmetic stays
-continuous.  The same forward-Euler map is used by the trajectory optimizer
-(knot defects) and by the simulator (fine-step propagation).
+Array conventions, shared by the planner, the controller, the simulator and
+the record files: a chaser state is a float array [x, y, theta, vx, vy, omega]
+in the inertial frame, with theta stored unwrapped (no modular reduction) so
+attitude arithmetic stays continuous; a wrench is a float array
+[Fx, Fy, tau], in the inertial frame unless a name says body frame.  The same
+forward-Euler map is used by the trajectory optimizer (knot defects) and by
+the simulator (fine-step propagation).
 """
 from __future__ import annotations
 
@@ -11,41 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
 STATE_DIM = 6
 NUM_THRUSTERS = 8
-
-
-@dataclass(frozen=True)
-class BodyState:
-    """Planar 6-DOF state of the chaser."""
-
-    x: float = 0.0
-    y: float = 0.0
-    theta: float = 0.0
-    vx: float = 0.0
-    vy: float = 0.0
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.as_array()):
-            raise ValueError("BodyState fields must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta, self.vx, self.vy, self.omega])
-
-    @classmethod
-    def from_array(cls, a) -> "BodyState":
-        a = np.asarray(a, dtype=float)
-        return cls(*(float(v) for v in a))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return np.array([self.vx, self.vy])
+RIDGE = 1e-9  # relative tie-break toward minimum-norm duty (the 3x8 system is wide)
 
 
 @dataclass(frozen=True)
@@ -67,27 +40,6 @@ class BodyParams:
 
 
 @dataclass(frozen=True)
-class Wrench:
-    """Planar force pair plus scalar torque about z."""
-
-    fx: float = 0.0
-    fy: float = 0.0
-    tau: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.fx) and math.isfinite(self.fy) and math.isfinite(self.tau)):
-            raise ValueError("Wrench components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.fx, self.fy, self.tau])
-
-    @classmethod
-    def from_array(cls, a) -> "Wrench":
-        a = np.asarray(a, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
 class TargetState:
     """Rotating target: fixed position, constant spin rate."""
 
@@ -105,23 +57,15 @@ class TargetState:
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
-
-def target_state_at(t: float, target: TargetState) -> tuple[float, np.ndarray]:
-    """Target attitude and (fixed) position at time t."""
-    return target.theta0 + target.omega * t, target.position
-
-
-_DIRECTION_PROBE = None  # lazily built set of probe directions for layout validation
+    def attitude(self, t):
+        """Attitude at time t (a float or an array of times), unwrapped."""
+        return self.theta0 + self.omega * t
 
 
-def _direction_probes() -> np.ndarray:
-    global _DIRECTION_PROBE
-    if _DIRECTION_PROBE is None:
-        rng = np.random.default_rng(1234)
-        d = rng.normal(size=(256, 3))
-        d = np.vstack([d, np.eye(3), -np.eye(3)])
-        _DIRECTION_PROBE = d / np.linalg.norm(d, axis=1, keepdims=True)
-    return _DIRECTION_PROBE
+def effective_ridge(A: np.ndarray) -> float:
+    """Ridge weight scaled by the allocation matrix so the wrench-residual
+    bias stays below the tie-break's own magnitude regardless of f_max."""
+    return RIDGE * np.linalg.norm(A, 2) ** 2
 
 
 @dataclass(frozen=True)
@@ -131,11 +75,19 @@ class ThrusterLayout:
     positions: (8, 2) mount points in the body frame [m]
     directions: (8, 2) unit thrust directions in the body frame
     f_max: thrust magnitude per thruster [N]
+
+    Derived once per layout: B = effectiveness_matrix(), the allocation
+    matrix A = B * f_max (duty to body wrench), its pseudoinverse and the
+    ridge-augmented matrix of the bounded least-squares allocation.
     """
 
     positions: np.ndarray
     directions: np.ndarray
     f_max: float
+    B: np.ndarray = field(init=False, repr=False, compare=False)
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    A_pinv: np.ndarray = field(init=False, repr=False, compare=False)
+    A_ridge: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -144,19 +96,30 @@ class ThrusterLayout:
         object.__setattr__(self, "directions", dirs)
         if pos.shape != (NUM_THRUSTERS, 2) or dirs.shape != (NUM_THRUSTERS, 2):
             raise ValueError("layout needs 8 mount points and 8 directions")
-        if self.f_max <= 0:
-            raise ValueError("f_max must be positive")
+        if not 0.0 < self.f_max < math.inf:
+            raise ValueError("f_max must be positive and finite")
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("thrust directions must be unit vectors (1e-12)")
         B = self.effectiveness_matrix()
         if np.linalg.matrix_rank(B) != 3:
             raise ValueError("control-effectiveness matrix must have rank 3")
-        # zero wrench must be interior to the attainable set {B u f_max}
-        probes = _direction_probes()
-        reach = np.maximum(probes @ B, 0.0).sum(axis=1) * self.f_max
-        if np.any(reach <= 1e-12):
+        # A rank-3 B positively spans the wrench space (zero wrench interior
+        # to the attainable set) iff some duty vector with every entry > 0
+        # gives zero wrench: maximise t subject to B u = 0, t <= u_i <= 1.
+        lp = linprog(np.r_[np.zeros(NUM_THRUSTERS), -1.0],
+                     A_ub=np.hstack([-np.eye(NUM_THRUSTERS), np.ones((NUM_THRUSTERS, 1))]),
+                     b_ub=np.zeros(NUM_THRUSTERS),
+                     A_eq=np.hstack([B, np.zeros((3, 1))]), b_eq=np.zeros(3),
+                     bounds=(0.0, 1.0))
+        if lp.status != 0 or -lp.fun <= 1e-9:
             raise ValueError("layout cannot actuate some wrench direction both ways")
+        A = B * self.f_max
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "A_pinv", np.linalg.pinv(A))
+        object.__setattr__(self, "A_ridge", np.vstack(
+            [A, math.sqrt(effective_ridge(A)) * np.eye(NUM_THRUSTERS)]))
 
     def effectiveness_matrix(self) -> np.ndarray:
         """3x8 map from duty vector to body wrench per unit f_max.
@@ -186,38 +149,21 @@ def default_layout(side_length: float = 0.3, f_max: float = 0.03) -> ThrusterLay
     return ThrusterLayout(positions=positions, directions=directions, f_max=f_max)
 
 
-@dataclass(frozen=True)
-class ThrusterCommand:
-    """Duty (or binary) command for the 8 thrusters, each in [0, 1]."""
-
-    u: np.ndarray = field(default_factory=lambda: np.zeros(NUM_THRUSTERS))
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "u", u)
-        if u.shape != (NUM_THRUSTERS,):
-            raise ValueError("command must have 8 entries")
-        if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
-            raise ValueError("duty ratios must lie in [0, 1]")
+def total_wrench(u, layout: ThrusterLayout) -> np.ndarray:
+    """Body-frame wrench [Fx, Fy, tau] of a duty or binary vector (Newton sums)."""
+    return layout.B @ np.asarray(u, dtype=float) * layout.f_max
 
 
-def total_wrench(cmd: ThrusterCommand | np.ndarray, layout: ThrusterLayout) -> Wrench:
-    """Body-frame wrench produced by a duty/binary command (Newton sums)."""
-    u = cmd.u if isinstance(cmd, ThrusterCommand) else np.asarray(cmd, dtype=float)
-    w = layout.effectiveness_matrix() @ u * layout.f_max
-    return Wrench(w[0], w[1], w[2])
+def state_derivative(s: np.ndarray, w: np.ndarray, p: BodyParams) -> np.ndarray:
+    """Newton-Euler rates of state s; the wrench w is taken in the inertial frame."""
+    return np.array([s[3], s[4], s[5], w[0] / p.mass, w[1] / p.mass, w[2] / p.inertia])
 
 
-def state_derivative(s: BodyState, w: Wrench, p: BodyParams) -> np.ndarray:
-    """Newton-Euler rates; wrench is taken in the inertial frame."""
-    return np.array([s.vx, s.vy, s.omega, w.fx / p.mass, w.fy / p.mass, w.tau / p.inertia])
-
-
-def euler_step(s: BodyState, w: Wrench, p: BodyParams, dt: float) -> BodyState:
+def euler_step(s: np.ndarray, w: np.ndarray, p: BodyParams, dt: float) -> np.ndarray:
     """One forward-Euler step; the optimizer's defect constraints reuse this exact map."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    return BodyState.from_array(s.as_array() + state_derivative(s, w, p) * dt)
+    return s + state_derivative(s, w, p) * dt
 
 
 def euler_matrices(p: BodyParams, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import records
 from .controller import PdGains
-from .dynamics import (BodyParams, BodyState, TargetState, default_layout,
-                       wrap_angle)
+from .dynamics import BodyParams, TargetState, default_layout, wrap_angle
 from .kos import KosConfig, KosState
 from .optimizer import (AllCandidatesFailed, OptProblem, plan)
 from .sim import SimConfig, audit_safety, run
@@ -185,16 +184,15 @@ class RunConfig:
                          dist_threshold_factor=self["kos.dist_threshold_factor"],
                          angle_threshold=self["kos.angle_threshold"])
 
-    def init_state(self) -> BodyState:
-        return BodyState(self["init.x"], self["init.y"], self["init.theta"],
-                         self["init.vx"], self["init.vy"], self["init.omega"])
+    def init_state(self) -> np.ndarray:
+        return np.array([self[f"init.{k}"] for k in ("x", "y", "theta", "vx", "vy", "omega")])
 
     def gains(self) -> PdGains:
         return PdGains(self["gains.kp_pos"], self["gains.kd_pos"],
                        self["gains.kp_att"], self["gains.kd_att"])
 
-    def wrench_bounds(self, f_thr: float | None = None):
-        from .dynamics import Wrench
+    def wrench_bounds(self, f_thr: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) bounds on the planned inertial wrench [Fx, Fy, tau]."""
         f = f_thr if f_thr is not None else self["layout.f_thr"]
         fb = self["opt.force_bound"]
         tb = self["opt.torque_bound"]
@@ -202,14 +200,14 @@ class RunConfig:
             fb = f  # half the 2*f_thr per-axis max: reserve for rotation + torque
         if tb is None:
             tb = 0.8 * self["body.side_length"] * f  # half the pure-couple max
-        return Wrench(-fb, -fb, -tb), Wrench(fb, fb, tb)
+        return np.array([-fb, -fb, -tb]), np.array([fb, fb, tb])
 
     def opt_template(self, f_thr: float | None = None,
                      omega: float | None = None) -> OptProblem:
         lo, hi = self.wrench_bounds(f_thr)
         return OptProblem(
             N=2, dt=self["opt.dt"], x_init=self.init_state(),
-            theta_finish=0.0, x_goal=BodyState(),
+            theta_finish=0.0, x_goal=np.zeros(6),
             target=self.target(omega), body=self.body(), kos_cfg=self.kos_config(),
             w_goal=self["opt.w_goal"], w_u=self["opt.w_u"], w_kin=self["opt.w_kin"],
             wrench_min=lo, wrench_max=hi,
@@ -230,10 +228,9 @@ class RunConfig:
     def auto_min_duration(self, f_thr: float | None = None) -> float:
         """Reachability floor: direct bang-bang time over the start distance."""
         body = self.body()
-        lo, hi = self.wrench_bounds(f_thr)
-        init = self.init_state()
-        d = math.hypot(init.x - self["target.x"], init.y - self["target.y"])
-        return 2.0 * math.sqrt(d * body.mass / hi.fx)
+        force_bound = float(self.wrench_bounds(f_thr)[1][0])
+        d = math.hypot(self["init.x"] - self["target.x"], self["init.y"] - self["target.y"])
+        return 2.0 * math.sqrt(d * body.mass / force_bound)
 
     def plan_kwargs(self) -> dict:
         return dict(
@@ -284,9 +281,16 @@ def load_config(path: str | None) -> RunConfig:
 
 def _validate(cfg: RunConfig, errors: list) -> None:
     v = cfg.values
+    non_finite = [key for key, val in v.items()
+                  if any(isinstance(x, float) and not math.isfinite(x)
+                         for x in (val if isinstance(val, tuple) else (val,)))]
+    for key in non_finite:
+        errors.append(f"{key} must be finite (got {v[key]})")
+    if non_finite:
+        return  # the range checks below assume finite values
     for key in ("body.mass", "body.side_length", "layout.f_thr",
                 "target.side_length", "opt.dt", "sim.physics_dt",
-                "sim.control_hz"):
+                "sim.control_hz", "sweep1.f_start", "sweep2.f_thr"):
         if v[key] <= 0:
             errors.append(f"{key} must be positive (got {v[key]})")
     if v["body.inertia"] is not None and v["body.inertia"] <= 0:

@@ -12,14 +12,13 @@ lowest-objective converged solution wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import kos as koslib
-from .dynamics import (BodyParams, BodyState, TargetState, Wrench,
-                       euler_matrices, wrap_angle)
+from .dynamics import BodyParams, TargetState, euler_matrices, wrap_angle
 from .kos import KosConfig, KosState
 from .nlp import (InfeasibleError, NotConvergedError, SolverStats, solve_al)
 
@@ -40,21 +39,26 @@ class AllCandidatesFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class OptProblem:
-    """One fixed-horizon transcription instance."""
+    """One fixed-horizon transcription instance.
+
+    x_init and x_goal are states [x, y, theta, vx, vy, omega]; wrench_min and
+    wrench_max bound each inertial wrench [Fx, Fy, tau] componentwise.  All
+    four are stored as read-only float arrays.
+    """
 
     N: int
     dt: float
-    x_init: BodyState
+    x_init: np.ndarray
     theta_finish: float
-    x_goal: BodyState
+    x_goal: np.ndarray
     target: TargetState
     body: BodyParams
     kos_cfg: KosConfig | None
     w_goal: float = 100.0
     w_u: float = 10.0
     w_kin: float = 1.0
-    wrench_min: Wrench = Wrench(-0.03, -0.03, -0.0072)
-    wrench_max: Wrench = Wrench(0.03, 0.03, 0.0072)
+    wrench_min: np.ndarray = field(default_factory=lambda: np.array([-0.03, -0.03, -0.0072]))
+    wrench_max: np.ndarray = field(default_factory=lambda: np.array([0.03, 0.03, 0.0072]))
     kos_schedule: tuple | None = None  # per-knot KosState; None -> all State I
 
     def __post_init__(self):
@@ -62,8 +66,13 @@ class OptProblem:
             raise ValueError("N must be at least 2")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        lo, hi = self.wrench_min.as_array(), self.wrench_max.as_array()
-        if np.any(lo > 0) or np.any(hi < 0):
+        for name, size in (("x_init", 6), ("x_goal", 6), ("wrench_min", 3), ("wrench_max", 3)):
+            a = np.array(getattr(self, name), dtype=float)
+            if a.shape != (size,) or not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be {size} finite values")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if np.any(self.wrench_min > 0) or np.any(self.wrench_max < 0):
             raise ValueError("wrench bounds must bracket zero componentwise")
         if self.kos_schedule is not None and len(self.kos_schedule) != self.N + 1:
             raise ValueError("kos_schedule must have N+1 entries")
@@ -107,12 +116,6 @@ class PlannedTrajectory:
     @property
     def N(self) -> int:
         return len(self.wrenches)
-
-    def state_at(self, k: int) -> BodyState:
-        return BodyState.from_array(self.states[k])
-
-    def wrench_at(self, k: int) -> Wrench:
-        return Wrench.from_array(self.wrenches[k])
 
     def resampled(self, n_new: int) -> tuple[np.ndarray, np.ndarray]:
         """Resample to a new horizon on normalized time.
@@ -161,7 +164,7 @@ class ObjectiveModel:
         self.problem = problem
         N, dt = problem.N, problem.dt
         m, inertia = problem.body.mass, problem.body.inertia
-        goal = problem.x_goal.as_array()
+        goal = problem.x_goal
         n = 9 * N + 6
         q = np.zeros(n)
         so = _state_offsets(N)
@@ -212,8 +215,8 @@ class _Transcription:
         lb = np.full(self.n, -np.inf)
         ub = np.full(self.n, np.inf)
         wo = (np.arange(N) * 9 + 6)[:, None] + np.arange(3)
-        lb[wo.ravel()] = np.tile(problem.wrench_min.as_array(), N)
-        ub[wo.ravel()] = np.tile(problem.wrench_max.as_array(), N)
+        lb[wo.ravel()] = np.tile(problem.wrench_min, N)
+        ub[wo.ravel()] = np.tile(problem.wrench_max, N)
         self.lb, self.ub = lb, ub
 
         # equality rows: initial state, Euler defects, terminal attitude
@@ -222,7 +225,7 @@ class _Transcription:
         rhs = np.zeros(6 * N + 7)
         for j in range(6):
             rows.append([j]); cols.append([j]); vals.append([1.0])
-        rhs[:6] = problem.x_init.as_array()
+        rhs[:6] = problem.x_init
         k = np.arange(N)
         for j in range(6):
             r = 6 + 6 * k + j
@@ -260,7 +263,7 @@ class _Transcription:
         N = self.N
         sched = np.array([s.value for s in p.schedule()])
         tk = np.arange(N + 1) * p.dt
-        th = p.target.theta0 + p.target.omega * tk
+        th = p.target.attitude(tk)
         rs = koslib.r_safe(p.kos_cfg)
         circle_knots = np.flatnonzero(sched == KosState.STATE_I.value)
         lobe_knots = np.tile(np.arange(N + 1), 2)
@@ -337,8 +340,8 @@ def default_initial_guess(problem: OptProblem) -> np.ndarray:
     loop), and rates are rebuilt by finite differences.
     """
     N = problem.N
-    s0 = problem.x_init.as_array()
-    sg = problem.x_goal.as_array()
+    s0 = problem.x_init
+    sg = problem.x_goal
     frac = np.linspace(0.0, 1.0, N + 1)
     states = np.empty((N + 1, 6))
     states[:, 0] = s0[0] + frac * (sg[0] - s0[0])
@@ -399,7 +402,7 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         kos_states=problem.schedule(),
         converged=True,
         solver_stats=stats,
-        x_goal=problem.x_goal.as_array(),
+        x_goal=problem.x_goal,
         theta_finish=problem.theta_finish,
         dt=problem.dt,
     )
@@ -436,7 +439,7 @@ def duration_candidates(target: TargetState, theta_approach: float, max_candidat
 
 def build_goal_state(target: TargetState, theta_target_final: float, body: BodyParams,
                      theta_unwrapped: float, capture_offset: float = 0.05,
-                     corotate: bool = False) -> BodyState:
+                     corotate: bool = False) -> np.ndarray:
     """Goal pose on the docking normal at capture distance.
 
     The default goal is at rest: the residual target-frame relative velocity
@@ -452,8 +455,7 @@ def build_goal_state(target: TargetState, theta_target_final: float, body: BodyP
         vx, vy, om = -target.omega * ry, target.omega * rx, target.omega
     else:
         vx = vy = om = 0.0
-    return BodyState(x=target.x + rx, y=target.y + ry, theta=theta_unwrapped,
-                     vx=vx, vy=vy, omega=om)
+    return np.array([target.x + rx, target.y + ry, theta_unwrapped, vx, vy, om])
 
 
 def _classified_schedule(sol: PlannedTrajectory, target: TargetState,
@@ -464,7 +466,7 @@ def _classified_schedule(sol: PlannedTrajectory, target: TargetState,
     trajectory starts its descent only after the live conditions have held
     for that long, so the flown relaxation never leads the classification.
     """
-    th = target.theta0 + target.omega * sol.times
+    th = target.attitude(sol.times)
     raw = koslib.classify(sol.states[:, :2], th, target.position, cfg)
     return [KosState(v) for v in koslib.latch(raw, delay_knots)]
 
@@ -505,8 +507,9 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
     for cand in cands:
         N = max(2, int(round(cand.t_total / template.dt)))
         T = N * template.dt
-        theta_t_final = target.theta0 + target.omega * T
-        theta_fin = template.x_init.theta + wrap_angle(theta_t_final - template.x_init.theta)
+        theta_t_final = target.attitude(T)
+        theta_init = float(template.x_init[2])
+        theta_fin = theta_init + wrap_angle(theta_t_final - theta_init)
         goal = build_goal_state(target, theta_t_final, template.body, theta_fin,
                                 capture_offset, corotate=goal_corotate)
         prob1 = replace(template, N=N, theta_finish=theta_fin, x_goal=goal, kos_schedule=None)

@@ -104,7 +104,7 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
                      target: TargetState, kos_cfg: KosConfig | None) -> None:
     sched = plan.kos_states
     if kos_cfg is not None:
-        th = target.theta0 + target.omega * plan.times
+        th = target.attitude(plan.times)
         g = koslib.signed_distance_batch(plan.states[:, :2], th, sched,
                                          target.position, kos_cfg)
     else:
@@ -125,7 +125,7 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
     if kos_cfg is not None:
         t_end = float(plan.times[-1])
         lines += _primitive_lines(sched[0], 0.0, target.theta0, target.position, kos_cfg)
-        lines += _primitive_lines(sched[-1], t_end, target.theta0 + target.omega * t_end,
+        lines += _primitive_lines(sched[-1], t_end, target.attitude(t_end),
                                   target.position, kos_cfg)
     for k, t in enumerate(plan.times):
         if k < plan.N:

@@ -5,6 +5,8 @@ controller at the control rate against the planned knots (zero-order hold),
 and evaluates tracking, terminal and safety metrics.  Optional seeded model
 mismatch (mass/inertia/thrust) and bounded disturbance accelerations emulate
 plant/controller discrepancies; everything is reproducible from the seed.
+The chaser state is a float array [x, y, theta, vx, vy, omega] and every
+wrench a float array [Fx, Fy, tau] throughout (see `dynamics`).
 """
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kos as koslib
-from .controller import (PdGains, Wrench, body_to_world, continuous_duty,
-                         pwm_schedule, tracking_error)
-from .dynamics import (BodyParams, BodyState, TargetState, ThrusterLayout,
-                       default_layout, euler_step, total_wrench, wrap_angle)
+from .controller import (PdGains, body_to_world, continuous_duty, pwm_schedule,
+                         tracking_error)
+from .dynamics import (BodyParams, TargetState, ThrusterLayout, default_layout,
+                       euler_step, total_wrench, wrap_angle)
 from .kos import KosConfig
 from .optimizer import PlannedTrajectory
 
@@ -72,7 +74,7 @@ class SimResult:
 
 def relative_velocity_target_frame(states, times, target: TargetState) -> np.ndarray:
     """Chaser velocities seen by an observer rotating with the target, (n, 2)."""
-    th = target.theta0 + target.omega * times
+    th = target.attitude(times)
     rel = states[:, :2] - target.position
     vx = states[:, 3] + target.omega * rel[:, 1]
     vy = states[:, 4] - target.omega * rel[:, 0]
@@ -82,7 +84,7 @@ def relative_velocity_target_frame(states, times, target: TargetState) -> np.nda
 
 def kos_distance_series(states, times, target: TargetState, cfg: KosConfig) -> np.ndarray:
     """Exact signed distance at every step, classification latched (kos.latch)."""
-    th = target.theta0 + target.omega * np.asarray(times, dtype=float)
+    th = target.attitude(np.asarray(times, dtype=float))
     pts = np.asarray(states, dtype=float)[:, :2]
     sv = koslib.latch(koslib.classify(pts, th, target.position, cfg))
     return koslib.signed_distance_batch(pts, th, sv, target.position, cfg)
@@ -122,44 +124,42 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
     slot_times = np.arange(n_periods * cfg.n_slots) * (period / cfg.n_slots)
     errors = np.empty((n_periods, 6))
 
-    state = plan.state_at(0)
-    states[0] = state.as_array()
+    state = plan.states[0]
+    states[0] = state
     step = 0
-    final_pose = plan.states[-1].copy()
+    rest = np.concatenate([plan.states[-1, :3], np.zeros(3)])
     for j in range(n_periods):
         t = j * period
         if t <= horizon + 1e-9:
             kref = min(int(math.floor(t / plan.dt + 1e-9)), plan.N)
-            ref = plan.state_at(kref)
-            ff = plan.wrench_at(kref) if (cfg.feed_forward and kref < plan.N) else None
+            ref = plan.states[kref]
+            ff = plan.wrenches[kref] if (cfg.feed_forward and kref < plan.N) else None
         else:
             # tail: hold the final pose at rest so station-keeping settles
-            ref = BodyState(final_pose[0], final_pose[1], final_pose[2], 0.0, 0.0, 0.0)
-            ff = None
-        errors[j] = tracking_error(ref, state).as_array()
+            ref, ff = rest, None
+        errors[j] = tracking_error(ref, state)
         duty = continuous_duty(ref, state, cfg.gains, cfg.layout, feed_forward=ff)
-        schedule = pwm_schedule(duty, cfg.n_slots)
+        pattern = pwm_schedule(duty, cfg.n_slots)
+        firings[:, j * cfg.n_slots:(j + 1) * cfg.n_slots] = pattern
         if cfg.disturbance_accel:
             da = rng.uniform(-cfg.disturbance_accel, cfg.disturbance_accel, 3)
-            dist_w = Wrench(body_true.mass * da[0], body_true.mass * da[1],
-                            body_true.inertia * da[2])
+            dist_w = np.array([body_true.mass * da[0], body_true.mass * da[1],
+                               body_true.inertia * da[2]])
         else:
             dist_w = None
         for s in range(cfg.n_slots):
-            u_bin = schedule.pattern[:, s]
-            firings[:, j * cfg.n_slots + s] = u_bin
             # pwm=False applies the unquantized duty (paired-run experiments);
             # the firing record still logs the schedule that would have flown
-            u_applied = u_bin.astype(float) if cfg.pwm else duty
-            w_body = total_wrench(u_applied, layout_true)
+            w_body = total_wrench(pattern[:, s] if cfg.pwm else duty, layout_true)
             for _ in range(steps_per_slot):
-                w_world = body_to_world(w_body, state.theta)
+                w_world = body_to_world(w_body, state[2])
                 if dist_w is not None:
-                    w_world = Wrench(w_world.fx + dist_w.fx, w_world.fy + dist_w.fy,
-                                     w_world.tau + dist_w.tau)
+                    w_world = w_world + dist_w
                 state = euler_step(state, w_world, body_true, cfg.physics_dt)
                 step += 1
-                states[step] = state.as_array()
+                states[step] = state
+    if not np.all(np.isfinite(states)):
+        raise ValueError("simulated chaser state is not finite")
 
     relvel = relative_velocity_target_frame(states, times, target)
     g = kos_distance_series(states, times, target, kos_cfg)

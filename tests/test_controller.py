@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from proxdock.controller import (PdGains, allocate_duty, body_to_world,
-                                 control_step, effective_ridge, pd_wrench,
-                                 pwm_schedule, tracking_error, world_to_body)
-from proxdock.dynamics import (BodyState, ThrusterLayout, Wrench,
-                               default_layout, total_wrench)
+                                 continuous_duty, pd_wrench, pwm_schedule,
+                                 tracking_error, world_to_body)
+from proxdock.dynamics import default_layout, effective_ridge, total_wrench
 
 
 @pytest.fixture
@@ -23,77 +22,81 @@ def reduced_four_thruster():
     return pos, dirs, 0.03
 
 
+def state(x=0.0, y=0.0, theta=0.0, vx=0.0, vy=0.0, omega=0.0):
+    return np.array([x, y, theta, vx, vy, omega])
+
+
 def test_tracking_error_zero():
-    s = BodyState(1, 2, 3, 4, 5, 6)
-    assert np.all(tracking_error(s, s).as_array() == 0)
+    s = state(1, 2, 3, 4, 5, 6)
+    assert np.all(tracking_error(s, s) == 0)
 
 
 def test_tracking_error_wraps_attitude():
-    e = tracking_error(BodyState(theta=3.5), BodyState(theta=-3.5))
-    assert e.e_theta == pytest.approx(7.0 - 2 * math.pi)
-    assert -math.pi < e.e_theta <= math.pi
+    e = tracking_error(state(theta=3.5), state(theta=-3.5))
+    assert e[2] == pytest.approx(7.0 - 2 * math.pi)
+    assert -math.pi < e[2] <= math.pi
 
 
 def test_tracking_error_velocity_only():
-    e = tracking_error(BodyState(vx=0.1, vy=-0.2, omega=0.3), BodyState())
-    assert (e.e_x, e.e_y, e.e_theta) == (0, 0, 0)
-    assert (e.e_vx, e.e_vy, e.e_omega) == (0.1, -0.2, 0.3)
+    e = tracking_error(state(vx=0.1, vy=-0.2, omega=0.3), state())
+    assert tuple(e[:3]) == (0, 0, 0)
+    assert tuple(e[3:]) == (0.1, -0.2, 0.3)
 
 
 def test_pd_wrench_examples():
     g = PdGains(kp_pos=2.0, kd_pos=0.0, kp_att=0.0, kd_att=1.0)
-    e = tracking_error(BodyState(x=1.0), BodyState())
+    e = tracking_error(state(x=1.0), state())
     w = pd_wrench(e, g)
-    assert (w.fx, w.fy, w.tau) == (2.0, 0.0, 0.0)
-    assert pd_wrench(tracking_error(BodyState(), BodyState()), g).as_array().sum() == 0
+    assert tuple(w) == (2.0, 0.0, 0.0)
+    assert pd_wrench(tracking_error(state(), state()), g).sum() == 0
 
 
 def test_pd_wrench_hand_computed_mixed():
     g = PdGains(1.5, 2.5, 0.7, 0.9)
-    e = tracking_error(BodyState(0.2, -0.4, 0.1, 0.05, -0.02, 0.3), BodyState())
+    e = tracking_error(state(0.2, -0.4, 0.1, 0.05, -0.02, 0.3), state())
     w = pd_wrench(e, g)
-    assert w.fx == pytest.approx(1.5 * 0.2 + 2.5 * 0.05)
-    assert w.fy == pytest.approx(1.5 * -0.4 + 2.5 * -0.02)
-    assert w.tau == pytest.approx(0.7 * 0.1 + 0.9 * 0.3)
+    assert w[0] == pytest.approx(1.5 * 0.2 + 2.5 * 0.05)
+    assert w[1] == pytest.approx(1.5 * -0.4 + 2.5 * -0.02)
+    assert w[2] == pytest.approx(0.7 * 0.1 + 0.9 * 0.3)
 
 
 def test_pd_wrench_linear_in_error():
     g = PdGains()
     rng = np.random.default_rng(8)
     for _ in range(20):
-        e1 = tracking_error(BodyState.from_array(rng.normal(size=6) * 0.1), BodyState())
-        e2 = tracking_error(BodyState.from_array(rng.normal(size=6) * 0.1), BodyState())
+        e1 = tracking_error(rng.normal(size=6) * 0.1, state())
+        e2 = tracking_error(rng.normal(size=6) * 0.1, state())
         a, b = rng.normal(size=2)
-        combo = type(e1)(*(a * e1.as_array() + b * e2.as_array()))
+        combo = a * e1 + b * e2
         np.testing.assert_allclose(
-            pd_wrench(combo, g).as_array(),
-            a * pd_wrench(e1, g).as_array() + b * pd_wrench(e2, g).as_array(),
+            pd_wrench(combo, g),
+            a * pd_wrench(e1, g) + b * pd_wrench(e2, g),
             atol=1e-14)
 
 
 def test_world_to_body_identity_and_quarter_turn():
-    w = Wrench(1.0, 0.0, 0.3)
-    assert world_to_body(w, 0.0).as_array() == pytest.approx([1, 0, 0.3])
+    w = np.array([1.0, 0.0, 0.3])
+    assert world_to_body(w, 0.0) == pytest.approx([1, 0, 0.3])
     b = world_to_body(w, math.pi / 2)
-    assert b.fx == pytest.approx(0.0, abs=1e-15)
-    assert b.fy == pytest.approx(-1.0)
-    assert b.tau == 0.3
+    assert b[0] == pytest.approx(0.0, abs=1e-15)
+    assert b[1] == pytest.approx(-1.0)
+    assert b[2] == 0.3
 
 
 def test_rotation_round_trip():
     rng = np.random.default_rng(13)
     for _ in range(100):
-        w = Wrench.from_array(rng.normal(size=3))
+        w = rng.normal(size=3)
         th = rng.uniform(-10, 10)
         back = body_to_world(world_to_body(w, th), th)
-        np.testing.assert_allclose(back.as_array(), w.as_array(), atol=1e-12)
+        np.testing.assert_allclose(back, w, atol=1e-12)
 
 
 class TestAllocation:
     def test_zero_wrench_zero_duty(self, layout):
-        u, res = allocate_duty(Wrench(), layout)
+        u, res = allocate_duty(np.zeros(3), layout)
         assert np.all(u == 0)
-        assert np.all(res.as_array() == 0)
+        assert np.all(res == 0)
 
     def test_achievable_interior_wrench_reproduced(self, layout):
         rng = np.random.default_rng(21)
@@ -102,15 +105,15 @@ class TestAllocation:
             u0 = rng.uniform(0.2, 0.8, 8)
             w = total_wrench(u0, layout)
             u, res = allocate_duty(w, layout)
-            assert np.linalg.norm(res.as_array()) < 1e-9
-            np.testing.assert_allclose(B @ u, w.as_array(), atol=1e-9)
+            assert np.linalg.norm(res) < 1e-9
+            np.testing.assert_allclose(B @ u, w, atol=1e-9)
 
     def test_saturated_request_hits_bounds(self, layout):
         # 10x beyond the attainable set: some thrusters saturate at 1
-        w = Wrench(10 * 2 * layout.f_max, 0.0, 0.0)
+        w = np.array([10 * 2 * layout.f_max, 0.0, 0.0])
         u, res = allocate_duty(w, layout)
         assert np.any(u >= 1.0 - 1e-12)
-        assert np.linalg.norm(res.as_array()) > 0
+        assert np.linalg.norm(res) > 0
 
     def test_kkt_on_full_problem(self, layout):
         # criterion: projected KKT residual of the ridge problem <= 1e-8
@@ -120,7 +123,7 @@ class TestAllocation:
         worst = 0.0
         for _ in range(1000):
             w = rng.normal(size=3) * np.array([0.08, 0.08, 0.01])
-            u, _ = allocate_duty(Wrench.from_array(w), layout)
+            u, _ = allocate_duty(w, layout)
             grad = 2 * B.T @ (B @ u - w) + 2 * lam * u
             viol = np.where(u <= 1e-12, np.maximum(0.0, -grad),
                             np.where(u >= 1 - 1e-12, np.maximum(0.0, grad), np.abs(grad)))
@@ -154,35 +157,35 @@ class TestAllocation:
 
 def test_pwm_examples():
     off = pwm_schedule(np.zeros(8), 10)
-    assert off.pattern.sum() == 0
+    assert off.sum() == 0
     on = pwm_schedule(np.ones(8), 10)
-    assert on.pattern.sum() == 80
+    assert on.sum() == 80
     half = pwm_schedule(np.full(8, 0.5), 10)
-    assert np.all(half.pattern.sum(axis=1) == 5)
-    np.testing.assert_array_equal(half.pattern[:, :5], 1)
-    np.testing.assert_array_equal(half.pattern[:, 5:], 0)
-    assert np.all(half.delivered_duty() == 0.5)
+    assert np.all(half.sum(axis=1) == 5)
+    np.testing.assert_array_equal(half[:, :5], 1)
+    np.testing.assert_array_equal(half[:, 5:], 0)
+    assert np.all(half.sum(axis=1) / 10 == 0.5)
 
 
 def test_pwm_duty_accuracy_bound():
     rng = np.random.default_rng(77)
     for n_slots in (1, 4, 10, 25):
         u = rng.uniform(0, 1, 8)
-        sched = pwm_schedule(u, n_slots)
-        assert np.all(np.abs(sched.delivered_duty() - u) <= 0.5 / n_slots + 1e-12)
+        pattern = pwm_schedule(u, n_slots)
+        assert np.all(np.abs(pattern.sum(axis=1) / n_slots - u) <= 0.5 / n_slots + 1e-12)
 
 
 def test_control_step_all_off_on_reference(layout):
-    s = BodyState(0.3, -0.2, 0.5, 0.01, 0.0, -0.02)
-    sched = control_step(s, s, PdGains(), layout, 10)
-    assert sched.pattern.sum() == 0
+    s = state(0.3, -0.2, 0.5, 0.01, 0.0, -0.02)
+    pattern = pwm_schedule(continuous_duty(s, s, PdGains(), layout), 10)
+    assert pattern.sum() == 0
 
 
 def test_control_step_fires_plus_x_thrusters(layout):
     # +x position error with chaser at theta=0: only the -x-face pair
     # (which pushes +x) may fire
-    sched = control_step(BodyState(x=0.5), BodyState(), PdGains(), layout, 10)
-    firing = set(np.flatnonzero(sched.pattern.sum(axis=1)))
+    pattern = pwm_schedule(continuous_duty(state(x=0.5), state(), PdGains(), layout), 10)
+    firing = set(np.flatnonzero(pattern.sum(axis=1)))
     assert firing
     assert firing <= {2, 3}
 
@@ -190,9 +193,9 @@ def test_control_step_fires_plus_x_thrusters(layout):
 def test_control_step_opposite_face_at_pi(layout):
     # same inertial +x error with the chaser flipped (no attitude error):
     # the +x-face pair, which pushes -x in the body frame, fires instead
-    sched = control_step(BodyState(x=0.5, theta=math.pi), BodyState(theta=math.pi),
-                         PdGains(), layout, 10)
-    firing = set(np.flatnonzero(sched.pattern.sum(axis=1)))
+    pattern = pwm_schedule(continuous_duty(state(x=0.5, theta=math.pi), state(theta=math.pi),
+                                           PdGains(), layout), 10)
+    firing = set(np.flatnonzero(pattern.sum(axis=1)))
     assert firing
     assert firing <= {0, 1}
 
@@ -200,26 +203,27 @@ def test_control_step_opposite_face_at_pi(layout):
 def test_control_step_rotation_equivariance(layout):
     rng = np.random.default_rng(3)
     for _ in range(25):
-        ref = BodyState.from_array(rng.normal(size=6) * 0.2)
-        act = BodyState.from_array(rng.normal(size=6) * 0.2)
+        ref = rng.normal(size=6) * 0.2
+        act = rng.normal(size=6) * 0.2
         delta = rng.uniform(-math.pi, math.pi)
         c, s = math.cos(delta), math.sin(delta)
         R = np.array([[c, -s], [s, c]])
 
         def rotated(b):
-            p = R @ b.position
-            v = R @ b.velocity
-            return BodyState(p[0], p[1], b.theta + delta, v[0], v[1], b.omega)
+            p = R @ b[:2]
+            v = R @ b[3:5]
+            return state(p[0], p[1], b[2] + delta, v[0], v[1], b[5])
 
-        s1 = control_step(ref, act, PdGains(), layout, 10)
-        s2 = control_step(rotated(ref), rotated(act), PdGains(), layout, 10)
-        np.testing.assert_array_equal(s1.pattern, s2.pattern)
+        p1 = pwm_schedule(continuous_duty(ref, act, PdGains(), layout), 10)
+        p2 = pwm_schedule(continuous_duty(rotated(ref), rotated(act), PdGains(), layout), 10)
+        np.testing.assert_array_equal(p1, p2)
 
 
 def test_feed_forward_added_before_allocation(layout):
-    ff = Wrench(0.02, 0.0, 0.0)
-    sched = control_step(BodyState(), BodyState(), PdGains(), layout, 10, feed_forward=ff)
-    firing = set(np.flatnonzero(sched.pattern.sum(axis=1)))
+    ff = np.array([0.02, 0.0, 0.0])
+    pattern = pwm_schedule(continuous_duty(state(), state(), PdGains(), layout,
+                                           feed_forward=ff), 10)
+    firing = set(np.flatnonzero(pattern.sum(axis=1)))
     assert firing <= {2, 3} and firing
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from proxdock.dynamics import (BodyParams, BodyState, TargetState,
-                               ThrusterCommand, ThrusterLayout, Wrench,
+from proxdock.controller import pwm_schedule
+from proxdock.dynamics import (BodyParams, TargetState, ThrusterLayout,
                                default_layout, euler_matrices, euler_step,
-                               state_derivative, target_state_at, total_wrench,
-                               wrap_angle)
+                               state_derivative, total_wrench, wrap_angle)
+from proxdock.optimizer import OptProblem
 
 
 @pytest.fixture
@@ -15,9 +15,17 @@ def body():
     return BodyParams()
 
 
+def state(x=0.0, y=0.0, theta=0.0, vx=0.0, vy=0.0, omega=0.0):
+    return np.array([x, y, theta, vx, vy, omega])
+
+
+def wrench(fx=0.0, fy=0.0, tau=0.0):
+    return np.array([fx, fy, tau])
+
+
 def test_zero_command_zero_wrench():
     w = total_wrench(np.zeros(8), default_layout())
-    assert w.fx == 0 and w.fy == 0 and w.tau == 0
+    assert w[0] == 0 and w[1] == 0 and w[2] == 0
 
 
 def test_single_thruster_hand_evaluated():
@@ -38,9 +46,9 @@ def test_single_thruster_hand_evaluated():
     u = np.zeros(8)
     u[0] = 1.0
     w = total_wrench(u, layout)
-    assert w.fx == pytest.approx(-1.0)
-    assert w.fy == pytest.approx(0.0)
-    assert w.tau == pytest.approx(0.15)
+    assert w[0] == pytest.approx(-1.0)
+    assert w[1] == pytest.approx(0.0)
+    assert w[2] == pytest.approx(0.15)
 
 
 def test_mirrored_pair_cancels_lateral_and_torque():
@@ -48,9 +56,9 @@ def test_mirrored_pair_cancels_lateral_and_torque():
     u = np.zeros(8)
     u[0] = u[1] = 1.0   # both +x-face thrusters, mirrored about the x-axis
     w = total_wrench(u, layout)
-    assert w.fx == pytest.approx(-2 * layout.f_max)
-    assert w.fy == pytest.approx(0.0, abs=1e-15)
-    assert w.tau == pytest.approx(0.0, abs=1e-15)
+    assert w[0] == pytest.approx(-2 * layout.f_max)
+    assert w[1] == pytest.approx(0.0, abs=1e-15)
+    assert w[2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_total_wrench_linearity():
@@ -60,17 +68,19 @@ def test_total_wrench_linearity():
         u1 = rng.uniform(0, 1, 8)
         u2 = rng.uniform(0, 1, 8)
         a, b = rng.uniform(0, 0.5, 2)
-        lhs = total_wrench(a * u1 + b * u2, layout).as_array()
-        rhs = a * total_wrench(u1, layout).as_array() + b * total_wrench(u2, layout).as_array()
+        lhs = total_wrench(a * u1 + b * u2, layout)
+        rhs = a * total_wrench(u1, layout) + b * total_wrench(u2, layout)
         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
 
 def test_command_validation():
-    ThrusterCommand(np.full(8, 0.5))
+    pwm_schedule(np.full(8, 0.5), 10)
     with pytest.raises(ValueError):
-        ThrusterCommand(np.full(8, 1.5))
+        pwm_schedule(np.full(8, 1.5), 10)
     with pytest.raises(ValueError):
-        ThrusterCommand(np.ones(7))
+        pwm_schedule(np.ones(7), 10)
+    with pytest.raises(ValueError):
+        pwm_schedule(np.full(8, math.nan), 10)
 
 
 def test_layout_validation():
@@ -83,42 +93,56 @@ def test_layout_validation():
         ThrusterLayout(good.positions, np.tile([1.0, 0.0], (8, 1)), 0.03)
 
 
+def test_half_space_layout_rejected():
+    # rank 3, but no column of B has a positive component along
+    # d = -(1,1,0)/sqrt(2), so no duty pushes along d: the attainable wrench
+    # cone is a half-space, not all of R^3
+    r = 1.0 / math.sqrt(2.0)
+    dirs = np.array([[r, -r], [r, -r], [-r, r], [-r, r], [1, 0], [1, 0], [0, 1], [0, 1]])
+    pos = np.array([[.15, .15], [-.15, -.15], [.15, .15], [-.15, -.15],
+                    [0, .15], [0, -.15], [.15, 0], [-.15, 0]])
+    B = np.vstack([dirs.T, pos[:, 0] * dirs[:, 1] - pos[:, 1] * dirs[:, 0]])
+    assert np.linalg.matrix_rank(B) == 3
+    assert np.all(np.array([-r, -r, 0.0]) @ B <= 1e-12)
+    with pytest.raises(ValueError, match="both ways"):
+        ThrusterLayout(pos, dirs, 0.03)
+
+
 def test_state_derivative_ballistic(body):
-    rate = state_derivative(BodyState(vx=1.0), Wrench(), body)
+    rate = state_derivative(state(vx=1.0), wrench(), body)
     np.testing.assert_allclose(rate, [1, 0, 0, 0, 0, 0])
 
 
 def test_state_derivative_unit_accels(body):
-    rate = state_derivative(BodyState(), Wrench(fx=body.mass), body)
+    rate = state_derivative(state(), wrench(fx=body.mass), body)
     assert rate[3] == pytest.approx(1.0)
-    rate = state_derivative(BodyState(), Wrench(tau=body.inertia * 0.5), body)
+    rate = state_derivative(state(), wrench(tau=body.inertia * 0.5), body)
     assert rate[5] == pytest.approx(0.5)
 
 
 def test_euler_step_zero_dt(body):
-    s = BodyState(1, 2, 3, 4, 5, 6)
-    np.testing.assert_array_equal(euler_step(s, Wrench(1, 1, 1), body, 0.0).as_array(),
-                                  s.as_array())
+    s = state(1, 2, 3, 4, 5, 6)
+    np.testing.assert_array_equal(euler_step(s, wrench(1, 1, 1), body, 0.0), s)
 
 
 def test_euler_step_drift(body):
-    s = euler_step(BodyState(vx=1.0), Wrench(), body, 0.1)
-    assert s.x == pytest.approx(0.1)
-    assert s.vx == pytest.approx(1.0)
+    s = euler_step(state(vx=1.0), wrench(), body, 0.1)
+    assert s[0] == pytest.approx(0.1)
+    assert s[3] == pytest.approx(1.0)
 
 
 def test_euler_convergence_to_analytic(body):
     # constant wrench: Euler error vs closed form shrinks first-order in dt
-    w = Wrench(0.5, -0.2, 0.05)
+    w = wrench(0.5, -0.2, 0.05)
     T = 2.0
 
     def roll(dt):
-        s = BodyState()
+        s = state()
         for _ in range(int(round(T / dt))):
             s = euler_step(s, w, body, dt)
-        return s.as_array()
+        return s
 
-    a = np.array([w.fx / body.mass, w.fy / body.mass, w.tau / body.inertia])
+    a = np.array([w[0] / body.mass, w[1] / body.mass, w[2] / body.inertia])
     exact = np.concatenate([0.5 * a * T**2, a * T])
     err_coarse = np.abs(roll(0.01) - exact).max()
     err_fine = np.abs(roll(0.0001) - exact).max()
@@ -131,40 +155,39 @@ def test_euler_matrices_match_euler_step(body):
     A, B = euler_matrices(body, 0.1)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        s = BodyState.from_array(rng.normal(size=6))
-        w = Wrench.from_array(rng.normal(size=3))
-        np.testing.assert_allclose(A @ s.as_array() + B @ w.as_array(),
-                                   euler_step(s, w, body, 0.1).as_array(),
+        s = rng.normal(size=6)
+        w = rng.normal(size=3)
+        np.testing.assert_allclose(A @ s + B @ w, euler_step(s, w, body, 0.1),
                                    rtol=0, atol=1e-14)
 
 
 def test_zero_wrench_conserves_velocity(body):
-    s = BodyState(0, 0, 0, 0.3, -0.2, 0.1)
+    s = state(0, 0, 0, 0.3, -0.2, 0.1)
     for _ in range(1000):
-        s = euler_step(s, Wrench(), body, 0.01)
-    assert (s.vx, s.vy, s.omega) == (0.3, -0.2, 0.1)
+        s = euler_step(s, wrench(), body, 0.01)
+    assert tuple(s[3:]) == (0.3, -0.2, 0.1)
 
 
 def test_kinetic_energy_matches_closed_form(body):
-    s = BodyState(vx=0.1, vy=-0.05, omega=0.2)
-    w = Wrench(0.01, 0.02, -0.003)
+    s = state(vx=0.1, vy=-0.05, omega=0.2)
+    w = wrench(0.01, 0.02, -0.003)
     s1 = euler_step(s, w, body, 0.01)
-    v = np.array([s.vx + w.fx / body.mass * 0.01,
-                  s.vy + w.fy / body.mass * 0.01,
-                  s.omega + w.tau / body.inertia * 0.01])
+    v = np.array([s[3] + w[0] / body.mass * 0.01,
+                  s[4] + w[1] / body.mass * 0.01,
+                  s[5] + w[2] / body.inertia * 0.01])
     ek_closed = 0.5 * body.mass * (v[0]**2 + v[1]**2) + 0.5 * body.inertia * v[2]**2
-    ek_stepped = 0.5 * body.mass * (s1.vx**2 + s1.vy**2) + 0.5 * body.inertia * s1.omega**2
+    ek_stepped = 0.5 * body.mass * (s1[3]**2 + s1[4]**2) + 0.5 * body.inertia * s1[5]**2
     assert ek_stepped == pytest.approx(ek_closed, rel=1e-15)
 
 
 def test_target_state_at():
     t0 = TargetState(omega=0.0, theta0=0.7)
-    assert target_state_at(123.0, t0)[0] == 0.7
+    assert t0.attitude(123.0) == 0.7
     t1 = TargetState(omega=0.1, theta0=0.2)
-    assert target_state_at(10.0, t1)[0] == pytest.approx(1.2)
+    assert t1.attitude(10.0) == pytest.approx(1.2)
     period = 2 * math.pi / 0.1
-    assert target_state_at(period, t1)[0] == pytest.approx(0.2 + 2 * math.pi)
-    np.testing.assert_array_equal(target_state_at(5.0, t1)[1], [0.0, 0.0])
+    assert t1.attitude(period) == pytest.approx(0.2 + 2 * math.pi)
+    np.testing.assert_array_equal(t1.position, [0.0, 0.0])
 
 
 def test_wrap_angle():
@@ -180,7 +203,11 @@ def test_params_validation():
         BodyParams(mass=-1.0)
     with pytest.raises(ValueError):
         BodyParams(inertia=0.0)
-    with pytest.raises(ValueError):
-        BodyState(x=math.nan)
-    with pytest.raises(ValueError):
-        Wrench(fx=math.inf)
+    # non-finite planner inputs are rejected where they enter the program
+    kw = dict(N=2, dt=0.1, x_init=state(x=1.0), theta_finish=0.0, x_goal=state(),
+              target=TargetState(), body=BodyParams(), kos_cfg=None)
+    OptProblem(**kw)
+    with pytest.raises(ValueError, match="x_init"):
+        OptProblem(**{**kw, "x_init": state(x=math.nan)})
+    with pytest.raises(ValueError, match="wrench_max"):
+        OptProblem(**{**kw, "wrench_max": wrench(fx=math.inf)})

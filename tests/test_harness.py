@@ -53,6 +53,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{sweep}.max_candidates"):
             load_config(write(tmp_path, f"{sweep}.max_candidates = 0\n"))
 
+    @pytest.mark.parametrize("key,value", [("sweep1.f_start", "0"), ("sweep1.f_start", "-0.03"),
+                                           ("sweep2.f_thr", "0")])
+    def test_sweep_thrust_must_be_positive(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be positive"):
+            load_config(write(tmp_path, f"{key} = {value}\n"))
+
     def test_bad_syntax_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
             load_config(write(tmp_path, "body.mass = 10\nnonsense\n"))
@@ -66,9 +72,9 @@ class TestLoadConfig:
     def test_wrench_bounds_scale_with_thrust(self):
         cfg = load_config(None)
         lo, hi = cfg.wrench_bounds(f_thr=0.6)
-        assert hi.fx == pytest.approx(0.6)
-        assert hi.tau == pytest.approx(0.8 * 0.3 * 0.6)
-        assert lo.fx == -hi.fx
+        assert hi[0] == pytest.approx(0.6)
+        assert hi[2] == pytest.approx(0.8 * 0.3 * 0.6)
+        assert lo[0] == -hi[0]
 
 
 def test_grid_values_exact():
@@ -147,6 +153,14 @@ class TestPlanTrackCli:
     def test_cli_main_plan_fails_cleanly_on_bad_config(self, tmp_path):
         bad = write(tmp_path, "body.mass = -1\n")
         assert main(["plan", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key,value", [("init.x", "nan"), ("body.mass", "nan"),
+                                           ("layout.f_thr", "inf")])
+    def test_cli_main_rejects_non_finite_value(self, tmp_path, capsys, key, value):
+        bad = write(tmp_path, f"{key} = {value}\n")
+        assert main(["plan", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"{key} must be finite" in err
 
     def test_cli_main_unactuated_plan_exit_code(self, tmp_path):
         cfg = write(tmp_path, "opt.force_bound = 1e-9\nopt.torque_bound = 1e-9\n"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from proxdock import records
-from proxdock.dynamics import BodyState
 from proxdock.kos import (KosConfig, KosState, classify,
                           corner_safe_angle_threshold, ellipse_distance,
                           latch, r_safe, signed_distance_batch, smooth_circle,
@@ -38,11 +37,11 @@ def corner_safe_oracle(cfg, angle_res_deg=0.1, dist_res=0.001):
     return last_unsafe
 
 
-def classify_oracle(chaser: BodyState, target_theta, target_pos, cfg) -> KosState:
+def classify_oracle(chaser_pos, target_theta, target_pos, cfg) -> KosState:
     """Scalar classification from the definition: State II iff the chaser is
     in front of the docking face, within the angular threshold of its normal,
     and inside the distance threshold."""
-    rel = chaser.position - np.asarray(target_pos, dtype=float)
+    rel = np.asarray(chaser_pos, dtype=float) - np.asarray(target_pos, dtype=float)
     dist = float(np.linalg.norm(rel))
     if dist <= 1e-12:
         return KosState.STATE_I
@@ -77,8 +76,8 @@ def region_distance_oracle(p, state, target_theta, target_pos, cfg, sides=(1, -1
     return best
 
 
-def classify_one(chaser: BodyState, target_theta, target_pos, cfg) -> KosState:
-    return KosState(classify([chaser.position], [target_theta], target_pos, cfg)[0])
+def classify_one(chaser_pos, target_theta, target_pos, cfg) -> KosState:
+    return KosState(classify([chaser_pos], [target_theta], target_pos, cfg)[0])
 
 
 def distance_one(p, state, target_theta, target_pos, cfg) -> float:
@@ -141,23 +140,23 @@ class TestClassify:
         self.rs = r_safe(self.cfg)
 
     def test_far_on_normal_is_state_one(self):
-        s = BodyState(x=10 * self.rs)
+        s = (10 * self.rs, 0.0)
         assert classify_one(s, 0.0, [0, 0], self.cfg) is KosState.STATE_I
 
     def test_close_on_normal_is_state_two(self):
-        s = BodyState(x=1.4 * self.rs)
+        s = (1.4 * self.rs, 0.0)
         assert classify_one(s, 0.0, [0, 0], self.cfg) is KosState.STATE_II
 
     def test_behind_target_is_state_one(self):
-        s = BodyState(x=-1.2 * self.rs)
+        s = (-1.2 * self.rs, 0.0)
         assert classify_one(s, 0.0, [0, 0], self.cfg) is KosState.STATE_I
 
     def test_angle_gate(self):
         d = 1.2 * self.rs
         inside = self.cfg.angle_threshold * 0.9
         outside = self.cfg.angle_threshold * 1.1
-        s_in = BodyState(x=d * math.cos(inside), y=d * math.sin(inside))
-        s_out = BodyState(x=d * math.cos(outside), y=d * math.sin(outside))
+        s_in = (d * math.cos(inside), d * math.sin(inside))
+        s_out = (d * math.cos(outside), d * math.sin(outside))
         assert classify_one(s_in, 0.0, [0, 0], self.cfg) is KosState.STATE_II
         assert classify_one(s_out, 0.0, [0, 0], self.cfg) is KosState.STATE_I
 
@@ -171,8 +170,8 @@ class TestClassify:
             c, s = math.cos(delta), math.sin(delta)
             R = np.array([[c, -s], [s, c]])
             p_rot = pos + R @ (p - pos)
-            st1 = classify_one(BodyState(x=p[0], y=p[1]), th_t, pos, self.cfg)
-            st2 = classify_one(BodyState(x=p_rot[0], y=p_rot[1]), th_t + delta, pos, self.cfg)
+            st1 = classify_one(p, th_t, pos, self.cfg)
+            st2 = classify_one(p_rot, th_t + delta, pos, self.cfg)
             assert st1 is st2
 
     def test_batch_agrees_with_scalar(self):
@@ -181,7 +180,7 @@ class TestClassify:
         thetas = rng.uniform(-6, 6, 300)
         vals = classify(pts, thetas, [0, 0], self.cfg)
         for p, th, v in zip(pts, thetas, vals):
-            assert classify_oracle(BodyState(x=p[0], y=p[1]), th, [0, 0], self.cfg).value == v
+            assert classify_oracle(p, th, [0, 0], self.cfg).value == v
 
     def test_latch_from_first_state_two(self):
         one, two = KosState.STATE_I.value, KosState.STATE_II.value

@@ -6,8 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from proxdock.dynamics import (BodyParams, BodyState, TargetState, Wrench,
-                               euler_step, target_state_at, wrap_angle)
+from proxdock.dynamics import BodyParams, TargetState, euler_step, wrap_angle
 from proxdock.kos import (BLEND_BAND, KosConfig, KosState, r_safe,
                           signed_distance_batch)
 from proxdock.nlp import InfeasibleError
@@ -17,18 +16,26 @@ from proxdock.optimizer import (AllCandidatesFailed, ObjectiveModel, OptProblem,
 from proxdock.optimizer import _Transcription
 
 
+def state(x=0.0, y=0.0, theta=0.0, vx=0.0, vy=0.0, omega=0.0):
+    return np.array([x, y, theta, vx, vy, omega])
+
+
+def wrench(fx=0.0, fy=0.0, tau=0.0):
+    return np.array([fx, fy, tau])
+
+
 def simple_problem(N=40, kos=False, **overrides):
     body = BodyParams()
     target = TargetState(omega=0.0)
     kw = dict(
         N=N, dt=0.1,
-        x_init=BodyState(x=-1.5, y=0.2),
+        x_init=state(x=-1.5, y=0.2),
         theta_finish=0.4,
-        x_goal=BodyState(x=-1.0, y=0.0, theta=0.4),
+        x_goal=state(x=-1.0, y=0.0, theta=0.4),
         target=target, body=body,
         kos_cfg=KosConfig() if kos else None,
-        wrench_min=Wrench(-0.1, -0.1, -0.02),
-        wrench_max=Wrench(0.1, 0.1, 0.02),
+        wrench_min=wrench(-0.1, -0.1, -0.02),
+        wrench_max=wrench(0.1, 0.1, 0.02),
     )
     kw.update(overrides)
     return OptProblem(**kw)
@@ -49,8 +56,8 @@ def objective_value(p, states, wrenches) -> float:
 def nominal_template(**overrides):
     body = BodyParams()
     target = TargetState(omega=0.1)
-    kw = dict(N=2, dt=0.1, x_init=BodyState(x=1.0), theta_finish=0.0,
-              x_goal=BodyState(), target=target, body=body, kos_cfg=KosConfig())
+    kw = dict(N=2, dt=0.1, x_init=state(x=1.0), theta_finish=0.0,
+              x_goal=state(), target=target, body=body, kos_cfg=KosConfig())
     kw.update(overrides)
     return OptProblem(**kw)
 
@@ -74,7 +81,7 @@ class TestDurationCandidates:
     def test_attitude_consistency_invariant(self, omega):
         t = TargetState(omega=omega, theta0=0.3)
         for cand in duration_candidates(t, 2.0, 4):
-            th, _ = target_state_at(cand.t_total, t)
+            th = t.attitude(cand.t_total)
             assert abs(wrap_angle(th - 2.0)) < 1e-9
 
     def test_static_ladder(self):
@@ -91,14 +98,14 @@ class TestDurationCandidates:
 
 class TestObjective:
     def test_zero_at_goal_at_rest(self):
-        p = simple_problem(N=5, x_init=BodyState(x=-1.0, theta=0.4),
-                           x_goal=BodyState(x=-1.0, theta=0.4), theta_finish=0.4)
-        states = np.tile(p.x_goal.as_array(), (6, 1))
+        p = simple_problem(N=5, x_init=state(x=-1.0, theta=0.4),
+                           x_goal=state(x=-1.0, theta=0.4), theta_finish=0.4)
+        states = np.tile(p.x_goal, (6, 1))
         assert objective_value(p, states, np.zeros((5, 3))) == pytest.approx(0.0, abs=1e-12)
 
     def test_kinetic_only_contribution(self):
         p = simple_problem(N=2)
-        states = np.tile(p.x_goal.as_array(), (3, 1))
+        states = np.tile(p.x_goal, (3, 1))
         states[0, 3] = 0.2  # velocity at one interior knot
         expected = p.w_kin * p.dt * 0.5 * p.body.mass * 0.2**2
         got = objective_value(p, states, np.zeros((2, 3)))
@@ -113,7 +120,7 @@ class TestObjective:
         wrenches = rng.normal(size=(2, 3))
         # independent scalar re-evaluation
         m, inertia, dt = p.body.mass, p.body.inertia, p.dt
-        goal = 3.0 * sum((states[2, i] - p.x_goal.as_array()[i]) ** 2 for i in range(6))
+        goal = 3.0 * sum((states[2, i] - p.x_goal[i]) ** 2 for i in range(6))
         kinetic = sum(1.5 * dt * (0.5 * m * (states[k, 3] ** 2 + states[k, 4] ** 2)
                                   + 0.5 * inertia * states[k, 5] ** 2) for k in range(2))
         effort = sum(2.0 * dt * (wrenches[k] @ wrenches[k]) for k in range(2))
@@ -144,9 +151,9 @@ class TestObjective:
 
 class TestConstraints:
     def test_stationary_feasible(self):
-        s = BodyState(x=-1.0, theta=0.4)
+        s = state(x=-1.0, theta=0.4)
         p = simple_problem(N=2, x_init=s, x_goal=s, theta_finish=0.4)
-        states = np.tile(s.as_array(), (3, 1))
+        states = np.tile(s, (3, 1))
         res = equality_residuals(p, states, np.zeros((2, 3)))
         assert np.abs(res["init"]).max() == 0
         assert np.abs(res["defects"]).max() == 0
@@ -154,7 +161,7 @@ class TestConstraints:
 
     def test_knot_at_target_center_flagged(self):
         p = simple_problem(N=4, kos=True)
-        states = np.tile(p.x_init.as_array(), (5, 1))
+        states = np.tile(p.x_init, (5, 1))
         states[2, :2] = 0.0  # knot parked at the target's center
         z = pack_variables(states, np.zeros((4, 3)))
         assert np.min(_Transcription(p).ineq_values(z)) < 0
@@ -167,10 +174,8 @@ class TestConstraints:
         wrenches = rng.normal(size=(12, 3))
         res = equality_residuals(p, states, wrenches)
         for k in range(12):
-            stepped = euler_step(BodyState.from_array(states[k]),
-                                 Wrench.from_array(wrenches[k]), p.body, p.dt)
-            np.testing.assert_allclose(res["defects"][k],
-                                       states[k + 1] - stepped.as_array(), atol=1e-13)
+            stepped = euler_step(states[k], wrenches[k], p.body, p.dt)
+            np.testing.assert_allclose(res["defects"][k], states[k + 1] - stepped, atol=1e-13)
 
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(2)
@@ -225,9 +230,9 @@ class TestValuePath:
 class TestSolve:
     def test_reaches_goal_against_lq_oracle(self):
         # unconstrained transcription has a closed-form KKT solution; compare
-        p = simple_problem(N=400, x_init=BodyState(x=-1.25, y=0.1),
-                           wrench_min=Wrench(-5, -5, -1),
-                           wrench_max=Wrench(5, 5, 1))
+        p = simple_problem(N=400, x_init=state(x=-1.25, y=0.1),
+                           wrench_min=wrench(-5, -5, -1),
+                           wrench_max=wrench(5, 5, 1))
         sol = solve(p)
         assert np.hypot(*(sol.states[-1, :2] - sol.x_goal[:2])) <= 1e-3
 
@@ -241,22 +246,22 @@ class TestSolve:
                                    zl[:n], atol=2e-4)
 
     def test_already_at_goal(self):
-        s = BodyState(x=-1.0, theta=0.4)
+        s = state(x=-1.0, theta=0.4)
         p = simple_problem(N=5, x_init=s, x_goal=s, theta_finish=0.4)
         sol = solve(p)
         assert sol.objective_value <= 1e-10
         assert np.abs(sol.wrenches).max() <= 1e-6
 
     def test_converged_invariants(self):
-        p = simple_problem(N=50, kos=True, x_init=BodyState(x=1.0),
-                           x_goal=BodyState(x=0.6, theta=0.2), theta_finish=0.2)
+        p = simple_problem(N=50, kos=True, x_init=state(x=1.0),
+                           x_goal=state(x=0.6, theta=0.2), theta_finish=0.2)
         sol = solve(p)
         assert sol.converged
         # defect replay through euler_step
         worst = 0.0
         for k in range(sol.N):
-            stepped = euler_step(sol.state_at(k), sol.wrench_at(k), p.body, p.dt)
-            worst = max(worst, np.abs(sol.states[k + 1] - stepped.as_array()).max())
+            stepped = euler_step(sol.states[k], sol.wrenches[k], p.body, p.dt)
+            worst = max(worst, np.abs(sol.states[k + 1] - stepped).max())
         assert worst <= 1e-8
         # terminal attitude equality
         assert abs(sol.states[-1, 2] - p.theta_finish) <= 1e-6
@@ -266,7 +271,7 @@ class TestSolve:
                                   p.kos_cfg)
         assert float(np.min(g)) >= -1e-6
         # wrench box with slack
-        lo, hi = p.wrench_min.as_array(), p.wrench_max.as_array()
+        lo, hi = p.wrench_min, p.wrench_max
         assert max(np.max(lo - sol.wrenches), np.max(sol.wrenches - hi), 0.0) <= 1e-10
         # breakdown consistency
         assert sum(sol.objective_breakdown) == pytest.approx(sol.objective_value, rel=1e-9)
@@ -291,7 +296,7 @@ class TestSolve:
             pack_variables(sol.states, sol.wrenches), atol=5e-5)
 
     def test_infeasible_when_unactuated(self):
-        p = simple_problem(N=20, wrench_min=Wrench(0, 0, 0), wrench_max=Wrench(0, 0, 0),
+        p = simple_problem(N=20, wrench_min=wrench(), wrench_max=wrench(),
                            theta_finish=1.0)
         with pytest.raises((InfeasibleError,)):
             solve(p)
@@ -313,7 +318,7 @@ class TestPlan:
 
     def test_static_target_ladder(self):
         t = TargetState(omega=0.0, theta0=0.3)
-        template = nominal_template(target=t, x_init=BodyState(x=1.0))
+        template = nominal_template(target=t, x_init=state(x=1.0))
         best = plan(0.3, template, max_candidates=2, static_durations=(30.0, 60.0))
         assert best.converged
         assert best.times[-1] in (30.0, 60.0)
@@ -343,8 +348,7 @@ class TestPlan:
         assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-4)
 
     def test_all_candidates_failed(self):
-        template = nominal_template(wrench_min=Wrench(0, 0, 0),
-                                    wrench_max=Wrench(0, 0, 0))
+        template = nominal_template(wrench_min=wrench(), wrench_max=wrench())
         with pytest.raises(AllCandidatesFailed) as ex:
             plan(3 * math.pi / 4, template, max_candidates=2)
         assert ex.value.reasons
@@ -354,19 +358,19 @@ def test_goal_state_geometry():
     t = TargetState(omega=0.1, x=0.2, y=-0.1)
     body = BodyParams()
     g = build_goal_state(t, 0.0, body, 0.0, capture_offset=0.05)
-    assert g.x == pytest.approx(0.2 + 0.35)
-    assert g.y == pytest.approx(-0.1)
-    assert (g.vx, g.vy, g.omega) == (0, 0, 0)
+    assert g[0] == pytest.approx(0.2 + 0.35)
+    assert g[1] == pytest.approx(-0.1)
+    assert tuple(g[3:]) == (0, 0, 0)
     g2 = build_goal_state(t, math.pi / 2, body, math.pi / 2, capture_offset=0.05,
                           corotate=True)
-    assert g2.y == pytest.approx(-0.1 + 0.35)
-    assert g2.vx == pytest.approx(-0.1 * 0.35)
-    assert g2.vy == pytest.approx(0.0, abs=1e-15)
-    assert g2.omega == 0.1
+    assert g2[1] == pytest.approx(-0.1 + 0.35)
+    assert g2[3] == pytest.approx(-0.1 * 0.35)
+    assert g2[4] == pytest.approx(0.0, abs=1e-15)
+    assert g2[5] == 0.1
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
         simple_problem(N=1)
     with pytest.raises(ValueError):
-        simple_problem(wrench_min=Wrench(0.1, 0, 0), wrench_max=Wrench(1, 1, 1))
+        simple_problem(wrench_min=wrench(0.1, 0, 0), wrench_max=wrench(1, 1, 1))

@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from proxdock.controller import PdGains
-from proxdock.dynamics import (BodyParams, BodyState, TargetState,
-                               default_layout)
+from proxdock.dynamics import BodyParams, TargetState, effective_ridge, wrap_angle
 from proxdock.kos import KosConfig, KosState, r_safe
 from proxdock.nlp import SolverStats
 from proxdock.optimizer import PlannedTrajectory, plan
@@ -15,30 +15,106 @@ from proxdock.sim import (ConfigMisaligned, SimConfig, audit_safety,
                           run)
 
 
-def stationary_plan(pose=BodyState(x=1.0), n=50):
+def state(x=0.0, y=0.0, theta=0.0, vx=0.0, vy=0.0, omega=0.0):
+    return np.array([x, y, theta, vx, vy, omega])
+
+
+def stationary_plan(pose=state(x=1.0), n=50):
     """A hold-in-place plan used for controller-free checks."""
-    states = np.tile(pose.as_array(), (n + 1, 1))
+    states = np.tile(pose, (n + 1, 1))
     return PlannedTrajectory(
         times=np.arange(n + 1) * 0.1, states=states, wrenches=np.zeros((n, 3)),
         objective_value=0.0, objective_breakdown=(0.0, 0.0, 0.0),
         kos_states=[KosState.STATE_I] * (n + 1), converged=True,
         solver_stats=SolverStats(message="synthetic"),
-        x_goal=pose.as_array(), theta_finish=pose.theta, dt=0.1)
+        x_goal=pose.copy(), theta_finish=pose[2], dt=0.1)
 
 
-def relative_velocity_one(chaser: BodyState, target_theta, target_omega, target_pos):
+def relative_velocity_one(chaser, target_theta, target_omega, target_pos):
     """Target-frame velocity of one chaser state, with the target at target_theta."""
     target = TargetState(omega=target_omega, theta0=target_theta,
                          x=target_pos[0], y=target_pos[1])
-    return relative_velocity_target_frame(chaser.as_array()[None, :], np.zeros(1), target)[0]
+    return relative_velocity_target_frame(chaser[None, :], np.zeros(1), target)[0]
+
+
+def reference_run(plan, cfg):
+    """sim.run written out from its definition as a scalar loop.
+
+    Per control period: error ref - x (attitude wrapped), PD wrench plus the
+    knot's feed-forward wrench, rotation to the body frame, duty from the
+    box-bounded least squares (pseudoinverse when inside the box, else BVLS
+    with the ridge), and round(u n_slots) ON slots from the start.  Per slot:
+    the body wrench (B u) f_max of the true layout.  Per physics step: that
+    wrench rotated to the inertial frame plus the period's disturbance, then
+    one forward-Euler step.  Returns (states, firings, errors).
+    """
+    spp = cfg.steps_per_period()
+    period = 1.0 / cfg.control_hz
+    horizon = float(plan.times[-1])
+    n_periods = max(1, int(round((horizon + cfg.tail) * cfg.control_hz)))
+    rng = np.random.default_rng(cfg.seed)
+    fm = fi = ft = 1.0
+    if cfg.mismatch_fraction:
+        fm, fi, ft = 1.0 + cfg.mismatch_fraction * rng.uniform(-1.0, 1.0, 3)
+    mass, inertia = cfg.body.mass * fm, cfg.body.inertia * fi
+    B = cfg.layout.effectiveness_matrix()
+    A = B * cfg.layout.f_max
+    f_true = cfg.layout.f_max * ft
+    g, dt, n = cfg.gains, cfg.physics_dt, cfg.n_slots
+    x = [float(v) for v in plan.states[0]]
+    states, firings, errors = [x], [], []
+    for j in range(n_periods):
+        t = j * period
+        ff = None
+        if t <= horizon + 1e-9:
+            k = min(int(math.floor(t / plan.dt + 1e-9)), plan.N)
+            ref = [float(v) for v in plan.states[k]]
+            if cfg.feed_forward and k < plan.N:
+                ff = [float(v) for v in plan.wrenches[k]]
+        else:
+            ref = [float(v) for v in plan.states[-1, :3]] + [0.0, 0.0, 0.0]
+        e = [ref[i] - x[i] for i in range(6)]
+        e[2] = wrap_angle(e[2])
+        errors.append(e)
+        w = [g.kp_pos * e[0] + g.kd_pos * e[3], g.kp_pos * e[1] + g.kd_pos * e[4],
+             g.kp_att * e[2] + g.kd_att * e[5]]
+        if ff is not None:
+            w = [w[i] + ff[i] for i in range(3)]
+        c, s = math.cos(x[2]), math.sin(x[2])
+        w_body = np.array([c * w[0] + s * w[1], -s * w[0] + c * w[1], w[2]])
+        u = np.linalg.pinv(A) @ w_body
+        if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
+            aug = np.vstack([A, math.sqrt(effective_ridge(A)) * np.eye(8)])
+            u = lsq_linear(aug, np.concatenate([w_body, np.zeros(8)]),
+                           bounds=(0.0, 1.0), method="bvls").x
+        u = np.clip(u, 0.0, 1.0)
+        on = [round(float(ui) * n) for ui in u]
+        if cfg.disturbance_accel:
+            da = rng.uniform(-cfg.disturbance_accel, cfg.disturbance_accel, 3)
+            dist = [mass * da[0], mass * da[1], inertia * da[2]]
+        else:
+            dist = [0.0, 0.0, 0.0]
+        for slot in range(n):
+            fired = [1 if slot < k_on else 0 for k_on in on]
+            firings.append(fired)
+            wb = (B @ (np.array(fired, dtype=float) if cfg.pwm else u)) * f_true
+            for _ in range(spp // n):
+                c, s = math.cos(x[2]), math.sin(x[2])
+                fx, fy, tau = c * wb[0] - s * wb[1], s * wb[0] + c * wb[1], wb[2]
+                if cfg.disturbance_accel:
+                    fx, fy, tau = fx + dist[0], fy + dist[1], tau + dist[2]
+                x = [x[0] + x[3] * dt, x[1] + x[4] * dt, x[2] + x[5] * dt,
+                     x[3] + fx / mass * dt, x[4] + fy / mass * dt, x[5] + tau / inertia * dt]
+                states.append(x)
+    return np.array(states), np.array(firings, dtype=np.int8).T, np.array(errors)
 
 
 @pytest.fixture(scope="module")
 def nominal():
     body = BodyParams()
     target = TargetState(omega=0.1)
-    template_kw = dict(N=2, dt=0.1, x_init=BodyState(x=1.0), theta_finish=0.0,
-                       x_goal=BodyState(), target=target, body=body,
+    template_kw = dict(N=2, dt=0.1, x_init=state(x=1.0), theta_finish=0.0,
+                       x_goal=state(), target=target, body=body,
                        kos_cfg=KosConfig())
     from proxdock.optimizer import OptProblem
     best = plan(3 * math.pi / 4, OptProblem(**template_kw), max_candidates=2)
@@ -48,12 +124,12 @@ def nominal():
 class TestRelativeVelocity:
     def test_corotating_chaser_has_zero(self):
         om, r = 0.3, 0.8
-        chaser = BodyState(x=r, y=0.0, vx=0.0, vy=om * r)
+        chaser = state(x=r, y=0.0, vx=0.0, vy=om * r)
         v = relative_velocity_one(chaser, 0.7, om, [0, 0])
         np.testing.assert_allclose(v, [0, 0], atol=1e-15)
 
     def test_static_target_plain_rotation(self):
-        chaser = BodyState(x=1.0, vx=0.2, vy=-0.1)
+        chaser = state(x=1.0, vx=0.2, vy=-0.1)
         v = relative_velocity_one(chaser, math.pi / 2, 0.0, [0, 0])
         np.testing.assert_allclose(v, [-0.1, -0.2], atol=1e-15)
 
@@ -64,14 +140,13 @@ class TestRelativeVelocity:
             om = rng.uniform(-1, 1)
             pos = rng.uniform(-1, 1, 2)
             th0 = rng.uniform(-3, 3)
-            s = BodyState.from_array(np.concatenate([rng.uniform(-1, 1, 3),
-                                                     rng.uniform(-0.5, 0.5, 3)]))
+            s = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-0.5, 0.5, 3)])
             v = relative_velocity_one(s, th0, om, pos)
             h = 1e-6
 
             def frame_pos(t):
                 th = th0 + om * t
-                p = np.array([s.x + s.vx * t, s.y + s.vy * t]) - pos
+                p = np.array([s[0] + s[3] * t, s[1] + s[4] * t]) - pos
                 c, si = math.cos(th), math.sin(th)
                 return np.array([c * p[0] + si * p[1], -si * p[0] + c * p[1]])
 
@@ -92,8 +167,16 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             run(p, SimConfig(), TargetState())
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_state_rejected(self):
+        # at rest on the reference nothing fires; the coasting position
+        # overflows to inf within the single control period
+        p = stationary_plan(state(x=1.7e308, vx=1.7e308))
+        with pytest.raises(ValueError, match="finite"):
+            run(p, SimConfig(duration=0.1), TargetState(omega=0.0))
+
     def test_rest_plan_zero_firings_zero_error(self):
-        p = stationary_plan(BodyState(x=1.0))
+        p = stationary_plan(state(x=1.0))
         res = run(p, SimConfig(tail=1.0), TargetState(omega=0.1))
         assert res.firings.sum() == 0
         assert res.terminal_position_error == 0.0
@@ -101,7 +184,7 @@ class TestRunBasics:
 
     def test_momentum_conservation_without_thrust(self):
         # drifting plan, zero gains won't fire: velocities stay bit-identical
-        p = stationary_plan(BodyState(x=5.0, vx=0.01, vy=-0.02, omega=0.03))
+        p = stationary_plan(state(x=5.0, vx=0.01, vy=-0.02, omega=0.03))
         gains = PdGains(0.0, 0.0, 1e-30, 0.0)  # effectively off, still valid
         res = run(p, SimConfig(gains=gains, tail=0.0, feed_forward=False),
                   TargetState(omega=0.0))
@@ -119,6 +202,17 @@ class TestRunBasics:
         np.testing.assert_array_equal(r1.firings, r2.firings)
         np.testing.assert_array_equal(r1.kos_distance, r2.kos_distance)
         assert r1.terminal_position_error == r2.terminal_position_error
+
+    def test_matches_reference_loop(self, nominal):
+        # bit for bit: the simulator keeps the definition's operation order
+        best, target = nominal
+        for cfg in (SimConfig(mismatch_fraction=0.05, disturbance_accel=1e-4, seed=3),
+                    SimConfig(pwm=False)):
+            res = run(best, cfg, target)
+            states, firings, errors = reference_run(best, cfg)
+            assert np.array_equal(res.states, states)
+            assert np.array_equal(res.firings, firings)
+            assert np.array_equal(res.errors, errors)
 
     def test_seed_changes_disturbed_run(self, nominal):
         best, target = nominal
@@ -150,7 +244,7 @@ class TestTracking:
     def test_impulse_bookkeeping(self):
         # integrated applied force over a period equals sum k_i/n f_max d_i
         # rotated per sub-step; with a non-rotating chaser it is exact
-        p = stationary_plan(BodyState(x=1.0))
+        p = stationary_plan(state(x=1.0))
         target = TargetState(omega=0.0)
         cfg = SimConfig(gains=PdGains(2.0, 8.0, 1e-30, 0.0), tail=0.0)
         res = run(p, cfg, target)
