@@ -63,17 +63,13 @@ def body_to_world(w: np.ndarray, theta: float) -> np.ndarray:
 def allocate_duty(w_body: np.ndarray, layout: ThrusterLayout) -> tuple[np.ndarray, np.ndarray]:
     """Duty ratios minimizing |B u f_max - w|^2 over the box [0,1]^8.
 
-    Among exact minimizers the minimum-norm duty is returned (interior
-    solutions via the pseudoinverse, otherwise active-set BVLS with a tiny
-    ridge).  Returns (u, residual wrench = B u f_max - w).
+    Active-set BVLS with a tiny ridge that breaks ties toward the
+    minimum-norm duty (the 3x8 system has many exact minimizers).  Returns
+    (u, residual wrench = B u f_max - w).
     """
-    u = layout.A_pinv @ w_body
-    if np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12):
-        u = np.clip(u, 0.0, 1.0)
-    else:
-        rhs = np.concatenate([w_body, np.zeros(NUM_THRUSTERS)])
-        res = lsq_linear(layout.A_ridge, rhs, bounds=(0.0, 1.0), method="bvls")
-        u = np.clip(res.x, 0.0, 1.0)
+    rhs = np.concatenate([w_body, np.zeros(NUM_THRUSTERS)])
+    res = lsq_linear(layout.A_ridge, rhs, bounds=(0.0, 1.0), method="bvls")
+    u = np.clip(res.x, 0.0, 1.0)
     return u, layout.A @ u - w_body
 
 

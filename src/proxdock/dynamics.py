@@ -77,8 +77,8 @@ class ThrusterLayout:
     f_max: thrust magnitude per thruster [N]
 
     Derived once per layout: B = effectiveness_matrix(), the allocation
-    matrix A = B * f_max (duty to body wrench), its pseudoinverse and the
-    ridge-augmented matrix of the bounded least-squares allocation.
+    matrix A = B * f_max (duty to body wrench) and the ridge-augmented
+    matrix of the bounded least-squares allocation.
     """
 
     positions: np.ndarray
@@ -86,7 +86,6 @@ class ThrusterLayout:
     f_max: float
     B: np.ndarray = field(init=False, repr=False, compare=False)
     A: np.ndarray = field(init=False, repr=False, compare=False)
-    A_pinv: np.ndarray = field(init=False, repr=False, compare=False)
     A_ridge: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,7 +116,6 @@ class ThrusterLayout:
         A = B * self.f_max
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "A_pinv", np.linalg.pinv(A))
         object.__setattr__(self, "A_ridge", np.vstack(
             [A, math.sqrt(effective_ridge(A)) * np.eye(NUM_THRUSTERS)]))
 

@@ -168,13 +168,12 @@ class RunConfig:
             inertia = m * side**2 / 6.0
         return BodyParams(mass=m, inertia=inertia, side_length=side)
 
-    def layout(self, f_thr: float | None = None):
-        return default_layout(self["body.side_length"],
-                              f_thr if f_thr is not None else self["layout.f_thr"])
+    def layout(self):
+        return default_layout(self["body.side_length"], self["layout.f_thr"])
 
-    def target(self, omega: float | None = None) -> TargetState:
+    def target(self) -> TargetState:
         return TargetState(side_length=self["target.side_length"],
-                           omega=omega if omega is not None else self["target.omega"],
+                           omega=self["target.omega"],
                            theta0=self["target.theta0"],
                            x=self["target.x"], y=self["target.y"])
 
@@ -191,9 +190,9 @@ class RunConfig:
         return PdGains(self["gains.kp_pos"], self["gains.kd_pos"],
                        self["gains.kp_att"], self["gains.kd_att"])
 
-    def wrench_bounds(self, f_thr: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def wrench_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) bounds on the planned inertial wrench [Fx, Fy, tau]."""
-        f = f_thr if f_thr is not None else self["layout.f_thr"]
+        f = self["layout.f_thr"]
         fb = self["opt.force_bound"]
         tb = self["opt.torque_bound"]
         if fb is None:
@@ -202,20 +201,19 @@ class RunConfig:
             tb = 0.8 * self["body.side_length"] * f  # half the pure-couple max
         return np.array([-fb, -fb, -tb]), np.array([fb, fb, tb])
 
-    def opt_template(self, f_thr: float | None = None,
-                     omega: float | None = None) -> OptProblem:
-        lo, hi = self.wrench_bounds(f_thr)
+    def opt_template(self) -> OptProblem:
+        lo, hi = self.wrench_bounds()
         return OptProblem(
             N=2, dt=self["opt.dt"], x_init=self.init_state(),
             theta_finish=0.0, x_goal=np.zeros(6),
-            target=self.target(omega), body=self.body(), kos_cfg=self.kos_config(),
+            target=self.target(), body=self.body(), kos_cfg=self.kos_config(),
             w_goal=self["opt.w_goal"], w_u=self["opt.w_u"], w_kin=self["opt.w_kin"],
             wrench_min=lo, wrench_max=hi,
         )
 
-    def sim_config(self, f_thr: float | None = None, seed: int | None = None) -> SimConfig:
+    def sim_config(self, seed: int | None = None) -> SimConfig:
         return SimConfig(
-            body=self.body(), layout=self.layout(f_thr), gains=self.gains(),
+            body=self.body(), layout=self.layout(), gains=self.gains(),
             physics_dt=self["sim.physics_dt"], control_hz=self["sim.control_hz"],
             n_slots=self["ctrl.n_slots"], duration=self["sim.duration"],
             tail=self["sim.tail"], feed_forward=self["ctrl.feed_forward"],
@@ -225,10 +223,10 @@ class RunConfig:
             kos_cfg=self.kos_config(),
         )
 
-    def auto_min_duration(self, f_thr: float | None = None) -> float:
+    def auto_min_duration(self) -> float:
         """Reachability floor: direct bang-bang time over the start distance."""
         body = self.body()
-        force_bound = float(self.wrench_bounds(f_thr)[1][0])
+        force_bound = float(self.wrench_bounds()[1][0])
         d = math.hypot(self["init.x"] - self["target.x"], self["init.y"] - self["target.y"])
         return 2.0 * math.sqrt(d * body.mass / force_bound)
 
@@ -332,7 +330,7 @@ def grid_values(start: float, step: float, stop: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_plan(config_path, out_dir, seed=None):
+def cmd_plan(config_path, out_dir):
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -405,18 +403,13 @@ def cmd_track(traj_path, config_path, out_dir, seed=None):
     return result
 
 
-def _sweep_point(args):
-    """One grid point, run in a worker process; returns a plain record dict."""
-    values, theta_approach, omega, f_thr, max_candidates, min_duration, corotate = args
+def _sweep_point(values):
+    """Plan one grid point's config values as cmd_plan would; run in a worker
+    process, returns a plain record dict."""
     cfg = RunConfig(values)
-    template = cfg.opt_template(f_thr=f_thr, omega=omega)
-    kw = cfg.plan_kwargs()
-    kw["max_candidates"] = max_candidates
-    kw["min_duration"] = min_duration
-    kw["goal_corotate"] = corotate
     t0 = time.perf_counter()
     try:
-        best = plan(theta_approach, template, **kw)
+        best = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
         goal, kinetic, effort = best.objective_breakdown
         rec = dict(converged=1, duration=float(best.times[-1]),
                    objective=best.objective_value, goal=goal, kinetic=kinetic,
@@ -453,25 +446,21 @@ def _grid_sweep(cfg: RunConfig, out_dir, sweep: str, parallel: int, point,
                 summary_columns, summarize):
     """Run a sweep's two-axis grid and write its points and summary tables.
 
-    point(a, b) maps an (outer, inner) pair of grid values to the plan inputs
-    (theta_approach [rad], omega, f_thr).  summarize(converged records) gives
-    the summary_columns of one outer value.  Returns the summary rows.
+    Each grid point is the run config with the sweep's own max_candidates,
+    min_duration and goal_corotate in place of the opt.* ones, updated by
+    point(a, b): the opt.theta_approach [rad], target.omega and layout.f_thr
+    of an (outer, inner) pair of grid values.  summarize(converged records)
+    gives the summary_columns of one outer value.  Returns the summary rows.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     axes = SWEEP_AXES[sweep]
     outer, inner = (grid_values(*(cfg[k] for k in _axis_keys(prefix, degrees)))
                     for prefix, degrees, _ in axes)
-    md = cfg[f"{sweep}.min_duration"]
-    tasks = []
-    for a in outer:
-        for b in inner:
-            theta_approach, omega, f_thr = point(float(a), float(b))
-            tasks.append((cfg.values, theta_approach, omega, f_thr,
-                          cfg[f"{sweep}.max_candidates"],
-                          cfg.auto_min_duration(f_thr=f_thr) if md == "auto" else md,
-                          cfg[f"{sweep}.goal_corotate"]))
-    recs = _run_points(tasks, parallel)
+    own = {f"opt.{key}": cfg[f"{sweep}.{key}"]
+           for key in ("max_candidates", "min_duration", "goal_corotate")}
+    recs = _run_points([{**cfg.values, **own, **point(float(a), float(b))}
+                        for a in outer for b in inner], parallel)
 
     index_columns = [f"{ij}_{prefix.split('.')[1]}" for ij, (prefix, _, _) in zip("ij", axes)]
     rows = [[i, j, float(a), float(b)] + [recs[i * len(inner) + j][c] for c in _POINT_COLUMNS]
@@ -514,7 +503,7 @@ def cmd_sweep1(config_path, out_dir, parallel=1):
     """Target-spin x thrust-force sweep; aggregates error stats per omega."""
     cfg = load_config(config_path)
     return _grid_sweep(cfg, out_dir, "sweep1", parallel,
-                       lambda omega, f_thr: (cfg["opt.theta_approach"], omega, f_thr),
+                       lambda omega, f_thr: {"target.omega": omega, "layout.f_thr": f_thr},
                        ["pos_err_mean", "pos_err_std", "goal_mean", "kinetic_mean",
                         "effort_mean", "dominant_term"], _sweep1_summary)
 
@@ -523,8 +512,9 @@ def cmd_sweep2(config_path, out_dir, parallel=1):
     """Approach-attitude polar sweep at fixed thrust; stats per sector."""
     cfg = load_config(config_path)
     return _grid_sweep(cfg, out_dir, "sweep2", parallel,
-                       lambda theta_deg, omega: (math.radians(theta_deg), omega,
-                                                 cfg["sweep2.f_thr"]),
+                       lambda theta_deg, omega: {"opt.theta_approach": math.radians(theta_deg),
+                                                 "target.omega": omega,
+                                                 "layout.f_thr": cfg["sweep2.f_thr"]},
                        ["pos_err_mean", "pos_err_std", "pos_err_max"], _sweep2_summary)
 
 
@@ -545,16 +535,15 @@ def main(argv=None) -> int:
                                  description="close-range rendezvous planning and tracking")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", default=None, help="key=value config file")
+    def common(p):
+        p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser("plan", help="generate a trajectory")
     common(p)
     p = sub.add_parser("track", help="track a trajectory file in the simulator")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("trajectory", help="trajectory file from `plan`")
     p = sub.add_parser("sweep1", help="target-spin x thrust sweep (case study 1)")
     common(p)
@@ -570,7 +559,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "plan":
-            cmd_plan(args.config, args.out, args.seed)
+            cmd_plan(args.config, args.out)
         elif args.command == "track":
             cmd_track(args.trajectory, args.config, args.out, args.seed)
         elif args.command == "sweep1":

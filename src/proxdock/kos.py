@@ -5,13 +5,14 @@ final-approach conditions hold) built from a circle of radius r_safe plus two
 half-ellipse lobes that flank the docking corridor.  All primitives are rigidly
 attached to the target frame.  Exact signed distances here are the audit-grade
 definitions; the optimizer uses the smooth variants at the bottom of this
-module (same zero sets).
+module (same zero sets).  A per-knot or per-step schedule of states is an int
+array of KosState values (1 or 2) throughout.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -22,7 +23,7 @@ BLEND_BAND = 0.02      # [m]
 RELEASE_SLACK = 10.0
 
 
-class KosState(Enum):
+class KosState(IntEnum):
     STATE_I = 1
     STATE_II = 2
 
@@ -88,7 +89,7 @@ def corner_safe_angle_threshold(cfg: KosConfig) -> float:
 
 
 def classify(points, target_thetas, target_pos, cfg: KosConfig) -> np.ndarray:
-    """Per-point KosState values (ints) over a trajectory.
+    """Per-point KosState values over a trajectory, as an int array.
 
     State II iff the chaser is in front of the docking face, within the
     angular threshold of its normal, and inside the distance threshold.
@@ -102,20 +103,21 @@ def classify(points, target_thetas, target_pos, cfg: KosConfig) -> np.ndarray:
         dev = np.arccos(np.clip(along / np.maximum(dist, 1e-300), -1.0, 1.0))
     ok = (dist > 1e-12) & (along > 0.0) & (dev <= cfg.angle_threshold) \
         & (dist <= cfg.dist_threshold_factor * r_safe(cfg))
-    return np.where(ok, KosState.STATE_II.value, KosState.STATE_I.value)
+    return np.where(ok, KosState.STATE_II, KosState.STATE_I)
 
 
 def latch(states, delay: int = 0) -> np.ndarray:
     """State II from the first State II entry, delay entries later, to the end.
 
     The final-approach classification latches: once its conditions have held,
-    the zone is not re-inflated mid-capture.  states are KosState values (ints).
+    the zone is not re-inflated mid-capture.  states and the result are int
+    arrays of KosState values.
     """
     sv = np.asarray(states)
-    out = np.full(len(sv), KosState.STATE_I.value)
-    hits = np.flatnonzero(sv == KosState.STATE_II.value)
+    out = np.full(len(sv), KosState.STATE_I)
+    hits = np.flatnonzero(sv == KosState.STATE_II)
     if len(hits):
-        out[hits[0] + delay:] = KosState.STATE_II.value
+        out[hits[0] + delay:] = KosState.STATE_II
     return out
 
 
@@ -162,11 +164,11 @@ def signed_distance_batch(points, target_thetas, states, target_pos, cfg: KosCon
     Each is the minimum over the primitives active in that point's state: the
     circle (State I only) and the half-ellipse lobes (semi-minor r_safe/2
     along the docking normal, semi-major r_safe lateral).
-    points: (n, 2); target_thetas: (n,); states: (n,) of KosState (or int value).
+    points: (n, 2); target_thetas: (n,); states: (n,) KosState values.
     """
     pts = np.asarray(points, dtype=float)
     th = np.asarray(target_thetas, dtype=float)
-    sv = np.array([s.value if isinstance(s, KosState) else int(s) for s in np.atleast_1d(states)])
+    sv = np.asarray(states)
     pos = np.asarray(target_pos, dtype=float)
     rs = r_safe(cfg)
 
@@ -178,8 +180,7 @@ def signed_distance_batch(points, target_thetas, states, target_pos, cfg: KosCon
     # point is on, so one distance evaluation covers them (axis: both active)
     lobe = ellipse_distance(xp, yp, rs / 2.0, rs)
     circle = np.hypot(rel[:, 0], rel[:, 1]) - rs
-    g = np.where(sv == KosState.STATE_I.value, np.minimum(circle, lobe), lobe)
-    return g
+    return np.where(sv == KosState.STATE_I, np.minimum(circle, lobe), lobe)
 
 
 # ---------------------------------------------------------------------------

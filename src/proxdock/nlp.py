@@ -18,8 +18,9 @@ The problem object must expose::
 
     n, lb, ub                      decision size and box bounds
     E, e_rhs                       sparse equality Jacobian and rhs
-    ete_banded, bandwidth          lower-banded E^T E and its bandwidth
-    obj_hess_diag                  constant objective Hessian diagonal
+    bandwidth                      lower bandwidth of the Hessian
+    base_banded(mu)                -> lower-banded constant objective Hessian
+                                      diagonal plus mu E^T E
     objective_value_grad(z)        -> (f, grad)
     objective_value(z)             -> f
     m_in, ineq_ix, ineq_iy         inequality count and variable indices
@@ -69,14 +70,12 @@ class _Multipliers:
     mu: float
 
 
-def _al_value(prob, z, m: _Multipliers, g=None, h=None):
+def _al_value(prob, z, m: _Multipliers):
     f = prob.objective_value(z)
-    if h is None:
-        h = prob.E @ z - prob.e_rhs
+    h = prob.E @ z - prob.e_rhs
     f += 0.5 * m.mu * float(h @ h) - float(m.lam @ h)
     if prob.m_in:
-        if g is None:
-            g = prob.ineq_values(z)
+        g = prob.ineq_values(z)
         a = np.maximum(0.0, m.eta - m.mu * g)
         f += float(a @ a - m.eta @ m.eta) / (2.0 * m.mu)
     return f
@@ -98,11 +97,13 @@ def _al_value_grad(prob, z, m: _Multipliers):
     return f, grad, h, ineq
 
 
-def _projected_grad(z, grad, lb, ub, tol=1e-11):
+def _projected_grad(z, grad, lb, ub):
+    """(projected gradient, pinned mask): a variable is pinned when it sits
+    on a bound and its gradient points out of the box; its entry is zeroed."""
+    pinned = ((z <= lb + 1e-11) & (grad > 0)) | ((z >= ub - 1e-11) & (grad < 0))
     pg = grad.copy()
-    pg[(z <= lb + tol) & (grad > 0)] = 0.0
-    pg[(z >= ub - tol) & (grad < 0)] = 0.0
-    return pg
+    pg[pinned] = 0.0
+    return pg, pinned
 
 
 def projected_kkt_residual(prob, z, lam, eta) -> float:
@@ -174,15 +175,14 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
     shift = 0.0
     for _ in range(max_iter):
         f, grad, h, ineq = _al_value_grad(prob, z, m)
-        pg = _projected_grad(z, grad, lb, ub)
+        pg, pinned = _projected_grad(z, grad, lb, ub)
         pgn = float(np.max(np.abs(pg))) if len(pg) else 0.0
         if pgn <= tol:
             return z, nit, "tol"
         nit += 1
         ab = _assemble_banded(prob, m, ineq, base)
-        active = np.flatnonzero(((z <= lb + 1e-11) & (grad > 0)) | ((z >= ub - 1e-11) & (grad < 0)))
         rhs = -grad
-        _apply_active(ab, rhs, active, bw)
+        _apply_active(ab, rhs, np.flatnonzero(pinned), bw)
 
         d = None
         trial_shift = shift

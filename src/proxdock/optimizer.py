@@ -3,11 +3,13 @@
 Decision variables are the N+1 knot states and N inertial-frame wrenches,
 interleaved per knot so the transcription Hessian is banded.  The knot-to-knot
 defects reuse the exact forward-Euler map from `dynamics`; keep-out constraints
-come from the smooth forms in `kos`, scheduled per knot as State I or II.
+come from the smooth forms in `kos`, scheduled per knot as State I or II by an
+int array of KosState values (`OptProblem.kos_schedule`, None for all State I).
 
-The maneuver duration is picked from rotation-phase-consistent candidates:
-each is solved (twice when the final-approach relaxation engages) and the
-lowest-objective converged solution wins.
+The maneuver duration (a float, in seconds) is picked from
+rotation-phase-consistent candidates: each is solved (twice when the
+final-approach relaxation engages) and the lowest-objective converged
+solution wins.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .kos import KosConfig, KosState
 from .nlp import (InfeasibleError, NotConvergedError, SolverStats, solve_al)
 
 __all__ = [
-    "OptProblem", "PlannedTrajectory", "DurationCandidate", "AllCandidatesFailed",
+    "OptProblem", "PlannedTrajectory", "AllCandidatesFailed",
     "duration_candidates", "solve", "plan",
     "build_goal_state", "pack_variables", "unpack_variables",
     "NotConvergedError", "InfeasibleError",
@@ -43,7 +45,8 @@ class OptProblem:
 
     x_init and x_goal are states [x, y, theta, vx, vy, omega]; wrench_min and
     wrench_max bound each inertial wrench [Fx, Fy, tau] componentwise.  All
-    four are stored as read-only float arrays.
+    four are stored as read-only float arrays, and kos_schedule as a read-only
+    int array.
     """
 
     N: int
@@ -59,7 +62,7 @@ class OptProblem:
     w_kin: float = 1.0
     wrench_min: np.ndarray = field(default_factory=lambda: np.array([-0.03, -0.03, -0.0072]))
     wrench_max: np.ndarray = field(default_factory=lambda: np.array([0.03, 0.03, 0.0072]))
-    kos_schedule: tuple | None = None  # per-knot KosState; None -> all State I
+    kos_schedule: np.ndarray | None = None  # per-knot KosState; None -> all State I
 
     def __post_init__(self):
         if self.N < 2:
@@ -74,23 +77,16 @@ class OptProblem:
             object.__setattr__(self, name, a)
         if np.any(self.wrench_min > 0) or np.any(self.wrench_max < 0):
             raise ValueError("wrench bounds must bracket zero componentwise")
-        if self.kos_schedule is not None and len(self.kos_schedule) != self.N + 1:
-            raise ValueError("kos_schedule must have N+1 entries")
+        if self.kos_schedule is not None:
+            sched = np.array(self.kos_schedule, dtype=int)
+            if sched.shape != (self.N + 1,):
+                raise ValueError("kos_schedule must have N+1 entries")
+            sched.flags.writeable = False
+            object.__setattr__(self, "kos_schedule", sched)
 
     @property
     def horizon(self) -> float:
         return self.N * self.dt
-
-    def schedule(self) -> list[KosState]:
-        if self.kos_schedule is None:
-            return [KosState.STATE_I] * (self.N + 1)
-        return list(self.kos_schedule)
-
-
-@dataclass(frozen=True)
-class DurationCandidate:
-    t_total: float
-    n_revolutions: int
 
 
 @dataclass
@@ -98,7 +94,7 @@ class PlannedTrajectory:
     """Knot states/wrenches plus solve metadata.
 
     states rows are [x, y, theta, vx, vy, omega]; wrenches rows [Fx, Fy, tau]
-    in the inertial frame.
+    in the inertial frame; kos_states is the per-knot KosState int array.
     """
 
     times: np.ndarray
@@ -106,7 +102,7 @@ class PlannedTrajectory:
     wrenches: np.ndarray
     objective_value: float
     objective_breakdown: tuple
-    kos_states: list
+    kos_states: np.ndarray
     converged: bool
     solver_stats: SolverStats
     x_goal: np.ndarray
@@ -133,91 +129,55 @@ class PlannedTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# variable layout: z = [x_0, w_0, x_1, w_1, ..., w_{N-1}, x_N]
-
-def _state_offsets(N):
-    return np.arange(N + 1) * 9
-
+# variable layout: z = [x_0, w_0, x_1, w_1, ..., w_{N-1}, x_N]; the block view
+# z[:9N].reshape(N, 9) holds state k in columns 0-5 and wrench k in 6-8, and
+# z[9N:] is x_N.
 
 def pack_variables(states: np.ndarray, wrenches: np.ndarray) -> np.ndarray:
     N = len(wrenches)
     z = np.empty(9 * N + 6)
-    so = _state_offsets(N)
-    z[(so[:, None] + np.arange(6)).ravel()] = np.asarray(states, dtype=float).ravel()
-    wo = np.arange(N) * 9 + 6
-    z[(wo[:, None] + np.arange(3)).ravel()] = np.asarray(wrenches, dtype=float).ravel()
+    knots = z[:9 * N].reshape(N, 9)
+    knots[:, :6] = states[:N]
+    knots[:, 6:] = wrenches
+    z[9 * N:] = states[N]
     return z
 
 
 def unpack_variables(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    so = _state_offsets(N)
-    states = z[(so[:, None] + np.arange(6)).ravel()].reshape(N + 1, 6)
-    wo = np.arange(N) * 9 + 6
-    wrenches = z[(wo[:, None] + np.arange(3)).ravel()].reshape(N, 3)
-    return states, wrenches
-
-
-class ObjectiveModel:
-    """Quadratic objective J = w_goal |x_N - g|^2 + sum dt (w_kin E_kin + w_u |F|^2)."""
-
-    def __init__(self, problem: OptProblem):
-        self.problem = problem
-        N, dt = problem.N, problem.dt
-        m, inertia = problem.body.mass, problem.body.inertia
-        goal = problem.x_goal
-        n = 9 * N + 6
-        q = np.zeros(n)
-        so = _state_offsets(N)
-        vel_cols = so[:N, None] + np.array([3, 4, 5])
-        q[vel_cols.ravel()] = np.tile(0.5 * dt * problem.w_kin * np.array([m, m, inertia]), N)
-        wo = (np.arange(N) * 9 + 6)[:, None] + np.arange(3)
-        q[wo.ravel()] = problem.w_u * dt
-        q[so[N]: so[N] + 6] += problem.w_goal
-        c = np.zeros(n)
-        c[so[N]: so[N] + 6] = -2.0 * problem.w_goal * goal
-        self.q = q
-        self.c = c
-        self.c0 = problem.w_goal * float(goal @ goal)
-        self._goal = goal
-
-    def value_flat(self, z: np.ndarray) -> float:
-        return float(z @ (self.q * z) + self.c @ z) + self.c0
-
-    def gradient_flat(self, z: np.ndarray) -> np.ndarray:
-        return 2.0 * self.q * z + self.c
-
-    def breakdown(self, states, wrenches) -> tuple[float, float, float]:
-        """(goal, kinetic, effort) terms; they sum to the objective."""
-        p = self.problem
-        states = np.asarray(states, dtype=float)
-        wrenches = np.asarray(wrenches, dtype=float)
-        d = states[-1] - self._goal
-        goal = p.w_goal * float(d @ d)
-        v = states[:-1, 3:]
-        ek = 0.5 * (p.body.mass * (v[:, 0] ** 2 + v[:, 1] ** 2) + p.body.inertia * v[:, 2] ** 2)
-        kinetic = p.w_kin * p.dt * float(np.sum(ek))
-        effort = p.w_u * p.dt * float(np.sum(wrenches**2))
-        return goal, kinetic, effort
+    knots = z[:9 * N].reshape(N, 9)
+    return np.vstack([knots[:, :6], z[9 * N:]]), knots[:, 6:].copy()
 
 
 class _Transcription:
-    """Flat-variable problem object consumed by nlp.solve_al."""
+    """Flat-variable problem object consumed by nlp.solve_al.
+
+    The objective is the quadratic J = w_goal |x_N - g|^2
+    + sum dt (w_kin E_kin + w_u |F|^2) = z.(q*z) + c.z + c0.
+    """
 
     def __init__(self, problem: OptProblem):
         self.problem = problem
         N, dt = problem.N, problem.dt
         self.N = N
         self.n = 9 * N + 6
-        self.objective = ObjectiveModel(problem)
-        self.obj_hess_diag = 2.0 * self.objective.q
+        goal = problem.x_goal
+        q = np.zeros(self.n)
+        q_knots = q[:9 * N].reshape(N, 9)
+        q_knots[:, 3:6] = 0.5 * dt * problem.w_kin * np.array(
+            [problem.body.mass, problem.body.mass, problem.body.inertia])
+        q_knots[:, 6:] = problem.w_u * dt
+        q[9 * N:] += problem.w_goal
+        self.q = q
+        self.c = np.zeros(self.n)
+        self.c[9 * N:] = -2.0 * problem.w_goal * goal
+        self.c0 = problem.w_goal * float(goal @ goal)
+        self.obj_hess_diag = 2.0 * q
 
         # box bounds: states free, wrenches boxed
-        lb = np.full(self.n, -np.inf)
-        ub = np.full(self.n, np.inf)
-        wo = (np.arange(N) * 9 + 6)[:, None] + np.arange(3)
-        lb[wo.ravel()] = np.tile(problem.wrench_min, N)
-        ub[wo.ravel()] = np.tile(problem.wrench_max, N)
-        self.lb, self.ub = lb, ub
+        self.lb = np.full(self.n, -np.inf)
+        self.ub = np.full(self.n, np.inf)
+        self.lb[:9 * N].reshape(N, 9)[:, 6:] = problem.wrench_min
+        self.ub[:9 * N].reshape(N, 9)[:, 6:] = problem.wrench_max
 
         # equality rows: initial state, Euler defects, terminal attitude
         A, Bw = euler_matrices(problem.body, dt)
@@ -261,11 +221,11 @@ class _Transcription:
             self.ineq_iy = np.zeros(0, dtype=int)
             return
         N = self.N
-        sched = np.array([s.value for s in p.schedule()])
         tk = np.arange(N + 1) * p.dt
         th = p.target.attitude(tk)
         rs = koslib.r_safe(p.kos_cfg)
-        circle_knots = np.flatnonzero(sched == KosState.STATE_I.value)
+        circle_knots = (np.arange(N + 1) if p.kos_schedule is None
+                        else np.flatnonzero(p.kos_schedule == KosState.STATE_I))
         lobe_knots = np.tile(np.arange(N + 1), 2)
         lobe_sides = np.repeat([1.0, -1.0], N + 1)
         cos_th, sin_th = np.cos(th), np.sin(th)
@@ -287,10 +247,21 @@ class _Transcription:
         return ab
 
     def objective_value(self, z):
-        return self.objective.value_flat(z)
+        return float(z @ (self.q * z) + self.c @ z) + self.c0
 
     def objective_value_grad(self, z):
-        return self.objective.value_flat(z), self.objective.gradient_flat(z)
+        return self.objective_value(z), 2.0 * self.q * z + self.c
+
+    def breakdown(self, states, wrenches) -> tuple[float, float, float]:
+        """(goal, kinetic, effort) terms; they sum to the objective."""
+        p = self.problem
+        d = states[-1] - p.x_goal
+        goal = p.w_goal * float(d @ d)
+        v = states[:-1, 3:]
+        ek = 0.5 * (p.body.mass * (v[:, 0] ** 2 + v[:, 1] ** 2) + p.body.inertia * v[:, 2] ** 2)
+        kinetic = p.w_kin * p.dt * float(np.sum(ek))
+        effort = p.w_u * p.dt * float(np.sum(wrenches**2))
+        return goal, kinetic, effort
 
     def ineq_full(self, z):
         nc = len(self._circle_knots)
@@ -392,14 +363,15 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
     z, lam, eta, stats = solve_al(tr, z0, kkt_tol=kkt_tol, feas_tol=feas_tol,
                                   max_outer=max_outer, max_inner=max_inner)
     states, wrenches = unpack_variables(z, problem.N)
-    breakdown = tr.objective.breakdown(states, wrenches)
+    breakdown = tr.breakdown(states, wrenches)
     return PlannedTrajectory(
         times=np.arange(problem.N + 1) * problem.dt,
         states=states,
         wrenches=wrenches,
         objective_value=float(sum(breakdown)),
         objective_breakdown=breakdown,
-        kos_states=problem.schedule(),
+        kos_states=(np.full(problem.N + 1, KosState.STATE_I) if problem.kos_schedule is None
+                    else problem.kos_schedule),
         converged=True,
         solver_stats=stats,
         x_goal=problem.x_goal,
@@ -410,8 +382,8 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
 
 def duration_candidates(target: TargetState, theta_approach: float, max_candidates: int,
                         *, min_duration: float = 5.0,
-                        static_durations=(20.0, 40.0, 60.0, 80.0)) -> list[DurationCandidate]:
-    """Maneuver durations at which the target attitude equals theta_approach.
+                        static_durations=(20.0, 40.0, 60.0, 80.0)) -> list[float]:
+    """Maneuver durations [s] at which the target attitude equals theta_approach.
 
     For a static target the configured fixed ladder is used instead.  The
     phase index n keeps increasing until max_candidates admissible durations
@@ -420,8 +392,7 @@ def duration_candidates(target: TargetState, theta_approach: float, max_candidat
     if max_candidates <= 0:
         return []
     if target.omega == 0.0:
-        out = [DurationCandidate(float(t), i) for i, t in enumerate(static_durations)
-               if t >= min_duration]
+        out = [float(t) for t in static_durations if t >= min_duration]
         return out[:max_candidates]
     if target.omega > 0:
         delta = (theta_approach - target.theta0) % (2.0 * math.pi)
@@ -432,7 +403,7 @@ def duration_candidates(target: TargetState, theta_approach: float, max_candidat
     while len(out) < max_candidates and n <= 1_000_000:
         t = (delta + 2.0 * math.pi * n) / abs(target.omega)
         if t >= min_duration:
-            out.append(DurationCandidate(t, n))
+            out.append(t)
         n += 1
     return out
 
@@ -456,19 +427,6 @@ def build_goal_state(target: TargetState, theta_target_final: float, body: BodyP
     else:
         vx = vy = om = 0.0
     return np.array([target.x + rx, target.y + ry, theta_unwrapped, vx, vy, om])
-
-
-def _classified_schedule(sol: PlannedTrajectory, target: TargetState,
-                         cfg: KosConfig, delay_knots: int = 0) -> list[KosState]:
-    """Per-knot classification, latched from first satisfaction to the end.
-
-    delay_knots postpones the latch (a confirmation window): the re-solved
-    trajectory starts its descent only after the live conditions have held
-    for that long, so the flown relaxation never leads the classification.
-    """
-    th = target.attitude(sol.times)
-    raw = koslib.classify(sol.states[:, :2], th, target.position, cfg)
-    return [KosState(v) for v in koslib.latch(raw, delay_knots)]
 
 
 def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
@@ -504,8 +462,8 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
     results = []
     failures = []
     prev = None
-    for cand in cands:
-        N = max(2, int(round(cand.t_total / template.dt)))
+    for t_total in cands:
+        N = max(2, int(round(t_total / template.dt)))
         T = N * template.dt
         theta_t_final = target.attitude(T)
         theta_init = float(template.x_init[2])
@@ -520,12 +478,17 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
             failures.append(f"t={T:.2f}s pass1: {type(ex).__name__}")
             continue
         if template.kos_cfg is not None:
-            sched = _classified_schedule(sol, target, template.kos_cfg,
-                                         delay_knots=int(round(latch_delay / template.dt)))
+            # the latch delay is a confirmation window: the re-solved
+            # trajectory starts its descent only after the live conditions
+            # have held for that long, so the flown relaxation never leads
+            # the classification
+            sched = koslib.latch(
+                koslib.classify(sol.states[:, :2], target.attitude(sol.times),
+                                target.position, template.kos_cfg),
+                int(round(latch_delay / template.dt)))
             if KosState.STATE_II in sched:
-                prob2 = replace(prob1, kos_schedule=tuple(sched))
                 try:
-                    sol = solve(prob2, sol)
+                    sol = solve(replace(prob1, kos_schedule=sched), sol)
                 except (NotConvergedError, InfeasibleError):
                     pass  # keep the conservative pass-1 plan
         results.append(sol)

@@ -3,7 +3,8 @@
 Every file starts with `# proxdock <kind> v<version>` followed by the full
 resolved configuration (one `# config:` line per key), its digest, optional
 `# meta:` entries, a `# columns:` manifest, then whitespace-delimited data
-rows printed with %.17g so reads round-trip bit-exactly.
+rows printed with %.17g so reads round-trip bit-exactly.  Readers reject
+non-finite data, except where a column holds it by design.
 """
 from __future__ import annotations
 
@@ -86,14 +87,14 @@ def _data_block(lines, kind: str, ncols: int) -> np.ndarray:
     return data
 
 
-def _primitive_lines(state: KosState, t: float, target_theta: float, center,
+def _primitive_lines(state: int, t: float, target_theta: float, center,
                      cfg: KosConfig) -> list[str]:
-    """The state's keep-out primitives at time t: the circle (State I only),
-    then the +1 and -1 half-ellipse lobes."""
+    """The keep-out primitives of KosState value state at time t: the circle
+    (State I only), then the +1 and -1 half-ellipse lobes."""
     rs = koslib.r_safe(cfg)
-    head = f"# kos_primitive: t={_fmt(t)} state={state.value} "
+    head = f"# kos_primitive: t={_fmt(t)} state={int(state)} "
     c = f"{_fmt(center[0])} {_fmt(center[1])}"
-    out = [head + f"circle {c} {_fmt(rs)}"] if state is KosState.STATE_I else []
+    out = [head + f"circle {c} {_fmt(rs)}"] if state == KosState.STATE_I else []
     for side in (+1, -1):
         out.append(head + f"half_ellipse {c} {_fmt(target_theta)} {_fmt(rs)} "
                    f"{_fmt(rs / 2.0)} {side:+d}")
@@ -132,7 +133,7 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
             w = plan.wrenches[k]
         else:
             w = [math.nan] * 3
-        row = [t, *plan.states[k], *w, sched[k].value, g[k]]
+        row = [t, *plan.states[k], *w, sched[k], g[k]]
         lines.append(" ".join(_fmt(v) if i != 10 else str(int(v))
                               for i, v in enumerate(row)))
     with open(path, "w") as f:
@@ -149,10 +150,14 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
     times = data[:, 0]
     states = data[:, 1:7]
     wrenches = data[:-1, 7:10]
+    # the final knot's wrench is nan and g_min is inf without a KOS, by design
+    if not np.all(np.isfinite(data[:, :7])):
+        raise RecordError("non-finite time or state in the trajectory")
     if np.any(~np.isfinite(wrenches)):
         raise RecordError("non-finite wrench rows before the final knot")
+    if not np.all(np.isin(data[:, 10], (KosState.STATE_I, KosState.STATE_II))):
+        raise RecordError("trajectory kos_state must be 1 or 2")
     try:
-        kos_states = [KosState(int(v)) for v in data[:, 10]]
         stats = SolverStats(kkt_residual=float(meta.get("kkt_residual", "inf")),
                             constraint_violation=float(meta.get("constraint_violation", "inf")),
                             message="loaded from file")
@@ -162,7 +167,7 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
             objective_breakdown=(float(meta["objective_goal"]),
                                  float(meta["objective_kinetic"]),
                                  float(meta["objective_effort"])),
-            kos_states=kos_states,
+            kos_states=data[:, 10].astype(int),
             converged=bool(int(meta["converged"])),
             solver_stats=stats,
             x_goal=np.array([float(v) for v in meta["x_goal"].split()]),
@@ -171,7 +176,7 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
         )
     except KeyError as ex:
         raise RecordError(f"trajectory meta lacks {ex.args[0]!r}") from None
-    except ValueError as ex:  # unparsable meta value or unknown kos_state
+    except ValueError as ex:  # unparsable meta value
         raise RecordError(f"trajectory record malformed: {ex}") from None
     return plan, {"meta": meta, "config": config}
 
@@ -198,6 +203,8 @@ def read_run_record(path):
     if columns != RUN_COLUMNS:
         raise RecordError(f"unexpected run columns: {columns}")
     data = _data_block(lines, "run", len(RUN_COLUMNS))
+    if not np.all(np.isfinite(data)):
+        raise RecordError("non-finite value in the run record")
     return {"times": data[:, 0], "states": data[:, 1:7],
             "relative_velocity": data[:, 7:9], "g": data[:, 9],
             "meta": meta, "config": config}

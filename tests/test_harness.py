@@ -69,9 +69,9 @@ class TestLoadConfig:
         cfg2 = load_config(write(tmp_path, "body.inertia = 0.5\n", "b.txt"))
         assert cfg2.body().inertia == 0.5
 
-    def test_wrench_bounds_scale_with_thrust(self):
-        cfg = load_config(None)
-        lo, hi = cfg.wrench_bounds(f_thr=0.6)
+    def test_wrench_bounds_scale_with_thrust(self, tmp_path):
+        cfg = load_config(write(tmp_path, "layout.f_thr = 0.6\n"))
+        lo, hi = cfg.wrench_bounds()
         assert hi[0] == pytest.approx(0.6)
         assert hi[2] == pytest.approx(0.8 * 0.3 * 0.6)
         assert lo[0] == -hi[0]
@@ -118,7 +118,7 @@ class TestPlanTrackCli:
         loaded, info = records.read_trajectory(traj)
         assert loaded.converged
         assert loaded.N + 1 == len(loaded.times)
-        assert any(s is KosState.STATE_II for s in loaded.kos_states)
+        assert KosState.STATE_II in loaded.kos_states
         assert info["meta"]["objective_value"]
         # write again, read again: identical arrays
         cfg = load_config(None)
@@ -178,12 +178,13 @@ class TestPlanTrackCli:
         assert main(["track", str(bogus), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("command", ["track", "audit"])
-    @pytest.mark.parametrize("defect", ["non_numeric", "ragged"])
+    @pytest.mark.parametrize("defect", ["non_numeric", "ragged", "non_finite"])
     def test_malformed_data_row_rejected(self, tmp_path, command, defect):
         head, columns = ((TRAJECTORY_HEAD, records.TRAJECTORY_COLUMNS) if command == "track"
                          else (RUN_HEAD, records.RUN_COLUMNS))
         row = " ".join(["0.5"] * len(columns))
-        bad = row.replace("0.5", "abc", 1) if defect == "non_numeric" else row + " 0.5"
+        bad = {"non_numeric": row.replace("0.5", "abc", 1), "ragged": row + " 0.5",
+               "non_finite": row.replace(" 0.5", " nan", 1)}[defect]  # x = nan
         bogus = tmp_path / "r.txt"
         bogus.write_text(head + row + "\n" + bad + "\n")
         if command == "track":
@@ -191,6 +192,18 @@ class TestPlanTrackCli:
         else:
             argv = ["audit", str(bogus)]
         assert main(argv) == 2
+
+    def test_track_rejects_non_finite_knot(self, planned, tmp_path, capsys):
+        out, traj = planned
+        lines = traj.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        fields = lines[k].split()
+        fields[1] = "nan"  # the first knot's x
+        lines[k] = " ".join(fields)
+        bad = tmp_path / "t.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["track", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_track_rejects_missing_meta_key(self, tmp_path):
         bogus = tmp_path / "t.txt"

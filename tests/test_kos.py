@@ -65,7 +65,7 @@ def region_distance_oracle(p, state, target_theta, target_pos, cfg, sides=(1, -1
     center = np.asarray(target_pos, dtype=float)
     rs = r_safe(cfg)
     best = math.inf
-    if state is KosState.STATE_I:
+    if state == KosState.STATE_I:
         best = float(np.linalg.norm(p - center)) - rs
     c, s = math.cos(target_theta), math.sin(target_theta)
     rx, ry = p - center

@@ -10,9 +10,9 @@ from proxdock.dynamics import BodyParams, TargetState, euler_step, wrap_angle
 from proxdock.kos import (BLEND_BAND, KosConfig, KosState, r_safe,
                           signed_distance_batch)
 from proxdock.nlp import InfeasibleError
-from proxdock.optimizer import (AllCandidatesFailed, ObjectiveModel, OptProblem,
-                                build_goal_state, duration_candidates,
-                                pack_variables, plan, solve, unpack_variables)
+from proxdock.optimizer import (AllCandidatesFailed, OptProblem, build_goal_state,
+                                duration_candidates, pack_variables, plan, solve,
+                                unpack_variables)
 from proxdock.optimizer import _Transcription
 
 
@@ -50,7 +50,7 @@ def equality_residuals(p, states, wrenches) -> dict:
 
 
 def objective_value(p, states, wrenches) -> float:
-    return ObjectiveModel(p).value_flat(pack_variables(states, wrenches))
+    return _Transcription(p).objective_value(pack_variables(states, wrenches))
 
 
 def nominal_template(**overrides):
@@ -66,33 +66,33 @@ class TestDurationCandidates:
     def test_phase_arithmetic(self):
         t = TargetState(omega=0.1, theta0=0.0)
         cands = duration_candidates(t, math.pi / 2, 3)
-        assert cands[0].t_total == pytest.approx(15.70796, abs=1e-5)
-        assert cands[1].t_total == pytest.approx(78.53982, abs=1e-5)
-        assert cands[2].t_total == pytest.approx(141.37167, abs=1e-5)
+        assert cands[0] == pytest.approx(15.70796, abs=1e-5)
+        assert cands[1] == pytest.approx(78.53982, abs=1e-5)
+        assert cands[2] == pytest.approx(141.37167, abs=1e-5)
 
     def test_zero_phase_excluded_by_minimum(self):
         t = TargetState(omega=0.1, theta0=0.7)
         cands = duration_candidates(t, 0.7, 2, min_duration=5.0)
         period = 2 * math.pi / 0.1
-        assert cands[0].t_total == pytest.approx(period)
-        assert cands[1].t_total == pytest.approx(2 * period)
+        assert cands[0] == pytest.approx(period)
+        assert cands[1] == pytest.approx(2 * period)
 
     @pytest.mark.parametrize("omega", [0.1, -0.1, 0.37, -2.0])
     def test_attitude_consistency_invariant(self, omega):
         t = TargetState(omega=omega, theta0=0.3)
-        for cand in duration_candidates(t, 2.0, 4):
-            th = t.attitude(cand.t_total)
+        for t_total in duration_candidates(t, 2.0, 4):
+            th = t.attitude(t_total)
             assert abs(wrap_angle(th - 2.0)) < 1e-9
 
     def test_static_ladder(self):
         t = TargetState(omega=0.0)
         cands = duration_candidates(t, 0.0, 3, min_duration=25.0)
-        assert [c.t_total for c in cands] == [40.0, 60.0, 80.0]
+        assert cands == [40.0, 60.0, 80.0]
         assert duration_candidates(t, 0.0, 3, min_duration=100.0) == []
 
     def test_ascending(self):
         t = TargetState(omega=0.5)
-        ts = [c.t_total for c in duration_candidates(t, 1.0, 6)]
+        ts = duration_candidates(t, 1.0, 6)
         assert ts == sorted(ts)
 
 
@@ -114,7 +114,7 @@ class TestObjective:
 
     def test_three_knot_hand_computed(self):
         p = simple_problem(N=2, w_goal=3.0, w_u=2.0, w_kin=1.5)
-        obj = ObjectiveModel(p)
+        tr = _Transcription(p)
         rng = np.random.default_rng(1)
         states = rng.normal(size=(3, 6))
         wrenches = rng.normal(size=(2, 3))
@@ -126,7 +126,7 @@ class TestObjective:
         effort = sum(2.0 * dt * (wrenches[k] @ wrenches[k]) for k in range(2))
         assert objective_value(p, states, wrenches) == pytest.approx(goal + kinetic + effort,
                                                                      rel=1e-12)
-        b = obj.breakdown(states, wrenches)
+        b = tr.breakdown(states, wrenches)
         assert b[0] == pytest.approx(goal, rel=1e-12)
         assert b[1] == pytest.approx(kinetic, rel=1e-12)
         assert b[2] == pytest.approx(effort, rel=1e-12)
@@ -134,17 +134,17 @@ class TestObjective:
     def test_gradient_matches_central_differences(self):
         # criterion: relative error <= 1e-4 at random feasible points
         p = simple_problem(N=8)
-        obj = ObjectiveModel(p)
+        tr = _Transcription(p)
         rng = np.random.default_rng(6)
         z = rng.normal(size=9 * 8 + 6)
-        grad = obj.gradient_flat(z)
+        grad = tr.objective_value_grad(z)[1]
         h = 1e-6
         fd = np.empty_like(z)
         for i in range(len(z)):
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            fd[i] = (obj.value_flat(zp) - obj.value_flat(zm)) / (2 * h)
+            fd[i] = (tr.objective_value(zp) - tr.objective_value(zm)) / (2 * h)
         denom = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(grad - fd) / denom) <= 1e-4
 
@@ -240,7 +240,7 @@ class TestSolve:
         n, m = tr.n, tr.E.shape[0]
         H = sp.diags(tr.obj_hess_diag).tocsr()
         kkt = sp.bmat([[H, tr.E.T], [tr.E, None]], format="csc")
-        rhs = np.concatenate([-tr.objective.c, tr.e_rhs])
+        rhs = np.concatenate([-tr.c, tr.e_rhs])
         zl = spla.spsolve(kkt, rhs)
         np.testing.assert_allclose(pack_variables(sol.states, sol.wrenches),
                                    zl[:n], atol=2e-4)
@@ -267,8 +267,8 @@ class TestSolve:
         assert abs(sol.states[-1, 2] - p.theta_finish) <= 1e-6
         # exact keep-out audit at knots
         th = p.target.theta0 + p.target.omega * np.arange(p.N + 1) * p.dt
-        g = signed_distance_batch(sol.states[:, :2], th, p.schedule(), p.target.position,
-                                  p.kos_cfg)
+        g = signed_distance_batch(sol.states[:, :2], th, np.full(p.N + 1, KosState.STATE_I),
+                                  p.target.position, p.kos_cfg)
         assert float(np.min(g)) >= -1e-6
         # wrench box with slack
         lo, hi = p.wrench_min, p.wrench_max
@@ -311,7 +311,7 @@ class TestPlan:
         assert best.objective_value == min(r.objective_value for r in results)
         # relaxation engages in the terminal segment
         assert KosState.STATE_II in best.kos_states
-        first = best.kos_states.index(KosState.STATE_II)
+        first = int(np.flatnonzero(best.kos_states == KosState.STATE_II)[0])
         assert best.times[first] >= 0.9 * best.times[-1]
         # no inner Newton loop spins up to max_inner on zero-progress steps
         assert best.solver_stats.inner_capped == 0
@@ -334,9 +334,9 @@ class TestPlan:
         best = plan(1.2, template, max_candidates=3, warm_start=False)
         cands = duration_candidates(TargetState(omega=0.3), 1.2, 3)
         objs = []
-        for cand in cands:
+        for t_total in cands:
             b = plan(1.2, template, max_candidates=1,
-                     min_duration=cand.t_total - 1e-6, warm_start=False)
+                     min_duration=t_total - 1e-6, warm_start=False)
             objs.append(b.objective_value)
         assert best.objective_value == pytest.approx(min(objs), rel=1e-6)
 

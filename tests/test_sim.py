@@ -25,7 +25,7 @@ def stationary_plan(pose=state(x=1.0), n=50):
     return PlannedTrajectory(
         times=np.arange(n + 1) * 0.1, states=states, wrenches=np.zeros((n, 3)),
         objective_value=0.0, objective_breakdown=(0.0, 0.0, 0.0),
-        kos_states=[KosState.STATE_I] * (n + 1), converged=True,
+        kos_states=np.full(n + 1, KosState.STATE_I), converged=True,
         solver_stats=SolverStats(message="synthetic"),
         x_goal=pose.copy(), theta_finish=pose[2], dt=0.1)
 
