@@ -195,7 +195,7 @@ def circle_value(px, py, center, radius: float):
 
 
 def smooth_circle(px, py, center, radius: float):
-    """g = |p-c|^2 - r^2 with gradient; Hessian is 2*I."""
+    """g = |p-c|^2 - r^2 with its gradient, as (g, gx, gy)."""
     return circle_value(px, py, center, radius), 2.0 * (px - center[0]), 2.0 * (py - center[1])
 
 
@@ -219,7 +219,7 @@ def lobe_value(xp, yp, a_lat: float, b_norm: float, side):
 
 
 def smooth_lobe(px, py, cos_th, sin_th, center, a_lat: float, b_norm: float, side):
-    """lobe_value at inertial point(s) with its gradient and 2x2 Hessian.
+    """lobe_value at inertial point(s) with its gradient, as (g, gx, gy).
 
     cos_th, sin_th are the cosine and sine of the target attitude.
     """
@@ -227,23 +227,12 @@ def smooth_lobe(px, py, cos_th, sin_th, center, a_lat: float, b_norm: float, sid
     xp, yp = target_frame(px, py, c, s, center)
     val = lobe_value(xp, yp, a_lat, b_norm, side)
 
-    # smoothstep derivatives, zero outside the open blend band
+    # smoothstep derivative, zero outside the open blend band
     t = -side * yp / BLEND_BAND
     tc = np.clip(t, 0.0, 1.0)
-    band = (t > 0.0) & (t < 1.0)
-    dblend = np.where(band, 6.0 * tc * (1.0 - tc), 0.0)
-    ddblend = np.where(band, 6.0 - 12.0 * tc, 0.0)
+    dblend = np.where((t > 0.0) & (t < 1.0), 6.0 * tc * (1.0 - tc), 0.0)
 
     # gradients of the local coordinates: dxp = (c, s), dyp = (-s, c)
     de_dxp = 2.0 * xp / b_norm**2
-    de_dyp = 2.0 * yp / a_lat**2
-    dv_dyp = de_dyp + RELEASE_SLACK * dblend * (-side / BLEND_BAND)
-    gx = de_dxp * c + dv_dyp * (-s)
-    gy = de_dxp * s + dv_dyp * c
-
-    h_xpxp = 2.0 / b_norm**2
-    h_ypyp = 2.0 / a_lat**2 + RELEASE_SLACK * ddblend / BLEND_BAND**2
-    hxx = h_xpxp * c * c + h_ypyp * s * s
-    hxy = (h_xpxp - h_ypyp) * c * s
-    hyy = h_xpxp * s * s + h_ypyp * c * c
-    return val, gx, gy, hxx, hxy, hyy
+    dv_dyp = 2.0 * yp / a_lat**2 + RELEASE_SLACK * dblend * (-side / BLEND_BAND)
+    return val, de_dxp * c + dv_dyp * (-s), de_dxp * s + dv_dyp * c

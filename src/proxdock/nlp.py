@@ -7,12 +7,27 @@ assembled in symmetric lower-banded storage (the interleaved knot ordering
 gives bandwidth 14) and factored by LAPACK's banded Cholesky, so each Newton
 step is O(N).
 
-The inner loop has three exits: the projected gradient is within the outer
-loop's current tolerance; a stall, where the accepted line-search step
-leaves the AL merit unchanged (or no trial lowers it), so the iterate sits
-at the merit's rounding floor; or max_inner Newton steps.  After a stall or
-the cap the outer multiplier/penalty update carries on.  SolverStats counts
-the stalled and capped inner loops.
+The Newton matrix is the Gauss-Newton form of the merit's Hessian,
+diag(2q) + mu E^T E + mu sum grad g grad g^T over the keep-out constraints
+whose PHR multiplier estimate a = max(0, eta - mu g) is positive.  The
+exact Hessian also has -a hess(g) per such constraint, -2a on the diagonal
+for the circle, which makes it indefinite; leaving that term out is the
+standard Hessian modification for AL subproblems (Nocedal & Wright,
+Numerical Optimization, 3.4 and ch. 17), and the KKT test reads gradients
+only.  The matrix is positive definite: with a positive effort weight
+diag(2q) is positive on every wrench, and given the wrenches the
+initial-state and defect rows of E fix every state.  Box-pinned variables
+get identity rows, which keeps that.  So each step is one Cholesky
+factorization and one refinement solve.  Should a factorization still fail
+(say with a zero effort weight), the solve ends with NotConvergedError and
+stats.message names the non-positive-definite Newton matrix.
+
+The inner loop has three other exits: the projected gradient is within the
+outer loop's current tolerance; a stall, where the accepted line-search
+step leaves the AL merit unchanged (or no trial lowers it), so the iterate
+sits at the merit's rounding floor; or max_inner Newton steps.  After a
+stall or the cap the outer multiplier/penalty update carries on.
+SolverStats counts the stalled and capped inner loops.
 
 The problem object must expose::
 
@@ -25,7 +40,7 @@ The problem object must expose::
     objective_value(z)             -> f
     m_in, ineq_ix, ineq_iy         inequality count and variable indices
     ineq_values(z)                 -> g
-    ineq_full(z)                   -> (g, gx, gy, hxx, hxy, hyy)
+    ineq_full(z)                   -> (g, gx, gy)
 
 ineq_values is the value-only path used by line-search trials; it must equal
 ineq_full(z)[0] bit for bit, because the stall exit compares a trial merit
@@ -33,7 +48,7 @@ ineq_full(z)[0] bit for bit, because the stall exit compares a trial merit
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -88,8 +103,7 @@ def _al_value_grad(prob, z, m: _Multipliers):
     grad = grad + prob.E.T @ (m.mu * h - m.lam)
     ineq = None
     if prob.m_in:
-        ineq = prob.ineq_full(z)
-        g, gx, gy = ineq[0], ineq[1], ineq[2]
+        ineq = g, gx, gy = prob.ineq_full(z)
         a = np.maximum(0.0, m.eta - m.mu * g)
         f += float(a @ a - m.eta @ m.eta) / (2.0 * m.mu)
         np.add.at(grad, prob.ineq_ix, -a * gx)
@@ -111,7 +125,7 @@ def projected_kkt_residual(prob, z, lam, eta) -> float:
     _, grad = prob.objective_value_grad(z)
     r = grad - prob.E.T @ lam
     if prob.m_in:
-        _, gx, gy, *_ = prob.ineq_full(z)
+        _, gx, gy = prob.ineq_full(z)
         np.add.at(r, prob.ineq_ix, -eta * gx)
         np.add.at(r, prob.ineq_iy, -eta * gy)
     viol = np.abs(r)
@@ -124,21 +138,20 @@ def projected_kkt_residual(prob, z, lam, eta) -> float:
 
 
 def _assemble_banded(prob, m: _Multipliers, ineq, base):
-    """base (diag + mu EtE) plus the active PHR inequality blocks."""
+    """base (diag + mu EtE) plus mu grad g grad g^T of the active inequalities."""
     ab = base.copy()
     if ineq is not None:
-        g, gx, gy, hxx, hxy, hyy = ineq
-        a = np.maximum(0.0, m.eta - m.mu * g)
-        act = a > 0.0
+        g, gx, gy = ineq
+        act = m.eta - m.mu * g > 0.0
         if np.any(act):
             # iy == ix + 1 for every constraint (x, y adjacent in the layout),
             # so the cross term lives on the first subdiagonal
             ix = prob.ineq_ix[act]
             iy = prob.ineq_iy[act]
-            gxa, gya, aa = gx[act], gy[act], a[act]
-            np.add.at(ab[0], ix, m.mu * gxa * gxa - aa * hxx[act])
-            np.add.at(ab[0], iy, m.mu * gya * gya - aa * hyy[act])
-            np.add.at(ab[1], ix, m.mu * gxa * gya - aa * hxy[act])
+            gxa, gya = gx[act], gy[act]
+            np.add.at(ab[0], ix, m.mu * gxa * gxa)
+            np.add.at(ab[0], iy, m.mu * gya * gya)
+            np.add.at(ab[1], ix, m.mu * gxa * gya)
     return ab
 
 
@@ -167,12 +180,11 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
     """Minimize the AL merit over the box; returns (z, Newton steps, exit).
 
     exit names the inner loop's exit (see the module docstring): "tol",
-    "stall" or "cap".
+    "stall", "cap", or "not_pd" when the Newton matrix fails to factor.
     """
     lb, ub = prob.lb, prob.ub
     bw = prob.bandwidth
     nit = 0
-    shift = 0.0
     for _ in range(max_iter):
         f, grad, h, ineq = _al_value_grad(prob, z, m)
         pg, pinned = _projected_grad(z, grad, lb, ub)
@@ -184,22 +196,13 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
         rhs = -grad
         _apply_active(ab, rhs, np.flatnonzero(pinned), bw)
 
-        d = None
-        trial_shift = shift
-        for _ in range(25):
-            abt = ab if trial_shift == 0.0 else ab + np.vstack(
-                [np.full(ab.shape[1], trial_shift), np.zeros((bw, ab.shape[1]))])
-            try:
-                cb = cholesky_banded(abt, lower=True)
-                d = cho_solve_banded((cb, True), rhs)
-                # one refinement pass keeps steps accurate at large penalties
-                d += cho_solve_banded((cb, True), rhs - _band_matvec(abt, d))
-                break
-            except np.linalg.LinAlgError:
-                trial_shift = max(2.0 * trial_shift, 1e-8 * (1.0 + np.abs(ab[0]).max()))
-        shift = trial_shift / 4.0 if trial_shift > 0 else 0.0
-        if d is None:
-            d = -pg  # hopeless Hessian; fall back to steepest descent
+        try:
+            cb = cholesky_banded(ab, lower=True)
+        except np.linalg.LinAlgError:
+            return z, nit, "not_pd"
+        d = cho_solve_banded((cb, True), rhs)
+        # one refinement pass keeps steps accurate at large penalties
+        d += cho_solve_banded((cb, True), rhs - _band_matvec(ab, d))
 
         alpha = 1.0
         for _ in range(40):
@@ -253,6 +256,9 @@ def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
         stats.newton_iterations += nit
         stats.inner_stalls += exit_ == "stall"
         stats.inner_capped += exit_ == "cap"
+        if exit_ == "not_pd":
+            stats.message = "Newton matrix not positive definite"
+            raise NotConvergedError(stats)
 
         h = prob.E @ z - prob.e_rhs
         hinf = float(np.max(np.abs(h))) if len(h) else 0.0

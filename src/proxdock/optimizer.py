@@ -171,7 +171,6 @@ class _Transcription:
         self.c = np.zeros(self.n)
         self.c[9 * N:] = -2.0 * problem.w_goal * goal
         self.c0 = problem.w_goal * float(goal @ goal)
-        self.obj_hess_diag = 2.0 * q
 
         # box bounds: states free, wrenches boxed
         self.lb = np.full(self.n, -np.inf)
@@ -207,8 +206,8 @@ class _Transcription:
         mask = ete.row >= ete.col
         r, c, v = ete.row[mask], ete.col[mask], ete.data[mask]
         self.bandwidth = int(np.max(r - c)) if len(r) else 0
-        self.ete_banded = np.zeros((self.bandwidth + 1, self.n))
-        np.add.at(self.ete_banded, (r - c, c), v)
+        self._ete_banded = np.zeros((self.bandwidth + 1, self.n))
+        np.add.at(self._ete_banded, (r - c, c), v)
 
         # keep-out constraints: circle at State I knots, both lobes everywhere
         self._build_kos()
@@ -242,8 +241,9 @@ class _Transcription:
         self.m_in = len(knots_all)
 
     def base_banded(self, mu: float) -> np.ndarray:
-        ab = mu * self.ete_banded
-        ab[0] += self.obj_hess_diag
+        """diag(2q) + mu E^T E in lower-banded storage."""
+        ab = mu * self._ete_banded
+        ab[0] += 2.0 * self.q
         return ab
 
     def objective_value(self, z):
@@ -264,28 +264,18 @@ class _Transcription:
         return goal, kinetic, effort
 
     def ineq_full(self, z):
+        """Constraint values and gradients, as (g, gx, gy)."""
         nc = len(self._circle_knots)
         g = np.empty(self.m_in)
         gx = np.empty(self.m_in)
         gy = np.empty(self.m_in)
-        hxx = np.empty(self.m_in)
-        hxy = np.empty(self.m_in)
-        hyy = np.empty(self.m_in)
         if nc:
-            px = z[9 * self._circle_knots]
-            py = z[9 * self._circle_knots + 1]
-            v, dgx, dgy = koslib.smooth_circle(px, py, self._center, self._rs)
-            g[:nc], gx[:nc], gy[:nc] = v, dgx, dgy
-            hxx[:nc] = hyy[:nc] = 2.0
-            hxy[:nc] = 0.0
-        px = z[9 * self._lobe_knots]
-        py = z[9 * self._lobe_knots + 1]
-        v, dgx, dgy, lxx, lxy, lyy = koslib.smooth_lobe(
-            px, py, self._lobe_cos, self._lobe_sin, self._center, self._rs, self._rs / 2.0,
-            self._lobe_sides)
-        g[nc:], gx[nc:], gy[nc:] = v, dgx, dgy
-        hxx[nc:], hxy[nc:], hyy[nc:] = lxx, lxy, lyy
-        return g, gx, gy, hxx, hxy, hyy
+            g[:nc], gx[:nc], gy[:nc] = koslib.smooth_circle(
+                z[9 * self._circle_knots], z[9 * self._circle_knots + 1], self._center, self._rs)
+        g[nc:], gx[nc:], gy[nc:] = koslib.smooth_lobe(
+            z[9 * self._lobe_knots], z[9 * self._lobe_knots + 1], self._lobe_cos, self._lobe_sin,
+            self._center, self._rs, self._rs / 2.0, self._lobe_sides)
+        return g, gx, gy
 
     def ineq_values(self, z):
         """Constraint values only; bit for bit ineq_full(z)[0]."""
@@ -475,7 +465,7 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
         try:
             sol = solve(prob1, guess)
         except (NotConvergedError, InfeasibleError) as ex:
-            failures.append(f"t={T:.2f}s pass1: {type(ex).__name__}")
+            failures.append(f"t={T:.2f}s pass1: {ex.stats.message}")
             continue
         if template.kos_cfg is not None:
             # the latch delay is a confirmation window: the re-solved

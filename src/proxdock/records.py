@@ -178,6 +178,13 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
         raise RecordError(f"trajectory meta lacks {ex.args[0]!r}") from None
     except ValueError as ex:  # unparsable meta value
         raise RecordError(f"trajectory record malformed: {ex}") from None
+    if not (math.isfinite(plan.dt) and plan.dt > 0):
+        raise RecordError("trajectory meta dt must be finite and positive")
+    if plan.x_goal.shape != (6,) or not np.all(np.isfinite(plan.x_goal)):
+        raise RecordError("trajectory meta x_goal must be 6 finite values")
+    if not np.all(np.isfinite([plan.theta_finish, plan.objective_value,
+                               *plan.objective_breakdown])):
+        raise RecordError("trajectory meta theta_finish and objective values must be finite")
     return plan, {"meta": meta, "config": config}
 
 

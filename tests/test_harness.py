@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from proxdock import harness, records
+from proxdock import harness, nlp, records
 from proxdock.harness import (ConfigError, cmd_audit, cmd_plan, cmd_sweep1,
                               cmd_sweep2, cmd_track, grid_values, load_config,
                               main)
@@ -167,6 +167,13 @@ class TestPlanTrackCli:
                               "opt.max_candidates = 1\n")
         assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_cli_main_plan_records_failed_factorization(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(nlp, "cholesky_banded", fail)
+        assert main(["plan", "--out", str(tmp_path / "o")]) == 1
+        assert "Newton matrix not positive definite" in capsys.readouterr().err
+
     def test_track_rejects_malformed_file(self, tmp_path):
         bogus = tmp_path / "t.txt"
         bogus.write_text("# not a trajectory\n1 2 3\n")
@@ -202,6 +209,22 @@ class TestPlanTrackCli:
         lines[k] = " ".join(fields)
         bad = tmp_path / "t.txt"
         bad.write_text("\n".join(lines) + "\n")
+        assert main(["track", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("dt", "0"), ("dt", "-0.1"), ("dt", "nan"),
+        ("x_goal", "nan 0 0 0 0 0"), ("x_goal", "1 2 3"),
+        ("theta_finish", "inf"),
+        ("objective_value", "nan"), ("objective_effort", "inf")])
+    def test_track_rejects_bad_meta_value(self, planned, tmp_path, capsys, key, value):
+        out, traj = planned
+        text = traj.read_text()
+        head = f"# meta: {key} = "
+        lines = [head + value if ln.startswith(head) else ln for ln in text.splitlines()]
+        bad = tmp_path / "t.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert bad.read_text() != text
         assert main(["track", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from proxdock.dynamics import BodyParams, TargetState, euler_step, wrap_angle
 from proxdock.kos import (BLEND_BAND, KosConfig, KosState, r_safe,
                           signed_distance_batch)
-from proxdock.nlp import InfeasibleError
+from proxdock import nlp
+from proxdock.nlp import InfeasibleError, NotConvergedError
 from proxdock.optimizer import (AllCandidatesFailed, OptProblem, build_goal_state,
                                 duration_candidates, pack_variables, plan, solve,
                                 unpack_variables)
@@ -227,6 +228,70 @@ class TestValuePath:
         assert np.any(g[:tr.m_in - 2 * (p.N + 1)] < 0)
 
 
+class TestNewtonMatrix:
+    """_assemble_banded's band storage against the Gauss-Newton matrix built
+    densely: diag(2q) + mu E^T E + mu sum_active grad g grad g^T."""
+
+    @staticmethod
+    def dense_from_band(ab):
+        n = ab.shape[1]
+        H = np.zeros((n, n))
+        for r in range(ab.shape[0]):
+            c = np.arange(n - r)
+            H[c + r, c] = ab[r, :n - r]
+            H[c, c + r] = ab[r, :n - r]
+        return H
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["all_state_i", "mixed"])
+    def test_matches_definition_and_is_positive_definite(self, mixed):
+        target = TargetState(omega=0.37, theta0=0.4, x=0.2, y=-0.1)
+        p = simple_problem(N=30, kos=True, target=target)
+        if mixed:
+            p = replace(p, kos_schedule=[KosState.STATE_I] * 12 + [KosState.STATE_II] * 19)
+        tr = _Transcription(p)
+        z = TestValuePath.knots_near_kos(p)
+        rng = np.random.default_rng(3)
+        mu = 100.0
+        m = nlp._Multipliers(lam=np.zeros(tr.E.shape[0]),
+                             eta=rng.uniform(0.0, 50.0, tr.m_in), mu=mu)
+        ineq = g, gx, gy = tr.ineq_full(z)
+        act = m.eta - mu * g > 0.0
+        assert 0 < np.count_nonzero(act) < tr.m_in
+
+        H = self.dense_from_band(nlp._assemble_banded(tr, m, ineq, tr.base_banded(mu)))
+
+        E = tr.E.toarray()
+        G = np.zeros((tr.m_in, tr.n))
+        rows = np.arange(tr.m_in)
+        G[rows, tr.ineq_ix] = gx
+        G[rows, tr.ineq_iy] = gy
+        expected = np.diag(2.0 * tr.q) + mu * E.T @ E + mu * G[act].T @ G[act]
+        assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.linalg.eigvalsh(H)[0] > 0.0
+
+
+class TestFactorizationFailure:
+    """A Newton matrix that does not factor ends the solve as a recorded failure."""
+
+    @pytest.fixture
+    def cholesky_fails(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(nlp, "cholesky_banded", fail)
+
+    def test_solve_raises_not_converged(self, cholesky_fails):
+        with pytest.raises(NotConvergedError) as ex:
+            solve(simple_problem(N=20, kos=True))
+        assert ex.value.stats.message == "Newton matrix not positive definite"
+        assert ex.value.stats.newton_iterations == 1
+
+    def test_plan_lists_failed_candidates(self, cholesky_fails):
+        with pytest.raises(AllCandidatesFailed) as ex:
+            plan(3 * math.pi / 4, nominal_template(), max_candidates=2)
+        assert len(ex.value.reasons) == 2
+        assert all("not positive definite" in r for r in ex.value.reasons)
+
+
 class TestSolve:
     def test_reaches_goal_against_lq_oracle(self):
         # unconstrained transcription has a closed-form KKT solution; compare
@@ -238,7 +303,7 @@ class TestSolve:
 
         tr = _Transcription(p)
         n, m = tr.n, tr.E.shape[0]
-        H = sp.diags(tr.obj_hess_diag).tocsr()
+        H = sp.diags(2.0 * tr.q)
         kkt = sp.bmat([[H, tr.E.T], [tr.E, None]], format="csc")
         rhs = np.concatenate([-tr.c, tr.e_rhs])
         zl = spla.spsolve(kkt, rhs)
