@@ -330,6 +330,14 @@ def grid_values(start: float, step: float, stop: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _terminal_errors(best):
+    """(position error [m], wrapped attitude residual [rad]) of a plan's last
+    knot against its goal."""
+    pos_err = float(np.hypot(best.states[-1, 0] - best.x_goal[0],
+                             best.states[-1, 1] - best.x_goal[1]))
+    return pos_err, abs(wrap_angle(best.states[-1, 2] - best.theta_finish))
+
+
 def cmd_plan(config_path, out_dir):
     cfg = load_config(config_path)
     out = Path(out_dir)
@@ -346,8 +354,7 @@ def cmd_plan(config_path, out_dir):
     switch = next((float(t) for t, s in zip(best.times, best.kos_states)
                    if s == KosState.STATE_II), None)
     goal, kinetic, effort = best.objective_breakdown
-    pos_err = float(np.hypot(best.states[-1, 0] - best.x_goal[0],
-                             best.states[-1, 1] - best.x_goal[1]))
+    pos_err, att_err = _terminal_errors(best)
     lines = [
         "proxdock plan summary",
         f"  chosen duration      : {best.times[-1]:.2f} s "
@@ -358,7 +365,7 @@ def cmd_plan(config_path, out_dir):
         f"    effort term        : {effort:.6g}",
         f"  KOS switch to II     : {'%.2f s' % switch if switch is not None else 'never'}",
         f"  terminal pos error   : {pos_err:.6g} m",
-        f"  terminal att residual: {abs(best.states[-1, 2] - best.theta_finish):.3g} rad",
+        f"  terminal att residual: {att_err:.3g} rad",
         f"  solver               : {best.solver_stats.outer_iterations} outer / "
         f"{best.solver_stats.newton_iterations} newton "
         f"({best.solver_stats.inner_stalls} stalled, "
@@ -411,13 +418,10 @@ def _sweep_point(values):
     try:
         best = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
         goal, kinetic, effort = best.objective_breakdown
+        pos_err, att_err = _terminal_errors(best)
         rec = dict(converged=1, duration=float(best.times[-1]),
                    objective=best.objective_value, goal=goal, kinetic=kinetic,
-                   effort=effort,
-                   pos_err=float(np.hypot(best.states[-1, 0] - best.x_goal[0],
-                                          best.states[-1, 1] - best.x_goal[1])),
-                   att_err=abs(wrap_angle(best.states[-1, 2] - best.theta_finish)),
-                   reason="")
+                   effort=effort, pos_err=pos_err, att_err=att_err, reason="")
     except Exception as ex:  # one failing point must not abort the sweep
         if isinstance(ex, AllCandidatesFailed):
             reason = str(ex.reasons[0])[:60].replace(" ", "_") if ex.reasons else "failed"

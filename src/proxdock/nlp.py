@@ -29,6 +29,18 @@ sits at the merit's rounding floor; or max_inner Newton steps.  After a
 stall or the cap the outer multiplier/penalty update carries on.
 SolverStats counts the stalled and capped inner loops.
 
+Warm start: lam0, eta0 and mu0 restart the outer loop from an earlier
+solve's multipliers instead of zeros and the default penalty.  The planner
+does this for its pass-2 re-solve, which keeps the equality rows and the
+lobes of pass 1 and drops the circle constraint at the State II knots.  If
+those dropped constraints were inactive at the pass-1 optimum (multiplier
+zero), the pass-1 point with the remaining multipliers already satisfies
+pass 2's KKT conditions: stationarity has the same terms, feasibility and
+complementarity are a subset.  The inner loop then exits at once, and the
+first multiplier update converges the solve with 0 Newton steps, as long as
+it moves lam (by mu0 h, h the pass-1 equality residual) too little to lift
+the KKT residual above kkt_tol.
+
 The problem object must expose::
 
     n, lb, ub                      decision size and box bounds
@@ -235,14 +247,22 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
 
 
 def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
-             max_inner=200, mu0=10.0, mu_max=1e12):
+             max_inner=200, mu0=10.0, mu_max=1e12, lam0=None, eta0=None):
     """Run the augmented-Lagrangian loop; returns (z, lam, eta, stats).
+
+    lam0 and eta0 warm-start the equality and inequality multipliers (zeros
+    when None); with mu0 they restart the loop from an earlier solve's
+    multipliers (see the module docstring).
 
     Raises NotConvergedError when the iteration budget runs out and
     InfeasibleError when the violation stalls at the penalty ceiling.
     """
     z = np.clip(np.asarray(z0, dtype=float), prob.lb, prob.ub)
-    m = _Multipliers(lam=np.zeros(prob.E.shape[0]), eta=np.zeros(prob.m_in), mu=mu0)
+    lam = np.zeros(prob.E.shape[0]) if lam0 is None else np.array(lam0, dtype=float)
+    eta = np.zeros(prob.m_in) if eta0 is None else np.array(eta0, dtype=float)
+    if lam.shape != (prob.E.shape[0],) or eta.shape != (prob.m_in,):
+        raise ValueError("lam0/eta0 must match the equality/inequality counts")
+    m = _Multipliers(lam=lam, eta=eta, mu=mu0)
     stats = SolverStats()
     omega = 1e-2
     feas_target = 1e-2

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ def test_grid_values_exact():
     assert len(g2) == 12 and g2[-1] == 330.0
     # regenerating gives bit-identical grids
     np.testing.assert_array_equal(g, grid_values(0.035, 0.025, 2.0))
+
+
+def test_terminal_attitude_residual_wrapped():
+    # a last knot one full turn past theta_finish has reached its attitude
+    s = np.array([[0.0, 0.0, 0.0, 0, 0, 0], [0.3, 0.4, 0.1 + 2 * math.pi, 0, 0, 0]])
+    best = SimpleNamespace(states=s, x_goal=np.zeros(6), theta_finish=0.1)
+    pos_err, att_err = harness._terminal_errors(best)
+    assert pos_err == pytest.approx(0.5, abs=1e-15)
+    assert att_err <= 1e-15
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +266,10 @@ class TestSweeps:
         row = table["rows"][0]
         # the summary prints 6 significant digits
         assert float(row[cols.index("pos_err")]) == pytest.approx(pos_err, abs=1e-6)
+        att = float([ln for ln in summary.splitlines()
+                     if "terminal att residual" in ln][0].split(":")[1].split()[0])
+        # ... and 3 for the attitude residual
+        assert float(row[cols.index("att_err")]) == pytest.approx(att, rel=5e-3, abs=1e-12)
 
     def test_sweep_rerun_identical_tables(self, tmp_path):
         cfgtext = (

@@ -7,9 +7,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from proxdock.dynamics import BodyParams, TargetState, euler_step, wrap_angle
-from proxdock.kos import (BLEND_BAND, KosConfig, KosState, r_safe,
+from proxdock.kos import (BLEND_BAND, KosConfig, KosState, classify, latch, r_safe,
                           signed_distance_batch)
-from proxdock import nlp
+from proxdock import nlp, optimizer
 from proxdock.nlp import InfeasibleError, NotConvergedError
 from proxdock.optimizer import (AllCandidatesFailed, OptProblem, build_goal_state,
                                 duration_candidates, pack_variables, plan, solve,
@@ -365,6 +365,97 @@ class TestSolve:
                            theta_finish=1.0)
         with pytest.raises((InfeasibleError,)):
             solve(p)
+
+
+class TestWarmMultipliers:
+    """A solve returns its multipliers; a later solve at the same N restarts
+    the multiplier loop from them."""
+
+    @staticmethod
+    @pytest.fixture(scope="class")
+    def two_pass():
+        """Pass 1 of a docking approach that ends against the keep-out circle,
+        and its latched State II schedule, which drops circle knots with
+        positive multipliers."""
+        p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
+                           x_goal=state(x=0.35, theta=0.4))
+        sol = solve(p)
+        sched = latch(classify(sol.states[:, :2], p.target.attitude(sol.times),
+                               p.target.position, p.kos_cfg))
+        assert KosState.STATE_I in sched and KosState.STATE_II in sched
+        assert np.any(sol.multipliers[1][sched == KosState.STATE_II] > 0)
+        return p, sol, sched
+
+    def test_resolve_from_own_plan(self):
+        p = simple_problem(N=50, kos=True)
+        first = solve(p)
+        again = solve(p, first).solver_stats
+        # the first multiplier update moves lam by mu0 * h; at the default
+        # feas_tol that alone lifts the KKT residual above kkt_tol, so one
+        # Newton step remains (a cold multiplier restart takes 21)
+        assert again.newton_iterations <= 1
+        # with an equality residual too small to move lam, the re-solve
+        # accepts its start as is
+        tight = solve(p, feas_tol=1e-10)
+        again = solve(p, tight).solver_stats
+        assert (again.outer_iterations, again.newton_iterations) == (1, 0)
+        assert again.message == "converged"
+
+    def test_warm_pass2_agrees_with_cold(self, two_pass):
+        p, sol, sched = two_pass
+        p2 = replace(p, kos_schedule=sched)
+        warm = solve(p2, sol)
+        cold = solve(p2, replace(sol, multipliers=None))
+        assert warm.converged and cold.converged
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-4)
+
+    def test_eta_mapping(self, two_pass, monkeypatch):
+        p, sol, sched = two_pass
+        seen = []
+        real = optimizer.solve_al
+
+        def spy(prob, z0, **kwargs):
+            seen.append(kwargs)
+            return real(prob, z0, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve_al", spy)
+        solve(replace(p, kos_schedule=sched), sol)
+        lam, circle_eta, lobe_eta, mu_final = sol.multipliers
+        assert circle_eta.shape == (p.N + 1,) and lobe_eta.shape == (2 * (p.N + 1),)
+        state_i = sched == KosState.STATE_I
+        np.testing.assert_array_equal(
+            seen[0]["eta0"], np.concatenate([circle_eta[state_i], lobe_eta]))
+        np.testing.assert_array_equal(seen[0]["lam0"], lam)
+        assert seen[0]["mu0"] == min(mu_final, 1e5)
+        # a guess at another N is resampled and hands over no multipliers
+        solve(replace(p, N=60), sol)
+        assert not {"lam0", "eta0", "mu0"} & seen[1].keys()
+
+    def test_keep_out_model_change_restarts_multipliers(self):
+        # a guess from a problem with another constraint set hands over its
+        # primal only
+        sol = solve(simple_problem(N=50, kos=True))
+        again = solve(simple_problem(N=50), sol)
+        assert again.converged and again.multipliers[2].shape == (0,)
+
+    def test_failed_pass2_keeps_pass1_plan(self, monkeypatch):
+        real = optimizer.solve
+        failed = []
+
+        def solve_failing_warm(problem, initial_guess=None, **kwargs):
+            if initial_guess is not None and initial_guess.N == problem.N:
+                failed.append(problem.N)
+                raise NotConvergedError(nlp.SolverStats(message="forced"))
+            return real(problem, initial_guess, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve", solve_failing_warm)
+        best, results = plan(1.2, nominal_template(target=TargetState(omega=0.3)),
+                             max_candidates=2, collect_all=True)
+        assert len(failed) == len(results) == 2
+        for r in results:
+            assert r.converged and r.solver_stats.message == "converged"
+            assert np.all(r.kos_states == KosState.STATE_I)
+        assert any(best is r for r in results)
 
 
 class TestPlan:
