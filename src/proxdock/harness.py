@@ -1,8 +1,11 @@
 """Command-line front end: config ingestion, plan/track pipeline, sweeps.
 
-Config files are flat `key = value` text with dotted section names (full
-schema in DEFAULTS below); an empty or missing file yields the nominal
-scenario.  Subcommands: plan, track, sweep1, sweep2, audit.
+Config files are flat `key = value` text with dotted section names; an
+empty or missing file yields the nominal scenario.  The schema is the
+DEFAULTS table below: each key has a default, a parser and a rule column,
+either None or a (test, message) pair such as POSITIVE or FRACTION that
+load_config applies to every value but None and "auto".  Checks that span
+keys stay in _validate.  Subcommands: plan, track, sweep1, sweep2, audit.
 """
 from __future__ import annotations
 
@@ -19,9 +22,9 @@ import numpy as np
 
 from . import records
 from .controller import PdGains
-from .dynamics import BodyParams, TargetState, default_layout, wrap_angle
+from .dynamics import BodyParams, TargetState, default_layout
 from .kos import KosConfig, KosState
-from .optimizer import (AllCandidatesFailed, OptProblem, plan)
+from .optimizer import AllCandidatesFailed, OptProblem, plan, terminal_errors
 from .sim import SimConfig, audit_safety, run
 
 
@@ -50,73 +53,83 @@ def _parse_float_list(s: str):
     return tuple(float(v) for v in s.split(",") if v.strip())
 
 
-# key -> (default value, parser).  Defaults reproduce the nominal scenario:
-# 0.3 m cubes, chaser from (1, 0) m, target spinning at 0.1 rad/s, approach
-# attitude 3*pi/4, weights 100/10, 0.01 s physics at 10 Hz control.
+# Single-key rules: (test, message).  _validate applies a key's test to its
+# value unless the value is None or "auto", and reports
+# "{key} {message} (got {value})" when the test fails.
+POSITIVE = (lambda v: v > 0, "must be positive")
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+ACUTE = (lambda v: 0 < v < math.pi / 2, "must lie in (0, pi/2)")
+FRACTION = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
+
+# key -> (default value, parser, rule or None).  Defaults reproduce the
+# nominal scenario: 0.3 m cubes, chaser from (1, 0) m, target spinning at
+# 0.1 rad/s, approach attitude 3*pi/4, weights 100/10, 0.01 s physics at
+# 10 Hz control.
 DEFAULTS = {
-    "seed": (0, int),
-    "body.mass": (10.0, float),
-    "body.inertia": (None, _parse_float_or_none),   # none -> mass*side^2/6
-    "body.side_length": (0.3, float),
-    "layout.f_thr": (0.03, float),
-    "target.side_length": (0.3, float),
-    "target.omega": (0.1, float),
-    "target.theta0": (0.0, float),
-    "target.x": (0.0, float),
-    "target.y": (0.0, float),
-    "init.x": (1.0, float),
-    "init.y": (0.0, float),
-    "init.theta": (0.0, float),
-    "init.vx": (0.0, float),
-    "init.vy": (0.0, float),
-    "init.omega": (0.0, float),
-    "kos.margin_fraction": (0.10, float),
-    "kos.dist_threshold_factor": (1.5, float),
-    "kos.angle_threshold": (None, _parse_float_or_none),  # none -> corner-safe gate
-    "opt.dt": (0.1, float),
-    "opt.w_goal": (100.0, float),
-    "opt.w_u": (10.0, float),
-    "opt.w_kin": (1.0, float),
-    "opt.theta_approach": (3.0 * math.pi / 4.0, float),
-    "opt.max_candidates": (2, int),
-    "opt.min_duration": (5.0, _parse_float_or_auto),
-    "opt.static_durations": ((20.0, 40.0, 60.0, 80.0), _parse_float_list),
-    "opt.capture_offset": (0.05, float),
-    "opt.goal_corotate": (False, _parse_bool),
-    "opt.latch_delay": ("auto", _parse_float_or_auto),
-    "opt.force_bound": (None, _parse_float_or_none),   # none -> f_thr
-    "opt.torque_bound": (None, _parse_float_or_none),  # none -> 0.8*l_s*f_thr
-    "gains.kp_pos": (2.0, float),
-    "gains.kd_pos": (8.0, float),
-    "gains.kp_att": (0.4, float),
-    "gains.kd_att": (1.2, float),
-    "ctrl.n_slots": (10, int),
-    "ctrl.feed_forward": (True, _parse_bool),
-    "sim.physics_dt": (0.01, float),
-    "sim.control_hz": (10.0, float),
-    "sim.tail": (5.0, float),
-    "sim.duration": (None, _parse_float_or_none),
-    "sim.mismatch_fraction": (0.0, float),
-    "sim.disturbance_accel": (0.0, float),
-    "sweep1.omega_start": (0.035, float),
-    "sweep1.omega_step": (0.025, float),
-    "sweep1.omega_stop": (2.0, float),
-    "sweep1.f_start": (0.03, float),
-    "sweep1.f_step": (0.03, float),
-    "sweep1.f_stop": (1.02, float),
-    "sweep1.max_candidates": (2, int),
-    "sweep1.min_duration": ("auto", _parse_float_or_auto),
-    "sweep1.goal_corotate": (True, _parse_bool),
-    "sweep2.theta_start_deg": (0.0, float),
-    "sweep2.theta_step_deg": (30.0, float),
-    "sweep2.theta_stop_deg": (330.0, float),
-    "sweep2.omega_start": (0.05, float),
-    "sweep2.omega_step": (0.05, float),
-    "sweep2.omega_stop": (2.0, float),
-    "sweep2.f_thr": (0.03, float),
-    "sweep2.max_candidates": (2, int),
-    "sweep2.min_duration": ("auto", _parse_float_or_auto),
-    "sweep2.goal_corotate": (True, _parse_bool),
+    "seed": (0, int, NON_NEGATIVE),
+    "body.mass": (10.0, float, POSITIVE),
+    "body.inertia": (None, _parse_float_or_none, POSITIVE),   # none -> mass*side^2/6
+    "body.side_length": (0.3, float, POSITIVE),
+    "layout.f_thr": (0.03, float, POSITIVE),
+    "target.side_length": (0.3, float, POSITIVE),
+    "target.omega": (0.1, float, None),
+    "target.theta0": (0.0, float, None),
+    "target.x": (0.0, float, None),
+    "target.y": (0.0, float, None),
+    "init.x": (1.0, float, None),
+    "init.y": (0.0, float, None),
+    "init.theta": (0.0, float, None),
+    "init.vx": (0.0, float, None),
+    "init.vy": (0.0, float, None),
+    "init.omega": (0.0, float, None),
+    "kos.margin_fraction": (0.10, float, NON_NEGATIVE),
+    "kos.dist_threshold_factor": (1.5, float, AT_LEAST_ONE),
+    "kos.angle_threshold": (None, _parse_float_or_none, ACUTE),  # none -> corner-safe gate
+    "opt.dt": (0.1, float, POSITIVE),
+    "opt.w_goal": (100.0, float, NON_NEGATIVE),
+    "opt.w_u": (10.0, float, NON_NEGATIVE),
+    "opt.w_kin": (1.0, float, NON_NEGATIVE),
+    "opt.theta_approach": (3.0 * math.pi / 4.0, float, None),
+    "opt.max_candidates": (2, int, AT_LEAST_ONE),
+    "opt.min_duration": (5.0, _parse_float_or_auto, None),
+    "opt.static_durations": ((20.0, 40.0, 60.0, 80.0), _parse_float_list, None),
+    "opt.capture_offset": (0.05, float, None),
+    "opt.goal_corotate": (False, _parse_bool, None),
+    "opt.latch_delay": ("auto", _parse_float_or_auto, NON_NEGATIVE),
+    "opt.force_bound": (None, _parse_float_or_none, POSITIVE),   # none -> f_thr
+    "opt.torque_bound": (None, _parse_float_or_none, POSITIVE),  # none -> 0.8*l_s*f_thr
+    "gains.kp_pos": (2.0, float, NON_NEGATIVE),
+    "gains.kd_pos": (8.0, float, NON_NEGATIVE),
+    "gains.kp_att": (0.4, float, NON_NEGATIVE),
+    "gains.kd_att": (1.2, float, NON_NEGATIVE),
+    "ctrl.n_slots": (10, int, AT_LEAST_ONE),
+    "ctrl.feed_forward": (True, _parse_bool, None),
+    "sim.physics_dt": (0.01, float, POSITIVE),
+    "sim.control_hz": (10.0, float, POSITIVE),
+    "sim.tail": (5.0, float, None),
+    "sim.duration": (None, _parse_float_or_none, None),
+    "sim.mismatch_fraction": (0.0, float, FRACTION),
+    "sim.disturbance_accel": (0.0, float, None),
+    "sweep1.omega_start": (0.035, float, None),
+    "sweep1.omega_step": (0.025, float, POSITIVE),
+    "sweep1.omega_stop": (2.0, float, None),
+    "sweep1.f_start": (0.03, float, POSITIVE),
+    "sweep1.f_step": (0.03, float, POSITIVE),
+    "sweep1.f_stop": (1.02, float, None),
+    "sweep1.max_candidates": (2, int, AT_LEAST_ONE),
+    "sweep1.min_duration": ("auto", _parse_float_or_auto, None),
+    "sweep1.goal_corotate": (True, _parse_bool, None),
+    "sweep2.theta_start_deg": (0.0, float, None),
+    "sweep2.theta_step_deg": (30.0, float, POSITIVE),
+    "sweep2.theta_stop_deg": (330.0, float, None),
+    "sweep2.omega_start": (0.05, float, None),
+    "sweep2.omega_step": (0.05, float, POSITIVE),
+    "sweep2.omega_stop": (2.0, float, None),
+    "sweep2.f_thr": (0.03, float, POSITIVE),
+    "sweep2.max_candidates": (2, int, AT_LEAST_ONE),
+    "sweep2.min_duration": ("auto", _parse_float_or_auto, None),
+    "sweep2.goal_corotate": (True, _parse_bool, None),
 }
 
 # Each sweep's two grid axes, outer first: (config key prefix, in degrees,
@@ -244,7 +257,7 @@ class RunConfig:
 
 def load_config(path: str | None) -> RunConfig:
     """Parse and validate a config file; None or empty means all defaults."""
-    values = {k: d for k, (d, _) in DEFAULTS.items()}
+    values = {k: d for k, (d, _, _) in DEFAULTS.items()}
     errors = []
     if path is not None:
         try:
@@ -285,40 +298,20 @@ def _validate(cfg: RunConfig, errors: list) -> None:
     for key in non_finite:
         errors.append(f"{key} must be finite (got {v[key]})")
     if non_finite:
-        return  # the range checks below assume finite values
-    for key in ("body.mass", "body.side_length", "layout.f_thr",
-                "target.side_length", "opt.dt", "sim.physics_dt",
-                "sim.control_hz", "sweep1.f_start", "sweep2.f_thr"):
-        if v[key] <= 0:
-            errors.append(f"{key} must be positive (got {v[key]})")
-    if v["body.inertia"] is not None and v["body.inertia"] <= 0:
-        errors.append("body.inertia must be positive")
-    if v["opt.w_goal"] < 0 or v["opt.w_u"] < 0 or v["opt.w_kin"] < 0:
-        errors.append("objective weights must be non-negative")
-    if v["kos.margin_fraction"] < 0:
-        errors.append("kos.margin_fraction must be non-negative")
-    if v["kos.dist_threshold_factor"] < 1.0:
-        errors.append("kos.dist_threshold_factor must be >= 1")
-    at = v["kos.angle_threshold"]
-    if at is not None and not (0.0 < at < math.pi / 2):
-        errors.append("kos.angle_threshold must lie in (0, pi/2)")
-    if v["ctrl.n_slots"] < 1:
-        errors.append("ctrl.n_slots must be >= 1")
-    if v["opt.max_candidates"] < 1:
-        errors.append("opt.max_candidates must be >= 1")
-    for sweep, axes in SWEEP_AXES.items():
-        if v[f"{sweep}.max_candidates"] < 1:
-            errors.append(f"{sweep}.max_candidates must be >= 1")
+        return  # the rules below assume finite values
+    for key, (_, _, rule) in DEFAULTS.items():
+        if rule is not None and v[key] not in (None, "auto") and not rule[0](v[key]):
+            errors.append(f"{key} {rule[1]} (got {v[key]})")
+    if not errors:  # the simulator's own checks assume every rule holds
+        try:
+            cfg.sim_config().steps_per_period()
+        except Exception as ex:
+            errors.append(str(ex))
+    for axes in SWEEP_AXES.values():
         for prefix, degrees, _ in axes:
-            start, step, stop = _axis_keys(prefix, degrees)
-            if v[step] <= 0:
-                errors.append(f"{step} must be positive")
+            start, _, stop = _axis_keys(prefix, degrees)
             if v[stop] < v[start]:
                 errors.append(f"{stop} must be >= {start}")
-    try:
-        cfg.sim_config().steps_per_period()
-    except Exception as ex:
-        errors.append(str(ex))
 
 
 def grid_values(start: float, step: float, stop: float) -> np.ndarray:
@@ -329,14 +322,6 @@ def grid_values(start: float, step: float, stop: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-def _terminal_errors(best):
-    """(position error [m], wrapped attitude residual [rad]) of a plan's last
-    knot against its goal."""
-    pos_err = float(np.hypot(best.states[-1, 0] - best.x_goal[0],
-                             best.states[-1, 1] - best.x_goal[1]))
-    return pos_err, abs(wrap_angle(best.states[-1, 2] - best.theta_finish))
-
 
 def cmd_plan(config_path, out_dir):
     cfg = load_config(config_path)
@@ -354,7 +339,7 @@ def cmd_plan(config_path, out_dir):
     switch = next((float(t) for t, s in zip(best.times, best.kos_states)
                    if s == KosState.STATE_II), None)
     goal, kinetic, effort = best.objective_breakdown
-    pos_err, att_err = _terminal_errors(best)
+    pos_err, att_err = terminal_errors(best, best.states[-1])
     lines = [
         "proxdock plan summary",
         f"  chosen duration      : {best.times[-1]:.2f} s "
@@ -418,7 +403,7 @@ def _sweep_point(values):
     try:
         best = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
         goal, kinetic, effort = best.objective_breakdown
-        pos_err, att_err = _terminal_errors(best)
+        pos_err, att_err = terminal_errors(best, best.states[-1])
         rec = dict(converged=1, duration=float(best.times[-1]),
                    objective=best.objective_value, goal=goal, kinetic=kinetic,
                    effort=effort, pos_err=pos_err, att_err=att_err, reason="")

@@ -111,8 +111,11 @@ def latch(states, delay: int = 0) -> np.ndarray:
 
     The final-approach classification latches: once its conditions have held,
     the zone is not re-inflated mid-capture.  states and the result are int
-    arrays of KosState values.
+    arrays of KosState values.  A negative delay would let the zone relax
+    before its conditions hold, so it is an error.
     """
+    if delay < 0:
+        raise ValueError(f"latch delay must be non-negative (got {delay})")
     sv = np.asarray(states)
     out = np.full(len(sv), KosState.STATE_I)
     hits = np.flatnonzero(sv == KosState.STATE_II)

@@ -135,6 +135,13 @@ class PlannedTrajectory:
         return states, self.wrenches[src] * scale**2
 
 
+def terminal_errors(plan: PlannedTrajectory, state) -> tuple[float, float]:
+    """(position error [m], wrapped attitude residual [rad]) of a chaser state
+    against a plan's goal."""
+    return (float(np.hypot(state[0] - plan.x_goal[0], state[1] - plan.x_goal[1])),
+            abs(wrap_angle(state[2] - plan.theta_finish)))
+
+
 # ---------------------------------------------------------------------------
 # variable layout: z = [x_0, w_0, x_1, w_1, ..., w_{N-1}, x_N]; the block view
 # z[:9N].reshape(N, 9) holds state k in columns 0-5 and wrench k in 6-8, and

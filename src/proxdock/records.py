@@ -39,6 +39,24 @@ def _fmt(v) -> str:
     return "%.17g" % float(v)
 
 
+def _cell(v) -> str:
+    """A data cell: ints as integers, "" as "-", other strings as they are,
+    everything else %.17g."""
+    if isinstance(v, float):  # np.float64 too; the common case comes first
+        return "%.17g" % v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v or "-"
+    return _fmt(v)
+
+
+def _write(path, header_lines, rows) -> None:
+    lines = header_lines + [" ".join(map(_cell, row)) for row in rows]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def _header(kind: str, config_lines, meta: dict, columns) -> list[str]:
     out = [f"# proxdock {kind} v{FORMAT_VERSION}"]
     out.append(f"# config_digest: {config_digest(config_lines)}")
@@ -73,6 +91,17 @@ def _parse_header(lines, kind: str):
     if columns is None:
         raise RecordError("missing columns manifest")
     return meta, config, columns
+
+
+def _read(path, kind: str, columns=None):
+    """(lines, meta, config, columns) of a record file of this kind; with
+    columns given, the file's manifest must equal them."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    meta, config, found = _parse_header(lines, kind)
+    if columns is not None and found != columns:
+        raise RecordError(f"unexpected {kind} columns: {found}")
+    return lines, meta, config, found
 
 
 def _data_block(lines, kind: str, ncols: int) -> np.ndarray:
@@ -128,24 +157,13 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
         lines += _primitive_lines(sched[0], 0.0, target.theta0, target.position, kos_cfg)
         lines += _primitive_lines(sched[-1], t_end, target.attitude(t_end),
                                   target.position, kos_cfg)
-    for k, t in enumerate(plan.times):
-        if k < plan.N:
-            w = plan.wrenches[k]
-        else:
-            w = [math.nan] * 3
-        row = [t, *plan.states[k], *w, sched[k], g[k]]
-        lines.append(" ".join(_fmt(v) if i != 10 else str(int(v))
-                              for i, v in enumerate(row)))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    wrenches = [*plan.wrenches, [math.nan] * 3]  # the final knot has no wrench
+    _write(path, lines, ([t, *plan.states[k], *wrenches[k], sched[k], g[k]]
+                         for k, t in enumerate(plan.times)))
 
 
 def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    meta, config, columns = _parse_header(lines, "trajectory")
-    if columns != TRAJECTORY_COLUMNS:
-        raise RecordError(f"unexpected trajectory columns: {columns}")
+    lines, meta, config, _ = _read(path, "trajectory", TRAJECTORY_COLUMNS)
     data = _data_block(lines, "trajectory", len(TRAJECTORY_COLUMNS))
     times = data[:, 0]
     states = data[:, 1:7]
@@ -195,20 +213,13 @@ def write_run_record(path, result, config_lines) -> None:
         "terminal_relative_speed": _fmt(result.terminal_relative_speed),
         "min_kos_distance": _fmt(result.min_kos_distance),
     }
-    lines = _header("run", config_lines, meta, RUN_COLUMNS)
-    for i, t in enumerate(result.times):
-        row = [t, *result.states[i], *result.relative_velocity[i], result.kos_distance[i]]
-        lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(path, _header("run", config_lines, meta, RUN_COLUMNS),
+           np.column_stack([result.times, result.states, result.relative_velocity,
+                            result.kos_distance]).tolist())
 
 
 def read_run_record(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    meta, config, columns = _parse_header(lines, "run")
-    if columns != RUN_COLUMNS:
-        raise RecordError(f"unexpected run columns: {columns}")
+    lines, meta, config, _ = _read(path, "run", RUN_COLUMNS)
     data = _data_block(lines, "run", len(RUN_COLUMNS))
     if not np.all(np.isfinite(data)):
         raise RecordError("non-finite value in the run record")
@@ -219,33 +230,16 @@ def read_run_record(path):
 
 def write_firing_sequence(path, result, config_lines) -> None:
     cols = ["t_slot"] + [f"u{i+1}" for i in range(8)]
-    lines = _header("firing", config_lines, {}, cols)
-    for i, t in enumerate(result.slot_times):
-        lines.append(_fmt(t) + " " + " ".join(str(int(v)) for v in result.firings[:, i]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(path, _header("firing", config_lines, {}, cols),
+           ([t, *f] for t, f in zip(result.slot_times.tolist(), result.firings.T.tolist())))
 
 
-def write_table(path, kind: str, columns, rows, config_lines, meta=None) -> None:
+def write_table(path, kind: str, columns, rows, config_lines) -> None:
     """Generic sweep table: rows are sequences aligned with columns."""
-    lines = _header(kind, config_lines, meta or {}, list(columns))
-    for row in rows:
-        parts = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                parts.append(str(int(v)))
-            elif isinstance(v, str):
-                parts.append(v if v else "-")
-            else:
-                parts.append(_fmt(v))
-        lines.append(" ".join(parts))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(path, _header(kind, config_lines, {}, columns), rows)
 
 
 def read_table(path, kind: str):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    meta, config, columns = _parse_header(lines, kind)
+    lines, meta, config, columns = _read(path, kind)
     rows = [ln.split() for ln in lines if ln and not ln.startswith("#")]
     return {"columns": columns, "rows": rows, "meta": meta, "config": config}

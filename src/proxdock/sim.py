@@ -19,9 +19,9 @@ from . import kos as koslib
 from .controller import (PdGains, body_to_world, continuous_duty, pwm_schedule,
                          tracking_error)
 from .dynamics import (BodyParams, TargetState, ThrusterLayout, default_layout,
-                       euler_step, total_wrench, wrap_angle)
+                       euler_step, total_wrench)
 from .kos import KosConfig
-from .optimizer import PlannedTrajectory
+from .optimizer import PlannedTrajectory, terminal_errors
 
 
 class ConfigMisaligned(ValueError):
@@ -163,6 +163,7 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
 
     relvel = relative_velocity_target_frame(states, times, target)
     g = kos_distance_series(states, times, target, kos_cfg)
+    pos_err, att_err = terminal_errors(plan, states[-1])
     return SimResult(
         times=times,
         states=states,
@@ -172,9 +173,8 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
         errors=errors,
         relative_velocity=relvel,
         kos_distance=g,
-        terminal_position_error=float(np.hypot(states[-1, 0] - plan.x_goal[0],
-                                               states[-1, 1] - plan.x_goal[1])),
-        terminal_attitude_error=abs(wrap_angle(states[-1, 2] - plan.theta_finish)),
+        terminal_position_error=pos_err,
+        terminal_attitude_error=att_err,
         terminal_relative_speed=float(np.hypot(*relvel[-1])),
         min_kos_distance=float(np.min(g)),
     )

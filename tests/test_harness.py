@@ -9,6 +9,7 @@ from proxdock.harness import (ConfigError, cmd_audit, cmd_plan, cmd_sweep1,
                               cmd_sweep2, cmd_track, grid_values, load_config,
                               main)
 from proxdock.kos import KosState
+from proxdock.optimizer import terminal_errors
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -54,11 +55,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{sweep}.max_candidates"):
             load_config(write(tmp_path, f"{sweep}.max_candidates = 0\n"))
 
-    @pytest.mark.parametrize("key,value", [("sweep1.f_start", "0"), ("sweep1.f_start", "-0.03"),
-                                           ("sweep2.f_thr", "0")])
-    def test_sweep_thrust_must_be_positive(self, tmp_path, key, value):
-        with pytest.raises(ConfigError, match=f"{key} must be positive"):
+    RULE_CASES = [
+        ("sweep1.f_start", "0", "must be positive (got 0.0)"),
+        ("sweep1.f_start", "-0.03", "must be positive (got -0.03)"),
+        ("sweep2.f_thr", "0", "must be positive (got 0.0)"),
+        ("opt.force_bound", "0", "must be positive (got 0.0)"),
+        ("opt.torque_bound", "-0.1", "must be positive (got -0.1)"),
+        ("opt.latch_delay", "-3", "must be non-negative (got -3.0)"),
+        ("seed", "-1", "must be non-negative (got -1)"),
+        ("sim.mismatch_fraction", "1.5", "must lie in [0, 1) (got 1.5)"),
+        ("gains.kp_pos", "-1", "must be non-negative (got -1.0)"),
+        ("ctrl.n_slots", "0", "must be >= 1 (got 0)"),
+        ("sim.control_hz", "0", "must be positive (got 0.0)"),
+    ]
+
+    @pytest.mark.parametrize("key,value,message", RULE_CASES,
+                             ids=[f"{key}-{value}" for key, value, _ in RULE_CASES])
+    def test_rule_violation_names_key(self, tmp_path, key, value, message):
+        # exactly one error line: the simulator's own checks, which would
+        # add a second line for a zero n_slots or control rate, stay silent
+        with pytest.raises(ConfigError) as ex:
             load_config(write(tmp_path, f"{key} = {value}\n"))
+        assert str(ex.value).splitlines() == ["config validation errors:",
+                                              f"  {key} {message}"]
 
     def test_bad_syntax_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
@@ -95,7 +114,7 @@ def test_terminal_attitude_residual_wrapped():
     # a last knot one full turn past theta_finish has reached its attitude
     s = np.array([[0.0, 0.0, 0.0, 0, 0, 0], [0.3, 0.4, 0.1 + 2 * math.pi, 0, 0, 0]])
     best = SimpleNamespace(states=s, x_goal=np.zeros(6), theta_finish=0.1)
-    pos_err, att_err = harness._terminal_errors(best)
+    pos_err, att_err = terminal_errors(best, s[-1])
     assert pos_err == pytest.approx(0.5, abs=1e-15)
     assert att_err <= 1e-15
 
@@ -375,6 +394,47 @@ class TestRecordFormat:
         assert "# config: body.mass = 10" in text
         assert "# columns: t x y theta" in text
         assert "# kos_primitive:" in text
+
+    def test_byte_layout_golden(self, tmp_path):
+        # hand-built values pin the layout apart from the solver: ints as
+        # integers, floats %.17g, "" as "-"
+        config = ["a = 1", "b = none"]
+        head = ("# config_digest: 639affd628e99717da59bf0514570e76"
+                "d8b2b42e445888e37f573be4b35ca906\n# config: a = 1\n# config: b = none\n")
+        result = SimpleNamespace(
+            times=np.array([0.0, 0.1]),
+            states=np.array([[1.0, 0.0, 0.5, 0.0, 0.0, 0.0], [0.9, 1e-20, 0.5, -1.0, 0.0, 0.0]]),
+            relative_velocity=np.array([[0.0, 0.25], [1 / 3, 0.0]]),
+            kos_distance=np.array([0.5, -2.5e-3]),
+            terminal_position_error=0.1, terminal_attitude_error=0.0,
+            terminal_relative_speed=1 / 3, min_kos_distance=-2.5e-3,
+            slot_times=np.array([0.0, 0.05]),
+            firings=np.array([[1, 0]] + [[0, 0]] * 6 + [[0, 1]], dtype=np.int8))
+        records.write_run_record(tmp_path / "r.txt", result, config)
+        records.write_firing_sequence(tmp_path / "f.txt", result, config)
+        records.write_table(tmp_path / "t.txt", "demo-points", ["i", "x", "y", "reason"],
+                            [[3, 0.1, math.nan, ""], [np.int64(-1), 2.0, -math.inf, "ok"]],
+                            config)
+        assert (tmp_path / "r.txt").read_text() == (
+            "# proxdock run v1\n" + head
+            + "# meta: terminal_position_error = 0.10000000000000001\n"
+            "# meta: terminal_attitude_error = 0\n"
+            "# meta: terminal_relative_speed = 0.33333333333333331\n"
+            "# meta: min_kos_distance = -0.0025000000000000001\n"
+            "# columns: t x y theta vx vy omega rel_vx rel_vy g\n"
+            "0 1 0 0.5 0 0 0 0 0.25 0.5\n"
+            "0.10000000000000001 0.90000000000000002 9.9999999999999995e-21 0.5 -1 0 0 "
+            "0.33333333333333331 0 -0.0025000000000000001\n")
+        assert (tmp_path / "f.txt").read_text() == (
+            "# proxdock firing v1\n" + head
+            + "# columns: t_slot u1 u2 u3 u4 u5 u6 u7 u8\n"
+            "0 1 0 0 0 0 0 0 0\n"
+            "0.050000000000000003 0 0 0 0 0 0 0 1\n")
+        assert (tmp_path / "t.txt").read_text() == (
+            "# proxdock demo-points v1\n" + head
+            + "# columns: i x y reason\n"
+            "3 0.10000000000000001 nan -\n"
+            "-1 2 -inf ok\n")
 
     def test_wrong_kind_rejected(self, planned, tmp_path):
         out, traj = planned

@@ -189,6 +189,8 @@ class TestClassify:
         assert latch(raw, delay=3).tolist() == [one] * 5 + [two] * 2
         assert latch(raw, delay=10).tolist() == [one] * 7
         assert latch([one] * 4, delay=1).tolist() == [one] * 4
+        with pytest.raises(ValueError, match="non-negative"):
+            latch(raw, delay=-1)
 
 
 class TestRegion:
