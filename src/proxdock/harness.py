@@ -53,7 +53,7 @@ def _parse_float_list(s: str):
     return tuple(float(v) for v in s.split(",") if v.strip())
 
 
-# Single-key rules: (test, message).  _validate applies a key's test to its
+# Single-key rules: (test, message).  _rule_error applies a key's test to its
 # value unless the value is None or "auto", and reports
 # "{key} {message} (got {value})" when the test fails.
 POSITIVE = (lambda v: v > 0, "must be positive")
@@ -107,8 +107,8 @@ DEFAULTS = {
     "ctrl.feed_forward": (True, _parse_bool, None),
     "sim.physics_dt": (0.01, float, POSITIVE),
     "sim.control_hz": (10.0, float, POSITIVE),
-    "sim.tail": (5.0, float, None),
-    "sim.duration": (None, _parse_float_or_none, None),
+    "sim.tail": (5.0, float, NON_NEGATIVE),
+    "sim.duration": (None, _parse_float_or_none, POSITIVE),  # none -> plan horizon + tail
     "sim.mismatch_fraction": (0.0, float, FRACTION),
     "sim.disturbance_accel": (0.0, float, None),
     "sweep1.omega_start": (0.035, float, None),
@@ -290,6 +290,14 @@ def load_config(path: str | None) -> RunConfig:
     return cfg
 
 
+def _rule_error(key: str, value) -> str | None:
+    """The message for a value that breaks its key's DEFAULTS rule, else None."""
+    rule = DEFAULTS[key][2]
+    if rule is not None and value not in (None, "auto") and not rule[0](value):
+        return f"{key} {rule[1]} (got {value})"
+    return None
+
+
 def _validate(cfg: RunConfig, errors: list) -> None:
     v = cfg.values
     non_finite = [key for key, val in v.items()
@@ -299,9 +307,7 @@ def _validate(cfg: RunConfig, errors: list) -> None:
         errors.append(f"{key} must be finite (got {v[key]})")
     if non_finite:
         return  # the rules below assume finite values
-    for key, (_, _, rule) in DEFAULTS.items():
-        if rule is not None and v[key] not in (None, "auto") and not rule[0](v[key]):
-            errors.append(f"{key} {rule[1]} (got {v[key]})")
+    errors.extend(filter(None, (_rule_error(key, v[key]) for key in DEFAULTS)))
     if not errors:  # the simulator's own checks assume every rule holds
         try:
             cfg.sim_config().steps_per_period()
@@ -329,8 +335,7 @@ def cmd_plan(config_path, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     template = cfg.opt_template()
     t0 = time.perf_counter()
-    best, all_results = plan(cfg["opt.theta_approach"], template,
-                             collect_all=True, **cfg.plan_kwargs())
+    best, all_results = plan(cfg["opt.theta_approach"], template, **cfg.plan_kwargs())
     wall = time.perf_counter() - t0
     traj_path = out / "trajectory.txt"
     records.write_trajectory(traj_path, best, cfg.resolved_lines(),
@@ -371,6 +376,9 @@ def cmd_plan(config_path, out_dir):
 
 def cmd_track(traj_path, config_path, out_dir, seed=None):
     cfg = load_config(config_path)
+    seed_error = _rule_error("seed", seed)  # the --seed override obeys the config rule
+    if seed_error:
+        raise ConfigError(seed_error)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     loaded, info = records.read_trajectory(traj_path)
@@ -401,7 +409,7 @@ def _sweep_point(values):
     cfg = RunConfig(values)
     t0 = time.perf_counter()
     try:
-        best = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
+        best, _ = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
         goal, kinetic, effort = best.objective_breakdown
         pos_err, att_err = terminal_errors(best, best.states[-1])
         rec = dict(converged=1, duration=float(best.times[-1]),

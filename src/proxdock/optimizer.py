@@ -7,10 +7,10 @@ come from the smooth forms in `kos`, scheduled per knot as State I or II by an
 int array of KosState values (`OptProblem.kos_schedule`, None for all State I).
 
 The maneuver duration (a float, in seconds) is picked from
-rotation-phase-consistent candidates: each is solved (twice when the
-final-approach relaxation engages, the second pass restarting from the
-first's primal and multipliers) and the lowest-objective converged solution
-wins.
+rotation-phase-consistent candidates.  Each candidate is solved on its own
+from the default initial guess (twice when the final-approach relaxation
+engages, the second pass restarting at the same N from the first's primal
+and multipliers), and the lowest-objective converged solution wins.
 """
 from __future__ import annotations
 
@@ -100,7 +100,8 @@ class PlannedTrajectory:
     mu_final): lam has one entry per equality row, the circle eta is zero at
     knots without a circle constraint, and the lobe eta holds the positive
     side's N+1 knots, then the negative side's.  solve restarts from them
-    when warm-started at the same N; plans read from a file have None.
+    when it is given this plan as its initial guess; plans read from a file
+    have None.
     """
 
     times: np.ndarray
@@ -119,20 +120,6 @@ class PlannedTrajectory:
     @property
     def N(self) -> int:
         return len(self.wrenches)
-
-    def resampled(self, n_new: int) -> tuple[np.ndarray, np.ndarray]:
-        """Resample to a new horizon on normalized time.
-
-        The pose path is kept; rates scale by the horizon ratio and wrenches
-        by its square so the stretched trajectory stays dynamically consistent.
-        """
-        s_old = np.linspace(0.0, 1.0, self.N + 1)
-        s_new = np.linspace(0.0, 1.0, n_new + 1)
-        states = np.column_stack([np.interp(s_new, s_old, self.states[:, i]) for i in range(6)])
-        scale = self.N / n_new
-        states[:, 3:] *= scale
-        src = np.minimum((np.arange(n_new) * self.N) // n_new, self.N - 1)
-        return states, self.wrenches[src] * scale**2
 
 
 def terminal_errors(plan: PlannedTrajectory, state) -> tuple[float, float]:
@@ -363,24 +350,28 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
           *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500, max_inner=200) -> PlannedTrajectory:
     """Solve one transcription to local optimality.
 
-    A guess at the same N that carries multipliers also restarts the
-    multiplier loop from them, with the penalty capped at _WARM_MU_CAP; a
-    guess at another N is resampled and gives the primal start only.
+    Without a guess the solve starts from default_initial_guess.  A guess
+    must be a plan at the problem's N (another N raises ValueError); its
+    knots give the primal start, and when it carries multipliers for the
+    same keep-out model the multiplier loop restarts from them, with the
+    penalty capped at _WARM_MU_CAP.
 
     Raises NotConvergedError / InfeasibleError (from proxdock.nlp) on failure.
     """
     tr = _Transcription(problem)
     warm = {}
-    if initial_guess is not None:
-        states, wrenches = initial_guess.resampled(problem.N)
-        z0 = pack_variables(states, wrenches)
-        if initial_guess.N == problem.N and initial_guess.multipliers is not None:
+    if initial_guess is None:
+        z0 = default_initial_guess(problem)
+    elif initial_guess.N != problem.N:
+        raise ValueError(f"initial guess has N = {initial_guess.N}, "
+                         f"the problem has N = {problem.N}")
+    else:
+        z0 = pack_variables(initial_guess.states, initial_guess.wrenches)
+        if initial_guess.multipliers is not None:
             lam0, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
             eta0 = np.concatenate([circle_eta[tr._circle_knots], lobe_eta])
             if len(eta0) == tr.m_in:  # same keep-out model
                 warm = dict(lam0=lam0, eta0=eta0, mu0=min(mu_final, _WARM_MU_CAP))
-    else:
-        z0 = default_initial_guess(problem)
     z, lam, eta, stats = solve_al(tr, z0, kkt_tol=kkt_tol, feas_tol=feas_tol,
                                   max_outer=max_outer, max_inner=max_inner, **warm)
     states, wrenches = unpack_variables(z, problem.N)
@@ -457,16 +448,15 @@ def build_goal_state(target: TargetState, theta_target_final: float, body: BodyP
 def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
          *, min_duration: float = 5.0, static_durations=(20.0, 40.0, 60.0, 80.0),
          capture_offset: float = 0.05, goal_corotate: bool = False,
-         latch_delay: float | str = "auto", warm_start: bool = True,
-         collect_all: bool = False):
-    """Duration search + two-pass keep-out scheduling; returns the best plan.
+         latch_delay: float | str = "auto"):
+    """Duration search + two-pass keep-out scheduling; returns (best, results).
 
-    Candidates are solved in ascending duration (warm-started from the
-    previous one unless warm_start=False); each converged solution whose
-    knots trigger the final-approach classification is re-solved with the
-    relaxed State II schedule latched from first satisfaction.  The converged
-    plan with the lowest objective wins; ties go to the shortest duration.
-    With collect_all=True returns (best, all_results) for sweep diagnostics.
+    Every candidate duration is solved on its own from default_initial_guess;
+    each converged solution whose knots trigger the final-approach
+    classification is re-solved with the relaxed State II schedule latched
+    from first satisfaction.  results holds the converged plans in ascending
+    duration; best is the one with the lowest objective, ties going to the
+    shortest duration.
     """
     target = template.target
     if target.omega == 0.0 and abs(wrap_angle(theta_approach - target.theta0)) > 1e-9:
@@ -486,7 +476,6 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
 
     results = []
     failures = []
-    prev = None
     for t_total in cands:
         N = max(2, int(round(t_total / template.dt)))
         T = N * template.dt
@@ -496,9 +485,8 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
         goal = build_goal_state(target, theta_t_final, template.body, theta_fin,
                                 capture_offset, corotate=goal_corotate)
         prob1 = replace(template, N=N, theta_finish=theta_fin, x_goal=goal, kos_schedule=None)
-        guess = prev if warm_start else None
         try:
-            sol = solve(prob1, guess)
+            sol = solve(prob1)
         except (NotConvergedError, InfeasibleError) as ex:
             failures.append(f"t={T:.2f}s pass1: {ex.stats.message}")
             continue
@@ -517,8 +505,6 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
                 except (NotConvergedError, InfeasibleError):
                     pass  # keep the conservative pass-1 plan
         results.append(sol)
-        if warm_start:
-            prev = sol
 
     if not results:
         raise AllCandidatesFailed(failures or ["candidate list was empty"])
@@ -527,6 +513,4 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
     for r in results[1:]:
         if r.objective_value < best.objective_value - 1e-9 * max(1.0, abs(best.objective_value)):
             best = r  # strictly better J; earlier (shorter) candidate wins ties
-    if collect_all:
-        return best, results
-    return best
+    return best, results

@@ -67,6 +67,8 @@ class TestLoadConfig:
         ("gains.kp_pos", "-1", "must be non-negative (got -1.0)"),
         ("ctrl.n_slots", "0", "must be >= 1 (got 0)"),
         ("sim.control_hz", "0", "must be positive (got 0.0)"),
+        ("sim.tail", "-100", "must be non-negative (got -100.0)"),
+        ("sim.duration", "-1", "must be positive (got -1.0)"),
     ]
 
     @pytest.mark.parametrize("key,value,message", RULE_CASES,
@@ -261,6 +263,13 @@ class TestPlanTrackCli:
         bogus = tmp_path / "t.txt"
         bogus.write_text(TRAJECTORY_HEAD + TRAJECTORY_ROWS)
         assert main(["track", str(bogus), "--out", str(tmp_path / "o")]) == 2
+
+    def test_track_seed_override_obeys_seed_rule(self, planned, tmp_path, capsys):
+        out, traj = planned
+        argv = ["track", str(traj), "--seed", "-1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative (got -1)\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweeps:

@@ -427,9 +427,10 @@ class TestWarmMultipliers:
             seen[0]["eta0"], np.concatenate([circle_eta[state_i], lobe_eta]))
         np.testing.assert_array_equal(seen[0]["lam0"], lam)
         assert seen[0]["mu0"] == min(mu_final, 1e5)
-        # a guess at another N is resampled and hands over no multipliers
-        solve(replace(p, N=60), sol)
-        assert not {"lam0", "eta0", "mu0"} & seen[1].keys()
+        # a guess at another N is refused before the multiplier loop starts
+        with pytest.raises(ValueError, match="N = 50"):
+            solve(replace(p, N=60), sol)
+        assert len(seen) == 1
 
     def test_keep_out_model_change_restarts_multipliers(self):
         # a guess from a problem with another constraint set hands over its
@@ -443,14 +444,14 @@ class TestWarmMultipliers:
         failed = []
 
         def solve_failing_warm(problem, initial_guess=None, **kwargs):
-            if initial_guess is not None and initial_guess.N == problem.N:
+            if initial_guess is not None:
                 failed.append(problem.N)
                 raise NotConvergedError(nlp.SolverStats(message="forced"))
             return real(problem, initial_guess, **kwargs)
 
         monkeypatch.setattr(optimizer, "solve", solve_failing_warm)
         best, results = plan(1.2, nominal_template(target=TargetState(omega=0.3)),
-                             max_candidates=2, collect_all=True)
+                             max_candidates=2)
         assert len(failed) == len(results) == 2
         for r in results:
             assert r.converged and r.solver_stats.message == "converged"
@@ -460,8 +461,7 @@ class TestWarmMultipliers:
 
 class TestPlan:
     def test_nominal_two_candidates(self):
-        best, results = plan(3 * math.pi / 4, nominal_template(),
-                             max_candidates=2, collect_all=True)
+        best, results = plan(3 * math.pi / 4, nominal_template(), max_candidates=2)
         assert len(results) == 2
         assert best.times[-1] == pytest.approx(86.4)
         assert best.objective_value == min(r.objective_value for r in results)
@@ -475,7 +475,7 @@ class TestPlan:
     def test_static_target_ladder(self):
         t = TargetState(omega=0.0, theta0=0.3)
         template = nominal_template(target=t, x_init=state(x=1.0))
-        best = plan(0.3, template, max_candidates=2, static_durations=(30.0, 60.0))
+        best, _ = plan(0.3, template, max_candidates=2, static_durations=(30.0, 60.0))
         assert best.converged
         assert best.times[-1] in (30.0, 60.0)
 
@@ -485,23 +485,19 @@ class TestPlan:
             plan(1.0, nominal_template(target=t), max_candidates=2)
 
     def test_matches_exhaustive_candidate_search(self):
-        # oracle: solve every candidate independently and take the lowest J
+        # oracle: plan each candidate alone; every candidate is solved from
+        # its own cold start, so each result equals its single-candidate
+        # plan bit for bit, and the best is the lowest J among them
         template = nominal_template(target=TargetState(omega=0.3))
-        best = plan(1.2, template, max_candidates=3, warm_start=False)
+        best, results = plan(1.2, template, max_candidates=3)
         cands = duration_candidates(TargetState(omega=0.3), 1.2, 3)
-        objs = []
-        for t_total in cands:
-            b = plan(1.2, template, max_candidates=1,
-                     min_duration=t_total - 1e-6, warm_start=False)
-            objs.append(b.objective_value)
-        assert best.objective_value == pytest.approx(min(objs), rel=1e-6)
-
-    def test_warm_start_agrees_with_cold(self):
-        template = nominal_template(target=TargetState(omega=0.3))
-        warm = plan(1.2, template, max_candidates=3, warm_start=True)
-        cold = plan(1.2, template, max_candidates=3, warm_start=False)
-        assert warm.times[-1] == cold.times[-1]
-        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-4)
+        assert len(results) == len(cands) == 3
+        for r, t_total in zip(results, cands):
+            alone, _ = plan(1.2, template, max_candidates=1, min_duration=t_total - 1e-6)
+            np.testing.assert_array_equal(r.states, alone.states)
+            np.testing.assert_array_equal(r.wrenches, alone.wrenches)
+            assert r.objective_value == alone.objective_value
+        assert best.objective_value == min(r.objective_value for r in results)
 
     def test_all_candidates_failed(self):
         template = nominal_template(wrench_min=wrench(), wrench_max=wrench())

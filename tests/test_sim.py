@@ -117,7 +117,7 @@ def nominal():
                        x_goal=state(), target=target, body=body,
                        kos_cfg=KosConfig())
     from proxdock.optimizer import OptProblem
-    best = plan(3 * math.pi / 4, OptProblem(**template_kw), max_candidates=2)
+    best, _ = plan(3 * math.pi / 4, OptProblem(**template_kw), max_candidates=2)
     return best, target
 
 
