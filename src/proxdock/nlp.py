@@ -3,9 +3,9 @@
 Outer loop: Powell-Hestenes-Rockafellar multiplier updates on the linear
 equalities (boundary + Euler defects) and the keep-out inequalities.  Inner
 loop: projected damped Newton over the wrench box bounds, with the Hessian
-assembled in symmetric lower-banded storage (the interleaved knot ordering
-gives bandwidth 14) and factored by LAPACK's banded Cholesky, so each Newton
-step is O(N).
+assembled in symmetric lower-banded storage (the problem's variable ordering
+sets the bandwidth: 6 for the planner's axis blocks) and factored by
+LAPACK's banded Cholesky, so each Newton step is O(N).
 
 The Newton matrix is the Gauss-Newton form of the merit's Hessian,
 diag(2q) + mu E^T E + mu sum grad g grad g^T over the keep-out constraints
@@ -36,10 +36,13 @@ lobes of pass 1 and drops the circle constraint at the State II knots.  If
 those dropped constraints were inactive at the pass-1 optimum (multiplier
 zero), the pass-1 point with the remaining multipliers already satisfies
 pass 2's KKT conditions: stationarity has the same terms, feasibility and
-complementarity are a subset.  The inner loop then exits at once, and the
-first multiplier update converges the solve with 0 Newton steps, as long as
-it moves lam (by mu0 h, h the pass-1 equality residual) too little to lift
-the KKT residual above kkt_tol.
+complementarity are a subset.  The inner loop then exits at once.  When it
+took no step and the start meets feas_tol on the violation and on the
+complementarity measure max|min(g, eta/mu)|, the start's projected KKT
+residual is tested with the given lam0/eta0 before the first multiplier
+update, which would move lam by mu0 h (h the pass-1 equality residual) and
+can lift that residual above kkt_tol.  So a restart at a converged point
+returns it after one outer iteration and 0 Newton steps.
 
 The problem object must expose::
 
@@ -294,6 +297,16 @@ def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
         v_measure = max(hinf, mixed)
         stats.constraint_violation = viol
         stats.mu_final = m.mu
+
+        if outer == 0 and nit == 0 and v_measure <= feas_tol:
+            # a feasible, complementary start (v_measure bounds viol too):
+            # test it with the given multipliers before the first update
+            # moves them
+            pk = projected_kkt_residual(prob, z, m.lam, m.eta)
+            if pk <= kkt_tol:
+                stats.kkt_residual = pk
+                stats.message = "converged"
+                return z, m.lam, m.eta, stats
 
         if v_measure <= feas_target:
             m.lam = m.lam - m.mu * h

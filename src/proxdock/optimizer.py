@@ -1,10 +1,12 @@
 """Direct transcription of the rendezvous problem and the duration search.
 
 Decision variables are the N+1 knot states and N inertial-frame wrenches,
-interleaved per knot so the transcription Hessian is banded.  The knot-to-knot
-defects reuse the exact forward-Euler map from `dynamics`; keep-out constraints
-come from the smooth forms in `kos`, scheduled per knot as State I or II by an
-int array of KosState values (`OptProblem.kos_schedule`, None for all State I).
+ordered by axis chain (translation block, then attitude block, knot-major
+inside each; see _layout) so the transcription Hessian is banded with
+bandwidth 6.  The knot-to-knot defects reuse the exact forward-Euler map
+from `dynamics`; keep-out constraints come from the smooth forms in `kos`,
+scheduled per knot as State I or II by an int array of KosState values
+(`OptProblem.kos_schedule`, None for all State I).
 
 The maneuver duration (a float, in seconds) is picked from
 rotation-phase-consistent candidates.  Each candidate is solved on its own
@@ -130,23 +132,42 @@ def terminal_errors(plan: PlannedTrajectory, state) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# variable layout: z = [x_0, w_0, x_1, w_1, ..., w_{N-1}, x_N]; the block view
-# z[:9N].reshape(N, 9) holds state k in columns 0-5 and wrench k in 6-8, and
-# z[9N:] is x_N.
+# variable layout.  Quantity j of a knot is numbered as in [state | wrench] =
+# [x, y, theta, vx, vy, omega, Fx, Fy, tau].  z holds one block per axis
+# chain, knot-major inside each block: first the translation block, [x, y,
+# vx, vy, Fx, Fy] per knot k < N and [x, y, vx, vy] at knot N, then the
+# attitude block, [theta, omega, tau] per knot and [theta, omega] at knot N.
+# Every Euler row and the objective stay on one chain and the keep-out
+# constraints read only x and y, so E^T E couples z entries at most 6 apart
+# (x_k to x_{k+1}) and the Newton matrix has bandwidth 6.  x and y must stay
+# adjacent: nlp puts the keep-out cross term on the first subdiagonal.
+_BLOCKS = ((0, 1, 3, 4, 6, 7), (2, 5, 8))
+
+
+def _layout(N: int) -> np.ndarray:
+    """Position in z of quantity j at knot k, as an (N+1, 9) int array; the
+    wrench columns of knot N, which has no wrench, hold -1."""
+    pos = np.full((N + 1, 9), -1)
+    start = 0
+    for cols in _BLOCKS:
+        w = len(cols)
+        pos[:, cols] = start + w * np.arange(N + 1)[:, None] + np.arange(w)
+        start += w * (N + 1) - sum(j >= 6 for j in cols)
+    pos[N, 6:] = -1
+    return pos
+
 
 def pack_variables(states: np.ndarray, wrenches: np.ndarray) -> np.ndarray:
-    N = len(wrenches)
-    z = np.empty(9 * N + 6)
-    knots = z[:9 * N].reshape(N, 9)
-    knots[:, :6] = states[:N]
-    knots[:, 6:] = wrenches
-    z[9 * N:] = states[N]
+    pos = _layout(len(wrenches))
+    z = np.empty(pos.max() + 1)
+    z[pos[:, :6]] = states
+    z[pos[:-1, 6:]] = wrenches
     return z
 
 
 def unpack_variables(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    knots = z[:9 * N].reshape(N, 9)
-    return np.vstack([knots[:, :6], z[9 * N:]]), knots[:, 6:].copy()
+    pos = _layout(N)
+    return z[pos[:, :6]], z[pos[:-1, 6:]]
 
 
 class _Transcription:
@@ -160,42 +181,42 @@ class _Transcription:
         self.problem = problem
         N, dt = problem.N, problem.dt
         self.N = N
-        self.n = 9 * N + 6
+        pos = _layout(N)
+        self.n = int(pos.max()) + 1
         goal = problem.x_goal
+        wpos = pos[:-1, 6:]
         q = np.zeros(self.n)
-        q_knots = q[:9 * N].reshape(N, 9)
-        q_knots[:, 3:6] = 0.5 * dt * problem.w_kin * np.array(
+        q[pos[:-1, 3:6]] = 0.5 * dt * problem.w_kin * np.array(
             [problem.body.mass, problem.body.mass, problem.body.inertia])
-        q_knots[:, 6:] = problem.w_u * dt
-        q[9 * N:] += problem.w_goal
+        q[wpos] = problem.w_u * dt
+        q[pos[N, :6]] += problem.w_goal
         self.q = q
         self.c = np.zeros(self.n)
-        self.c[9 * N:] = -2.0 * problem.w_goal * goal
+        self.c[pos[N, :6]] = -2.0 * problem.w_goal * goal
         self.c0 = problem.w_goal * float(goal @ goal)
 
         # box bounds: states free, wrenches boxed
         self.lb = np.full(self.n, -np.inf)
         self.ub = np.full(self.n, np.inf)
-        self.lb[:9 * N].reshape(N, 9)[:, 6:] = problem.wrench_min
-        self.ub[:9 * N].reshape(N, 9)[:, 6:] = problem.wrench_max
+        self.lb[wpos] = problem.wrench_min
+        self.ub[wpos] = problem.wrench_max
 
         # equality rows: initial state, Euler defects, terminal attitude
         A, Bw = euler_matrices(problem.body, dt)
         rows, cols, vals = [], [], []
         rhs = np.zeros(6 * N + 7)
         for j in range(6):
-            rows.append([j]); cols.append([j]); vals.append([1.0])
+            rows.append([j]); cols.append([pos[0, j]]); vals.append([1.0])
         rhs[:6] = problem.x_init
         k = np.arange(N)
         for j in range(6):
             r = 6 + 6 * k + j
-            rows.append(r); cols.append(9 * (k + 1) + j); vals.append(np.ones(N))
-            rows.append(r); cols.append(9 * k + j); vals.append(np.full(N, -1.0))
-            if j < 3:
-                rows.append(r); cols.append(9 * k + j + 3); vals.append(np.full(N, -A[j, j + 3]))
-            else:
-                rows.append(r); cols.append(9 * k + 6 + (j - 3)); vals.append(np.full(N, -Bw[j, j - 3]))
-        rows.append([6 + 6 * N]); cols.append([9 * N + 2]); vals.append([1.0])
+            rows.append(r); cols.append(pos[k + 1, j]); vals.append(np.ones(N))
+            rows.append(r); cols.append(pos[k, j]); vals.append(np.full(N, -1.0))
+            # rate (velocity or wrench) driving quantity j is quantity j + 3
+            rate = A[j, j + 3] if j < 3 else Bw[j, j - 3]
+            rows.append(r); cols.append(pos[k, j + 3]); vals.append(np.full(N, -rate))
+        rows.append([6 + 6 * N]); cols.append([pos[N, 2]]); vals.append([1.0])
         rhs[6 + 6 * N] = problem.theta_finish
         rows = np.concatenate([np.asarray(r) for r in rows])
         cols = np.concatenate([np.asarray(c) for c in cols])
@@ -211,9 +232,9 @@ class _Transcription:
         np.add.at(self._ete_banded, (r - c, c), v)
 
         # keep-out constraints: circle at State I knots, both lobes everywhere
-        self._build_kos()
+        self._build_kos(pos)
 
-    def _build_kos(self):
+    def _build_kos(self, pos):
         p = self.problem
         if p.kos_cfg is None:
             self.m_in = 0
@@ -232,14 +253,13 @@ class _Transcription:
         cos_th, sin_th = np.cos(th), np.sin(th)
         self._rs = rs
         self._circle_knots = circle_knots
-        self._lobe_knots = lobe_knots
         self._lobe_sides = lobe_sides
         self._lobe_cos = cos_th[lobe_knots]
         self._lobe_sin = sin_th[lobe_knots]
         self._center = p.target.position
         knots_all = np.concatenate([circle_knots, lobe_knots])
-        self.ineq_ix = 9 * knots_all
-        self.ineq_iy = 9 * knots_all + 1
+        self.ineq_ix = pos[knots_all, 0]
+        self.ineq_iy = pos[knots_all, 1]
         self.m_in = len(knots_all)
 
     def base_banded(self, mu: float) -> np.ndarray:
@@ -268,14 +288,14 @@ class _Transcription:
     def ineq_full(self, z):
         """Constraint values and gradients, as (g, gx, gy)."""
         nc = len(self._circle_knots)
+        xs, ys = z[self.ineq_ix], z[self.ineq_iy]
         g = np.empty(self.m_in)
         gx = np.empty(self.m_in)
         gy = np.empty(self.m_in)
         if nc:
-            g[:nc], gx[:nc], gy[:nc] = koslib.smooth_circle(
-                z[9 * self._circle_knots], z[9 * self._circle_knots + 1], self._center, self._rs)
+            g[:nc], gx[:nc], gy[:nc] = koslib.smooth_circle(xs[:nc], ys[:nc], self._center, self._rs)
         g[nc:], gx[nc:], gy[nc:] = koslib.smooth_lobe(
-            z[9 * self._lobe_knots], z[9 * self._lobe_knots + 1], self._lobe_cos, self._lobe_sin,
+            xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin,
             self._center, self._rs, self._rs / 2.0, self._lobe_sides)
         return g, gx, gy
 
@@ -284,12 +304,11 @@ class _Transcription:
         if self.m_in == 0:
             return np.zeros(0)
         nc = len(self._circle_knots)
+        xs, ys = z[self.ineq_ix], z[self.ineq_iy]
         g = np.empty(self.m_in)
         if nc:
-            g[:nc] = koslib.circle_value(z[9 * self._circle_knots], z[9 * self._circle_knots + 1],
-                                         self._center, self._rs)
-        xp, yp = koslib.target_frame(z[9 * self._lobe_knots], z[9 * self._lobe_knots + 1],
-                                     self._lobe_cos, self._lobe_sin, self._center)
+            g[:nc] = koslib.circle_value(xs[:nc], ys[:nc], self._center, self._rs)
+        xp, yp = koslib.target_frame(xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin, self._center)
         g[nc:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0, self._lobe_sides)
         return g
 

@@ -180,11 +180,40 @@ class TestConstraints:
 
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(2)
-        states = rng.normal(size=(7, 6))
-        wrenches = rng.normal(size=(6, 3))
-        s2, w2 = unpack_variables(pack_variables(states, wrenches), 6)
-        np.testing.assert_array_equal(states, s2)
-        np.testing.assert_array_equal(wrenches, w2)
+        for N in (2, 3, 6, 50):
+            states = rng.normal(size=(N + 1, 6))
+            wrenches = rng.normal(size=(N, 3))
+            z = pack_variables(states, wrenches)
+            assert z.shape == (9 * N + 6,)
+            s2, w2 = unpack_variables(z, N)
+            np.testing.assert_array_equal(states, s2)
+            np.testing.assert_array_equal(wrenches, w2)
+
+
+class TestLayout:
+    """The axis-blocked variable layout: translation chain first, then
+    attitude, which keeps the Newton matrix's bandwidth at 6."""
+
+    @pytest.mark.parametrize("N", [2, 3, 50])
+    def test_table_covers_every_variable_once(self, N):
+        pos = optimizer._layout(N)
+        assert pos.shape == (N + 1, 9)
+        assert np.all(pos[N, 6:] == -1)
+        np.testing.assert_array_equal(np.sort(pos[pos >= 0]), np.arange(9 * N + 6))
+
+    @pytest.mark.parametrize("N", [2, 3, 50])
+    @pytest.mark.parametrize("model", ["no_kos", "all_state_i", "mixed"])
+    def test_bandwidth_six(self, N, model):
+        p = simple_problem(N=N, kos=model != "no_kos")
+        if model == "mixed":
+            p = replace(p, kos_schedule=[KosState.STATE_I] * (N // 2 + 1)
+                        + [KosState.STATE_II] * (N - N // 2))
+        tr = _Transcription(p)
+        assert tr.bandwidth == 6
+        # nlp puts the keep-out cross term on the first subdiagonal
+        np.testing.assert_array_equal(tr.ineq_iy, tr.ineq_ix + 1)
+        if model != "no_kos":
+            assert tr.m_in > 0
 
 
 class TestValuePath:
@@ -390,10 +419,10 @@ class TestWarmMultipliers:
         p = simple_problem(N=50, kos=True)
         first = solve(p)
         again = solve(p, first).solver_stats
-        # the first multiplier update moves lam by mu0 * h; at the default
-        # feas_tol that alone lifts the KKT residual above kkt_tol, so one
-        # Newton step remains (a cold multiplier restart takes 21)
-        assert again.newton_iterations <= 1
+        # the start is tested with its own multipliers before the first
+        # update moves lam by mu0 * h, so no Newton step is taken (a cold
+        # multiplier restart takes 21)
+        assert again.newton_iterations == 0
         # with an equality residual too small to move lam, the re-solve
         # accepts its start as is
         tight = solve(p, feas_tol=1e-10)
