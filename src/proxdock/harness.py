@@ -2,10 +2,11 @@
 
 Config files are flat `key = value` text with dotted section names; an
 empty or missing file yields the nominal scenario.  The schema is the
-DEFAULTS table below: each key has a default, a parser and a rule column,
-either None or a (test, message) pair such as POSITIVE or FRACTION that
-load_config applies to every value but None and "auto".  Checks that span
-keys stay in _validate.  Subcommands: plan, track, sweep1, sweep2, audit.
+DEFAULTS table below: each key has a default, a ValueType (its parser and
+printer) and a rule column, either None or a (test, message) pair such as
+POSITIVE or FRACTION that load_config applies to every value but None and
+"auto".  Checks that span keys stay in _validate.  Subcommands: plan,
+track, sweep1, sweep2, audit.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import math
 import sys
 import time
 import traceback
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,16 +43,27 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_float_or_none(s: str):
-    return None if s.strip().lower() == "none" else float(s)
-
-
-def _parse_float_or_auto(s: str):
-    return "auto" if s.strip().lower() == "auto" else float(s)
-
-
 def _parse_float_list(s: str):
     return tuple(float(v) for v in s.split(",") if v.strip())
+
+
+# A config value type: parse reads a value from a `key = value` line and
+# show writes it back.
+ValueType = namedtuple("ValueType", "parse show")
+
+
+def _float_or(word: str, value) -> ValueType:
+    """A float, or word (in any case) standing for value."""
+    return ValueType(lambda s: value if s.strip().lower() == word else float(s),
+                     lambda v: word if v == value else "%.17g" % v)
+
+
+INT = ValueType(int, str)
+FLOAT = ValueType(float, lambda v: "%.17g" % v)
+FLOAT_OR_NONE = _float_or("none", None)
+FLOAT_OR_AUTO = _float_or("auto", "auto")
+FLOAT_LIST = ValueType(_parse_float_list, lambda v: ",".join("%g" % x for x in v))
+BOOL = ValueType(_parse_bool, lambda v: "true" if v else "false")
 
 
 # Single-key rules: (test, message).  _rule_error applies a key's test to its
@@ -62,74 +75,74 @@ AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 ACUTE = (lambda v: 0 < v < math.pi / 2, "must lie in (0, pi/2)")
 FRACTION = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
 
-# key -> (default value, parser, rule or None).  Defaults reproduce the
+# key -> (default value, ValueType, rule or None).  Defaults reproduce the
 # nominal scenario: 0.3 m cubes, chaser from (1, 0) m, target spinning at
 # 0.1 rad/s, approach attitude 3*pi/4, weights 100/10, 0.01 s physics at
 # 10 Hz control.
 DEFAULTS = {
-    "seed": (0, int, NON_NEGATIVE),
-    "body.mass": (10.0, float, POSITIVE),
-    "body.inertia": (None, _parse_float_or_none, POSITIVE),   # none -> mass*side^2/6
-    "body.side_length": (0.3, float, POSITIVE),
-    "layout.f_thr": (0.03, float, POSITIVE),
-    "target.side_length": (0.3, float, POSITIVE),
-    "target.omega": (0.1, float, None),
-    "target.theta0": (0.0, float, None),
-    "target.x": (0.0, float, None),
-    "target.y": (0.0, float, None),
-    "init.x": (1.0, float, None),
-    "init.y": (0.0, float, None),
-    "init.theta": (0.0, float, None),
-    "init.vx": (0.0, float, None),
-    "init.vy": (0.0, float, None),
-    "init.omega": (0.0, float, None),
-    "kos.margin_fraction": (0.10, float, NON_NEGATIVE),
-    "kos.dist_threshold_factor": (1.5, float, AT_LEAST_ONE),
-    "kos.angle_threshold": (None, _parse_float_or_none, ACUTE),  # none -> corner-safe gate
-    "opt.dt": (0.1, float, POSITIVE),
-    "opt.w_goal": (100.0, float, NON_NEGATIVE),
-    "opt.w_u": (10.0, float, NON_NEGATIVE),
-    "opt.w_kin": (1.0, float, NON_NEGATIVE),
-    "opt.theta_approach": (3.0 * math.pi / 4.0, float, None),
-    "opt.max_candidates": (2, int, AT_LEAST_ONE),
-    "opt.min_duration": (5.0, _parse_float_or_auto, None),
-    "opt.static_durations": ((20.0, 40.0, 60.0, 80.0), _parse_float_list, None),
-    "opt.capture_offset": (0.05, float, None),
-    "opt.goal_corotate": (False, _parse_bool, None),
-    "opt.latch_delay": ("auto", _parse_float_or_auto, NON_NEGATIVE),
-    "opt.force_bound": (None, _parse_float_or_none, POSITIVE),   # none -> f_thr
-    "opt.torque_bound": (None, _parse_float_or_none, POSITIVE),  # none -> 0.8*l_s*f_thr
-    "gains.kp_pos": (2.0, float, NON_NEGATIVE),
-    "gains.kd_pos": (8.0, float, NON_NEGATIVE),
-    "gains.kp_att": (0.4, float, NON_NEGATIVE),
-    "gains.kd_att": (1.2, float, NON_NEGATIVE),
-    "ctrl.n_slots": (10, int, AT_LEAST_ONE),
-    "ctrl.feed_forward": (True, _parse_bool, None),
-    "sim.physics_dt": (0.01, float, POSITIVE),
-    "sim.control_hz": (10.0, float, POSITIVE),
-    "sim.tail": (5.0, float, NON_NEGATIVE),
-    "sim.duration": (None, _parse_float_or_none, POSITIVE),  # none -> plan horizon + tail
-    "sim.mismatch_fraction": (0.0, float, FRACTION),
-    "sim.disturbance_accel": (0.0, float, None),
-    "sweep1.omega_start": (0.035, float, None),
-    "sweep1.omega_step": (0.025, float, POSITIVE),
-    "sweep1.omega_stop": (2.0, float, None),
-    "sweep1.f_start": (0.03, float, POSITIVE),
-    "sweep1.f_step": (0.03, float, POSITIVE),
-    "sweep1.f_stop": (1.02, float, None),
-    "sweep1.max_candidates": (2, int, AT_LEAST_ONE),
-    "sweep1.min_duration": ("auto", _parse_float_or_auto, None),
-    "sweep1.goal_corotate": (True, _parse_bool, None),
-    "sweep2.theta_start_deg": (0.0, float, None),
-    "sweep2.theta_step_deg": (30.0, float, POSITIVE),
-    "sweep2.theta_stop_deg": (330.0, float, None),
-    "sweep2.omega_start": (0.05, float, None),
-    "sweep2.omega_step": (0.05, float, POSITIVE),
-    "sweep2.omega_stop": (2.0, float, None),
-    "sweep2.f_thr": (0.03, float, POSITIVE),
-    "sweep2.max_candidates": (2, int, AT_LEAST_ONE),
-    "sweep2.min_duration": ("auto", _parse_float_or_auto, None),
-    "sweep2.goal_corotate": (True, _parse_bool, None),
+    "seed": (0, INT, NON_NEGATIVE),
+    "body.mass": (10.0, FLOAT, POSITIVE),
+    "body.inertia": (None, FLOAT_OR_NONE, POSITIVE),   # none -> mass*side^2/6
+    "body.side_length": (0.3, FLOAT, POSITIVE),
+    "layout.f_thr": (0.03, FLOAT, POSITIVE),
+    "target.side_length": (0.3, FLOAT, POSITIVE),
+    "target.omega": (0.1, FLOAT, None),
+    "target.theta0": (0.0, FLOAT, None),
+    "target.x": (0.0, FLOAT, None),
+    "target.y": (0.0, FLOAT, None),
+    "init.x": (1.0, FLOAT, None),
+    "init.y": (0.0, FLOAT, None),
+    "init.theta": (0.0, FLOAT, None),
+    "init.vx": (0.0, FLOAT, None),
+    "init.vy": (0.0, FLOAT, None),
+    "init.omega": (0.0, FLOAT, None),
+    "kos.margin_fraction": (0.10, FLOAT, NON_NEGATIVE),
+    "kos.dist_threshold_factor": (1.5, FLOAT, AT_LEAST_ONE),
+    "kos.angle_threshold": (None, FLOAT_OR_NONE, ACUTE),  # none -> corner-safe gate
+    "opt.dt": (0.1, FLOAT, POSITIVE),
+    "opt.w_goal": (100.0, FLOAT, NON_NEGATIVE),
+    "opt.w_u": (10.0, FLOAT, NON_NEGATIVE),
+    "opt.w_kin": (1.0, FLOAT, NON_NEGATIVE),
+    "opt.theta_approach": (3.0 * math.pi / 4.0, FLOAT, None),
+    "opt.max_candidates": (2, INT, AT_LEAST_ONE),
+    "opt.min_duration": (5.0, FLOAT_OR_AUTO, None),
+    "opt.static_durations": ((20.0, 40.0, 60.0, 80.0), FLOAT_LIST, None),
+    "opt.capture_offset": (0.05, FLOAT, None),
+    "opt.goal_corotate": (False, BOOL, None),
+    "opt.latch_delay": ("auto", FLOAT_OR_AUTO, NON_NEGATIVE),
+    "opt.force_bound": (None, FLOAT_OR_NONE, POSITIVE),   # none -> f_thr
+    "opt.torque_bound": (None, FLOAT_OR_NONE, POSITIVE),  # none -> 0.8*l_s*f_thr
+    "gains.kp_pos": (2.0, FLOAT, NON_NEGATIVE),
+    "gains.kd_pos": (8.0, FLOAT, NON_NEGATIVE),
+    "gains.kp_att": (0.4, FLOAT, NON_NEGATIVE),
+    "gains.kd_att": (1.2, FLOAT, NON_NEGATIVE),
+    "ctrl.n_slots": (10, INT, AT_LEAST_ONE),
+    "ctrl.feed_forward": (True, BOOL, None),
+    "sim.physics_dt": (0.01, FLOAT, POSITIVE),
+    "sim.control_hz": (10.0, FLOAT, POSITIVE),
+    "sim.tail": (5.0, FLOAT, NON_NEGATIVE),
+    "sim.duration": (None, FLOAT_OR_NONE, POSITIVE),  # none -> plan horizon + tail
+    "sim.mismatch_fraction": (0.0, FLOAT, FRACTION),
+    "sim.disturbance_accel": (0.0, FLOAT, None),
+    "sweep1.omega_start": (0.035, FLOAT, None),
+    "sweep1.omega_step": (0.025, FLOAT, POSITIVE),
+    "sweep1.omega_stop": (2.0, FLOAT, None),
+    "sweep1.f_start": (0.03, FLOAT, POSITIVE),
+    "sweep1.f_step": (0.03, FLOAT, POSITIVE),
+    "sweep1.f_stop": (1.02, FLOAT, None),
+    "sweep1.max_candidates": (2, INT, AT_LEAST_ONE),
+    "sweep1.min_duration": ("auto", FLOAT_OR_AUTO, None),
+    "sweep1.goal_corotate": (True, BOOL, None),
+    "sweep2.theta_start_deg": (0.0, FLOAT, None),
+    "sweep2.theta_step_deg": (30.0, FLOAT, POSITIVE),
+    "sweep2.theta_stop_deg": (330.0, FLOAT, None),
+    "sweep2.omega_start": (0.05, FLOAT, None),
+    "sweep2.omega_step": (0.05, FLOAT, POSITIVE),
+    "sweep2.omega_stop": (2.0, FLOAT, None),
+    "sweep2.f_thr": (0.03, FLOAT, POSITIVE),
+    "sweep2.max_candidates": (2, INT, AT_LEAST_ONE),
+    "sweep2.min_duration": ("auto", FLOAT_OR_AUTO, None),
+    "sweep2.goal_corotate": (True, BOOL, None),
 }
 
 # Each sweep's two grid axes, outer first: (config key prefix, in degrees,
@@ -156,21 +169,8 @@ class RunConfig:
         return self.values[key]
 
     def resolved_lines(self) -> list[str]:
-        out = []
-        for key in DEFAULTS:
-            v = self.values[key]
-            if isinstance(v, tuple):
-                s = ",".join("%g" % x for x in v)
-            elif v is None:
-                s = "none"
-            elif isinstance(v, bool):
-                s = "true" if v else "false"
-            elif isinstance(v, float):
-                s = "%.17g" % v
-            else:
-                s = str(v)
-            out.append(f"{key} = {s}")
-        return out
+        return [f"{key} = {vtype.show(self.values[key])}"
+                for key, (_, vtype, _) in DEFAULTS.items()]
 
     # ---- object builders -------------------------------------------------
     def body(self) -> BodyParams:
@@ -277,7 +277,7 @@ def load_config(path: str | None) -> RunConfig:
                 errors.append(f"line {lineno}: unknown key {key!r}")
                 continue
             try:
-                values[key] = DEFAULTS[key][1](val.strip())
+                values[key] = DEFAULTS[key][1].parse(val.strip())
             except ValueError as ex:
                 errors.append(f"line {lineno}: bad value for {key}: {ex}")
     if errors:
@@ -329,13 +329,27 @@ def grid_values(start: float, step: float, stop: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommands
 
+_POINT_COLUMNS = ["converged", "duration", "objective", "goal", "kinetic",
+                  "effort", "pos_err", "att_err", "wall_time", "reason"]
+
+
+def _plan_point(cfg: RunConfig):
+    """Plan cfg's scenario: (best plan, converged candidates, record), where
+    the record holds a converged point's _POINT_COLUMNS but wall_time."""
+    best, results = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
+    goal, kinetic, effort = best.objective_breakdown
+    pos_err, att_err = terminal_errors(best, best.states[-1])
+    return best, results, dict(converged=1, duration=float(best.times[-1]),
+                               objective=best.objective_value, goal=goal, kinetic=kinetic,
+                               effort=effort, pos_err=pos_err, att_err=att_err, reason="")
+
+
 def cmd_plan(config_path, out_dir):
     cfg = load_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    template = cfg.opt_template()
     t0 = time.perf_counter()
-    best, all_results = plan(cfg["opt.theta_approach"], template, **cfg.plan_kwargs())
+    best, all_results, rec = _plan_point(cfg)
     wall = time.perf_counter() - t0
     traj_path = out / "trajectory.txt"
     records.write_trajectory(traj_path, best, cfg.resolved_lines(),
@@ -343,19 +357,17 @@ def cmd_plan(config_path, out_dir):
 
     switch = next((float(t) for t, s in zip(best.times, best.kos_states)
                    if s == KosState.STATE_II), None)
-    goal, kinetic, effort = best.objective_breakdown
-    pos_err, att_err = terminal_errors(best, best.states[-1])
     lines = [
         "proxdock plan summary",
         f"  chosen duration      : {best.times[-1]:.2f} s "
         f"(of {len(all_results)} converged candidates)",
         f"  objective            : {best.objective_value:.6g}",
-        f"    goal term          : {goal:.6g}",
-        f"    kinetic term       : {kinetic:.6g}",
-        f"    effort term        : {effort:.6g}",
+        f"    goal term          : {rec['goal']:.6g}",
+        f"    kinetic term       : {rec['kinetic']:.6g}",
+        f"    effort term        : {rec['effort']:.6g}",
         f"  KOS switch to II     : {'%.2f s' % switch if switch is not None else 'never'}",
-        f"  terminal pos error   : {pos_err:.6g} m",
-        f"  terminal att residual: {att_err:.3g} rad",
+        f"  terminal pos error   : {rec['pos_err']:.6g} m",
+        f"  terminal att residual: {rec['att_err']:.3g} rad",
         f"  solver               : {best.solver_stats.outer_iterations} outer / "
         f"{best.solver_stats.newton_iterations} newton "
         f"({best.solver_stats.inner_stalls} stalled, "
@@ -404,26 +416,18 @@ def cmd_track(traj_path, config_path, out_dir, seed=None):
 
 
 def _sweep_point(values):
-    """Plan one grid point's config values as cmd_plan would; run in a worker
+    """Plan one grid point's config values as cmd_plan does; run in a worker
     process, returns a plain record dict."""
-    cfg = RunConfig(values)
     t0 = time.perf_counter()
     try:
-        best, _ = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
-        goal, kinetic, effort = best.objective_breakdown
-        pos_err, att_err = terminal_errors(best, best.states[-1])
-        rec = dict(converged=1, duration=float(best.times[-1]),
-                   objective=best.objective_value, goal=goal, kinetic=kinetic,
-                   effort=effort, pos_err=pos_err, att_err=att_err, reason="")
+        rec = _plan_point(RunConfig(values))[2]
     except Exception as ex:  # one failing point must not abort the sweep
         if isinstance(ex, AllCandidatesFailed):
             reason = str(ex.reasons[0])[:60].replace(" ", "_") if ex.reasons else "failed"
         else:
             traceback.print_exc(file=sys.stderr)
             reason = type(ex).__name__
-        rec = dict(converged=0, duration=math.nan, objective=math.nan,
-                   goal=math.nan, kinetic=math.nan, effort=math.nan,
-                   pos_err=math.nan, att_err=math.nan, reason=reason)
+        rec = dict.fromkeys(_POINT_COLUMNS, math.nan) | dict(converged=0, reason=reason)
     rec["wall_time"] = time.perf_counter() - t0
     return rec
 
@@ -433,10 +437,6 @@ def _run_points(tasks, parallel: int):
         return [_sweep_point(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=parallel) as pool:
         return list(pool.map(_sweep_point, tasks))
-
-
-_POINT_COLUMNS = ["converged", "duration", "objective", "goal", "kinetic",
-                  "effort", "pos_err", "att_err", "wall_time", "reason"]
 
 
 def _grid_sweep(cfg: RunConfig, out_dir, sweep: str, parallel: int, point,
@@ -531,47 +531,40 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="proxdock",
                                  description="close-range rendezvous planning and tracking")
     sub = ap.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="key=value config file")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
+    common.add_argument("--out", default="out", help="output directory")
 
-    def common(p):
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default="out", help="output directory")
-
-    p = sub.add_parser("plan", help="generate a trajectory")
-    common(p)
-    p = sub.add_parser("track", help="track a trajectory file in the simulator")
-    common(p)
+    p = sub.add_parser("plan", parents=[common], help="generate a trajectory")
+    p.set_defaults(run=lambda a: cmd_plan(a.config, a.out))
+    p = sub.add_parser("track", parents=[common],
+                       help="track a trajectory file in the simulator")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("trajectory", help="trajectory file from `plan`")
-    p = sub.add_parser("sweep1", help="target-spin x thrust sweep (case study 1)")
-    common(p)
+    p.set_defaults(run=lambda a: cmd_track(a.trajectory, a.config, a.out, a.seed))
+    p = sub.add_parser("sweep1", parents=[common],
+                       help="target-spin x thrust sweep (case study 1)")
     p.add_argument("--parallel", type=int, default=1)
-    p = sub.add_parser("sweep2", help="approach-attitude polar sweep (case study 2)")
-    common(p)
+    p.set_defaults(run=lambda a: cmd_sweep1(a.config, a.out, a.parallel))
+    p = sub.add_parser("sweep2", parents=[common],
+                       help="approach-attitude polar sweep (case study 2)")
     p.add_argument("--parallel", type=int, default=1)
-    p = sub.add_parser("audit", help="safety re-check of a run record")
+    p.set_defaults(run=lambda a: cmd_sweep2(a.config, a.out, a.parallel))
+    p = sub.add_parser("audit", parents=[config], help="safety re-check of a run record")
     p.add_argument("record", help="run record file from `track`")
-    p.add_argument("--config", default=None)
     p.add_argument("--fail-below", type=float, default=None)
+    p.set_defaults(run=lambda a: cmd_audit(a.record, a.config, a.fail_below))
 
     args = ap.parse_args(argv)
     try:
-        if args.command == "plan":
-            cmd_plan(args.config, args.out)
-        elif args.command == "track":
-            cmd_track(args.trajectory, args.config, args.out, args.seed)
-        elif args.command == "sweep1":
-            cmd_sweep1(args.config, args.out, args.parallel)
-        elif args.command == "sweep2":
-            cmd_sweep2(args.config, args.out, args.parallel)
-        elif args.command == "audit":
-            return cmd_audit(args.record, args.config, args.fail_below)
-    except (ConfigError, records.RecordError) as ex:
+        rc = args.run(args)
+    except (ConfigError, records.RecordError, AllCandidatesFailed) as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except AllCandidatesFailed as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    return 0
+        return 1 if isinstance(ex, AllCandidatesFailed) else 2
+    # audit returns its verdict as an exit code; the other commands return
+    # their results and fail by raising
+    return rc if args.command == "audit" else 0
 
 
 if __name__ == "__main__":

@@ -176,9 +176,7 @@ def signed_distance_batch(points, target_thetas, states, target_pos, cfg: KosCon
     rs = r_safe(cfg)
 
     rel = pts - pos
-    c, s = np.cos(th), np.sin(th)
-    xp = c * rel[:, 0] + s * rel[:, 1]
-    yp = -s * rel[:, 0] + c * rel[:, 1]
+    xp, yp = target_frame(pts[:, 0], pts[:, 1], np.cos(th), np.sin(th), pos)
     # both lobes share the ellipse; the active one is simply the side the
     # point is on, so one distance evaluation covers them (axis: both active)
     lobe = ellipse_distance(xp, yp, rs / 2.0, rs)

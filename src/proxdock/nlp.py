@@ -24,10 +24,10 @@ stats.message names the non-positive-definite Newton matrix.
 
 The inner loop has three other exits: the projected gradient is within the
 outer loop's current tolerance; a stall, where the accepted line-search
-step leaves the AL merit unchanged (or no trial lowers it), so the iterate
-sits at the merit's rounding floor; or max_inner Newton steps.  After a
-stall or the cap the outer multiplier/penalty update carries on.
-SolverStats counts the stalled and capped inner loops.
+step leaves the AL merit unchanged or none of its 40 halvings passes the
+Armijo test, so the iterate sits at the merit's rounding floor; or MAX_INNER
+Newton steps.  After a stall or the cap the outer multiplier/penalty update
+carries on.  SolverStats counts the stalled and capped inner loops.
 
 Warm start: lam0, eta0 and mu0 restart the outer loop from an earlier
 solve's multipliers instead of zeros and the default penalty.  The planner
@@ -41,7 +41,7 @@ took no step and the start meets feas_tol on the violation and on the
 complementarity measure max|min(g, eta/mu)|, the start's projected KKT
 residual is tested with the given lam0/eta0 before the first multiplier
 update, which would move lam by mu0 h (h the pass-1 equality residual) and
-can lift that residual above kkt_tol.  So a restart at a converged point
+can lift that residual above KKT_TOL.  So a restart at a converged point
 returns it after one outer iteration and 0 Newton steps.
 
 The problem object must expose::
@@ -68,13 +68,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+KKT_TOL = 1e-6     # projected KKT residual at convergence
+MAX_OUTER = 500    # multiplier/penalty updates before NotConvergedError
+MAX_INNER = 200    # Newton steps per inner loop
+MU_MAX = 1e12      # penalty ceiling
+
 
 @dataclass
 class SolverStats:
     outer_iterations: int = 0
     newton_iterations: int = 0
     inner_stalls: int = 0      # inner loops ended for lack of progress
-    inner_capped: int = 0      # inner loops that took max_inner Newton steps
+    inner_capped: int = 0      # inner loops that took MAX_INNER Newton steps
     kkt_residual: float = np.inf
     constraint_violation: float = np.inf
     mu_final: float = 0.0
@@ -158,21 +163,18 @@ def _assemble_banded(prob, m: _Multipliers, ineq, base):
     if ineq is not None:
         g, gx, gy = ineq
         act = m.eta - m.mu * g > 0.0
-        if np.any(act):
-            # iy == ix + 1 for every constraint (x, y adjacent in the layout),
-            # so the cross term lives on the first subdiagonal
-            ix = prob.ineq_ix[act]
-            iy = prob.ineq_iy[act]
-            gxa, gya = gx[act], gy[act]
-            np.add.at(ab[0], ix, m.mu * gxa * gxa)
-            np.add.at(ab[0], iy, m.mu * gya * gya)
-            np.add.at(ab[1], ix, m.mu * gxa * gya)
+        # iy == ix + 1 for every constraint (x, y adjacent in the layout),
+        # so the cross term lives on the first subdiagonal
+        ix = prob.ineq_ix[act]
+        iy = prob.ineq_iy[act]
+        gxa, gya = gx[act], gy[act]
+        np.add.at(ab[0], ix, m.mu * gxa * gxa)
+        np.add.at(ab[0], iy, m.mu * gya * gya)
+        np.add.at(ab[1], ix, m.mu * gxa * gya)
     return ab
 
 
 def _apply_active(ab, rhs, active_idx, bandwidth):
-    if len(active_idx) == 0:
-        return
     ab[0, active_idx] = 1.0
     for r in range(1, bandwidth + 1):
         ab[r, active_idx[active_idx + r < ab.shape[1]]] = 0.0
@@ -191,7 +193,7 @@ def _band_matvec(ab, d):
     return y
 
 
-def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
+def _inner_newton(prob, z, m: _Multipliers, base, tol):
     """Minimize the AL merit over the box; returns (z, Newton steps, exit).
 
     exit names the inner loop's exit (see the module docstring): "tol",
@@ -200,7 +202,7 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
     lb, ub = prob.lb, prob.ub
     bw = prob.bandwidth
     nit = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_INNER):
         f, grad, h, ineq = _al_value_grad(prob, z, m)
         pg, pinned = _projected_grad(z, grad, lb, ub)
         pgn = float(np.max(np.abs(pg))) if len(pg) else 0.0
@@ -232,15 +234,7 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
                 break
             alpha *= 0.5
         else:
-            # last resort: short projected gradient step
-            gn = max(1.0, pgn)
-            for expo in range(30):
-                zt = np.clip(z - (0.5**expo / gn) * pg, lb, ub)
-                ft = _al_value(prob, zt, m)
-                if ft < f:
-                    break
-            else:
-                return z, nit, "stall"
+            return z, nit, "stall"  # no trial lowered the merit
         z = zt
         if ft == f:
             # the merit's rounding floor: further steps only spin; the outer
@@ -249,16 +243,16 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol, max_iter):
     return z, nit, "cap"
 
 
-def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
-             max_inner=200, mu0=10.0, mu_max=1e12, lam0=None, eta0=None):
+def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
     """Run the augmented-Lagrangian loop; returns (z, lam, eta, stats).
 
-    lam0 and eta0 warm-start the equality and inequality multipliers (zeros
-    when None); with mu0 they restart the loop from an earlier solve's
-    multipliers (see the module docstring).
+    Converged means a constraint violation within feas_tol and a projected
+    KKT residual within KKT_TOL.  lam0 and eta0 warm-start the equality and
+    inequality multipliers (zeros when None); with mu0 they restart the loop
+    from an earlier solve's multipliers (see the module docstring).
 
-    Raises NotConvergedError when the iteration budget runs out and
-    InfeasibleError when the violation stalls at the penalty ceiling.
+    Raises NotConvergedError when MAX_OUTER iterations run out and
+    InfeasibleError when the violation stalls at the penalty ceiling MU_MAX.
     """
     z = np.clip(np.asarray(z0, dtype=float), prob.lb, prob.ub)
     lam = np.zeros(prob.E.shape[0]) if lam0 is None else np.array(lam0, dtype=float)
@@ -273,9 +267,9 @@ def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
     best_v = np.inf
     stall = 0
 
-    for outer in range(max_outer):
+    for outer in range(MAX_OUTER):
         stats.outer_iterations = outer + 1
-        z, nit, exit_ = _inner_newton(prob, z, m, base, tol=omega, max_iter=max_inner)
+        z, nit, exit_ = _inner_newton(prob, z, m, base, tol=omega)
         stats.newton_iterations += nit
         stats.inner_stalls += exit_ == "stall"
         stats.inner_capped += exit_ == "cap"
@@ -290,7 +284,6 @@ def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
             ginf = float(max(0.0, -np.min(g)))
             mixed = float(np.max(np.abs(np.minimum(g, m.eta / m.mu))))
         else:
-            g = np.zeros(0)
             ginf = 0.0
             mixed = 0.0
         viol = max(hinf, ginf)
@@ -303,7 +296,7 @@ def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
             # test it with the given multipliers before the first update
             # moves them
             pk = projected_kkt_residual(prob, z, m.lam, m.eta)
-            if pk <= kkt_tol:
+            if pk <= KKT_TOL:
                 stats.kkt_residual = pk
                 stats.message = "converged"
                 return z, m.lam, m.eta, stats
@@ -314,13 +307,13 @@ def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
                 m.eta = np.maximum(0.0, m.eta - m.mu * g)
             pk = projected_kkt_residual(prob, z, m.lam, m.eta)
             stats.kkt_residual = pk
-            if viol <= feas_tol and pk <= kkt_tol:
+            if viol <= feas_tol and pk <= KKT_TOL:
                 stats.message = "converged"
                 return z, m.lam, m.eta, stats
             feas_target = max(0.2 * feas_target, 0.5 * feas_tol)
-            omega = max(0.2 * omega, 0.3 * kkt_tol)
+            omega = max(0.2 * omega, 0.3 * KKT_TOL)
         else:
-            m.mu = min(10.0 * m.mu, mu_max)
+            m.mu = min(10.0 * m.mu, MU_MAX)
             base = prob.base_banded(m.mu)
             omega = max(omega, 1e-4)
 
@@ -329,7 +322,7 @@ def solve_al(prob, z0, *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500,
             stall = 0
         else:
             stall += 1
-        if m.mu >= mu_max and stall >= 5 and viol > feas_tol:
+        if m.mu >= MU_MAX and stall >= 5 and viol > feas_tol:
             stats.message = "violation stalled at mu_max"
             raise InfeasibleError(stats)
 

@@ -292,8 +292,7 @@ class _Transcription:
         g = np.empty(self.m_in)
         gx = np.empty(self.m_in)
         gy = np.empty(self.m_in)
-        if nc:
-            g[:nc], gx[:nc], gy[:nc] = koslib.smooth_circle(xs[:nc], ys[:nc], self._center, self._rs)
+        g[:nc], gx[:nc], gy[:nc] = koslib.smooth_circle(xs[:nc], ys[:nc], self._center, self._rs)
         g[nc:], gx[nc:], gy[nc:] = koslib.smooth_lobe(
             xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin,
             self._center, self._rs, self._rs / 2.0, self._lobe_sides)
@@ -301,13 +300,10 @@ class _Transcription:
 
     def ineq_values(self, z):
         """Constraint values only; bit for bit ineq_full(z)[0]."""
-        if self.m_in == 0:
-            return np.zeros(0)
         nc = len(self._circle_knots)
         xs, ys = z[self.ineq_ix], z[self.ineq_iy]
         g = np.empty(self.m_in)
-        if nc:
-            g[:nc] = koslib.circle_value(xs[:nc], ys[:nc], self._center, self._rs)
+        g[:nc] = koslib.circle_value(xs[:nc], ys[:nc], self._center, self._rs)
         xp, yp = koslib.target_frame(xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin, self._center)
         g[nc:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0, self._lobe_sides)
         return g
@@ -366,8 +362,8 @@ _WARM_MU_CAP = 1e5
 
 
 def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
-          *, kkt_tol=1e-6, feas_tol=1e-8, max_outer=500, max_inner=200) -> PlannedTrajectory:
-    """Solve one transcription to local optimality.
+          *, feas_tol=1e-8) -> PlannedTrajectory:
+    """Solve one transcription to a local optimum with violation <= feas_tol.
 
     Without a guess the solve starts from default_initial_guess.  A guess
     must be a plan at the problem's N (another N raises ValueError); its
@@ -391,8 +387,7 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
             eta0 = np.concatenate([circle_eta[tr._circle_knots], lobe_eta])
             if len(eta0) == tr.m_in:  # same keep-out model
                 warm = dict(lam0=lam0, eta0=eta0, mu0=min(mu_final, _WARM_MU_CAP))
-    z, lam, eta, stats = solve_al(tr, z0, kkt_tol=kkt_tol, feas_tol=feas_tol,
-                                  max_outer=max_outer, max_inner=max_inner, **warm)
+    z, lam, eta, stats = solve_al(tr, z0, feas_tol=feas_tol, **warm)
     states, wrenches = unpack_variables(z, problem.N)
     breakdown = tr.breakdown(states, wrenches)
     nc = len(tr._circle_knots)

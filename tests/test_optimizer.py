@@ -498,7 +498,7 @@ class TestPlan:
         assert KosState.STATE_II in best.kos_states
         first = int(np.flatnonzero(best.kos_states == KosState.STATE_II)[0])
         assert best.times[first] >= 0.9 * best.times[-1]
-        # no inner Newton loop spins up to max_inner on zero-progress steps
+        # no inner Newton loop spins up to MAX_INNER on zero-progress steps
         assert best.solver_stats.inner_capped == 0
 
     def test_static_target_ladder(self):
