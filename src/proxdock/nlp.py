@@ -5,7 +5,8 @@ equalities (boundary + Euler defects) and the keep-out inequalities.  Inner
 loop: projected damped Newton over the wrench box bounds, with the Hessian
 assembled in symmetric lower-banded storage (the problem's variable ordering
 sets the bandwidth: 6 for the planner's axis blocks) and factored by
-LAPACK's banded Cholesky, so each Newton step is O(N).
+LAPACK's banded Cholesky, so each Newton step is O(N).  Every vector dot
+product goes through dot, so no result depends on the BLAS thread count.
 
 The Newton matrix is the Gauss-Newton form of the merit's Hessian,
 diag(2q) + mu E^T E + mu sum grad g grad g^T over the keep-out constraints
@@ -73,6 +74,20 @@ MAX_OUTER = 500    # multiplier/penalty updates before NotConvergedError
 MAX_INNER = 200    # Newton steps per inner loop
 MU_MAX = 1e12      # penalty ceiling
 
+# OpenBLAS splits a ddot longer than this over threads, so its rounding,
+# and with it every iterate, would depend on the host's thread count.
+_DOT_CHUNK = 10_000
+
+
+def dot(a, b) -> float:
+    """a . b of two 1-D float arrays, in one ddot per chunk of at most
+    _DOT_CHUNK elements added left to right, so the result is the same on
+    any host; a single chunk gives exactly float(a @ b)."""
+    if len(a) <= _DOT_CHUNK:
+        return float(a @ b)
+    return sum(float(a[i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK])
+               for i in range(0, len(a), _DOT_CHUNK))
+
 
 @dataclass
 class SolverStats:
@@ -108,24 +123,24 @@ class _Multipliers:
 def _al_value(prob, z, m: _Multipliers):
     f = prob.objective_value(z)
     h = prob.E @ z - prob.e_rhs
-    f += 0.5 * m.mu * float(h @ h) - float(m.lam @ h)
+    f += 0.5 * m.mu * dot(h, h) - dot(m.lam, h)
     if prob.m_in:
         g = prob.ineq_values(z)
         a = np.maximum(0.0, m.eta - m.mu * g)
-        f += float(a @ a - m.eta @ m.eta) / (2.0 * m.mu)
+        f += (dot(a, a) - dot(m.eta, m.eta)) / (2.0 * m.mu)
     return f
 
 
 def _al_value_grad(prob, z, m: _Multipliers):
     f, grad = prob.objective_value_grad(z)
     h = prob.E @ z - prob.e_rhs
-    f += 0.5 * m.mu * float(h @ h) - float(m.lam @ h)
+    f += 0.5 * m.mu * dot(h, h) - dot(m.lam, h)
     grad = grad + prob.E.T @ (m.mu * h - m.lam)
     ineq = None
     if prob.m_in:
         ineq = g, gx, gy = prob.ineq_full(z)
         a = np.maximum(0.0, m.eta - m.mu * g)
-        f += float(a @ a - m.eta @ m.eta) / (2.0 * m.mu)
+        f += (dot(a, a) - dot(m.eta, m.eta)) / (2.0 * m.mu)
         np.add.at(grad, prob.ineq_ix, -a * gx)
         np.add.at(grad, prob.ineq_iy, -a * gy)
     return f, grad, h, ineq
@@ -225,7 +240,7 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol):
         for _ in range(40):
             zt = np.clip(z + alpha * d, lb, ub)
             step = zt - z
-            gs = float(grad @ step)
+            gs = dot(grad, step)
             if gs > 0:  # projection turned it uphill; shrink
                 alpha *= 0.5
                 continue

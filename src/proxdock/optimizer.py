@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import kos as koslib
 from .dynamics import BodyParams, TargetState, euler_matrices, wrap_angle
 from .kos import KosConfig, KosState
-from .nlp import (InfeasibleError, NotConvergedError, SolverStats, solve_al)
+from .nlp import InfeasibleError, NotConvergedError, SolverStats, dot, solve_al
 
 __all__ = [
     "OptProblem", "PlannedTrajectory", "AllCandidatesFailed",
@@ -269,7 +269,7 @@ class _Transcription:
         return ab
 
     def objective_value(self, z):
-        return float(z @ (self.q * z) + self.c @ z) + self.c0
+        return dot(z, self.q * z) + dot(self.c, z) + self.c0
 
     def objective_value_grad(self, z):
         return self.objective_value(z), 2.0 * self.q * z + self.c

@@ -69,6 +69,8 @@ class TestLoadConfig:
         ("sim.control_hz", "0", "must be positive (got 0.0)"),
         ("sim.tail", "-100", "must be non-negative (got -100.0)"),
         ("sim.duration", "-1", "must be positive (got -1.0)"),
+        ("sweep1.omega_stop", "0.01", "must be >= sweep1.omega_start"),
+        ("sweep2.theta_stop_deg", "-30", "must be >= sweep2.theta_start_deg"),
     ]
 
     @pytest.mark.parametrize("key,value,message", RULE_CASES,
@@ -80,6 +82,47 @@ class TestLoadConfig:
             load_config(write(tmp_path, f"{key} = {value}\n"))
         assert str(ex.value).splitlines() == ["config validation errors:",
                                               f"  {key} {message}"]
+
+    @pytest.mark.parametrize("key,value", [("body.mass", "heavy"), ("seed", "1.5"),
+                                           ("opt.goal_corotate", "maybe"),
+                                           ("opt.static_durations", "20,x")])
+    def test_unparsable_value_reports_line(self, tmp_path, key, value):
+        with pytest.raises(ConfigError) as ex:
+            load_config(write(tmp_path, f"# header\n{key} = {value}\n"))
+        assert str(ex.value).startswith(f"config parse errors:\n  line 2: bad value for {key}: ")
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(missing)
+        assert main(["plan", "--config", missing, "--out", str(tmp_path / "o")]) == 2
+        assert "error: cannot read config" in capsys.readouterr().err
+
+    def test_every_key_round_trips_through_resolved_lines(self, tmp_path):
+        # every key off its default: floats by an order-keeping affine map
+        # (sweep stops stay above their starts), a simulator timing that
+        # still divides evenly, the other value kinds by hand
+        values = {}
+        for key, (default, vtype, _) in harness.DEFAULTS.items():
+            if vtype is harness.BOOL:
+                values[key] = not default
+            elif vtype is harness.INT:
+                values[key] = default + 1
+            elif vtype is harness.FLOAT_LIST:
+                values[key] = (15.5, 30.0)
+            elif default in (None, "auto"):
+                values[key] = 0.375
+            elif vtype is harness.FLOAT_OR_AUTO:
+                values[key] = "auto"
+            else:
+                values[key] = 1.25 * default + 0.125
+        values.update({"sim.physics_dt": 0.005, "sim.control_hz": 20.0, "ctrl.n_slots": 5})
+        assert all(values[k] != d for k, (d, _, _) in harness.DEFAULTS.items())
+        lines = harness.RunConfig(values).resolved_lines()
+        cfg = load_config(write(tmp_path, "\n".join(lines) + "\n"))
+        assert cfg.values == values
+        assert all(type(cfg[k]) is type(v) for k, v in values.items())
+        assert cfg.resolved_lines() == lines
 
     def test_bad_syntax_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 2"):
@@ -172,6 +215,14 @@ class TestPlanTrackCli:
         assert cmd_audit(rec_path, None) == 0
         assert cmd_audit(rec_path, None, fail_below=result.min_kos_distance + 1.0) == 1
 
+    def test_track_warns_on_other_config(self, planned, tmp_path, capsys):
+        out, traj = planned
+        cmd_track(traj, write(tmp_path, "sim.tail = 2\n"), tmp_path / "o")
+        assert capsys.readouterr().err == \
+            "warning: tracking config differs from the planning config\n"
+        cmd_track(traj, None, tmp_path / "o")
+        assert capsys.readouterr().err == ""
+
     def test_track_byte_identical_reruns(self, planned, tmp_path):
         out, traj = planned
         a = tmp_path / "a"
@@ -215,16 +266,41 @@ class TestPlanTrackCli:
         bogus.write_text(TRAJECTORY_HEAD.replace(" v1", " vX") + TRAJECTORY_ROWS)
         assert main(["track", str(bogus), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("head,message", [
+        (TRAJECTORY_HEAD.replace(" v1", " v2"), "unsupported trajectory format version 2"),
+        ("# proxdock trajectory v1\n", "missing columns manifest"),
+        (TRAJECTORY_HEAD.replace(" g_min", " g"), "unexpected trajectory columns"),
+    ], ids=["newer_version", "no_columns", "other_columns"])
+    def test_track_rejects_bad_header(self, tmp_path, capsys, head, message):
+        bogus = tmp_path / "t.txt"
+        bogus.write_text(head + TRAJECTORY_ROWS)
+        assert main(["track", str(bogus), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows,message", [
+        (TRAJECTORY_ROWS.replace("0 0 0 1 0.5", "0 nan 0 1 0.5", 1),
+         "non-finite wrench rows before the final knot"),
+        (TRAJECTORY_ROWS.replace(" 1 0.5", " 3 0.5", 1), "kos_state must be 1 or 2"),
+    ], ids=["nan_wrench", "kos_state_3"])
+    def test_track_rejects_bad_trajectory_row(self, tmp_path, capsys, rows, message):
+        bogus = tmp_path / "t.txt"
+        bogus.write_text(TRAJECTORY_HEAD + rows)
+        assert rows != TRAJECTORY_ROWS
+        assert main(["track", str(bogus), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["track", "audit"])
-    @pytest.mark.parametrize("defect", ["non_numeric", "ragged", "non_finite"])
+    @pytest.mark.parametrize("defect", ["non_numeric", "ragged", "non_finite", "short"])
     def test_malformed_data_row_rejected(self, tmp_path, command, defect):
         head, columns = ((TRAJECTORY_HEAD, records.TRAJECTORY_COLUMNS) if command == "track"
                          else (RUN_HEAD, records.RUN_COLUMNS))
         row = " ".join(["0.5"] * len(columns))
         bad = {"non_numeric": row.replace("0.5", "abc", 1), "ragged": row + " 0.5",
-               "non_finite": row.replace(" 0.5", " nan", 1)}[defect]  # x = nan
+               "non_finite": row.replace(" 0.5", " nan", 1),  # x = nan
+               "short": row[:-4]}[defect]
         bogus = tmp_path / "r.txt"
-        bogus.write_text(head + row + "\n" + bad + "\n")
+        # "short" drops the last column from every row, so no row is ragged
+        bogus.write_text(head + (bad if defect == "short" else row) + "\n" + bad + "\n")
         if command == "track":
             argv = ["track", str(bogus), "--out", str(tmp_path / "o")]
         else:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +392,38 @@ class TestSolve:
         np.testing.assert_allclose(
             pack_variables(sol2.states, sol2.wrenches),
             pack_variables(sol.states, sol.wrenches), atol=5e-5)
+
+    # A spin-0.07 rendezvous at N = 1234 (the long candidate of the sweep1
+    # point omega = 0.07, f_thr = 0.12): n = 9N + 6 = 11 112 variables.
+    LONG_SOLVE = """
+import hashlib
+from proxdock.dynamics import BodyParams, TargetState, wrap_angle
+from proxdock.kos import KosConfig
+from proxdock.optimizer import OptProblem, build_goal_state, solve
+target, body, N = TargetState(omega=0.07), BodyParams(), 1234
+theta_t = target.attitude(N * 0.1)
+p = OptProblem(N=N, dt=0.1, x_init=[1.0, 0, 0, 0, 0, 0], theta_finish=wrap_angle(theta_t),
+               x_goal=build_goal_state(target, theta_t, body, wrap_angle(theta_t), corotate=True),
+               target=target, body=body, kos_cfg=KosConfig(),
+               wrench_min=[-0.12, -0.12, -0.0288], wrench_max=[0.12, 0.12, 0.0288])
+sol = solve(p)
+print(sol.solver_stats.newton_iterations,
+      hashlib.sha256(sol.states.tobytes() + sol.wrenches.tobytes()).hexdigest())
+"""
+
+    def test_long_horizon_solve_independent_of_blas_threads(self):
+        # Past n = 10 000 OpenBLAS would split each ddot over its threads and
+        # round differently per thread count; the solve must not notice.
+        src = str(Path(optimizer.__file__).resolve().parents[1])
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            run = subprocess.run([sys.executable, "-c", self.LONG_SOLVE], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            out.append(run.stdout)
+        assert out[0] == out[1]
 
     def test_infeasible_when_unactuated(self):
         p = simple_problem(N=20, wrench_min=wrench(), wrench_max=wrench(),
