@@ -62,7 +62,7 @@ INT = ValueType(int, str)
 FLOAT = ValueType(float, lambda v: "%.17g" % v)
 FLOAT_OR_NONE = _float_or("none", None)
 FLOAT_OR_AUTO = _float_or("auto", "auto")
-FLOAT_LIST = ValueType(_parse_float_list, lambda v: ",".join("%g" % x for x in v))
+FLOAT_LIST = ValueType(_parse_float_list, lambda v: ",".join("%.17g" % x for x in v))
 BOOL = ValueType(_parse_bool, lambda v: "true" if v else "false")
 
 

@@ -80,13 +80,20 @@ _DOT_CHUNK = 10_000
 
 
 def dot(a, b) -> float:
-    """a . b of two 1-D float arrays, in one ddot per chunk of at most
-    _DOT_CHUNK elements added left to right, so the result is the same on
-    any host; a single chunk gives exactly float(a @ b)."""
-    if len(a) <= _DOT_CHUNK:
+    """a . b of two 1-D float arrays, the same on any host.
+
+    The arrays are cut into the fewest chunks of at most _DOT_CHUNK elements,
+    with sizes that differ by at most one and the larger ones first, and the
+    chunk ddots are added left to right.  One chunk gives exactly
+    float(a @ b).  Two chunks are the halves that a two-thread OpenBLAS
+    sums, in its order, so on such a host the result equals a @ b.
+    """
+    k = -(-len(a) // _DOT_CHUNK)
+    if k <= 1:
         return float(a @ b)
-    return sum(float(a[i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK])
-               for i in range(0, len(a), _DOT_CHUNK))
+    q, r = divmod(len(a), k)
+    edges = [i * q + min(i, r) for i in range(k + 1)]
+    return sum(float(a[lo:hi] @ b[lo:hi]) for lo, hi in zip(edges, edges[1:]))
 
 
 @dataclass

@@ -109,7 +109,7 @@ class TestLoadConfig:
             elif vtype is harness.INT:
                 values[key] = default + 1
             elif vtype is harness.FLOAT_LIST:
-                values[key] = (15.5, 30.0)
+                values[key] = (15.5, 20.1234567)  # 20.1234567 needs 9 digits
             elif default in (None, "auto"):
                 values[key] = 0.375
             elif vtype is harness.FLOAT_OR_AUTO:

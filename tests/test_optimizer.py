@@ -425,6 +425,19 @@ print(sol.solver_stats.newton_iterations,
             out.append(run.stdout)
         assert out[0] == out[1]
 
+    @pytest.mark.parametrize("n", [0, 7, 10_000, 10_001, 20_000, 25_001])
+    def test_dot_chunks(self, n):
+        # the fewest chunks of <= 10 000, sizes within one, larger first
+        # (numpy's array_split), summed left to right
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        k = max(1, -(-n // 10_000))
+        parts = list(zip(np.array_split(a, k), np.array_split(b, k)))
+        assert max(len(x) for x, _ in parts) <= 10_000
+        assert nlp.dot(a, b) == sum(float(x @ y) for x, y in parts)
+        if k == 1:
+            assert nlp.dot(a, b) == float(a @ b)
+
     def test_infeasible_when_unactuated(self):
         p = simple_problem(N=20, wrench_min=wrench(), wrench_max=wrench(),
                            theta_finish=1.0)
