@@ -49,9 +49,8 @@ The problem object must expose::
 
     n, lb, ub                      decision size and box bounds
     E, e_rhs                       sparse equality Jacobian and rhs
-    bandwidth                      lower bandwidth of the Hessian
     base_banded(mu)                -> lower-banded constant objective Hessian
-                                      diagonal plus mu E^T E
+                                      diagonal plus mu E^T E, one row per band
     objective_value_grad(z)        -> (f, grad)
     objective_value(z)             -> f
     m_in, ineq_ix, ineq_iy         inequality count and variable indices
@@ -127,78 +126,65 @@ class _Multipliers:
     mu: float
 
 
-def _al_value(prob, z, m: _Multipliers):
-    f = prob.objective_value(z)
-    h = prob.E @ z - prob.e_rhs
-    f += 0.5 * m.mu * dot(h, h) - dot(m.lam, h)
-    if prob.m_in:
-        g = prob.ineq_values(z)
-        a = np.maximum(0.0, m.eta - m.mu * g)
-        f += (dot(a, a) - dot(m.eta, m.eta)) / (2.0 * m.mu)
-    return f
-
-
-def _al_value_grad(prob, z, m: _Multipliers):
-    f, grad = prob.objective_value_grad(z)
-    h = prob.E @ z - prob.e_rhs
-    f += 0.5 * m.mu * dot(h, h) - dot(m.lam, h)
-    grad = grad + prob.E.T @ (m.mu * h - m.lam)
-    ineq = None
-    if prob.m_in:
+def _merit(prob, z, m: _Multipliers, *, grad=False):
+    """The AL merit at z.  With grad, (merit, gradient, h, (g, gx, gy)): the
+    equality residual h = E z - e_rhs and the keep-out values and gradients
+    at z; without, the merit alone, from the value-only paths."""
+    if grad:
+        f, df = prob.objective_value_grad(z)
         ineq = g, gx, gy = prob.ineq_full(z)
-        a = np.maximum(0.0, m.eta - m.mu * g)
-        f += (dot(a, a) - dot(m.eta, m.eta)) / (2.0 * m.mu)
-        np.add.at(grad, prob.ineq_ix, -a * gx)
-        np.add.at(grad, prob.ineq_iy, -a * gy)
-    return f, grad, h, ineq
+    else:
+        f, g = prob.objective_value(z), prob.ineq_values(z)
+    h = prob.E @ z - prob.e_rhs
+    f += 0.5 * m.mu * dot(h, h) - dot(m.lam, h)
+    a = np.maximum(0.0, m.eta - m.mu * g)
+    f += (dot(a, a) - dot(m.eta, m.eta)) / (2.0 * m.mu)
+    if not grad:
+        return f
+    df = df + prob.E.T @ (m.mu * h - m.lam)
+    np.add.at(df, prob.ineq_ix, -a * gx)
+    np.add.at(df, prob.ineq_iy, -a * gy)
+    return f, df, h, ineq
 
 
 def _projected_grad(z, grad, lb, ub):
-    """(projected gradient, pinned mask): a variable is pinned when it sits
-    on a bound and its gradient points out of the box; its entry is zeroed."""
+    """(max |projected gradient|, pinned mask): a variable is pinned, and its
+    entry zeroed, when it sits on a bound and its gradient points out."""
     pinned = ((z <= lb + 1e-11) & (grad > 0)) | ((z >= ub - 1e-11) & (grad < 0))
-    pg = grad.copy()
+    pg = np.abs(grad)
     pg[pinned] = 0.0
-    return pg, pinned
+    return float(np.max(pg, initial=0.0)), pinned
 
 
 def projected_kkt_residual(prob, z, lam, eta) -> float:
     """Stationarity of the Lagrangian projected onto the box bounds."""
     _, grad = prob.objective_value_grad(z)
     r = grad - prob.E.T @ lam
-    if prob.m_in:
-        _, gx, gy = prob.ineq_full(z)
-        np.add.at(r, prob.ineq_ix, -eta * gx)
-        np.add.at(r, prob.ineq_iy, -eta * gy)
-    viol = np.abs(r)
-    at_lb = z <= prob.lb + 1e-11
-    at_ub = z >= prob.ub - 1e-11
-    viol[at_lb] = np.maximum(0.0, -r[at_lb])
-    viol[at_ub] = np.maximum(0.0, r[at_ub])
-    viol[at_lb & at_ub] = 0.0  # pinned variables satisfy stationarity trivially
-    return float(np.max(viol)) if len(viol) else 0.0
+    _, gx, gy = prob.ineq_full(z)
+    np.add.at(r, prob.ineq_ix, -eta * gx)
+    np.add.at(r, prob.ineq_iy, -eta * gy)
+    return _projected_grad(z, r, prob.lb, prob.ub)[0]
 
 
 def _assemble_banded(prob, m: _Multipliers, ineq, base):
     """base (diag + mu EtE) plus mu grad g grad g^T of the active inequalities."""
     ab = base.copy()
-    if ineq is not None:
-        g, gx, gy = ineq
-        act = m.eta - m.mu * g > 0.0
-        # iy == ix + 1 for every constraint (x, y adjacent in the layout),
-        # so the cross term lives on the first subdiagonal
-        ix = prob.ineq_ix[act]
-        iy = prob.ineq_iy[act]
-        gxa, gya = gx[act], gy[act]
-        np.add.at(ab[0], ix, m.mu * gxa * gxa)
-        np.add.at(ab[0], iy, m.mu * gya * gya)
-        np.add.at(ab[1], ix, m.mu * gxa * gya)
+    g, gx, gy = ineq
+    act = m.eta - m.mu * g > 0.0
+    # iy == ix + 1 for every constraint (x, y adjacent in the layout), so the
+    # cross term lives on the first subdiagonal
+    ix = prob.ineq_ix[act]
+    iy = prob.ineq_iy[act]
+    gxa, gya = gx[act], gy[act]
+    np.add.at(ab[0], ix, m.mu * gxa * gxa)
+    np.add.at(ab[0], iy, m.mu * gya * gya)
+    np.add.at(ab[1], ix, m.mu * gxa * gya)
     return ab
 
 
-def _apply_active(ab, rhs, active_idx, bandwidth):
+def _apply_active(ab, rhs, active_idx):
     ab[0, active_idx] = 1.0
-    for r in range(1, bandwidth + 1):
+    for r in range(1, ab.shape[0]):
         ab[r, active_idx[active_idx + r < ab.shape[1]]] = 0.0
         cols = active_idx - r
         ab[r, cols[cols >= 0]] = 0.0
@@ -216,29 +202,32 @@ def _band_matvec(ab, d):
 
 
 def _inner_newton(prob, z, m: _Multipliers, base, tol):
-    """Minimize the AL merit over the box; returns (z, Newton steps, exit).
+    """Minimize the AL merit over the box from z.
 
-    exit names the inner loop's exit (see the module docstring): "tol",
-    "stall", "cap", or "not_pd" when the Newton matrix fails to factor.
+    Returns (z, h, g, pgn, Newton steps, exit): h, the keep-out values g and
+    the projected AL-gradient norm pgn are those of the final z.  exit names
+    the inner loop's exit (see the module docstring): "tol", "stall", "cap",
+    or "not_pd" when the Newton matrix fails to factor.
     """
     lb, ub = prob.lb, prob.ub
-    bw = prob.bandwidth
     nit = 0
-    for _ in range(MAX_INNER):
-        f, grad, h, ineq = _al_value_grad(prob, z, m)
-        pg, pinned = _projected_grad(z, grad, lb, ub)
-        pgn = float(np.max(np.abs(pg))) if len(pg) else 0.0
-        if pgn <= tol:
-            return z, nit, "tol"
+    floor = False
+    while True:
+        f, grad, h, ineq = _merit(prob, z, m, grad=True)
+        pgn, pinned = _projected_grad(z, grad, lb, ub)
+        exit_ = ("stall" if floor else "cap" if nit == MAX_INNER
+                 else "tol" if pgn <= tol else None)
+        if exit_:
+            return z, h, ineq[0], pgn, nit, exit_
         nit += 1
         ab = _assemble_banded(prob, m, ineq, base)
         rhs = -grad
-        _apply_active(ab, rhs, np.flatnonzero(pinned), bw)
+        _apply_active(ab, rhs, np.flatnonzero(pinned))
 
         try:
             cb = cholesky_banded(ab, lower=True)
         except np.linalg.LinAlgError:
-            return z, nit, "not_pd"
+            return z, h, ineq[0], pgn, nit, "not_pd"
         d = cho_solve_banded((cb, True), rhs)
         # one refinement pass keeps steps accurate at large penalties
         d += cho_solve_banded((cb, True), rhs - _band_matvec(ab, d))
@@ -251,18 +240,16 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol):
             if gs > 0:  # projection turned it uphill; shrink
                 alpha *= 0.5
                 continue
-            ft = _al_value(prob, zt, m)
+            ft = _merit(prob, zt, m)
             if ft <= f + 1e-4 * gs:
                 break
             alpha *= 0.5
         else:
-            return z, nit, "stall"  # no trial lowered the merit
+            return z, h, ineq[0], pgn, nit, "stall"  # no trial lowered the merit
         z = zt
-        if ft == f:
-            # the merit's rounding floor: further steps only spin; the outer
-            # multiplier/penalty update takes over from here
-            return z, nit, "stall"
-    return z, nit, "cap"
+        # at the merit's rounding floor further steps only spin; the outer
+        # multiplier/penalty update takes over from here
+        floor = ft == f
 
 
 def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
@@ -291,7 +278,7 @@ def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
 
     for outer in range(MAX_OUTER):
         stats.outer_iterations = outer + 1
-        z, nit, exit_ = _inner_newton(prob, z, m, base, tol=omega)
+        z, h, g, pgn, nit, exit_ = _inner_newton(prob, z, m, base, tol=omega)
         stats.newton_iterations += nit
         stats.inner_stalls += exit_ == "stall"
         stats.inner_capped += exit_ == "cap"
@@ -299,15 +286,9 @@ def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
             stats.message = "Newton matrix not positive definite"
             raise NotConvergedError(stats)
 
-        h = prob.E @ z - prob.e_rhs
-        hinf = float(np.max(np.abs(h))) if len(h) else 0.0
-        if prob.m_in:
-            g = prob.ineq_values(z)
-            ginf = float(max(0.0, -np.min(g)))
-            mixed = float(np.max(np.abs(np.minimum(g, m.eta / m.mu))))
-        else:
-            ginf = 0.0
-            mixed = 0.0
+        hinf = float(np.max(np.abs(h), initial=0.0))
+        ginf = float(max(0.0, -np.min(g, initial=np.inf)))
+        mixed = float(np.max(np.abs(np.minimum(g, m.eta / m.mu)), initial=0.0))
         viol = max(hinf, ginf)
         v_measure = max(hinf, mixed)
         stats.constraint_violation = viol
@@ -325,11 +306,11 @@ def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
 
         if v_measure <= feas_target:
             m.lam = m.lam - m.mu * h
-            if prob.m_in:
-                m.eta = np.maximum(0.0, m.eta - m.mu * g)
-            pk = projected_kkt_residual(prob, z, m.lam, m.eta)
-            stats.kkt_residual = pk
-            if viol <= feas_tol and pk <= KKT_TOL:
+            m.eta = np.maximum(0.0, m.eta - m.mu * g)
+            # the AL gradient at z is the Lagrangian gradient at the updated
+            # multipliers, so pgn is z's projected KKT residual
+            stats.kkt_residual = pgn
+            if viol <= feas_tol and pgn <= KKT_TOL:
                 stats.message = "converged"
                 return z, m.lam, m.eta, stats
             feas_target = max(0.2 * feas_target, 0.5 * feas_tol)

@@ -235,29 +235,22 @@ class _Transcription:
         self._build_kos(pos)
 
     def _build_kos(self, pos):
+        """Set the keep-out constraint rows: the circle at the State I knots,
+        then each lobe at every knot, the positive side first.  Without a
+        keep-out config the knot sets are empty, so m_in is 0, ineq_full and
+        ineq_values return empty arrays and no row reads the nan r_safe."""
         p = self.problem
-        if p.kos_cfg is None:
-            self.m_in = 0
-            self._circle_knots = np.zeros(0, dtype=int)
-            self.ineq_ix = np.zeros(0, dtype=int)
-            self.ineq_iy = np.zeros(0, dtype=int)
-            return
-        N = self.N
-        tk = np.arange(N + 1) * p.dt
-        th = p.target.attitude(tk)
-        rs = koslib.r_safe(p.kos_cfg)
-        circle_knots = (np.arange(N + 1) if p.kos_schedule is None
-                        else np.flatnonzero(p.kos_schedule == KosState.STATE_I))
-        lobe_knots = np.tile(np.arange(N + 1), 2)
-        lobe_sides = np.repeat([1.0, -1.0], N + 1)
-        cos_th, sin_th = np.cos(th), np.sin(th)
-        self._rs = rs
+        knots = np.arange(self.N + 1 if p.kos_cfg is not None else 0)
+        circle_knots = (knots if p.kos_schedule is None
+                        else knots[p.kos_schedule[knots] == KosState.STATE_I])
+        th = p.target.attitude(knots * p.dt)
+        self._rs = koslib.r_safe(p.kos_cfg) if p.kos_cfg is not None else math.nan
         self._circle_knots = circle_knots
-        self._lobe_sides = lobe_sides
-        self._lobe_cos = cos_th[lobe_knots]
-        self._lobe_sin = sin_th[lobe_knots]
+        self._lobe_sides = np.repeat([1.0, -1.0], len(knots))
+        self._lobe_cos = np.tile(np.cos(th), 2)
+        self._lobe_sin = np.tile(np.sin(th), 2)
         self._center = p.target.position
-        knots_all = np.concatenate([circle_knots, lobe_knots])
+        knots_all = np.concatenate([circle_knots, knots, knots])
         self.ineq_ix = pos[knots_all, 0]
         self.ineq_iy = pos[knots_all, 1]
         self.m_in = len(knots_all)
