@@ -27,8 +27,19 @@ The inner loop has three other exits: the projected gradient is within the
 outer loop's current tolerance; a stall, where the accepted line-search
 step leaves the AL merit unchanged or none of its 40 halvings passes the
 Armijo test, so the iterate sits at the merit's rounding floor; or MAX_INNER
-Newton steps.  After a stall or the cap the outer multiplier/penalty update
+Newton steps.  They rank stall, cap, tol: a stall on the last step is a
+stall, and MAX_INNER steps are a cap even where the final point meets the
+tolerance.  After a stall or the cap the outer multiplier/penalty update
 carries on.  SolverStats counts the stalled and capped inner loops.
+
+Each iterate is evaluated once.  The inner loop hands the outer loop the
+equality residual h, the keep-out values g and the projected AL-gradient
+norm of its final point, and the outer loop reads violation and
+complementarity from them.  With the first-order update lam+ = lam - mu h,
+eta+ = max(0, eta - mu g), the AL gradient before the update is the
+Lagrangian gradient after it (Nocedal & Wright, 17.3), and bit for bit, as
+mu h - lam is exactly -(lam - mu h); so that norm is the final point's
+projected KKT residual.
 
 Warm start: lam0, eta0 and mu0 restart the outer loop from an earlier
 solve's multipliers instead of zeros and the default penalty.  The planner
@@ -56,6 +67,9 @@ The problem object must expose::
     m_in, ineq_ix, ineq_iy         inequality count and variable indices
     ineq_values(z)                 -> g
     ineq_full(z)                   -> (g, gx, gy)
+
+m_in may be 0, with empty index arrays, and ineq_values and ineq_full then
+return empty arrays: every path runs the same arithmetic on them.
 
 ineq_values is the value-only path used by line-search trials; it must equal
 ineq_full(z)[0] bit for bit, because the stall exit compares a trial merit

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from proxdock.dynamics import BodyParams, TargetState, euler_step, wrap_angle
 from proxdock.kos import (BLEND_BAND, KosConfig, KosState, classify, latch, r_safe,
                           signed_distance_batch)
-from proxdock import nlp, optimizer
+from proxdock import harness, nlp, optimizer
 from proxdock.nlp import InfeasibleError, NotConvergedError
 from proxdock.optimizer import (AllCandidatesFailed, OptProblem, build_goal_state,
                                 duration_candidates, pack_variables, plan, solve,
@@ -374,11 +374,28 @@ class TestSolve:
         # breakdown consistency
         assert sum(sol.objective_breakdown) == pytest.approx(sol.objective_value, rel=1e-9)
 
-    def test_kkt_and_feasibility_reported(self):
+    def test_kkt_and_feasibility_reported(self, monkeypatch):
+        seen = []
+        real = optimizer.solve_al
+
+        def spy(prob, z0, **kwargs):
+            seen.append((prob, real(prob, z0, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(optimizer, "solve_al", spy)
         p = simple_problem(N=30)
         sol = solve(p)
         assert sol.solver_stats.kkt_residual <= 1e-6
         assert sol.solver_stats.constraint_violation <= 1e-8
+        k = simple_problem(N=50, kos=True)
+        solve(k, solve(k))
+        # the reported residual is the returned point's, recomputed from the
+        # returned multipliers, bit for bit: without and with keep-out
+        # constraints, and for a restart at a converged point
+        assert len(seen) == 3
+        for prob, (z, lam, eta, stats) in seen:
+            pk = nlp.projected_kkt_residual(prob, z, lam, eta)
+            assert stats.kkt_residual.hex() == pk.hex()
 
     def test_weight_scaling_preserves_kkt_points(self):
         # scaling all three objective weights scales J and keeps the solution
@@ -438,11 +455,91 @@ print(sol.solver_stats.newton_iterations,
         if k == 1:
             assert nlp.dot(a, b) == float(a @ b)
 
+    def test_multiplier_shapes_checked(self):
+        tr = _Transcription(simple_problem(N=10, kos=True))
+        z0 = optimizer.default_initial_guess(tr.problem)
+        for bad in (dict(lam0=np.zeros(3)), dict(eta0=np.zeros(tr.m_in + 1))):
+            with pytest.raises(ValueError, match="lam0/eta0 must match"):
+                nlp.solve_al(tr, z0, **bad)
+
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(nlp, "MAX_OUTER", 2)
+        with pytest.raises(NotConvergedError) as ex:
+            solve(simple_problem(N=30, kos=True))
+        assert ex.value.stats.message == "iteration budget exhausted"
+        assert ex.value.stats.outer_iterations == 2
+
     def test_infeasible_when_unactuated(self):
         p = simple_problem(N=20, wrench_min=wrench(), wrench_max=wrench(),
                            theta_finish=1.0)
         with pytest.raises((InfeasibleError,)):
             solve(p)
+
+
+class TestInnerExits:
+    """Each inner loop evaluates every iterate once and hands back the
+    equality residual, the keep-out values and the projected AL-gradient
+    norm of the point it ends at, whichever way it ends."""
+
+    @staticmethod
+    @pytest.fixture
+    def exits(monkeypatch):
+        """Spy on nlp._inner_newton: checks every return against a fresh
+        evaluation and records (gradient evaluations, Newton steps, exit)."""
+        seen = []
+        real_inner, real_merit = nlp._inner_newton, nlp._merit
+        evals = [0]
+
+        def merit(prob, z, m, *, grad=False):
+            evals[0] += grad
+            return real_merit(prob, z, m, grad=grad)
+
+        def spy(prob, z, m, base, tol):
+            evals[0] = 0
+            out = zf, h, g, pgn, nit, exit_ = real_inner(prob, z, m, base, tol)
+            _, grad, h2, (g2, _, _) = real_merit(prob, zf, m, grad=True)
+            assert h.tobytes() == h2.tobytes() and g.tobytes() == g2.tobytes()
+            assert pgn == nlp._projected_grad(zf, grad, prob.lb, prob.ub)[0]
+            # one evaluation per iterate: the point of a step that no trial
+            # accepted is the one evaluated last
+            assert evals[0] == nit + 1 or (evals[0] == nit and exit_ == "stall")
+            seen.append((evals[0], nit, exit_))
+            return out
+
+        monkeypatch.setattr(nlp, "_merit", merit)
+        monkeypatch.setattr(nlp, "_inner_newton", spy)
+        return seen
+
+    def test_cap(self, exits, monkeypatch):
+        monkeypatch.setattr(nlp, "MAX_INNER", 2)
+        with pytest.raises(InfeasibleError) as ex:
+            solve(simple_problem(N=30, kos=True))
+        stats = ex.value.stats
+        assert stats.inner_capped == sum(e == "cap" for _, _, e in exits) > 0
+        assert all((nit == 2) == (e == "cap") for _, nit, e in exits if e != "stall")
+        assert stats.newton_iterations == sum(nit for _, nit, _ in exits)
+
+    def test_cap_ranks_above_tol(self, exits, monkeypatch):
+        # a restart at a converged point meets the tolerance at once, but
+        # with MAX_INNER = 0 its inner loop ends as a cap
+        p = simple_problem(N=50, kos=True)
+        first = solve(p)
+        monkeypatch.setattr(nlp, "MAX_INNER", 0)
+        again = solve(p, first).solver_stats
+        assert exits[-1] == (1, 0, "cap")
+        assert (again.outer_iterations, again.newton_iterations, again.inner_capped) == (1, 0, 1)
+        assert again.message == "converged"
+
+    def test_both_stalls(self, exits):
+        # the sweep1 point omega = 0.36, f_thr = 0.99: its N = 65 candidate
+        # ends inner loops both where no backtracking trial passes the Armijo
+        # test and where an accepted step leaves the merit unchanged
+        cfg = harness.RunConfig({**harness.load_config(None).values,
+                                 "target.omega": 0.36, "layout.f_thr": 0.99,
+                                 "opt.min_duration": "auto", "opt.goal_corotate": True})
+        plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
+        stalls = [evals - nit for evals, nit, e in exits if e == "stall"]
+        assert 0 in stalls and 1 in stalls
 
 
 class TestWarmMultipliers:
