@@ -262,7 +262,7 @@ def load_config(path: str | None) -> RunConfig:
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as ex:
+        except (OSError, UnicodeDecodeError) as ex:
             raise ConfigError(f"cannot read config: {ex}") from ex
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -391,9 +391,9 @@ def cmd_track(traj_path, config_path, out_dir, seed=None):
     seed_error = _rule_error("seed", seed)  # the --seed override obeys the config rule
     if seed_error:
         raise ConfigError(seed_error)
+    loaded, info = records.read_trajectory(traj_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    loaded, info = records.read_trajectory(traj_path)
     if records.config_digest(cfg.resolved_lines()) != records.config_digest(info["config"]):
         print("warning: tracking config differs from the planning config", file=sys.stderr)
     sim_cfg = cfg.sim_config(seed=seed)

@@ -36,23 +36,19 @@ def config_digest(config_lines) -> str:
 
 
 def _fmt(v) -> str:
-    return "%.17g" % float(v)
-
-
-def _cell(v) -> str:
-    """A data cell: ints as integers, "" as "-", other strings as they are,
-    everything else %.17g."""
+    """A number or a data cell: ints as integers, "" as "-", other strings as
+    they are, everything else %.17g, which round-trips bit-exactly."""
     if isinstance(v, float):  # np.float64 too; the common case comes first
         return "%.17g" % v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, str):
         return v or "-"
-    return _fmt(v)
+    return "%.17g" % float(v)
 
 
 def _write(path, header_lines, rows) -> None:
-    lines = header_lines + [" ".join(map(_cell, row)) for row in rows]
+    lines = header_lines + [" ".join(map(_fmt, row)) for row in rows]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -96,8 +92,11 @@ def _parse_header(lines, kind: str):
 def _read(path, kind: str, columns=None):
     """(lines, meta, config, columns) of a record file of this kind; with
     columns given, the file's manifest must equal them."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as ex:
+        raise RecordError(f"cannot read {kind} record: {ex}") from None
     meta, config, found = _parse_header(lines, kind)
     if columns is not None and found != columns:
         raise RecordError(f"unexpected {kind} columns: {found}")

@@ -97,6 +97,25 @@ class TestLoadConfig:
             load_config(missing)
         assert main(["plan", "--config", missing, "--out", str(tmp_path / "o")]) == 2
         assert "error: cannot read config" in capsys.readouterr().err
+        # a directory, and a file that is not text
+        (tmp_path / "binary.cfg").write_bytes(bytes(range(128, 256)))
+        for path in (tmp_path, tmp_path / "binary.cfg"):
+            assert main(["plan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("sim.control_hz", "7", "control period 0.14285714285714285 not a multiple of physics_dt"),
+        ("ctrl.n_slots", "3", "n_slots=3 does not divide 10 steps/period"),
+    ], ids=["control_hz-7", "n_slots-3"])
+    def test_misaligned_timing_is_one_error(self, tmp_path, capsys, key, value, message):
+        # the simulator's own timing check, which names no key
+        path = write(tmp_path, f"{key} = {value}\n")
+        with pytest.raises(ConfigError) as ex:
+            load_config(path)
+        assert str(ex.value).splitlines() == ["config validation errors:", f"  {message}"]
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {ex.value}\n"
 
     def test_every_key_round_trips_through_resolved_lines(self, tmp_path):
         # every key off its default: floats by an order-keeping affine map
@@ -203,6 +222,16 @@ class TestPlanTrackCli:
         np.testing.assert_array_equal(loaded.states, loaded2.states)
         np.testing.assert_array_equal(loaded.wrenches, loaded2.wrenches)
         assert loaded.objective_value == loaded2.objective_value
+        # without a keep-out zone: no primitives, and g_min is inf by design
+        p3 = out / "no_zone.txt"
+        records.write_trajectory(p3, loaded, cfg.resolved_lines(), cfg.target(), None)
+        loaded3, _ = records.read_trajectory(p3)
+        np.testing.assert_array_equal(loaded.states, loaded3.states)
+        np.testing.assert_array_equal(loaded.wrenches, loaded3.wrenches)
+        text = p3.read_text()
+        assert "# kos_primitive:" not in text
+        rows = [ln.split() for ln in text.splitlines() if not ln.startswith("#")]
+        assert len(rows) == len(loaded.times) and all(r[-1] == "inf" for r in rows)
 
     def test_track_and_audit(self, planned, tmp_path):
         out, traj = planned
@@ -323,7 +352,8 @@ class TestPlanTrackCli:
         ("dt", "0"), ("dt", "-0.1"), ("dt", "nan"),
         ("x_goal", "nan 0 0 0 0 0"), ("x_goal", "1 2 3"),
         ("theta_finish", "inf"),
-        ("objective_value", "nan"), ("objective_effort", "inf")])
+        ("objective_value", "nan"), ("objective_effort", "inf"),
+        ("dt", "fast")])
     def test_track_rejects_bad_meta_value(self, planned, tmp_path, capsys, key, value):
         out, traj = planned
         text = traj.read_text()
@@ -334,6 +364,23 @@ class TestPlanTrackCli:
         assert bad.read_text() != text
         assert main(["track", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "audit"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_input_file(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "in.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "binary":
+            path.write_bytes(bytes(range(128, 256)))
+        out = tmp_path / "o"
+        argv = [command, str(path)] + (["--out", str(out)] if command == "track" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        kind_name = "trajectory" if command == "track" else "run"
+        assert err.startswith(f"error: cannot read {kind_name} record: ")
+        assert err.count("\n") == 1
+        assert not out.exists()  # track reads its input before it makes --out
 
     def test_track_rejects_missing_meta_key(self, tmp_path):
         bogus = tmp_path / "t.txt"
