@@ -1,9 +1,10 @@
 #!/bin/sh
-# Plan and track the nominal config with the src/ of a base commit and with
-# the working tree's src/, then write both sets of record digests as a
-# markdown table to $GITHUB_STEP_SUMMARY (stdout when unset), marking the
-# files that differ.  Report only: it exits 0 even when the outputs differ,
-# since a change may alter them on purpose.
+# Plan, track and audit the nominal config with the src/ of a base commit and
+# with the working tree's src/, then write both sets of record digests and
+# the plan and audit figures behind them as markdown tables to
+# $GITHUB_STEP_SUMMARY (stdout when unset), marking what differs.  Report
+# only: it exits 0 even when the outputs differ, since a change may alter
+# them on purpose; the figures show what an intended change did.
 #
 #     sh .github/behaviour-gate.sh <base commit>
 set -u
@@ -12,6 +13,13 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 summary=${GITHUB_STEP_SUMMARY:-/dev/stdout}
 digest() { [ -f "$1" ] && sha256sum "$1" | cut -d' ' -f1; }
+# the value after the colon of the first line of file $1 that starts with $2
+field() { [ -f "$1" ] && grep -m1 "^ *$2" "$1" | sed 's/^[^:]*: *//'; }
+row() {
+    mark=same
+    [ -n "$2" ] && [ "$2" = "$3" ] || mark="**differs**"
+    echo "| $1 | ${2:-missing} | ${3:-missing} | $mark |"
+}
 
 mkdir -p "$work/base"
 git archive "$base" src | tar -x -C "$work/base" || exit 0
@@ -19,8 +27,9 @@ for side in base head; do
     src=$([ "$side" = base ] && echo "$work/base/src" || echo "$PWD/src")
     out="$work/$side/out"
     PYTHONPATH=$src python -m proxdock plan --out "$out" > /dev/null &&
-        PYTHONPATH=$src python -m proxdock track "$out/trajectory.txt" --out "$out" > /dev/null ||
-        echo "$side: plan or track failed" >&2
+        PYTHONPATH=$src python -m proxdock track "$out/trajectory.txt" --out "$out" > /dev/null &&
+        PYTHONPATH=$src python -m proxdock audit "$out/run_record.txt" > "$out/audit.txt" ||
+        echo "$side: plan, track or audit failed" >&2
 done
 
 {
@@ -29,11 +38,16 @@ done
     echo "| file | base sha256 | head sha256 | |"
     echo "|---|---|---|---|"
     for f in trajectory.txt run_record.txt firing_sequence.txt; do
-        a=$(digest "$work/base/out/$f")
-        b=$(digest "$work/head/out/$f")
-        mark=same
-        [ -n "$a" ] && [ "$a" = "$b" ] || mark="**differs**"
-        echo "| $f | ${a:-missing} | ${b:-missing} | $mark |"
+        row "$f" "$(digest "$work/base/out/$f")" "$(digest "$work/head/out/$f")"
     done
+    echo
+    echo "| figure | base | head | |"
+    echo "|---|---|---|---|"
+    for key in "chosen duration" "objective" "solver"; do
+        row "plan: $key" "$(field "$work/base/out/plan_summary.txt" "$key")" \
+            "$(field "$work/head/out/plan_summary.txt" "$key")"
+    done
+    row "audit: min KOS signed distance" "$(field "$work/base/out/audit.txt" "min KOS")" \
+        "$(field "$work/head/out/audit.txt" "min KOS")"
 } >> "$summary"
 exit 0

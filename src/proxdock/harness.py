@@ -17,7 +17,7 @@ import time
 import traceback
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .controller import PdGains
 from .dynamics import BodyParams, TargetState, default_layout
 from .kos import KosConfig, KosState
 from .optimizer import AllCandidatesFailed, OptProblem, plan, terminal_errors
-from .sim import SimConfig, audit_safety, run
+from .sim import ConfigMisaligned, SimConfig, audit_safety, run
 
 
 class ConfigError(ValueError):
@@ -308,11 +308,18 @@ def _validate(cfg: RunConfig, errors: list) -> None:
     if non_finite:
         return  # the rules below assume finite values
     errors.extend(filter(None, (_rule_error(key, v[key]) for key in DEFAULTS)))
-    if not errors:  # the simulator's own checks assume every rule holds
+    if not errors:  # the simulator's timing checks assume every rule holds
+        sim = cfg.sim_config()
         try:
-            cfg.sim_config().steps_per_period()
-        except Exception as ex:
-            errors.append(str(ex))
+            steps = replace(sim, n_slots=1).steps_per_period()
+        except ConfigMisaligned:
+            errors.append(f"sim.control_hz must make the control period a multiple of "
+                          f"sim.physics_dt = {sim.physics_dt} (got {sim.control_hz}, "
+                          f"a period of {1.0 / sim.control_hz} s)")
+        else:
+            if steps % sim.n_slots:
+                errors.append(f"ctrl.n_slots must divide the {steps} physics steps per control "
+                              f"period set by sim.control_hz and sim.physics_dt (got {sim.n_slots})")
     for axes in SWEEP_AXES.values():
         for prefix, degrees, _ in axes:
             start, _, stop = _axis_keys(prefix, degrees)

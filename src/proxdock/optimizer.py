@@ -8,6 +8,22 @@ from `dynamics`; keep-out constraints come from the smooth forms in `kos`,
 scheduled per knot as State I or II by an int array of KosState values
 (`OptProblem.kos_schedule`, None for all State I).
 
+The transcription separates exactly into its two axis chains, and solve
+solves them apart (Betts, Practical Methods for Optimal Control, ch. 2).
+No equality row reads both blocks: the translation defects never see
+theta, omega or tau, and the attitude rows never see x, y or a force.  The
+objective is diagonal.  The keep-out constraints read only x and y, since
+`kos.r_safe` is the worst-case corner circle and the chaser's attitude
+never enters.  So the whole problem's KKT conditions are the two chains'
+side by side, and a KKT point of each chain is one of the whole.  The
+attitude chain, [theta, omega, tau] with the initial theta and omega rows,
+their Euler defects, the terminal-theta row and the torque box, is a
+box-constrained QP that nlp.solve_al solves with no keep-out constraint; the
+augmented-Lagrangian loop then runs on the translation chain, [x, y, vx,
+vy, Fx, Fy] with the keep-out constraints.  A pass-2 re-solve changes only
+the keep-out schedule, so its warm restart of the attitude chain returns
+the pass-1 columns after one outer iteration and no Newton step.
+
 The maneuver duration (a float, in seconds) is picked from
 rotation-phase-consistent candidates.  Each candidate is solved on its own
 from the default initial guess (twice when the final-approach relaxation
@@ -16,6 +32,7 @@ and multipliers), and the lowest-objective converged solution wins.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -222,6 +239,7 @@ class _Transcription:
         cols = np.concatenate([np.asarray(c) for c in cols])
         vals = np.concatenate([np.asarray(v, dtype=float) for v in vals])
         self.E = sp.csr_matrix((vals, (rows, cols)), shape=(6 * N + 7, self.n))
+        self.ET = self.E.T.tocsr()
         self.e_rhs = rhs
 
         ete = (self.E.T @ self.E).tocoo()
@@ -231,20 +249,28 @@ class _Transcription:
         self._ete_banded = np.zeros((self.bandwidth + 1, self.n))
         np.add.at(self._ete_banded, (r - c, c), v)
 
-        # keep-out constraints: circle at State I knots, both lobes everywhere
-        self._build_kos(pos)
+        # the axis chains: z splits at n_t into the translation and the
+        # attitude block, and each equality row reads one of them
+        n_t = int(pos[:, _BLOCKS[0]].max()) + 1
+        self.chain_cols = (slice(0, n_t), slice(n_t, self.n))
+        attitude_row = self.E.indices[self.E.indptr[:-1]] >= n_t
+        self.chain_rows = (np.flatnonzero(~attitude_row), np.flatnonzero(attitude_row))
 
-    def _build_kos(self, pos):
+        # keep-out constraints: circle at State I knots, both lobes everywhere
+        self._pos = pos
+        self._build_kos(problem.kos_cfg)
+
+    def _build_kos(self, kos_cfg):
         """Set the keep-out constraint rows: the circle at the State I knots,
         then each lobe at every knot, the positive side first.  Without a
         keep-out config the knot sets are empty, so m_in is 0, ineq_full and
         ineq_values return empty arrays and no row reads the nan r_safe."""
-        p = self.problem
-        knots = np.arange(self.N + 1 if p.kos_cfg is not None else 0)
+        p, pos = self.problem, self._pos
+        knots = np.arange(self.N + 1 if kos_cfg is not None else 0)
         circle_knots = (knots if p.kos_schedule is None
                         else knots[p.kos_schedule[knots] == KosState.STATE_I])
         th = p.target.attitude(knots * p.dt)
-        self._rs = koslib.r_safe(p.kos_cfg) if p.kos_cfg is not None else math.nan
+        self._rs = koslib.r_safe(kos_cfg) if kos_cfg is not None else math.nan
         self._circle_knots = circle_knots
         self._lobe_sides = np.repeat([1.0, -1.0], len(knots))
         self._lobe_cos = np.tile(np.cos(th), 2)
@@ -254,6 +280,28 @@ class _Transcription:
         self.ineq_ix = pos[knots_all, 0]
         self.ineq_iy = pos[knots_all, 1]
         self.m_in = len(knots_all)
+
+    def chain(self, b: int) -> "_Transcription":
+        """Axis chain b (0 translation, 1 attitude) as a problem of its own
+        over z[chain_cols[b]]: the equality rows chain_rows[b], the chain's
+        objective terms, which sum to the objective over both chains, and
+        for the translation chain the keep-out constraints, whose indices
+        already point into its leading slice of z."""
+        cols, rows = self.chain_cols[b], self.chain_rows[b]
+        sub = copy.copy(self)
+        sub.n = cols.stop - cols.start
+        sub.q, sub.c, sub.lb, sub.ub = self.q[cols], self.c[cols], self.lb[cols], self.ub[cols]
+        goal = self.problem.x_goal[[j for j in _BLOCKS[b] if j < 6]]
+        sub.c0 = self.problem.w_goal * float(goal @ goal)
+        sub.E = self.E[rows][:, cols]
+        sub.ET = sub.E.T.tocsr()
+        sub.e_rhs = self.e_rhs[rows]
+        band = self._ete_banded[:, cols]
+        sub.bandwidth = int(np.flatnonzero(band.any(axis=1))[-1])
+        sub._ete_banded = band[:sub.bandwidth + 1]
+        if b == 1:
+            sub._build_kos(None)
+        return sub
 
     def base_banded(self, mu: float) -> np.ndarray:
         """diag(2q) + mu E^T E in lower-banded storage."""
@@ -364,10 +412,16 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
     same keep-out model the multiplier loop restarts from them, with the
     penalty capped at _WARM_MU_CAP.
 
-    Raises NotConvergedError / InfeasibleError (from proxdock.nlp) on failure.
+    The attitude chain is solved first, then the translation chain (see the
+    module docstring).  The plan's solver_stats sum the two runs' iteration,
+    stall and cap counts and take the larger KKT residual and violation;
+    mu_final is the translation chain's.
+
+    Raises NotConvergedError / InfeasibleError (from proxdock.nlp) on
+    failure, with the stats of the chain that failed.
     """
     tr = _Transcription(problem)
-    warm = {}
+    warm = None
     if initial_guess is None:
         z0 = default_initial_guess(problem)
     elif initial_guess.N != problem.N:
@@ -379,8 +433,25 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
             lam0, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
             eta0 = np.concatenate([circle_eta[tr._circle_knots], lobe_eta])
             if len(eta0) == tr.m_in:  # same keep-out model
-                warm = dict(lam0=lam0, eta0=eta0, mu0=min(mu_final, _WARM_MU_CAP))
-    z, lam, eta, stats = solve_al(tr, z0, feas_tol=feas_tol, **warm)
+                warm = lam0, eta0, min(mu_final, _WARM_MU_CAP)
+    z = np.empty(tr.n)
+    lam = np.empty(tr.E.shape[0])
+    runs = []
+    # the cheap attitude chain first, so a hopeless solve ends soonest; the
+    # translation chain holds every keep-out constraint (the attitude chain's
+    # m_in is 0), runs last and leaves eta, their multipliers
+    for b in (1, 0):
+        chain, cols, rows = tr.chain(b), tr.chain_cols[b], tr.chain_rows[b]
+        kw = {} if warm is None else dict(lam0=warm[0][rows], eta0=warm[1][:chain.m_in],
+                                          mu0=warm[2])
+        z[cols], lam[rows], eta, chain_stats = solve_al(chain, z0[cols], feas_tol=feas_tol, **kw)
+        runs.append(chain_stats)
+    att, stats = runs
+    stats = replace(
+        stats, **{k: getattr(att, k) + getattr(stats, k) for k in
+                  ("outer_iterations", "newton_iterations", "inner_stalls", "inner_capped")},
+        kkt_residual=max(att.kkt_residual, stats.kkt_residual),
+        constraint_violation=max(att.constraint_violation, stats.constraint_violation))
     states, wrenches = unpack_variables(z, problem.N)
     breakdown = tr.breakdown(states, wrenches)
     nc = len(tr._circle_knots)

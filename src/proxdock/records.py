@@ -8,6 +8,7 @@ non-finite data, except where a column holds it by design.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -35,20 +36,25 @@ def config_digest(config_lines) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@functools.lru_cache(maxsize=256)
+def _row_format(types: tuple) -> str:
+    """The %-format of a row whose cells have these types: ints as integers,
+    strings as they are, everything else %.17g, which round-trips
+    bit-exactly."""
+    return " ".join("%d" if issubclass(t, (int, np.integer))
+                    else "%s" if issubclass(t, str) else "%.17g" for t in types)
+
+
 def _fmt(v) -> str:
-    """A number or a data cell: ints as integers, "" as "-", other strings as
-    they are, everything else %.17g, which round-trips bit-exactly."""
-    if isinstance(v, float):  # np.float64 too; the common case comes first
-        return "%.17g" % v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v or "-"
-    return "%.17g" % float(v)
+    """One number, formatted as a row cell."""
+    return _row_format((type(v),)) % v
 
 
 def _write(path, header_lines, rows) -> None:
-    lines = header_lines + [" ".join(map(_fmt, row)) for row in rows]
+    lines = list(header_lines)
+    for row in rows:
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -234,8 +240,10 @@ def write_firing_sequence(path, result, config_lines) -> None:
 
 
 def write_table(path, kind: str, columns, rows, config_lines) -> None:
-    """Generic sweep table: rows are sequences aligned with columns."""
-    _write(path, _header(kind, config_lines, {}, columns), rows)
+    """Generic sweep table: rows are sequences aligned with columns; an
+    empty string is written as "-", so every row splits into its cells."""
+    _write(path, _header(kind, config_lines, {}, columns),
+           ([v or "-" if isinstance(v, str) else v for v in row] for row in rows))
 
 
 def read_table(path, kind: str):

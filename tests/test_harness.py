@@ -105,11 +105,13 @@ class TestLoadConfig:
             assert err.startswith("error: cannot read config") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key,value,message", [
-        ("sim.control_hz", "7", "control period 0.14285714285714285 not a multiple of physics_dt"),
-        ("ctrl.n_slots", "3", "n_slots=3 does not divide 10 steps/period"),
+        ("sim.control_hz", "7", "sim.control_hz must make the control period a multiple of "
+         "sim.physics_dt = 0.01 (got 7.0, a period of 0.14285714285714285 s)"),
+        ("ctrl.n_slots", "3", "ctrl.n_slots must divide the 10 physics steps per control "
+         "period set by sim.control_hz and sim.physics_dt (got 3)"),
     ], ids=["control_hz-7", "n_slots-3"])
     def test_misaligned_timing_is_one_error(self, tmp_path, capsys, key, value, message):
-        # the simulator's own timing check, which names no key
+        # the simulator's timing check, worded with the keys involved
         path = write(tmp_path, f"{key} = {value}\n")
         with pytest.raises(ConfigError) as ex:
             load_config(path)

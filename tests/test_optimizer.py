@@ -220,6 +220,52 @@ class TestLayout:
             assert tr.m_in > 0
 
 
+class TestChains:
+    """The transcription splits exactly into the translation chain and the
+    attitude chain, and solve solves them apart."""
+
+    @staticmethod
+    def attitude_columns(N):
+        pos = optimizer._layout(N)[:, [2, 5, 8]]
+        return np.sort(pos[pos >= 0])
+
+    @pytest.mark.parametrize("N", [2, 50])
+    def test_every_row_and_constraint_reads_one_chain(self, N):
+        p = simple_problem(N=N, kos=True)
+        tr = _Transcription(p)
+        cols, rows = tr.chain_cols, tr.chain_rows
+        np.testing.assert_array_equal(np.arange(tr.n)[cols[1]], self.attitude_columns(N))
+        np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(tr.E.shape[0]))
+        for b in (0, 1):
+            assert tr.E[rows[b]][:, cols[1 - b]].nnz == 0
+        assert np.all(tr.ineq_ix < cols[0].stop) and np.all(tr.ineq_iy < cols[0].stop)
+        # the chains' objectives sum to the whole one
+        z = np.random.default_rng(N).normal(size=tr.n)
+        parts = [tr.chain(b).objective_value(z[cols[b]]) for b in (0, 1)]
+        assert sum(parts) == pytest.approx(tr.objective_value(z), rel=1e-12)
+        assert (tr.chain(0).m_in, tr.chain(1).m_in) == (tr.m_in, 0)
+
+    def test_attitude_columns_solve_the_attitude_qp(self):
+        # a keep-out problem whose keep-out constraints are active and whose
+        # torque box stays slack: its attitude columns are the solution of
+        # the attitude block's equality-constrained QP, solved densely
+        p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
+                           x_goal=state(x=0.35, theta=0.4))
+        sol = solve(p)
+        assert np.count_nonzero(sol.multipliers[1]) + np.count_nonzero(sol.multipliers[2]) > 0
+        assert np.max(np.abs(sol.wrenches[:, 2])) < 0.5 * p.wrench_max[2]
+        tr = _Transcription(p)
+        att = self.attitude_columns(p.N)
+        E = tr.E.toarray()
+        rows = np.flatnonzero(np.any(E[:, att] != 0.0, axis=1))
+        A = E[np.ix_(rows, att)]
+        kkt = np.block([[np.diag(2.0 * tr.q[att]), A.T],
+                        [A, np.zeros((len(rows), len(rows)))]])
+        qp = np.linalg.solve(kkt, np.concatenate([-tr.c[att], tr.e_rhs[rows]]))[:len(att)]
+        np.testing.assert_allclose(pack_variables(sol.states, sol.wrenches)[att], qp,
+                                   rtol=0, atol=1e-6)
+
+
 class TestValuePath:
     """ineq_values(z) must equal ineq_full(z)[0] bit for bit: the inner loop
     compares merit values computed through both paths with ==."""
@@ -301,6 +347,35 @@ class TestNewtonMatrix:
         expected = np.diag(2.0 * tr.q) + mu * E.T @ E + mu * G[act].T @ G[act]
         assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.linalg.eigvalsh(H)[0] > 0.0
+
+    def test_one_solve_per_step_is_accurate_at_large_penalty(self, monkeypatch):
+        # each Newton step factors the matrix once and solves once, with no
+        # refinement pass; at mu = 1e8, with keep-out constraints active,
+        # the solve's relative residual |H d - r| / |r| stays within 1e-8
+        steps = []
+        real_chol, real_solve = nlp.cholesky_banded, nlp.cho_solve_banded
+
+        def chol(ab, **kwargs):
+            steps.append([ab.copy()])
+            return real_chol(ab, **kwargs)
+
+        def cho_solve(cb, rhs):
+            d = real_solve(cb, rhs)
+            steps[-1] += [rhs.copy(), d.copy()]
+            return d
+
+        monkeypatch.setattr(nlp, "cholesky_banded", chol)
+        monkeypatch.setattr(nlp, "cho_solve_banded", cho_solve)
+        p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
+                           x_goal=state(x=0.35, theta=0.4))
+        tr = _Transcription(p)
+        z0 = optimizer.default_initial_guess(p)[tr.chain_cols[0]]
+        z, lam, eta, stats = nlp.solve_al(tr.chain(0), z0, mu0=1e8)
+        assert stats.mu_final == 1e8 and np.any(eta > 0)
+        assert len(steps) == stats.newton_iterations > 0
+        for ab, rhs, d in steps:
+            H = self.dense_from_band(ab)
+            assert np.linalg.norm(H @ d - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 class TestFactorizationFailure:
@@ -391,8 +466,9 @@ class TestSolve:
         solve(k, solve(k))
         # the reported residual is the returned point's, recomputed from the
         # returned multipliers, bit for bit: without and with keep-out
-        # constraints, and for a restart at a converged point
-        assert len(seen) == 3
+        # constraints, and for a restart at a converged point, in both of
+        # each solve's solve_al runs (attitude chain, then translation chain)
+        assert len(seen) == 6
         for prob, (z, lam, eta, stats) in seen:
             pk = nlp.projected_kkt_residual(prob, z, lam, eta)
             assert stats.kkt_residual.hex() == pk.hex()
@@ -526,16 +602,17 @@ class TestInnerExits:
         first = solve(p)
         monkeypatch.setattr(nlp, "MAX_INNER", 0)
         again = solve(p, first).solver_stats
-        assert exits[-1] == (1, 0, "cap")
-        assert (again.outer_iterations, again.newton_iterations, again.inner_capped) == (1, 0, 1)
+        # one such inner loop per chain
+        assert exits[-2:] == [(1, 0, "cap")] * 2
+        assert (again.outer_iterations, again.newton_iterations, again.inner_capped) == (2, 0, 2)
         assert again.message == "converged"
 
     def test_both_stalls(self, exits):
-        # the sweep1 point omega = 0.36, f_thr = 0.99: its N = 65 candidate
-        # ends inner loops both where no backtracking trial passes the Armijo
-        # test and where an accepted step leaves the merit unchanged
+        # the sweep1 point omega = 1.66, f_thr = 0.27: its solves end inner
+        # loops both where no backtracking trial passes the Armijo test and
+        # where an accepted step leaves the merit unchanged
         cfg = harness.RunConfig({**harness.load_config(None).values,
-                                 "target.omega": 0.36, "layout.f_thr": 0.99,
+                                 "target.omega": 1.66, "layout.f_thr": 0.27,
                                  "opt.min_duration": "auto", "opt.goal_corotate": True})
         plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
         stalls = [evals - nit for evals, nit, e in exits if e == "stall"]
@@ -567,13 +644,14 @@ class TestWarmMultipliers:
         again = solve(p, first).solver_stats
         # the start is tested with its own multipliers before the first
         # update moves lam by mu0 * h, so no Newton step is taken (a cold
-        # multiplier restart takes 21)
+        # multiplier restart takes 32)
         assert again.newton_iterations == 0
         # with an equality residual too small to move lam, the re-solve
-        # accepts its start as is
+        # accepts its start as is: one outer iteration and no Newton step
+        # in each chain
         tight = solve(p, feas_tol=1e-10)
         again = solve(p, tight).solver_stats
-        assert (again.outer_iterations, again.newton_iterations) == (1, 0)
+        assert (again.outer_iterations, again.newton_iterations) == (2, 0)
         assert again.message == "converged"
 
     def test_warm_pass2_agrees_with_cold(self, two_pass):
@@ -583,6 +661,25 @@ class TestWarmMultipliers:
         cold = solve(p2, replace(sol, multipliers=None))
         assert warm.converged and cold.converged
         assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-4)
+
+    def test_pass2_keeps_the_attitude_columns(self, two_pass, monkeypatch):
+        # pass 2 changes only the keep-out schedule, which the attitude chain
+        # never reads: its warm restart takes no Newton step and returns
+        # pass 1's theta, omega and tau columns bit for bit
+        p, sol, sched = two_pass
+        runs = []
+        real = optimizer.solve_al
+
+        def spy(prob, z0, **kwargs):
+            runs.append(real(prob, z0, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optimizer, "solve_al", spy)
+        warm = solve(replace(p, kos_schedule=sched), sol)
+        attitude = runs[0][3]
+        assert (attitude.outer_iterations, attitude.newton_iterations) == (1, 0)
+        assert warm.states[:, [2, 5]].tobytes() == sol.states[:, [2, 5]].tobytes()
+        assert warm.wrenches[:, 2].tobytes() == sol.wrenches[:, 2].tobytes()
 
     def test_eta_mapping(self, two_pass, monkeypatch):
         p, sol, sched = two_pass
@@ -594,18 +691,25 @@ class TestWarmMultipliers:
             return real(prob, z0, **kwargs)
 
         monkeypatch.setattr(optimizer, "solve_al", spy)
-        solve(replace(p, kos_schedule=sched), sol)
+        p2 = replace(p, kos_schedule=sched)
+        solve(p2, sol)
         lam, circle_eta, lobe_eta, mu_final = sol.multipliers
         assert circle_eta.shape == (p.N + 1,) and lobe_eta.shape == (2 * (p.N + 1),)
         state_i = sched == KosState.STATE_I
+        # the attitude chain runs first, then the translation chain, which
+        # holds every keep-out constraint; each restarts from its rows' lam
+        rows = _Transcription(p2).chain_rows
+        translation, attitude = seen[1], seen[0]
         np.testing.assert_array_equal(
-            seen[0]["eta0"], np.concatenate([circle_eta[state_i], lobe_eta]))
-        np.testing.assert_array_equal(seen[0]["lam0"], lam)
-        assert seen[0]["mu0"] == min(mu_final, 1e5)
+            translation["eta0"], np.concatenate([circle_eta[state_i], lobe_eta]))
+        np.testing.assert_array_equal(translation["lam0"], lam[rows[0]])
+        assert attitude["eta0"].shape == (0,)
+        np.testing.assert_array_equal(attitude["lam0"], lam[rows[1]])
+        assert translation["mu0"] == attitude["mu0"] == min(mu_final, 1e5)
         # a guess at another N is refused before the multiplier loop starts
         with pytest.raises(ValueError, match="N = 50"):
             solve(replace(p, N=60), sol)
-        assert len(seen) == 1
+        assert len(seen) == 2
 
     def test_keep_out_model_change_restarts_multipliers(self):
         # a guess from a problem with another constraint set hands over its
