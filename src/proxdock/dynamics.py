@@ -6,7 +6,8 @@ in the inertial frame, with theta stored unwrapped (no modular reduction) so
 attitude arithmetic stays continuous; a wrench is a float array
 [Fx, Fy, tau], in the inertial frame unless a name says body frame.  The same
 forward-Euler map is used by the trajectory optimizer (knot defects) and by
-the simulator (fine-step propagation).
+the simulator (fine-step propagation), which steps a state held as a tuple
+of floats.
 """
 from __future__ import annotations
 
@@ -78,7 +79,9 @@ class ThrusterLayout:
 
     Derived once per layout: B = effectiveness_matrix(), the allocation
     matrix A = B * f_max (duty to body wrench) and the ridge-augmented
-    matrix of the bounded least-squares allocation.
+    matrix of the bounded least-squares allocation.  `bvls_maps` caches, per
+    bound set of that allocation, the maps `controller.allocate_duty` builds
+    on first use.
     """
 
     positions: np.ndarray
@@ -87,6 +90,7 @@ class ThrusterLayout:
     B: np.ndarray = field(init=False, repr=False, compare=False)
     A: np.ndarray = field(init=False, repr=False, compare=False)
     A_ridge: np.ndarray = field(init=False, repr=False, compare=False)
+    bvls_maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -157,12 +161,18 @@ def state_derivative(s: np.ndarray, w: np.ndarray, p: BodyParams) -> np.ndarray:
     return np.array([s[3], s[4], s[5], w[0] / p.mass, w[1] / p.mass, w[2] / p.inertia])
 
 
-def euler_step(s: np.ndarray, w: np.ndarray, p: BodyParams, dt: float) -> np.ndarray:
-    """One forward-Euler step; the optimizer's defect constraints use the same
-    map in matrix form (see euler_matrices)."""
+def euler_step(s, w, p: BodyParams, dt: float) -> tuple[float, ...]:
+    """One forward-Euler step s + state_derivative(s, w, p) * dt, on floats.
+
+    s and w may be arrays or any sequences; the new state is a tuple of six
+    floats (the simulator calls this once per physics step, so it builds no
+    arrays).  The optimizer's defect constraints use the same map in matrix
+    form (see euler_matrices)."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    return s + state_derivative(s, w, p) * dt
+    x, y, theta, vx, vy, omega = s
+    return (x + vx * dt, y + vy * dt, theta + omega * dt,
+            vx + w[0] / p.mass * dt, vy + w[1] / p.mass * dt, omega + w[2] / p.inertia * dt)
 
 
 def euler_matrices(p: BodyParams, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -123,7 +123,7 @@ DEFAULTS = {
     "sim.tail": (5.0, FLOAT, NON_NEGATIVE),
     "sim.duration": (None, FLOAT_OR_NONE, POSITIVE),  # none -> plan horizon + tail
     "sim.mismatch_fraction": (0.0, FLOAT, FRACTION),
-    "sim.disturbance_accel": (0.0, FLOAT, None),
+    "sim.disturbance_accel": (0.0, FLOAT, NON_NEGATIVE),
     "sweep1.omega_start": (0.035, FLOAT, None),
     "sweep1.omega_step": (0.025, FLOAT, POSITIVE),
     "sweep1.omega_stop": (2.0, FLOAT, None),

@@ -110,13 +110,14 @@ def _read(path, kind: str, columns=None):
 
 
 def _data_block(lines, kind: str, ncols: int) -> np.ndarray:
-    """The numeric rows below the header as an (n, ncols) array."""
+    """The numeric rows below the header as an (n, ncols) array, parsed by
+    numpy's C float parser (the same values float() gives)."""
+    rows = [ln for ln in lines if ln and not ln.startswith("#")]
     try:
-        data = np.array([[float(v) for v in ln.split()]
-                         for ln in lines if ln and not ln.startswith("#")])
+        data = np.loadtxt(rows, comments=None, ndmin=2) if rows else np.empty((0, 0))
     except ValueError as ex:  # non-numeric field or ragged rows
         raise RecordError(f"{kind} data block malformed: {ex}") from None
-    if data.ndim != 2 or data.shape[1] != ncols:
+    if data.shape[1] != ncols:
         raise RecordError(f"{kind} data block malformed")
     return data
 

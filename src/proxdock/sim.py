@@ -96,7 +96,14 @@ def audit_safety(states, times, target: TargetState, cfg: KosConfig) -> float:
 
 
 def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResult:
-    """Track a converged plan with PWM thrusters; deterministic for a seed."""
+    """Track a converged plan with PWM thrusters; deterministic for a seed.
+
+    Per control period the controller allocates a duty (`allocate_duty`:
+    its BVLS fast path, or lsq_linear for the rare request it leaves alone)
+    and PWM turns it into slots.  A slot's body wrench is recomputed only
+    when its firing column differs from the previous slot's, and each
+    physics step is one `euler_step` on plain floats.
+    """
     if not plan.converged:
         raise ValueError("refusing to track a non-converged plan")
     spp = cfg.steps_per_period()
@@ -124,10 +131,11 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
     slot_times = np.arange(n_periods * cfg.n_slots) * (period / cfg.n_slots)
     errors = np.empty((n_periods, 6))
 
-    state = plan.states[0]
+    state = plan.states[0].tolist()
     states[0] = state
     step = 0
     rest = np.concatenate([plan.states[-1, :3], np.zeros(3)])
+    applied = None  # bytes of the slot input whose body wrench w_body holds
     for j in range(n_periods):
         t = j * period
         if t <= horizon + 1e-9:
@@ -142,19 +150,22 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
         pattern = pwm_schedule(duty, cfg.n_slots)
         firings[:, j * cfg.n_slots:(j + 1) * cfg.n_slots] = pattern
         if cfg.disturbance_accel:
-            da = rng.uniform(-cfg.disturbance_accel, cfg.disturbance_accel, 3)
-            dist_w = np.array([body_true.mass * da[0], body_true.mass * da[1],
-                               body_true.inertia * da[2]])
+            da = rng.uniform(-cfg.disturbance_accel, cfg.disturbance_accel, 3).tolist()
+            dist_w = (body_true.mass * da[0], body_true.mass * da[1], body_true.inertia * da[2])
         else:
             dist_w = None
         for s in range(cfg.n_slots):
             # pwm=False applies the unquantized duty (paired-run experiments);
             # the firing record still logs the schedule that would have flown
-            w_body = total_wrench(pattern[:, s] if cfg.pwm else duty, layout_true)
+            slot_input = pattern[:, s] if cfg.pwm else duty
+            key = slot_input.tobytes()
+            if key != applied:
+                w_body, applied = total_wrench(slot_input, layout_true).tolist(), key
             for _ in range(steps_per_slot):
                 w_world = body_to_world(w_body, state[2])
                 if dist_w is not None:
-                    w_world = w_world + dist_w
+                    w_world = (w_world[0] + dist_w[0], w_world[1] + dist_w[1],
+                               w_world[2] + dist_w[2])
                 state = euler_step(state, w_world, body_true, cfg.physics_dt)
                 step += 1
                 states[step] = state

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
+from proxdock import controller
 from proxdock.controller import (PdGains, allocate_duty, body_to_world,
                                  continuous_duty, pd_wrench, pwm_schedule,
                                  tracking_error, world_to_body)
@@ -129,6 +131,31 @@ class TestAllocation:
                             np.where(u >= 1 - 1e-12, np.maximum(0.0, grad), np.abs(grad)))
             worst = max(worst, float(np.max(viol)))
         assert worst <= 1e-8
+
+    def test_matches_lsq_linear_bit_for_bit(self, monkeypatch):
+        # contract: allocate_duty is clip(lsq_linear BVLS) to the last bit,
+        # whichever path answers; pinned to the installed scipy's BVLS
+        fallbacks = []
+        monkeypatch.setattr(controller, "lsq_linear",
+                            lambda *a, **k: fallbacks.append(1) or lsq_linear(*a, **k))
+        rng = np.random.default_rng(15)
+        n = 0
+        for f_max in (0.03, 0.12, 0.99):
+            layout = default_layout(0.3, f_max)
+            scale = f_max * np.array([1.0, 1.0, 0.15])
+            requests = ([np.zeros(3)]
+                        + [total_wrench(rng.uniform(0, 1, 8), layout) for _ in range(1000)]
+                        + [rng.normal(size=3) * scale * k
+                           for k in rng.choice([0.01, 0.1, 0.5, 1.0, 2.0, 5.0], 2400)])
+            for w in requests:
+                want = lsq_linear(layout.A_ridge, np.concatenate([w, np.zeros(8)]),
+                                  bounds=(0.0, 1.0), method="bvls").x
+                u, res = allocate_duty(w, layout)
+                assert u.tobytes() == np.clip(want, 0.0, 1.0).tobytes()
+                assert res.tobytes() == (layout.A @ u - w).tobytes()
+                n += 1
+        assert n >= 10_000
+        assert 0 < len(fallbacks) < n / 2  # both paths ran, the fast one mostly
 
     def test_grid_oracle_on_reduced_layout(self):
         # criterion: bvls residual matches 21-level exhaustive search within

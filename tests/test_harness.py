@@ -64,6 +64,7 @@ class TestLoadConfig:
         ("opt.latch_delay", "-3", "must be non-negative (got -3.0)"),
         ("seed", "-1", "must be non-negative (got -1)"),
         ("sim.mismatch_fraction", "1.5", "must lie in [0, 1) (got 1.5)"),
+        ("sim.disturbance_accel", "-1e-4", "must be non-negative (got -0.0001)"),
         ("gains.kp_pos", "-1", "must be non-negative (got -1.0)"),
         ("ctrl.n_slots", "0", "must be >= 1 (got 0)"),
         ("sim.control_hz", "0", "must be positive (got 0.0)"),
@@ -253,6 +254,15 @@ class TestPlanTrackCli:
             "warning: tracking config differs from the planning config\n"
         cmd_track(traj, None, tmp_path / "o")
         assert capsys.readouterr().err == ""
+
+    def test_track_rejects_negative_disturbance(self, planned, tmp_path, capsys):
+        # a negative bound used to reach rng.uniform and end in a traceback
+        out, traj = planned
+        bad = write(tmp_path, "sim.disturbance_accel = -1e-4\n")
+        assert main(["track", str(traj), "--config", bad, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: config validation errors:\n"
+                                           "  sim.disturbance_accel must be non-negative"
+                                           " (got -0.0001)\n")
 
     def test_track_byte_identical_reruns(self, planned, tmp_path):
         out, traj = planned
