@@ -6,6 +6,12 @@ least-squares duty allocation over the 8 thrusters -> PWM ON/OFF pattern.
 States are float arrays [x, y, theta, vx, vy, omega] and wrenches float
 arrays [Fx, Fy, tau] (see `dynamics`); a tracking error is a state-shaped
 array with its attitude entry wrapped to (-pi, pi].
+
+scipy.optimize is imported inside `lsq_linear`, on its first call: only the
+rare allocation that `_bvls_fast` leaves alone needs it, and planning,
+sweeps and audits never do, so importing this package does not load it.
+`lsq_linear` must stay a module-level function that `allocate_duty` looks
+up by name: the benchmark tracer wraps it and tests monkeypatch it.
 """
 from __future__ import annotations
 
@@ -13,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .dynamics import NUM_THRUSTERS, ThrusterLayout, wrap_angle
 
@@ -59,6 +64,12 @@ def body_to_world(w, theta: float) -> tuple[float, float, float]:
     """Rotate the force pair by R(theta); a tuple of floats, as `euler_step` takes."""
     c, s = math.cos(theta), math.sin(theta)
     return c * w[0] - s * w[1], s * w[0] + c * w[1], w[2]
+
+
+def lsq_linear(*args, **kwargs):
+    """scipy.optimize.lsq_linear, imported on the first call."""
+    from scipy.optimize import lsq_linear as solve
+    return solve(*args, **kwargs)
 
 
 ALL_FREE = (1 << NUM_THRUSTERS) - 1  # bit i set: duty i is free
@@ -160,24 +171,26 @@ def pwm_schedule(u: np.ndarray, n_slots: int) -> np.ndarray:
     """Leading-edge PWM: round(u*n_slots) ON slots from the start of the period.
 
     Returns the (8, n_slots) int8 firing pattern of one control period.
+    Duties within 1e-12 outside [0, 1] count as the bound they pass.
     """
     u = np.asarray(u, dtype=float)
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     if u.shape != (NUM_THRUSTERS,):
         raise ValueError("duty vector must have 8 entries")
-    if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):  # also rejects nan
+    if not -1e-12 <= u.min() <= u.max() <= 1.0 + 1e-12:  # also rejects nan
         raise ValueError("duty ratios must lie in [0, 1]")
-    k = np.rint(np.clip(u, 0.0, 1.0) * n_slots).astype(int)
-    return (np.arange(n_slots)[None, :] < k[:, None]).astype(np.int8)
+    # no clip: a duty below 0 rounds to k <= 0 and one above 1 to k >= n_slots,
+    # which turn the same slots ON (s < k) as the clipped duty would
+    return (np.arange(n_slots) < np.rint(u * n_slots)[:, None]).view(np.int8)
 
 
-def continuous_duty(ref: np.ndarray, actual: np.ndarray, gains: PdGains,
-                    layout: ThrusterLayout,
+def continuous_duty(e: np.ndarray, theta: float, gains: PdGains, layout: ThrusterLayout,
                     feed_forward: np.ndarray | None = None) -> np.ndarray:
-    """Duty vector before PWM: error -> PD (+feed-forward) -> body frame -> allocate."""
-    w = pd_wrench(tracking_error(ref, actual), gains)
+    """Duty vector before PWM: tracking error e (`tracking_error`) -> PD
+    (+feed-forward) -> body frame at chaser attitude theta -> allocate."""
+    w = pd_wrench(e, gains)
     if feed_forward is not None:
         w = w + feed_forward
-    u, _ = allocate_duty(world_to_body(w, actual[2]), layout)
+    u, _ = allocate_duty(world_to_body(w, theta), layout)
     return u

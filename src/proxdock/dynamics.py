@@ -8,6 +8,10 @@ attitude arithmetic stays continuous; a wrench is a float array
 forward-Euler map is used by the trajectory optimizer (knot defects) and by
 the simulator (fine-step propagation), which steps a state held as a tuple
 of floats.
+
+`ThrusterLayout` imports scipy.optimize's `linprog` where it runs its layout
+LP: only tracking and Monte Carlo runs build a layout, so planning, sweeps
+and audits never load scipy.optimize.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 STATE_DIM = 6
 NUM_THRUSTERS = 8
@@ -110,6 +113,7 @@ class ThrusterLayout:
         # A rank-3 B positively spans the wrench space (zero wrench interior
         # to the attainable set) iff some duty vector with every entry > 0
         # gives zero wrench: maximise t subject to B u = 0, t <= u_i <= 1.
+        from scipy.optimize import linprog
         lp = linprog(np.r_[np.zeros(NUM_THRUSTERS), -1.0],
                      A_ub=np.hstack([-np.eye(NUM_THRUSTERS), np.ones((NUM_THRUSTERS, 1))]),
                      b_ub=np.zeros(NUM_THRUSTERS),

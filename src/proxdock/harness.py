@@ -16,8 +16,7 @@ import sys
 import time
 import traceback
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .controller import PdGains
 from .dynamics import BodyParams, TargetState, default_layout
 from .kos import KosConfig, KosState
 from .optimizer import AllCandidatesFailed, OptProblem, plan, terminal_errors
-from .sim import ConfigMisaligned, SimConfig, audit_safety, run
+from .sim import ConfigMisaligned, SimConfig, audit_safety, run, steps_per_period
 
 
 class ConfigError(ValueError):
@@ -308,18 +307,21 @@ def _validate(cfg: RunConfig, errors: list) -> None:
     if non_finite:
         return  # the rules below assume finite values
     errors.extend(filter(None, (_rule_error(key, v[key]) for key in DEFAULTS)))
-    if not errors:  # the simulator's timing checks assume every rule holds
-        sim = cfg.sim_config()
+    if not errors:  # the checks below assume every rule holds
+        # the parts of a simulator config check themselves; the thruster
+        # layout is not built: default_layout's geometry only scales with
+        # body.side_length, and its LP check would load scipy.optimize
+        cfg.body(), cfg.gains(), cfg.kos_config()
+        dt, hz, n_slots = v["sim.physics_dt"], v["sim.control_hz"], v["ctrl.n_slots"]
         try:
-            steps = replace(sim, n_slots=1).steps_per_period()
+            steps = steps_per_period(dt, hz, 1)
         except ConfigMisaligned:
             errors.append(f"sim.control_hz must make the control period a multiple of "
-                          f"sim.physics_dt = {sim.physics_dt} (got {sim.control_hz}, "
-                          f"a period of {1.0 / sim.control_hz} s)")
+                          f"sim.physics_dt = {dt} (got {hz}, a period of {1.0 / hz} s)")
         else:
-            if steps % sim.n_slots:
+            if steps % n_slots:
                 errors.append(f"ctrl.n_slots must divide the {steps} physics steps per control "
-                              f"period set by sim.control_hz and sim.physics_dt (got {sim.n_slots})")
+                              f"period set by sim.control_hz and sim.physics_dt (got {n_slots})")
     for axes in SWEEP_AXES.values():
         for prefix, degrees, _ in axes:
             start, _, stop = _axis_keys(prefix, degrees)
@@ -385,7 +387,10 @@ def cmd_plan(config_path, out_dir):
         "  candidates:",
     ]
     for r in all_results:
-        lines.append(f"    T={r.times[-1]:8.2f} s  J={r.objective_value:.6g}")
+        line = f"    T={r.times[-1]:8.2f} s  J={r.objective_value:.6g}"
+        if r.pass2_failure is not None:
+            line += f"  (pass 2 failed: {r.pass2_failure}; pass-1 plan)"
+        lines.append(line)
     summary = out / "plan_summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -442,6 +447,7 @@ def _sweep_point(values):
 def _run_points(tasks, parallel: int):
     if parallel <= 1:
         return [_sweep_point(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
     with ProcessPoolExecutor(max_workers=parallel) as pool:
         return list(pool.map(_sweep_point, tasks))
 

@@ -120,7 +120,8 @@ class PlannedTrajectory:
     knots without a circle constraint, and the lobe eta holds the positive
     side's N+1 knots, then the negative side's.  solve restarts from them
     when it is given this plan as its initial guess; plans read from a file
-    have None.
+    have None.  pass2_failure is the solver message of a failed pass-2
+    re-solve (see `plan`), whose pass-1 plan this then is; None otherwise.
     """
 
     times: np.ndarray
@@ -135,6 +136,7 @@ class PlannedTrajectory:
     theta_finish: float
     dt: float
     multipliers: tuple | None = None
+    pass2_failure: str | None = None
 
     @property
     def N(self) -> int:
@@ -532,9 +534,10 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
     Every candidate duration is solved on its own from default_initial_guess;
     each converged solution whose knots trigger the final-approach
     classification is re-solved with the relaxed State II schedule latched
-    from first satisfaction.  results holds the converged plans in ascending
-    duration; best is the one with the lowest objective, ties going to the
-    shortest duration.
+    from first satisfaction; a failed re-solve keeps the pass-1 plan and
+    records the failure in its pass2_failure.  results holds the converged
+    plans in ascending duration; best is the one with the lowest objective,
+    ties going to the shortest duration.
     """
     target = template.target
     if target.omega == 0.0 and abs(wrap_angle(theta_approach - target.theta0)) > 1e-9:
@@ -580,8 +583,9 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
             if KosState.STATE_II in sched:
                 try:
                     sol = solve(replace(prob1, kos_schedule=sched), sol)
-                except (NotConvergedError, InfeasibleError):
-                    pass  # keep the conservative pass-1 plan
+                except (NotConvergedError, InfeasibleError) as ex:
+                    # keep the conservative pass-1 plan, and say why
+                    sol = replace(sol, pass2_failure=ex.stats.message)
         results.append(sol)
 
     if not results:

@@ -28,6 +28,19 @@ class ConfigMisaligned(ValueError):
     """physics_dt, control rate and PWM slots do not divide evenly."""
 
 
+def steps_per_period(physics_dt: float, control_hz: float, n_slots: int) -> int:
+    """Physics steps per control period; ConfigMisaligned unless the period is
+    a whole number of physics steps that n_slots PWM slots divide evenly."""
+    period = 1.0 / control_hz
+    n = period / physics_dt
+    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        raise ConfigMisaligned(f"control period {period} not a multiple of physics_dt")
+    n = int(round(n))
+    if n % n_slots != 0:
+        raise ConfigMisaligned(f"n_slots={n_slots} does not divide {n} steps/period")
+    return n
+
+
 @dataclass(frozen=True)
 class SimConfig:
     body: BodyParams = field(default_factory=BodyParams)
@@ -46,14 +59,7 @@ class SimConfig:
     kos_cfg: KosConfig | None = None  # None -> built from body/target sides
 
     def steps_per_period(self) -> int:
-        period = 1.0 / self.control_hz
-        n = period / self.physics_dt
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
-            raise ConfigMisaligned(f"control period {period} not a multiple of physics_dt")
-        n = int(round(n))
-        if n % self.n_slots != 0:
-            raise ConfigMisaligned(f"n_slots={self.n_slots} does not divide {n} steps/period")
-        return n
+        return steps_per_period(self.physics_dt, self.control_hz, self.n_slots)
 
 
 @dataclass
@@ -145,8 +151,8 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
         else:
             # tail: hold the final pose at rest so station-keeping settles
             ref, ff = rest, None
-        errors[j] = tracking_error(ref, state)
-        duty = continuous_duty(ref, state, cfg.gains, cfg.layout, feed_forward=ff)
+        errors[j] = e = tracking_error(ref, state)
+        duty = continuous_duty(e, state[2], cfg.gains, cfg.layout, feed_forward=ff)
         pattern = pwm_schedule(duty, cfg.n_slots)
         firings[:, j * cfg.n_slots:(j + 1) * cfg.n_slots] = pattern
         if cfg.disturbance_accel:

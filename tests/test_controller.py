@@ -192,6 +192,9 @@ def test_pwm_examples():
     np.testing.assert_array_equal(half[:, :5], 1)
     np.testing.assert_array_equal(half[:, 5:], 0)
     assert np.all(half.sum(axis=1) / 10 == 0.5)
+    # duties within the 1e-12 tolerance outside [0, 1] fire as the bound
+    np.testing.assert_array_equal(pwm_schedule(np.full(8, -1e-12), 10), off)
+    np.testing.assert_array_equal(pwm_schedule(np.full(8, 1.0 + 1e-12), 10), on)
 
 
 def test_pwm_duty_accuracy_bound():
@@ -204,14 +207,15 @@ def test_pwm_duty_accuracy_bound():
 
 def test_control_step_all_off_on_reference(layout):
     s = state(0.3, -0.2, 0.5, 0.01, 0.0, -0.02)
-    pattern = pwm_schedule(continuous_duty(s, s, PdGains(), layout), 10)
+    pattern = pwm_schedule(continuous_duty(tracking_error(s, s), s[2], PdGains(), layout), 10)
     assert pattern.sum() == 0
 
 
 def test_control_step_fires_plus_x_thrusters(layout):
     # +x position error with chaser at theta=0: only the -x-face pair
     # (which pushes +x) may fire
-    pattern = pwm_schedule(continuous_duty(state(x=0.5), state(), PdGains(), layout), 10)
+    pattern = pwm_schedule(continuous_duty(tracking_error(state(x=0.5), state()), 0.0,
+                                           PdGains(), layout), 10)
     firing = set(np.flatnonzero(pattern.sum(axis=1)))
     assert firing
     assert firing <= {2, 3}
@@ -220,8 +224,9 @@ def test_control_step_fires_plus_x_thrusters(layout):
 def test_control_step_opposite_face_at_pi(layout):
     # same inertial +x error with the chaser flipped (no attitude error):
     # the +x-face pair, which pushes -x in the body frame, fires instead
-    pattern = pwm_schedule(continuous_duty(state(x=0.5, theta=math.pi), state(theta=math.pi),
-                                           PdGains(), layout), 10)
+    pattern = pwm_schedule(continuous_duty(tracking_error(state(x=0.5, theta=math.pi),
+                                                          state(theta=math.pi)),
+                                           math.pi, PdGains(), layout), 10)
     firing = set(np.flatnonzero(pattern.sum(axis=1)))
     assert firing
     assert firing <= {0, 1}
@@ -241,14 +246,15 @@ def test_control_step_rotation_equivariance(layout):
             v = R @ b[3:5]
             return state(p[0], p[1], b[2] + delta, v[0], v[1], b[5])
 
-        p1 = pwm_schedule(continuous_duty(ref, act, PdGains(), layout), 10)
-        p2 = pwm_schedule(continuous_duty(rotated(ref), rotated(act), PdGains(), layout), 10)
+        p1 = pwm_schedule(continuous_duty(tracking_error(ref, act), act[2], PdGains(), layout), 10)
+        p2 = pwm_schedule(continuous_duty(tracking_error(rotated(ref), rotated(act)),
+                                           act[2] + delta, PdGains(), layout), 10)
         np.testing.assert_array_equal(p1, p2)
 
 
 def test_feed_forward_added_before_allocation(layout):
     ff = np.array([0.02, 0.0, 0.0])
-    pattern = pwm_schedule(continuous_duty(state(), state(), PdGains(), layout,
+    pattern = pwm_schedule(continuous_duty(np.zeros(6), 0.0, PdGains(), layout,
                                            feed_forward=ff), 10)
     firing = set(np.flatnonzero(pattern.sum(axis=1)))
     assert firing <= {2, 3} and firing

@@ -1,10 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from proxdock import harness, nlp, records
+from proxdock import harness, nlp, optimizer, records
 from proxdock.harness import (ConfigError, cmd_audit, cmd_plan, cmd_sweep1,
                               cmd_sweep2, cmd_track, grid_values, load_config,
                               main)
@@ -297,6 +302,23 @@ class TestPlanTrackCli:
         assert main(["plan", "--out", str(tmp_path / "o")]) == 1
         assert "Newton matrix not positive definite" in capsys.readouterr().err
 
+    def test_plan_summary_names_failed_pass2(self, tmp_path, monkeypatch):
+        real = optimizer.solve
+
+        def solve_failing_warm(problem, initial_guess=None, **kwargs):
+            if initial_guess is not None:
+                raise nlp.NotConvergedError(nlp.SolverStats(message="forced"))
+            return real(problem, initial_guess, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve", solve_failing_warm)
+        cmd_plan(None, tmp_path)
+        lines = (tmp_path / "plan_summary.txt").read_text().splitlines()
+        candidates = lines[lines.index("  candidates:") + 1:]
+        # the 23.6 s candidate never reaches State II, so it has no pass 2
+        assert not candidates[0].endswith(")")
+        assert candidates[1].endswith("  (pass 2 failed: forced; pass-1 plan)")
+        assert len(candidates) == 2
+
     def test_track_rejects_malformed_file(self, tmp_path):
         bogus = tmp_path / "t.txt"
         bogus.write_text("# not a trajectory\n1 2 3\n")
@@ -405,6 +427,44 @@ class TestPlanTrackCli:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: seed must be non-negative (got -1)\n"
         assert not (tmp_path / "o").exists()
+
+
+# Runs in a fresh interpreter: prints, as its last line, whether
+# scipy.optimize is loaded after each step of plan -> audit -> track.
+IMPORT_PROBE = """
+import json, sys
+from proxdock import harness
+out, record = sys.argv[1:]
+seen = {}
+def step(name):
+    seen[name] = "scipy.optimize" in sys.modules
+step("import")
+harness.load_config(None)
+step("load_config")
+traj = harness.cmd_plan(None, out)
+step("cmd_plan")
+harness.cmd_audit(record, None)
+step("cmd_audit")
+harness.cmd_track(traj, None, out)
+step("cmd_track")
+print(json.dumps(seen))
+"""
+
+
+def test_only_track_loads_scipy_optimize(planned, tmp_path):
+    # planning, sweeps and audits never call scipy.optimize, so they do not
+    # pay for importing it; tracking loads it with its first thruster layout
+    cmd_track(planned[1], None, tmp_path / "rec")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "o"),
+                           str(tmp_path / "rec" / "run_record.txt")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": False, "load_config": False, "cmd_plan": False, "cmd_audit": False,
+        "cmd_track": True}
 
 
 class TestSweeps:

@@ -735,6 +735,7 @@ class TestWarmMultipliers:
         for r in results:
             assert r.converged and r.solver_stats.message == "converged"
             assert np.all(r.kos_states == KosState.STATE_I)
+            assert r.pass2_failure == "forced"  # recorded, not swallowed
         assert any(best is r for r in results)
 
 
