@@ -8,7 +8,7 @@ schedule is an int array of KosState values (see `proxdock.kos`).
 from .controller import (PdGains, allocate_duty, body_to_world, continuous_duty,
                          pd_wrench, pwm_schedule, tracking_error, world_to_body)
 from .dynamics import (BodyParams, TargetState, ThrusterLayout, default_layout,
-                       euler_step, state_derivative, total_wrench, wrap_angle)
+                       euler_step, total_wrench, wrap_angle)
 from .kos import (KosConfig, KosState, classify, corner_safe_angle_threshold,
                   r_safe, signed_distance_batch)
 from .nlp import InfeasibleError, NotConvergedError, SolverStats

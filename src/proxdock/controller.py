@@ -147,8 +147,8 @@ def _bvls_fast(rhs: np.ndarray, layout: ThrusterLayout) -> np.ndarray | None:
     return x if kkt < BVLS_TOL else None
 
 
-def allocate_duty(w_body: np.ndarray, layout: ThrusterLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Duty ratios minimizing |B u f_max - w|^2 over the box [0,1]^8.
+def allocate_duty(w_body: np.ndarray, layout: ThrusterLayout) -> np.ndarray:
+    """Duty ratios u minimizing |B u f_max - w|^2 over the box [0,1]^8.
 
     Active-set BVLS with a tiny ridge that breaks ties toward the
     minimum-norm duty (the 3x8 system has many exact minimizers): the result
@@ -157,14 +157,13 @@ def allocate_duty(w_body: np.ndarray, layout: ThrusterLayout) -> tuple[np.ndarra
     its initialization phase, as it does for almost every saturating
     request; the rest (a set decision within SET_GUARD of a bound, an
     unconstrained solution inside the box, a failed KKT test) call
-    lsq_linear itself.  Returns (u, residual wrench = B u f_max - w).
+    lsq_linear itself.  The wrench u delivers is `total_wrench(u, layout)`.
     """
     rhs = np.concatenate([w_body, np.zeros(NUM_THRUSTERS)])
     x = _bvls_fast(rhs, layout)
     if x is None:
         x = lsq_linear(layout.A_ridge, rhs, bounds=(0.0, 1.0), method="bvls").x
-    u = np.clip(x, 0.0, 1.0)
-    return u, layout.A @ u - w_body
+    return np.clip(x, 0.0, 1.0)
 
 
 def pwm_schedule(u: np.ndarray, n_slots: int) -> np.ndarray:
@@ -187,10 +186,10 @@ def pwm_schedule(u: np.ndarray, n_slots: int) -> np.ndarray:
 
 def continuous_duty(e: np.ndarray, theta: float, gains: PdGains, layout: ThrusterLayout,
                     feed_forward: np.ndarray | None = None) -> np.ndarray:
-    """Duty vector before PWM: tracking error e (`tracking_error`) -> PD
-    (+feed-forward) -> body frame at chaser attitude theta -> allocate."""
+    """Duty vector that `pwm_schedule` turns into one period's firings:
+    tracking error e (`tracking_error`) -> PD (+feed-forward) -> body frame
+    at chaser attitude theta -> allocate."""
     w = pd_wrench(e, gains)
     if feed_forward is not None:
         w = w + feed_forward
-    u, _ = allocate_duty(world_to_body(w, theta), layout)
-    return u
+    return allocate_duty(world_to_body(w, theta), layout)

@@ -80,18 +80,16 @@ class ThrusterLayout:
     directions: (8, 2) unit thrust directions in the body frame
     f_max: thrust magnitude per thruster [N]
 
-    Derived once per layout: B = effectiveness_matrix(), the allocation
-    matrix A = B * f_max (duty to body wrench) and the ridge-augmented
-    matrix of the bounded least-squares allocation.  `bvls_maps` caches, per
-    bound set of that allocation, the maps `controller.allocate_duty` builds
-    on first use.
+    Derived once per layout: B = effectiveness_matrix() and A_ridge, the
+    duty-to-body-wrench matrix B * f_max stacked on the ridge rows of the
+    bounded least-squares allocation.  `bvls_maps` caches, per bound set of
+    that allocation, the maps `controller.allocate_duty` builds on first use.
     """
 
     positions: np.ndarray
     directions: np.ndarray
     f_max: float
     B: np.ndarray = field(init=False, repr=False, compare=False)
-    A: np.ndarray = field(init=False, repr=False, compare=False)
     A_ridge: np.ndarray = field(init=False, repr=False, compare=False)
     bvls_maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -123,7 +121,6 @@ class ThrusterLayout:
             raise ValueError("layout cannot actuate some wrench direction both ways")
         A = B * self.f_max
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "A", A)
         object.__setattr__(self, "A_ridge", np.vstack(
             [A, math.sqrt(effective_ridge(A)) * np.eye(NUM_THRUSTERS)]))
 
@@ -160,13 +157,10 @@ def total_wrench(u, layout: ThrusterLayout) -> np.ndarray:
     return layout.B @ np.asarray(u, dtype=float) * layout.f_max
 
 
-def state_derivative(s: np.ndarray, w: np.ndarray, p: BodyParams) -> np.ndarray:
-    """Newton-Euler rates of state s; the wrench w is taken in the inertial frame."""
-    return np.array([s[3], s[4], s[5], w[0] / p.mass, w[1] / p.mass, w[2] / p.inertia])
-
-
 def euler_step(s, w, p: BodyParams, dt: float) -> tuple[float, ...]:
-    """One forward-Euler step s + state_derivative(s, w, p) * dt, on floats.
+    """One forward-Euler step of the Newton-Euler rates, on floats: positions
+    advance by velocity * dt and velocities by (inertial wrench w) / (mass or
+    inertia) * dt.
 
     s and w may be arrays or any sequences; the new state is a tuple of six
     floats (the simulator calls this once per physics step, so it builds no

@@ -308,10 +308,11 @@ def _validate(cfg: RunConfig, errors: list) -> None:
         return  # the rules below assume finite values
     errors.extend(filter(None, (_rule_error(key, v[key]) for key in DEFAULTS)))
     if not errors:  # the checks below assume every rule holds
-        # the parts of a simulator config check themselves; the thruster
-        # layout is not built: default_layout's geometry only scales with
-        # body.side_length, and its LP check would load scipy.optimize
-        cfg.body(), cfg.gains(), cfg.kos_config()
+        # PdGains' check across keys; the body's, the other gains' and the
+        # keep-out config's constructor checks are DEFAULTS rules
+        gains = [key for key in DEFAULTS if key.startswith("gains.")]
+        if not any(v[key] for key in gains):
+            errors.append(f"at least one of {', '.join(gains)} must be positive")
         dt, hz, n_slots = v["sim.physics_dt"], v["sim.control_hz"], v["ctrl.n_slots"]
         try:
             steps = steps_per_period(dt, hz, 1)

@@ -22,12 +22,9 @@ get identity rows, which keeps that.  So each step is one Cholesky
 factorization and one solve, without refinement: a refinement pass in
 working precision does not lower the backward error of a stable Cholesky
 solve (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
-Over the 1 158 Newton steps of the nominal plan and the bench sweep's three
-points, the single solve's relative residual |H d - r| / |r| was at most
-1.1e-9 (at mu = 1e8), and 1.2e-9 after a refinement pass, which moved d by
-at most 3.8e-7 relative.  Should a factorization still fail (say with a
-zero effort weight), the solve ends with NotConvergedError and
-stats.message names the non-positive-definite Newton matrix.
+Should a factorization still fail (say with a zero effort weight), the
+solve ends with NotConvergedError and stats.message names the
+non-positive-definite Newton matrix.
 
 The inner loop has three other exits: the projected gradient is within the
 outer loop's current tolerance; a stall, where the accepted line-search
@@ -55,7 +52,7 @@ those dropped constraints were inactive at the pass-1 optimum (multiplier
 zero), the pass-1 point with the remaining multipliers already satisfies
 pass 2's KKT conditions: stationarity has the same terms, feasibility and
 complementarity are a subset.  The inner loop then exits at once.  When it
-took no step and the start meets feas_tol on the violation and on the
+took no step and the start meets FEAS_TOL on the violation and on the
 complementarity measure max|min(g, eta/mu)|, the start's projected KKT
 residual is tested with the given lam0/eta0 before the first multiplier
 update, which would move lam by mu0 h (h the pass-1 equality residual) and
@@ -90,6 +87,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 KKT_TOL = 1e-6     # projected KKT residual at convergence
+FEAS_TOL = 1e-8    # constraint violation at convergence
 MAX_OUTER = 500    # multiplier/penalty updates before NotConvergedError
 MAX_INNER = 200    # Newton steps per inner loop
 MU_MAX = 1e12      # penalty ceiling
@@ -261,10 +259,10 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol):
         floor = ft == f
 
 
-def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
+def solve_al(prob, z0, *, mu0=10.0, lam0=None, eta0=None):
     """Run the augmented-Lagrangian loop; returns (z, lam, eta, stats).
 
-    Converged means a constraint violation within feas_tol and a projected
+    Converged means a constraint violation within FEAS_TOL and a projected
     KKT residual within KKT_TOL.  lam0 and eta0 warm-start the equality and
     inequality multipliers (zeros when None); with mu0 they restart the loop
     from an earlier solve's multipliers (see the module docstring).
@@ -303,7 +301,7 @@ def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
         stats.constraint_violation = viol
         stats.mu_final = m.mu
 
-        if outer == 0 and nit == 0 and v_measure <= feas_tol:
+        if outer == 0 and nit == 0 and v_measure <= FEAS_TOL:
             # a feasible, complementary start (v_measure bounds viol too):
             # test it with the given multipliers before the first update
             # moves them
@@ -319,10 +317,10 @@ def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
             # the AL gradient at z is the Lagrangian gradient at the updated
             # multipliers, so pgn is z's projected KKT residual
             stats.kkt_residual = pgn
-            if viol <= feas_tol and pgn <= KKT_TOL:
+            if viol <= FEAS_TOL and pgn <= KKT_TOL:
                 stats.message = "converged"
                 return z, m.lam, m.eta, stats
-            feas_target = max(0.2 * feas_target, 0.5 * feas_tol)
+            feas_target = max(0.2 * feas_target, 0.5 * FEAS_TOL)
             omega = max(0.2 * omega, 0.3 * KKT_TOL)
         else:
             m.mu = min(10.0 * m.mu, MU_MAX)
@@ -334,7 +332,7 @@ def solve_al(prob, z0, *, feas_tol=1e-8, mu0=10.0, lam0=None, eta0=None):
             stall = 0
         else:
             stall += 1
-        if m.mu >= MU_MAX and stall >= 5 and viol > feas_tol:
+        if m.mu >= MU_MAX and stall >= 5 and viol > FEAS_TOL:
             stats.message = "violation stalled at mu_max"
             raise InfeasibleError(stats)
 

@@ -404,9 +404,9 @@ def default_initial_guess(problem: OptProblem) -> np.ndarray:
 _WARM_MU_CAP = 1e5
 
 
-def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
-          *, feas_tol=1e-8) -> PlannedTrajectory:
-    """Solve one transcription to a local optimum with violation <= feas_tol.
+def solve(problem: OptProblem,
+          initial_guess: PlannedTrajectory | None = None) -> PlannedTrajectory:
+    """Solve one transcription to a local optimum within nlp's FEAS_TOL and KKT_TOL.
 
     Without a guess the solve starts from default_initial_guess.  A guess
     must be a plan at the problem's N (another N raises ValueError); its
@@ -446,7 +446,7 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         chain, cols, rows = tr.chain(b), tr.chain_cols[b], tr.chain_rows[b]
         kw = {} if warm is None else dict(lam0=warm[0][rows], eta0=warm[1][:chain.m_in],
                                           mu0=warm[2])
-        z[cols], lam[rows], eta, chain_stats = solve_al(chain, z0[cols], feas_tol=feas_tol, **kw)
+        z[cols], lam[rows], eta, chain_stats = solve_al(chain, z0[cols], **kw)
         runs.append(chain_stats)
     att, stats = runs
     stats = replace(
@@ -589,7 +589,7 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
         results.append(sol)
 
     if not results:
-        raise AllCandidatesFailed(failures or ["candidate list was empty"])
+        raise AllCandidatesFailed(failures)
 
     best = results[0]
     for r in results[1:]:

@@ -52,7 +52,6 @@ class SimConfig:
     duration: float | None = None     # None -> plan horizon + tail
     tail: float = 5.0                 # station-keeping time after the horizon [s]
     feed_forward: bool = True
-    pwm: bool = True                  # False: apply the continuous duty directly
     mismatch_fraction: float = 0.0    # +-fraction on mass, inertia, f_max
     disturbance_accel: float = 0.0    # bound on random accelerations [m/s^2, rad/s^2]
     seed: int = 0
@@ -68,7 +67,6 @@ class SimResult:
     states: np.ndarray           # (n_steps+1, 6)
     slot_times: np.ndarray       # start time of each PWM slot
     firings: np.ndarray          # (8, n_slots_total) of 0/1
-    error_times: np.ndarray      # control-rate stamps
     errors: np.ndarray           # (n_periods, 6) tracking errors
     relative_velocity: np.ndarray  # (n_steps+1, 2) target-frame
     kos_distance: np.ndarray     # (n_steps+1,) exact signed distance
@@ -106,8 +104,9 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
 
     Per control period the controller allocates a duty (`allocate_duty`:
     its BVLS fast path, or lsq_linear for the rare request it leaves alone)
-    and PWM turns it into slots.  A slot's body wrench is recomputed only
-    when its firing column differs from the previous slot's, and each
+    and PWM turns it into slots; each slot applies its ON/OFF firing column
+    to the true layout.  A slot's body wrench is recomputed only when its
+    firing column differs from the previous slot's, and each
     physics step is one `euler_step` on plain floats.
     """
     if not plan.converged:
@@ -141,7 +140,7 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
     states[0] = state
     step = 0
     rest = np.concatenate([plan.states[-1, :3], np.zeros(3)])
-    applied = None  # bytes of the slot input whose body wrench w_body holds
+    applied = None  # bytes of the firing column whose body wrench w_body holds
     for j in range(n_periods):
         t = j * period
         if t <= horizon + 1e-9:
@@ -160,13 +159,10 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
             dist_w = (body_true.mass * da[0], body_true.mass * da[1], body_true.inertia * da[2])
         else:
             dist_w = None
-        for s in range(cfg.n_slots):
-            # pwm=False applies the unquantized duty (paired-run experiments);
-            # the firing record still logs the schedule that would have flown
-            slot_input = pattern[:, s] if cfg.pwm else duty
-            key = slot_input.tobytes()
+        for fired in pattern.T:
+            key = fired.tobytes()
             if key != applied:
-                w_body, applied = total_wrench(slot_input, layout_true).tolist(), key
+                w_body, applied = total_wrench(fired, layout_true).tolist(), key
             for _ in range(steps_per_slot):
                 w_world = body_to_world(w_body, state[2])
                 if dist_w is not None:
@@ -186,7 +182,6 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
         states=states,
         slot_times=slot_times,
         firings=firings,
-        error_times=np.arange(n_periods) * period,
         errors=errors,
         relative_velocity=relvel,
         kos_distance=g,

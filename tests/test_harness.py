@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from proxdock.harness import (ConfigError, cmd_audit, cmd_plan, cmd_sweep1,
                               main)
 from proxdock.kos import KosState
 from proxdock.optimizer import terminal_errors
+from proxdock.sim import SimConfig
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -161,6 +163,24 @@ class TestLoadConfig:
         cfg2 = load_config(write(tmp_path, "body.inertia = 0.5\n", "b.txt"))
         assert cfg2.body().inertia == 0.5
 
+    def test_sim_config_sets_every_field(self, tmp_path):
+        # every key that feeds the simulator off its default: then no
+        # SimConfig field may keep SimConfig()'s value (layouts by f_max)
+        text = ("seed = 7\nbody.mass = 12\nbody.inertia = 0.2\nbody.side_length = 0.4\n"
+                "layout.f_thr = 0.05\ntarget.side_length = 0.5\nkos.margin_fraction = 0.2\n"
+                "kos.dist_threshold_factor = 2\nkos.angle_threshold = 0.3\n"
+                "gains.kp_pos = 3\ngains.kd_pos = 9\ngains.kp_att = 0.5\ngains.kd_att = 1.5\n"
+                "ctrl.n_slots = 5\nctrl.feed_forward = false\nsim.physics_dt = 0.005\n"
+                "sim.control_hz = 20\nsim.tail = 2\nsim.duration = 30\n"
+                "sim.mismatch_fraction = 0.05\nsim.disturbance_accel = 1e-4\n")
+        sim_cfg = load_config(write(tmp_path, text)).sim_config()
+        default = SimConfig()
+        for field in dataclasses.fields(SimConfig):
+            got, ref = getattr(sim_cfg, field.name), getattr(default, field.name)
+            if field.name == "layout":
+                got, ref = got.f_max, ref.f_max
+            assert got != ref, field.name
+
     def test_wrench_bounds_scale_with_thrust(self, tmp_path):
         cfg = load_config(write(tmp_path, "layout.f_thr = 0.6\n"))
         lo, hi = cfg.wrench_bounds()
@@ -277,6 +297,18 @@ class TestPlanTrackCli:
         cmd_track(traj, None, b)
         assert (a / "run_record.txt").read_bytes() == (b / "run_record.txt").read_bytes()
         assert (a / "firing_sequence.txt").read_bytes() == (b / "firing_sequence.txt").read_bytes()
+
+    def test_all_zero_gains_is_one_error(self, planned, tmp_path, capsys):
+        # each gain passes its own rule; PdGains' "at least one positive" is
+        # a check across the gains.* keys
+        out, traj = planned
+        bad = write(tmp_path, "gains.kp_pos = 0\ngains.kd_pos = 0\n"
+                              "gains.kp_att = 0\ngains.kd_att = 0\n")
+        for argv in (["plan"], ["track", str(traj)]):
+            assert main(argv + ["--config", bad, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                "error: config validation errors:\n  at least one of gains.kp_pos, "
+                "gains.kd_pos, gains.kp_att, gains.kd_att must be positive\n")
 
     def test_cli_main_plan_fails_cleanly_on_bad_config(self, tmp_path):
         bad = write(tmp_path, "body.mass = -1\n")

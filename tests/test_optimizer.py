@@ -638,7 +638,7 @@ class TestWarmMultipliers:
         assert np.any(sol.multipliers[1][sched == KosState.STATE_II] > 0)
         return p, sol, sched
 
-    def test_resolve_from_own_plan(self):
+    def test_resolve_from_own_plan(self, monkeypatch):
         p = simple_problem(N=50, kos=True)
         first = solve(p)
         again = solve(p, first).solver_stats
@@ -649,7 +649,9 @@ class TestWarmMultipliers:
         # with an equality residual too small to move lam, the re-solve
         # accepts its start as is: one outer iteration and no Newton step
         # in each chain
-        tight = solve(p, feas_tol=1e-10)
+        with monkeypatch.context() as m:
+            m.setattr(nlp, "FEAS_TOL", 1e-10)
+            tight = solve(p)
         again = solve(p, tight).solver_stats
         assert (again.outer_iterations, again.newton_iterations) == (2, 0)
         assert again.message == "converged"

@@ -99,7 +99,7 @@ def reference_run(plan, cfg):
         for slot in range(n):
             fired = [1 if slot < k_on else 0 for k_on in on]
             firings.append(fired)
-            wb = (B @ (np.array(fired, dtype=float) if cfg.pwm else u)) * f_true
+            wb = (B @ np.array(fired, dtype=float)) * f_true
             for _ in range(spp // n):
                 c, s = math.cos(x[2]), math.sin(x[2])
                 fx, fy, tau = c * wb[0] - s * wb[1], s * wb[0] + c * wb[1], wb[2]
@@ -214,7 +214,7 @@ class TestRunBasics:
         monkeypatch.setattr(controller, "lsq_linear",
                             lambda *a, **k: fallbacks.append(1) or lsq_linear(*a, **k))
         for cfg in (SimConfig(mismatch_fraction=0.05, disturbance_accel=1e-4, seed=3),
-                    SimConfig(pwm=False), SimConfig(layout=default_layout(f_max=0.01))):
+                    SimConfig(feed_forward=False), SimConfig(layout=default_layout(f_max=0.01))):
             fallbacks.clear()
             res = run(best, cfg, target)
             states, firings, errors = reference_run(best, cfg)
@@ -239,16 +239,6 @@ class TestTracking:
         assert res.terminal_relative_speed <= 0.05
         assert res.min_kos_distance >= -0.005
         assert res.terminal_attitude_error <= 0.01
-
-    def test_continuous_actuation_tracks_no_worse(self, nominal):
-        # same seed, PWM off: tracking RMS must not degrade
-        best, target = nominal
-        res_pwm = run(best, SimConfig(pwm=True), target)
-        res_cont = run(best, SimConfig(pwm=False), target)
-        n = int(best.times[-1] * 10)
-        rms_pwm = float(np.sqrt(np.mean(res_pwm.errors[:n, :2] ** 2)))
-        rms_cont = float(np.sqrt(np.mean(res_cont.errors[:n, :2] ** 2)))
-        assert rms_cont <= rms_pwm + 1e-12
 
     def test_impulse_bookkeeping(self):
         # integrated applied force over a period equals sum k_i/n f_max d_i
