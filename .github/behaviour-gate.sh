@@ -1,8 +1,9 @@
 #!/bin/sh
 # Plan, track and audit the nominal config with the src/ of a base commit and
-# with the working tree's src/, then write both sets of record digests and
-# the plan and audit figures behind them as markdown tables to
-# $GITHUB_STEP_SUMMARY (stdout when unset), marking what differs.  Report
+# with the working tree's src/, then write both sets of record digests, the
+# plan and audit figures behind them and the src/ Python line counts as
+# markdown tables to $GITHUB_STEP_SUMMARY (stdout when unset), marking what
+# differs.  Report
 # only: it exits 0 even when the outputs differ, since a change may alter
 # them on purpose; the figures show what an intended change did.
 #
@@ -15,6 +16,8 @@ summary=${GITHUB_STEP_SUMMARY:-/dev/stdout}
 digest() { [ -f "$1" ] && sha256sum "$1" | cut -d' ' -f1; }
 # the value after the colon of the first line of file $1 that starts with $2
 field() { [ -f "$1" ] && grep -m1 "^ *$2" "$1" | sed 's/^[^:]*: *//'; }
+# lines of the Python files under directory $1
+lines() { find "$1" -name '*.py' -exec cat {} + | wc -l; }
 row() {
     mark=same
     [ -n "$2" ] && [ "$2" = "$3" ] || mark="**differs**"
@@ -49,5 +52,6 @@ done
     done
     row "audit: min KOS signed distance" "$(field "$work/base/out/audit.txt" "min KOS")" \
         "$(field "$work/head/out/audit.txt" "min KOS")"
+    row "src/ Python lines" "$(lines "$work/base/src")" "$(lines src)"
 } >> "$summary"
 exit 0

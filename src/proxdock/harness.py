@@ -308,11 +308,19 @@ def _validate(cfg: RunConfig, errors: list) -> None:
         return  # the rules below assume finite values
     errors.extend(filter(None, (_rule_error(key, v[key]) for key in DEFAULTS)))
     if not errors:  # the checks below assume every rule holds
-        # PdGains' check across keys; the body's, the other gains' and the
-        # keep-out config's constructor checks are DEFAULTS rules
+        # PdGains' check across keys; the other gains' and the keep-out
+        # config's constructor checks are DEFAULTS rules
         gains = [key for key in DEFAULTS if key.startswith("gains.")]
         if not any(v[key] for key in gains):
             errors.append(f"at least one of {', '.join(gains)} must be positive")
+        # BodyParams' checks are DEFAULTS rules too, but for a derived
+        # inertia, which can underflow to 0
+        try:
+            cfg.body()
+        except ValueError:
+            errors.append(f"body.inertia = none derives body.mass * body.side_length^2 / 6, "
+                          f"which underflows to 0 (got {v['body.mass']} and "
+                          f"{v['body.side_length']}); set body.inertia")
         dt, hz, n_slots = v["sim.physics_dt"], v["sim.control_hz"], v["ctrl.n_slots"]
         try:
             steps = steps_per_period(dt, hz, 1)
@@ -436,7 +444,7 @@ def _sweep_point(values):
         rec = _plan_point(RunConfig(values))[2]
     except Exception as ex:  # one failing point must not abort the sweep
         if isinstance(ex, AllCandidatesFailed):
-            reason = str(ex.reasons[0])[:60].replace(" ", "_") if ex.reasons else "failed"
+            reason = str(ex.reasons[0])[:60].replace(" ", "_")
         else:
             traceback.print_exc(file=sys.stderr)
             reason = type(ex).__name__

@@ -4,9 +4,10 @@ Outer loop: Powell-Hestenes-Rockafellar multiplier updates on the linear
 equalities (boundary + Euler defects) and the keep-out inequalities.  Inner
 loop: projected damped Newton over the wrench box bounds, with the Hessian
 assembled in symmetric lower-banded storage (the problem's variable ordering
-sets the bandwidth: 6 for the planner's axis blocks) and factored by
-LAPACK's banded Cholesky, so each Newton step is O(N).  Every vector dot
-product goes through dot, so no result depends on the BLAS thread count.
+sets the bandwidth: 6 for the planner's translation chain, 3 for its
+attitude chain) and factored by LAPACK's banded Cholesky, so each Newton
+step is O(N).  Every vector dot product goes through dot, so no result
+depends on the BLAS thread count.
 
 The Newton matrix is the Gauss-Newton form of the merit's Hessian,
 diag(2q) + mu E^T E + mu sum grad g grad g^T over the keep-out constraints
@@ -24,7 +25,9 @@ working precision does not lower the backward error of a stable Cholesky
 solve (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
 Should a factorization still fail (say with a zero effort weight), the
 solve ends with NotConvergedError and stats.message names the
-non-positive-definite Newton matrix.
+non-positive-definite Newton matrix.  An inf or nan in the Newton matrix
+(say from a body so light that dt / inertia overflows) ends it the same
+way, with a message of its own.
 
 The inner loop has three other exits: the projected gradient is within the
 outer loop's current tolerance; a stall, where the accepted line-search
@@ -72,8 +75,9 @@ The problem object must expose::
     ineq_values(z)                 -> g
     ineq_full(z)                   -> (g, gx, gy)
 
-m_in may be 0, with empty index arrays, and ineq_values and ineq_full then
-return empty arrays: every path runs the same arithmetic on them.
+m_in may be 0, with empty index arrays, as on the planner's attitude chain;
+ineq_values and ineq_full then return empty arrays, and every path runs the
+same arithmetic on them.
 
 ineq_values is the value-only path used by line-search trials; it must equal
 ineq_full(z)[0] bit for bit, because the stall exit compares a trial merit
@@ -91,6 +95,10 @@ FEAS_TOL = 1e-8    # constraint violation at convergence
 MAX_OUTER = 500    # multiplier/penalty updates before NotConvergedError
 MAX_INNER = 200    # Newton steps per inner loop
 MU_MAX = 1e12      # penalty ceiling
+
+# messages of the inner-loop exits that end the solve
+_FACTOR_FAILURES = {"not_pd": "Newton matrix not positive definite",
+                    "not_finite": "Newton matrix holds an inf or nan"}
 
 # OpenBLAS splits a ddot longer than this over threads, so its rounding,
 # and with it every iterate, would depend on the host's thread count.
@@ -216,7 +224,8 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol):
     Returns (z, h, g, pgn, Newton steps, exit): h, the keep-out values g and
     the projected AL-gradient norm pgn are those of the final z.  exit names
     the inner loop's exit (see the module docstring): "tol", "stall", "cap",
-    or "not_pd" when the Newton matrix fails to factor.
+    "not_pd" when the Newton matrix fails to factor, or "not_finite" when
+    it holds an inf or nan.
     """
     lb, ub = prob.lb, prob.ub
     nit = 0
@@ -237,6 +246,8 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol):
             cb = cholesky_banded(ab, lower=True)
         except np.linalg.LinAlgError:
             return z, h, ineq[0], pgn, nit, "not_pd"
+        except ValueError:  # it checks its input for an inf or nan
+            return z, h, ineq[0], pgn, nit, "not_finite"
         d = cho_solve_banded((cb, True), rhs)
 
         alpha = 1.0
@@ -289,8 +300,8 @@ def solve_al(prob, z0, *, mu0=10.0, lam0=None, eta0=None):
         stats.newton_iterations += nit
         stats.inner_stalls += exit_ == "stall"
         stats.inner_capped += exit_ == "cap"
-        if exit_ == "not_pd":
-            stats.message = "Newton matrix not positive definite"
+        if exit_ in _FACTOR_FAILURES:
+            stats.message = _FACTOR_FAILURES[exit_]
             raise NotConvergedError(stats)
 
         hinf = float(np.max(np.abs(h), initial=0.0))

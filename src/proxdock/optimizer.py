@@ -2,23 +2,23 @@
 
 Decision variables are the N+1 knot states and N inertial-frame wrenches,
 ordered by axis chain (translation block, then attitude block, knot-major
-inside each; see _layout) so the transcription Hessian is banded with
-bandwidth 6.  The knot-to-knot defects reuse the exact forward-Euler map
-from `dynamics`; keep-out constraints come from the smooth forms in `kos`,
-scheduled per knot as State I or II by an int array of KosState values
-(`OptProblem.kos_schedule`, None for all State I).
+inside each; see _layout).  The knot-to-knot defects reuse the exact
+forward-Euler map from `dynamics`; keep-out constraints come from the smooth
+forms in `kos`, scheduled per knot as State I or II by an int array of
+KosState values (`OptProblem.kos_schedule`, None for all State I).
 
-The transcription separates exactly into its two axis chains, and solve
-solves them apart (Betts, Practical Methods for Optimal Control, ch. 2).
-No equality row reads both blocks: the translation defects never see
-theta, omega or tau, and the attitude rows never see x, y or a force.  The
-objective is diagonal.  The keep-out constraints read only x and y, since
-`kos.r_safe` is the worst-case corner circle and the chaser's attitude
-never enters.  So the whole problem's KKT conditions are the two chains'
-side by side, and a KKT point of each chain is one of the whole.  The
-attitude chain, [theta, omega, tau] with the initial theta and omega rows,
-their Euler defects, the terminal-theta row and the torque box, is a
-box-constrained QP that nlp.solve_al solves with no keep-out constraint; the
+The transcription separates exactly into its two axis chains, so it is
+built and solved as two problems (Betts, Practical Methods for Optimal
+Control, ch. 2).  No equality row reads both blocks: the translation defects
+never see theta, omega or tau, and the attitude rows never see x, y or a
+force.  The objective is diagonal.  The keep-out constraints read only x and
+y, since `kos.r_safe` is the worst-case corner circle and the chaser's
+attitude never enters.  So the whole problem's KKT conditions are the two
+chains' side by side, and a KKT point of each chain is one of the whole.
+_Transcription(problem, b) builds chain b directly.  The attitude chain,
+[theta, omega, tau] with the initial theta and omega rows, their Euler
+defects, the terminal-theta row and the torque box, is a box-constrained QP
+that nlp.solve_al solves with no keep-out constraint; the
 augmented-Lagrangian loop then runs on the translation chain, [x, y, vx,
 vy, Fx, Fy] with the keep-out constraints.  A pass-2 re-solve changes only
 the keep-out schedule, so its warm restart of the attitude chain returns
@@ -32,7 +32,6 @@ and multipliers), and the lowest-objective converged solution wins.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -116,12 +115,14 @@ class PlannedTrajectory:
     states rows are [x, y, theta, vx, vy, omega]; wrenches rows [Fx, Fy, tau]
     in the inertial frame; kos_states is the per-knot KosState int array.
     multipliers is the solve's final (lam, circle eta per knot, lobe eta,
-    mu_final): lam has one entry per equality row, the circle eta is zero at
-    knots without a circle constraint, and the lobe eta holds the positive
-    side's N+1 knots, then the negative side's.  solve restarts from them
-    when it is given this plan as its initial guess; plans read from a file
-    have None.  pass2_failure is the solver message of a failed pass-2
-    re-solve (see `plan`), whose pass-1 plan this then is; None otherwise.
+    mu_final): lam has one entry per equality row, the translation chain's
+    rows first, then the attitude chain's (see _Transcription); the circle
+    eta is zero at knots without a circle constraint, and the lobe eta holds
+    the positive side's N+1 knots, then the negative side's.  solve restarts
+    from them when it is given this plan as its initial guess; plans read
+    from a file have None.  pass2_failure is the solver message of a failed
+    pass-2 re-solve (see `plan`), whose pass-1 plan this then is; None
+    otherwise.
     """
 
     times: np.ndarray
@@ -156,10 +157,12 @@ def terminal_errors(plan: PlannedTrajectory, state) -> tuple[float, float]:
 # chain, knot-major inside each block: first the translation block, [x, y,
 # vx, vy, Fx, Fy] per knot k < N and [x, y, vx, vy] at knot N, then the
 # attitude block, [theta, omega, tau] per knot and [theta, omega] at knot N.
-# Every Euler row and the objective stay on one chain and the keep-out
-# constraints read only x and y, so E^T E couples z entries at most 6 apart
-# (x_k to x_{k+1}) and the Newton matrix has bandwidth 6.  x and y must stay
-# adjacent: nlp puts the keep-out cross term on the first subdiagonal.
+# Each chain is transcribed over its own block (see _Transcription), whose
+# states come before its wrenches in _BLOCKS.  Its Euler rows couple z
+# entries at most one knot apart, so E^T E has bandwidth 6 on the
+# translation chain (x_k to x_{k+1}) and 3 on the attitude chain.  x and y
+# must stay adjacent: nlp puts the keep-out cross term on the first
+# subdiagonal.
 _BLOCKS = ((0, 1, 3, 4, 6, 7), (2, 5, 8))
 
 
@@ -190,120 +193,96 @@ def unpack_variables(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Transcription:
-    """Flat-variable problem object consumed by nlp.solve_al.
+    """Axis chain b of the transcription (0 translation, 1 attitude; see
+    _layout) as a problem object for nlp.solve_al, over the chain's block
+    of z.
 
-    The objective is the quadratic J = w_goal |x_N - g|^2
-    + sum dt (w_kin E_kin + w_u |F|^2) = z.(q*z) + c.z + c0.
+    The objective is the chain's share of the quadratic J = w_goal |x_N - g|^2
+    + sum dt (w_kin E_kin + w_u |F|^2), as z.(q*z) + c.z + c0; the two
+    chains' shares sum to J.  The equality rows are the chain's initial-state
+    rows, then its Euler defects knot-major, then on the attitude chain the
+    terminal-attitude row.
     """
 
-    def __init__(self, problem: OptProblem):
-        self.problem = problem
+    def __init__(self, problem: OptProblem, b: int):
         N, dt = problem.N, problem.dt
-        self.N = N
+        quantities = _BLOCKS[b]
+        states = [j for j in quantities if j < 6]
+        s = len(states)
+        # positions in the chain's block; the other chain's columns point
+        # outside it
         pos = _layout(N)
-        self.n = int(pos.max()) + 1
-        goal = problem.x_goal
-        wpos = pos[:-1, 6:]
-        q = np.zeros(self.n)
-        q[pos[:-1, 3:6]] = 0.5 * dt * problem.w_kin * np.array(
-            [problem.body.mass, problem.body.mass, problem.body.inertia])
-        q[wpos] = problem.w_u * dt
-        q[pos[N, :6]] += problem.w_goal
-        self.q = q
+        pos -= pos[0, quantities[0]]
+        chain = pos[:, quantities]
+        self.n = int(chain.max()) + 1
+        # per-quantity weights: kinetic energy on the rates, effort on the
+        # wrenches, the goal on every state of knot N
+        body = problem.body
+        w = np.zeros(9)
+        w[3:6] = 0.5 * dt * problem.w_kin * np.array([body.mass, body.mass, body.inertia])
+        w[6:] = problem.w_u * dt
+        self.q = np.zeros(self.n)
+        self.q[chain[:-1]] = w[list(quantities)]
+        self.q[chain[N, :s]] += problem.w_goal
+        goal = problem.x_goal[states]
         self.c = np.zeros(self.n)
-        self.c[pos[N, :6]] = -2.0 * problem.w_goal * goal
+        self.c[chain[N, :s]] = -2.0 * problem.w_goal * goal
         self.c0 = problem.w_goal * float(goal @ goal)
 
         # box bounds: states free, wrenches boxed
+        wrench = [j - 6 for j in quantities[s:]]
         self.lb = np.full(self.n, -np.inf)
         self.ub = np.full(self.n, np.inf)
-        self.lb[wpos] = problem.wrench_min
-        self.ub[wpos] = problem.wrench_max
+        self.lb[chain[:-1, s:]] = problem.wrench_min[wrench]
+        self.ub[chain[:-1, s:]] = problem.wrench_max[wrench]
 
         # equality rows: initial state, Euler defects, terminal attitude
-        A, Bw = euler_matrices(problem.body, dt)
-        rows, cols, vals = [], [], []
-        rhs = np.zeros(6 * N + 7)
-        for j in range(6):
-            rows.append([j]); cols.append([pos[0, j]]); vals.append([1.0])
-        rhs[:6] = problem.x_init
+        A, Bw = euler_matrices(body, dt)
         k = np.arange(N)
-        for j in range(6):
-            r = 6 + 6 * k + j
-            rows.append(r); cols.append(pos[k + 1, j]); vals.append(np.ones(N))
-            rows.append(r); cols.append(pos[k, j]); vals.append(np.full(N, -1.0))
+        rows, cols, vals = [np.arange(s)], [chain[0, :s]], [np.ones(s)]
+        for i, j in enumerate(states):
+            r = s + s * k + i
             # rate (velocity or wrench) driving quantity j is quantity j + 3
             rate = A[j, j + 3] if j < 3 else Bw[j, j - 3]
-            rows.append(r); cols.append(pos[k, j + 3]); vals.append(np.full(N, -rate))
-        rows.append([6 + 6 * N]); cols.append([pos[N, 2]]); vals.append([1.0])
-        rhs[6 + 6 * N] = problem.theta_finish
-        rows = np.concatenate([np.asarray(r) for r in rows])
-        cols = np.concatenate([np.asarray(c) for c in cols])
-        vals = np.concatenate([np.asarray(v, dtype=float) for v in vals])
-        self.E = sp.csr_matrix((vals, (rows, cols)), shape=(6 * N + 7, self.n))
+            rows += [r, r, r]
+            cols += [pos[k + 1, j], pos[k, j], pos[k, j + 3]]
+            vals += [np.ones(N), np.full(N, -1.0), np.full(N, -rate)]
+        rhs = [problem.x_init[states], np.zeros(s * N)]
+        if b == 1:
+            rows.append([s + s * N]); cols.append([pos[N, 2]]); vals.append([1.0])
+            rhs.append([problem.theta_finish])
+        self.e_rhs = np.concatenate(rhs)
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        self.E = sp.csr_matrix((vals, (rows, cols)), shape=(len(self.e_rhs), self.n))
         self.ET = self.E.T.tocsr()
-        self.e_rhs = rhs
 
         ete = (self.E.T @ self.E).tocoo()
         mask = ete.row >= ete.col
         r, c, v = ete.row[mask], ete.col[mask], ete.data[mask]
-        self.bandwidth = int(np.max(r - c)) if len(r) else 0
+        self.bandwidth = int(np.max(r - c))
         self._ete_banded = np.zeros((self.bandwidth + 1, self.n))
         np.add.at(self._ete_banded, (r - c, c), v)
 
-        # the axis chains: z splits at n_t into the translation and the
-        # attitude block, and each equality row reads one of them
-        n_t = int(pos[:, _BLOCKS[0]].max()) + 1
-        self.chain_cols = (slice(0, n_t), slice(n_t, self.n))
-        attitude_row = self.E.indices[self.E.indptr[:-1]] >= n_t
-        self.chain_rows = (np.flatnonzero(~attitude_row), np.flatnonzero(attitude_row))
-
-        # keep-out constraints: circle at State I knots, both lobes everywhere
-        self._pos = pos
-        self._build_kos(problem.kos_cfg)
-
-    def _build_kos(self, kos_cfg):
-        """Set the keep-out constraint rows: the circle at the State I knots,
-        then each lobe at every knot, the positive side first.  Without a
-        keep-out config the knot sets are empty, so m_in is 0, ineq_full and
-        ineq_values return empty arrays and no row reads the nan r_safe."""
-        p, pos = self.problem, self._pos
-        knots = np.arange(self.N + 1 if kos_cfg is not None else 0)
-        circle_knots = (knots if p.kos_schedule is None
-                        else knots[p.kos_schedule[knots] == KosState.STATE_I])
-        th = p.target.attitude(knots * p.dt)
+        # keep-out constraints, on the translation chain only: the circle at
+        # the State I knots, then each lobe at every knot, the positive side
+        # first.  Without them the knot sets are empty, so m_in is 0,
+        # ineq_full and ineq_values return empty arrays and no row reads the
+        # nan r_safe.
+        kos_cfg = problem.kos_cfg if b == 0 else None
+        knots = np.arange(N + 1 if kos_cfg is not None else 0)
+        circle_knots = (knots if problem.kos_schedule is None
+                        else knots[problem.kos_schedule[knots] == KosState.STATE_I])
+        th = problem.target.attitude(knots * dt)
         self._rs = koslib.r_safe(kos_cfg) if kos_cfg is not None else math.nan
         self._circle_knots = circle_knots
         self._lobe_sides = np.repeat([1.0, -1.0], len(knots))
         self._lobe_cos = np.tile(np.cos(th), 2)
         self._lobe_sin = np.tile(np.sin(th), 2)
-        self._center = p.target.position
+        self._center = problem.target.position
         knots_all = np.concatenate([circle_knots, knots, knots])
         self.ineq_ix = pos[knots_all, 0]
         self.ineq_iy = pos[knots_all, 1]
         self.m_in = len(knots_all)
-
-    def chain(self, b: int) -> "_Transcription":
-        """Axis chain b (0 translation, 1 attitude) as a problem of its own
-        over z[chain_cols[b]]: the equality rows chain_rows[b], the chain's
-        objective terms, which sum to the objective over both chains, and
-        for the translation chain the keep-out constraints, whose indices
-        already point into its leading slice of z."""
-        cols, rows = self.chain_cols[b], self.chain_rows[b]
-        sub = copy.copy(self)
-        sub.n = cols.stop - cols.start
-        sub.q, sub.c, sub.lb, sub.ub = self.q[cols], self.c[cols], self.lb[cols], self.ub[cols]
-        goal = self.problem.x_goal[[j for j in _BLOCKS[b] if j < 6]]
-        sub.c0 = self.problem.w_goal * float(goal @ goal)
-        sub.E = self.E[rows][:, cols]
-        sub.ET = sub.E.T.tocsr()
-        sub.e_rhs = self.e_rhs[rows]
-        band = self._ete_banded[:, cols]
-        sub.bandwidth = int(np.flatnonzero(band.any(axis=1))[-1])
-        sub._ete_banded = band[:sub.bandwidth + 1]
-        if b == 1:
-            sub._build_kos(None)
-        return sub
 
     def base_banded(self, mu: float) -> np.ndarray:
         """diag(2q) + mu E^T E in lower-banded storage."""
@@ -316,17 +295,6 @@ class _Transcription:
 
     def objective_value_grad(self, z):
         return self.objective_value(z), 2.0 * self.q * z + self.c
-
-    def breakdown(self, states, wrenches) -> tuple[float, float, float]:
-        """(goal, kinetic, effort) terms; they sum to the objective."""
-        p = self.problem
-        d = states[-1] - p.x_goal
-        goal = p.w_goal * float(d @ d)
-        v = states[:-1, 3:]
-        ek = 0.5 * (p.body.mass * (v[:, 0] ** 2 + v[:, 1] ** 2) + p.body.inertia * v[:, 2] ** 2)
-        kinetic = p.w_kin * p.dt * float(np.sum(ek))
-        effort = p.w_u * p.dt * float(np.sum(wrenches**2))
-        return goal, kinetic, effort
 
     def ineq_full(self, z):
         """Constraint values and gradients, as (g, gx, gy)."""
@@ -350,6 +318,18 @@ class _Transcription:
         xp, yp = koslib.target_frame(xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin, self._center)
         g[nc:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0, self._lobe_sides)
         return g
+
+
+def breakdown(problem: OptProblem, states, wrenches) -> tuple[float, float, float]:
+    """(goal, kinetic, effort) terms of the objective; they sum to it."""
+    p = problem
+    d = states[-1] - p.x_goal
+    goal = p.w_goal * float(d @ d)
+    v = states[:-1, 3:]
+    ek = 0.5 * (p.body.mass * (v[:, 0] ** 2 + v[:, 1] ** 2) + p.body.inertia * v[:, 2] ** 2)
+    kinetic = p.w_kin * p.dt * float(np.sum(ek))
+    effort = p.w_u * p.dt * float(np.sum(wrenches**2))
+    return goal, kinetic, effort
 
 
 def default_initial_guess(problem: OptProblem) -> np.ndarray:
@@ -422,7 +402,8 @@ def solve(problem: OptProblem,
     Raises NotConvergedError / InfeasibleError (from proxdock.nlp) on
     failure, with the stats of the chain that failed.
     """
-    tr = _Transcription(problem)
+    chains = _Transcription(problem, 0), _Transcription(problem, 1)
+    trans = chains[0]
     warm = None
     if initial_guess is None:
         z0 = default_initial_guess(problem)
@@ -433,38 +414,35 @@ def solve(problem: OptProblem,
         z0 = pack_variables(initial_guess.states, initial_guess.wrenches)
         if initial_guess.multipliers is not None:
             lam0, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
-            eta0 = np.concatenate([circle_eta[tr._circle_knots], lobe_eta])
-            if len(eta0) == tr.m_in:  # same keep-out model
-                warm = lam0, eta0, min(mu_final, _WARM_MU_CAP)
-    z = np.empty(tr.n)
-    lam = np.empty(tr.E.shape[0])
-    runs = []
+            eta0 = np.concatenate([circle_eta[trans._circle_knots], lobe_eta])
+            if len(eta0) == trans.m_in:  # same keep-out model
+                warm = np.split(lam0, [trans.E.shape[0]]), eta0, min(mu_final, _WARM_MU_CAP)
+    z0 = np.split(z0, [trans.n])
+    runs = [None, None]
     # the cheap attitude chain first, so a hopeless solve ends soonest; the
     # translation chain holds every keep-out constraint (the attitude chain's
     # m_in is 0), runs last and leaves eta, their multipliers
     for b in (1, 0):
-        chain, cols, rows = tr.chain(b), tr.chain_cols[b], tr.chain_rows[b]
-        kw = {} if warm is None else dict(lam0=warm[0][rows], eta0=warm[1][:chain.m_in],
+        kw = {} if warm is None else dict(lam0=warm[0][b], eta0=warm[1][:chains[b].m_in],
                                           mu0=warm[2])
-        z[cols], lam[rows], eta, chain_stats = solve_al(chain, z0[cols], **kw)
-        runs.append(chain_stats)
-    att, stats = runs
+        runs[b] = solve_al(chains[b], z0[b], **kw)
+    (z_t, lam_t, eta, stats), (z_a, lam_a, _, att) = runs
     stats = replace(
         stats, **{k: getattr(att, k) + getattr(stats, k) for k in
                   ("outer_iterations", "newton_iterations", "inner_stalls", "inner_capped")},
         kkt_residual=max(att.kkt_residual, stats.kkt_residual),
         constraint_violation=max(att.constraint_violation, stats.constraint_violation))
-    states, wrenches = unpack_variables(z, problem.N)
-    breakdown = tr.breakdown(states, wrenches)
-    nc = len(tr._circle_knots)
+    states, wrenches = unpack_variables(np.concatenate([z_t, z_a]), problem.N)
+    terms = breakdown(problem, states, wrenches)
+    nc = len(trans._circle_knots)
     circle_eta = np.zeros(problem.N + 1)
-    circle_eta[tr._circle_knots] = eta[:nc]
+    circle_eta[trans._circle_knots] = eta[:nc]
     return PlannedTrajectory(
         times=np.arange(problem.N + 1) * problem.dt,
         states=states,
         wrenches=wrenches,
-        objective_value=float(sum(breakdown)),
-        objective_breakdown=breakdown,
+        objective_value=float(sum(terms)),
+        objective_breakdown=terms,
         kos_states=(np.full(problem.N + 1, KosState.STATE_I) if problem.kos_schedule is None
                     else problem.kos_schedule),
         converged=True,
@@ -472,7 +450,7 @@ def solve(problem: OptProblem,
         x_goal=problem.x_goal,
         theta_finish=problem.theta_finish,
         dt=problem.dt,
-        multipliers=(lam, circle_eta, eta[nc:], stats.mu_final),
+        multipliers=(np.concatenate([lam_t, lam_a]), circle_eta, eta[nc:], stats.mu_final),
     )
 
 

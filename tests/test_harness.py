@@ -310,6 +310,23 @@ class TestPlanTrackCli:
                 "error: config validation errors:\n  at least one of gains.kp_pos, "
                 "gains.kd_pos, gains.kp_att, gains.kd_att must be positive\n")
 
+    def test_underflowing_derived_inertia_is_one_error(self, tmp_path, capsys):
+        # mass and side length pass their rules, but mass * side^2 / 6 is 0
+        bad = write(tmp_path, "body.mass = 1e-300\nbody.side_length = 1e-13\n")
+        assert main(["plan", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config validation errors:\n  body.inertia = none derives body.mass * "
+            "body.side_length^2 / 6, which underflows to 0 (got 1e-300 and 1e-13); "
+            "set body.inertia\n")
+
+    def test_cli_main_plan_records_non_finite_newton_matrix(self, tmp_path, capsys):
+        # dt / inertia overflows, so the Newton matrix holds an inf or nan
+        cfg = write(tmp_path, "body.mass = 1e-300\nbody.side_length = 1e-10\n")
+        assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count("pass1: Newton matrix holds an inf or nan") == 2
+
     def test_cli_main_plan_fails_cleanly_on_bad_config(self, tmp_path):
         bad = write(tmp_path, "body.mass = -1\n")
         assert main(["plan", "--config", bad, "--out", str(tmp_path / "o")]) == 2

@@ -46,16 +46,26 @@ def simple_problem(N=40, kos=False, **overrides):
     return OptProblem(**kw)
 
 
+def chain_parts(p, states, wrenches):
+    """(chain, its block of z) for the translation and the attitude chain."""
+    chains = _Transcription(p, 0), _Transcription(p, 1)
+    return list(zip(chains, np.split(pack_variables(states, wrenches), [chains[0].n])))
+
+
 def equality_residuals(p, states, wrenches) -> dict:
-    """Initial-state, defect and terminal-attitude rows of E z - e."""
-    tr = _Transcription(p)
-    r = tr.E @ pack_variables(states, wrenches) - tr.e_rhs
-    return {"init": r[:6], "defects": r[6:6 + 6 * p.N].reshape(p.N, 6),
-            "terminal": float(r[6 + 6 * p.N])}
+    """Initial-state, defect and terminal-attitude rows of E z - e over both
+    chains, the rows of each state quantity in its place."""
+    init, defects = np.empty(6), np.empty((p.N, 6))
+    for (tr, z), js in zip(chain_parts(p, states, wrenches), ([0, 1, 3, 4], [2, 5])):
+        r = tr.E @ z - tr.e_rhs
+        s = len(js)
+        init[js] = r[:s]
+        defects[:, js] = r[s:s + s * p.N].reshape(p.N, s)
+    return {"init": init, "defects": defects, "terminal": float(r[-1])}
 
 
 def objective_value(p, states, wrenches) -> float:
-    return _Transcription(p).objective_value(pack_variables(states, wrenches))
+    return sum(tr.objective_value(z) for tr, z in chain_parts(p, states, wrenches))
 
 
 def nominal_template(**overrides):
@@ -119,7 +129,6 @@ class TestObjective:
 
     def test_three_knot_hand_computed(self):
         p = simple_problem(N=2, w_goal=3.0, w_u=2.0, w_kin=1.5)
-        tr = _Transcription(p)
         rng = np.random.default_rng(1)
         states = rng.normal(size=(3, 6))
         wrenches = rng.normal(size=(2, 3))
@@ -131,7 +140,7 @@ class TestObjective:
         effort = sum(2.0 * dt * (wrenches[k] @ wrenches[k]) for k in range(2))
         assert objective_value(p, states, wrenches) == pytest.approx(goal + kinetic + effort,
                                                                      rel=1e-12)
-        b = tr.breakdown(states, wrenches)
+        b = optimizer.breakdown(p, states, wrenches)
         assert b[0] == pytest.approx(goal, rel=1e-12)
         assert b[1] == pytest.approx(kinetic, rel=1e-12)
         assert b[2] == pytest.approx(effort, rel=1e-12)
@@ -139,19 +148,20 @@ class TestObjective:
     def test_gradient_matches_central_differences(self):
         # criterion: relative error <= 1e-4 at random feasible points
         p = simple_problem(N=8)
-        tr = _Transcription(p)
         rng = np.random.default_rng(6)
-        z = rng.normal(size=9 * 8 + 6)
-        grad = tr.objective_value_grad(z)[1]
-        h = 1e-6
-        fd = np.empty_like(z)
-        for i in range(len(z)):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            fd[i] = (tr.objective_value(zp) - tr.objective_value(zm)) / (2 * h)
-        denom = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(grad - fd) / denom) <= 1e-4
+        for b in (0, 1):
+            tr = _Transcription(p, b)
+            z = rng.normal(size=tr.n)
+            grad = tr.objective_value_grad(z)[1]
+            h = 1e-6
+            fd = np.empty_like(z)
+            for i in range(len(z)):
+                zp, zm = z.copy(), z.copy()
+                zp[i] += h
+                zm[i] -= h
+                fd[i] = (tr.objective_value(zp) - tr.objective_value(zm)) / (2 * h)
+            denom = np.maximum(np.abs(fd), 1.0)
+            assert np.max(np.abs(grad - fd) / denom) <= 1e-4
 
 
 class TestConstraints:
@@ -168,8 +178,8 @@ class TestConstraints:
         p = simple_problem(N=4, kos=True)
         states = np.tile(p.x_init, (5, 1))
         states[2, :2] = 0.0  # knot parked at the target's center
-        z = pack_variables(states, np.zeros((4, 3)))
-        assert np.min(_Transcription(p).ineq_values(z)) < 0
+        tr, z = chain_parts(p, states, np.zeros((4, 3)))[0]
+        assert np.min(tr.ineq_values(z)) < 0
 
     def test_defect_residuals_match_euler_recompute(self):
         # oracle: recompute defects through dynamics.euler_step directly
@@ -196,7 +206,8 @@ class TestConstraints:
 
 class TestLayout:
     """The axis-blocked variable layout: translation chain first, then
-    attitude, which keeps the Newton matrix's bandwidth at 6."""
+    attitude, which keeps the Newton matrix's bandwidth at 6 on the
+    translation chain and 3 on the attitude chain."""
 
     @pytest.mark.parametrize("N", [2, 3, 50])
     def test_table_covers_every_variable_once(self, N):
@@ -212,8 +223,8 @@ class TestLayout:
         if model == "mixed":
             p = replace(p, kos_schedule=[KosState.STATE_I] * (N // 2 + 1)
                         + [KosState.STATE_II] * (N - N // 2))
-        tr = _Transcription(p)
-        assert tr.bandwidth == 6
+        tr, att = _Transcription(p, 0), _Transcription(p, 1)
+        assert (tr.bandwidth, att.bandwidth) == (6, 3)
         # nlp puts the keep-out cross term on the first subdiagonal
         np.testing.assert_array_equal(tr.ineq_iy, tr.ineq_ix + 1)
         if model != "no_kos":
@@ -221,8 +232,8 @@ class TestLayout:
 
 
 class TestChains:
-    """The transcription splits exactly into the translation chain and the
-    attitude chain, and solve solves them apart."""
+    """The transcription is built as the translation chain and the attitude
+    chain, over their blocks of z, and solve solves them apart."""
 
     @staticmethod
     def attitude_columns(N):
@@ -232,18 +243,22 @@ class TestChains:
     @pytest.mark.parametrize("N", [2, 50])
     def test_every_row_and_constraint_reads_one_chain(self, N):
         p = simple_problem(N=N, kos=True)
-        tr = _Transcription(p)
-        cols, rows = tr.chain_cols, tr.chain_rows
-        np.testing.assert_array_equal(np.arange(tr.n)[cols[1]], self.attitude_columns(N))
-        np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(tr.E.shape[0]))
-        for b in (0, 1):
-            assert tr.E[rows[b]][:, cols[1 - b]].nnz == 0
-        assert np.all(tr.ineq_ix < cols[0].stop) and np.all(tr.ineq_iy < cols[0].stop)
-        # the chains' objectives sum to the whole one
-        z = np.random.default_rng(N).normal(size=tr.n)
-        parts = [tr.chain(b).objective_value(z[cols[b]]) for b in (0, 1)]
-        assert sum(parts) == pytest.approx(tr.objective_value(z), rel=1e-12)
-        assert (tr.chain(0).m_in, tr.chain(1).m_in) == (tr.m_in, 0)
+        tr, att = _Transcription(p, 0), _Transcription(p, 1)
+        # the attitude chain is the trailing block of z
+        np.testing.assert_array_equal(np.arange(tr.n, tr.n + att.n), self.attitude_columns(N))
+        # every equality row: initial state, defects, terminal attitude
+        assert tr.E.shape == (4 * (N + 1), tr.n) and att.E.shape == (2 * (N + 1) + 1, att.n)
+        # every keep-out constraint reads x and y of the translation block
+        pos = optimizer._layout(N)
+        np.testing.assert_array_equal(np.unique(tr.ineq_ix), pos[:, 0])
+        np.testing.assert_array_equal(np.unique(tr.ineq_iy), pos[:, 1])
+        assert (tr.m_in, att.m_in) == (3 * (N + 1), 0)
+        # the chains' objectives sum to the objective's terms
+        rng = np.random.default_rng(N)
+        states, wrenches = rng.normal(size=(N + 1, 6)), rng.normal(size=(N, 3))
+        parts = [c.objective_value(z) for c, z in chain_parts(p, states, wrenches)]
+        assert sum(parts) == pytest.approx(sum(optimizer.breakdown(p, states, wrenches)),
+                                           rel=1e-12)
 
     def test_attitude_columns_solve_the_attitude_qp(self):
         # a keep-out problem whose keep-out constraints are active and whose
@@ -254,14 +269,12 @@ class TestChains:
         sol = solve(p)
         assert np.count_nonzero(sol.multipliers[1]) + np.count_nonzero(sol.multipliers[2]) > 0
         assert np.max(np.abs(sol.wrenches[:, 2])) < 0.5 * p.wrench_max[2]
-        tr = _Transcription(p)
+        tr = _Transcription(p, 1)
         att = self.attitude_columns(p.N)
-        E = tr.E.toarray()
-        rows = np.flatnonzero(np.any(E[:, att] != 0.0, axis=1))
-        A = E[np.ix_(rows, att)]
-        kkt = np.block([[np.diag(2.0 * tr.q[att]), A.T],
-                        [A, np.zeros((len(rows), len(rows)))]])
-        qp = np.linalg.solve(kkt, np.concatenate([-tr.c[att], tr.e_rhs[rows]]))[:len(att)]
+        A = tr.E.toarray()
+        m = A.shape[0]
+        kkt = np.block([[np.diag(2.0 * tr.q), A.T], [A, np.zeros((m, m))]])
+        qp = np.linalg.solve(kkt, np.concatenate([-tr.c, tr.e_rhs]))[:tr.n]
         np.testing.assert_allclose(pack_variables(sol.states, sol.wrenches)[att], qp,
                                    rtol=0, atol=1e-6)
 
@@ -298,8 +311,8 @@ class TestValuePath:
             sched = [KosState.STATE_I] * 30 + [KosState.STATE_II] * 20 \
                 + [KosState.STATE_I] * 10 + [KosState.STATE_II] * 21
             p = replace(p, kos_schedule=tuple(sched))
-        tr = _Transcription(p)
-        z = self.knots_near_kos(p)
+        tr = _Transcription(p, 0)
+        z = self.knots_near_kos(p)[:tr.n]
         g = tr.ineq_values(z)
         assert g.shape == (tr.m_in,)
         assert np.array_equal(g, tr.ineq_full(z)[0])
@@ -327,8 +340,8 @@ class TestNewtonMatrix:
         p = simple_problem(N=30, kos=True, target=target)
         if mixed:
             p = replace(p, kos_schedule=[KosState.STATE_I] * 12 + [KosState.STATE_II] * 19)
-        tr = _Transcription(p)
-        z = TestValuePath.knots_near_kos(p)
+        tr = _Transcription(p, 0)
+        z = TestValuePath.knots_near_kos(p)[:tr.n]
         rng = np.random.default_rng(3)
         mu = 100.0
         m = nlp._Multipliers(lam=np.zeros(tr.E.shape[0]),
@@ -345,6 +358,13 @@ class TestNewtonMatrix:
         G[rows, tr.ineq_ix] = gx
         G[rows, tr.ineq_iy] = gy
         expected = np.diag(2.0 * tr.q) + mu * E.T @ E + mu * G[act].T @ G[act]
+        assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.linalg.eigvalsh(H)[0] > 0.0
+        # the attitude chain has no keep-out term
+        att = _Transcription(p, 1)
+        H = self.dense_from_band(att.base_banded(mu))
+        E = att.E.toarray()
+        expected = np.diag(2.0 * att.q) + mu * E.T @ E
         assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.linalg.eigvalsh(H)[0] > 0.0
 
@@ -368,9 +388,9 @@ class TestNewtonMatrix:
         monkeypatch.setattr(nlp, "cho_solve_banded", cho_solve)
         p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
                            x_goal=state(x=0.35, theta=0.4))
-        tr = _Transcription(p)
-        z0 = optimizer.default_initial_guess(p)[tr.chain_cols[0]]
-        z, lam, eta, stats = nlp.solve_al(tr.chain(0), z0, mu0=1e8)
+        tr = _Transcription(p, 0)
+        z0 = optimizer.default_initial_guess(p)[:tr.n]
+        z, lam, eta, stats = nlp.solve_al(tr, z0, mu0=1e8)
         assert stats.mu_final == 1e8 and np.any(eta > 0)
         assert len(steps) == stats.newton_iterations > 0
         for ab, rhs, d in steps:
@@ -399,6 +419,16 @@ class TestFactorizationFailure:
         assert len(ex.value.reasons) == 2
         assert all("not positive definite" in r for r in ex.value.reasons)
 
+    def test_non_finite_newton_matrix_raises_not_converged(self, monkeypatch):
+        # cholesky_banded raises ValueError on an inf or nan
+        def fail(*args, **kwargs):
+            raise ValueError("array must not contain infs or NaNs")
+        monkeypatch.setattr(nlp, "cholesky_banded", fail)
+        with pytest.raises(NotConvergedError) as ex:
+            solve(simple_problem(N=20, kos=True))
+        assert ex.value.stats.message == "Newton matrix holds an inf or nan"
+        assert ex.value.stats.newton_iterations == 1
+
 
 class TestSolve:
     def test_reaches_goal_against_lq_oracle(self):
@@ -409,11 +439,13 @@ class TestSolve:
         sol = solve(p)
         assert np.hypot(*(sol.states[-1, :2] - sol.x_goal[:2])) <= 1e-3
 
-        tr = _Transcription(p)
-        n, m = tr.n, tr.E.shape[0]
-        H = sp.diags(2.0 * tr.q)
-        kkt = sp.bmat([[H, tr.E.T], [tr.E, None]], format="csc")
-        rhs = np.concatenate([-tr.c, tr.e_rhs])
+        # the whole problem's KKT system, with the chains side by side
+        chains = _Transcription(p, 0), _Transcription(p, 1)
+        n = sum(tr.n for tr in chains)
+        H = sp.diags(2.0 * np.concatenate([tr.q for tr in chains]))
+        E = sp.block_diag([tr.E for tr in chains])
+        kkt = sp.bmat([[H, E.T], [E, None]], format="csc")
+        rhs = np.concatenate([-tr.c for tr in chains] + [tr.e_rhs for tr in chains])
         zl = spla.spsolve(kkt, rhs)
         np.testing.assert_allclose(pack_variables(sol.states, sol.wrenches),
                                    zl[:n], atol=2e-4)
@@ -532,8 +564,9 @@ print(sol.solver_stats.newton_iterations,
             assert nlp.dot(a, b) == float(a @ b)
 
     def test_multiplier_shapes_checked(self):
-        tr = _Transcription(simple_problem(N=10, kos=True))
-        z0 = optimizer.default_initial_guess(tr.problem)
+        p = simple_problem(N=10, kos=True)
+        tr = _Transcription(p, 0)
+        z0 = optimizer.default_initial_guess(p)[:tr.n]
         for bad in (dict(lam0=np.zeros(3)), dict(eta0=np.zeros(tr.m_in + 1))):
             with pytest.raises(ValueError, match="lam0/eta0 must match"):
                 nlp.solve_al(tr, z0, **bad)
@@ -699,14 +732,15 @@ class TestWarmMultipliers:
         assert circle_eta.shape == (p.N + 1,) and lobe_eta.shape == (2 * (p.N + 1),)
         state_i = sched == KosState.STATE_I
         # the attitude chain runs first, then the translation chain, which
-        # holds every keep-out constraint; each restarts from its rows' lam
-        rows = _Transcription(p2).chain_rows
+        # holds every keep-out constraint; each restarts from its rows' lam,
+        # which lam holds translation rows first
+        m_t = _Transcription(p2, 0).E.shape[0]
         translation, attitude = seen[1], seen[0]
         np.testing.assert_array_equal(
             translation["eta0"], np.concatenate([circle_eta[state_i], lobe_eta]))
-        np.testing.assert_array_equal(translation["lam0"], lam[rows[0]])
+        np.testing.assert_array_equal(translation["lam0"], lam[:m_t])
         assert attitude["eta0"].shape == (0,)
-        np.testing.assert_array_equal(attitude["lam0"], lam[rows[1]])
+        np.testing.assert_array_equal(attitude["lam0"], lam[m_t:])
         assert translation["mu0"] == attitude["mu0"] == min(mu_final, 1e5)
         # a guess at another N is refused before the multiplier loop starts
         with pytest.raises(ValueError, match="N = 50"):
