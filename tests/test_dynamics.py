@@ -108,6 +108,39 @@ def test_half_space_layout_rejected():
         ThrusterLayout(pos, dirs, 0.03)
 
 
+def lp_positively_spans(B):
+    """Reference: zero wrench is interior to the attainable set iff some duty
+    vector with every entry > 0 gives zero wrench; maximise t subject to
+    B u = 0, t <= u_i <= 1."""
+    from scipy.optimize import linprog
+    lp = linprog(np.r_[np.zeros(8), -1.0],
+                 A_ub=np.hstack([-np.eye(8), np.ones((8, 1))]), b_ub=np.zeros(8),
+                 A_eq=np.hstack([B, np.zeros((3, 1))]), b_eq=np.zeros(3), bounds=(0.0, 1.0))
+    return lp.status == 0 and -lp.fun > 1e-9
+
+
+def test_positive_span_check_matches_lp():
+    # the closed-form pair-normal check accepts exactly the layouts the LP
+    # accepts, on random rank-3 layouts of both kinds
+    rng = np.random.default_rng(4)
+    verdicts = []
+    for _ in range(400):
+        pos = rng.uniform(-0.15, 0.15, (8, 2))
+        ang = rng.uniform(0.0, rng.uniform(1.0, 2.0) * math.pi, 8)
+        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+        B = np.vstack([dirs.T, pos[:, 0] * dirs[:, 1] - pos[:, 1] * dirs[:, 0]])
+        want = lp_positively_spans(B)
+        try:
+            ThrusterLayout(pos, dirs, 0.03)
+            got = True
+        except ValueError as ex:
+            assert "both ways" in str(ex)
+            got = False
+        assert got == want
+        verdicts.append(got)
+    assert 50 < sum(verdicts) < 350
+
+
 def rates(s, w, body):
     """Newton-Euler rates of s under w: one Euler step of unit length, less s."""
     return np.subtract(euler_step(s, w, body, 1.0), s)

@@ -272,6 +272,29 @@ class TestPlanTrackCli:
         assert cmd_audit(rec_path, None) == 0
         assert cmd_audit(rec_path, None, fail_below=result.min_kos_distance + 1.0) == 1
 
+    def test_audit_rejects_non_finite_floor(self, planned, tmp_path, capsys):
+        # a nan floor used to pass the safety gate on any run
+        out, traj = planned
+        cmd_track(traj, None, tmp_path)
+        capsys.readouterr()
+        for floor in ("nan", "inf", "-inf"):
+            argv = ["audit", str(tmp_path / "run_record.txt"), f"--fail-below={floor}"]
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "", f"error: --fail-below must be finite (got {float(floor)})\n")
+
+    @pytest.mark.parametrize("command", ["plan", "track", "sweep1", "sweep2"])
+    def test_out_naming_a_file_rejected(self, planned, tmp_path, capsys, command):
+        out, traj = planned
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        argv = [command] + ([str(traj)] if command == "track" else []) + ["--out", str(taken)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make output directory: ")
+        assert err.count("\n") == 1
+        assert taken.read_text() == "keep"
+
     def test_track_warns_on_other_config(self, planned, tmp_path, capsys):
         out, traj = planned
         cmd_track(traj, write(tmp_path, "sim.tail = 2\n"), tmp_path / "o")
@@ -500,9 +523,9 @@ print(json.dumps(seen))
 """
 
 
-def test_only_track_loads_scipy_optimize(planned, tmp_path):
-    # planning, sweeps and audits never call scipy.optimize, so they do not
-    # pay for importing it; tracking loads it with its first thruster layout
+def test_no_subcommand_loads_scipy_optimize(planned, tmp_path):
+    # no subcommand calls scipy.optimize (sweeps plan as cmd_plan does), so
+    # none pays for importing it
     cmd_track(planned[1], None, tmp_path / "rec")
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -513,7 +536,7 @@ def test_only_track_loads_scipy_optimize(planned, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "import": False, "load_config": False, "cmd_plan": False, "cmd_audit": False,
-        "cmd_track": True}
+        "cmd_track": False}
 
 
 class TestSweeps:

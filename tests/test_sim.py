@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
-from proxdock import controller
 from proxdock.controller import PdGains
 from proxdock.dynamics import (BodyParams, TargetState, default_layout, effective_ridge,
                                wrap_angle)
@@ -205,23 +204,17 @@ class TestRunBasics:
         np.testing.assert_array_equal(r1.kos_distance, r2.kos_distance)
         assert r1.terminal_position_error == r2.terminal_position_error
 
-    def test_matches_reference_loop(self, nominal, monkeypatch):
+    def test_matches_reference_loop(self, nominal):
         # bit for bit: the simulator keeps the definition's operation order;
-        # f_max = 0.01 saturates, so the allocator's lsq_linear fallback
-        # runs inside the comparison too
+        # f_max = 0.01 saturates the allocation on most control periods
         best, target = nominal
-        fallbacks = []
-        monkeypatch.setattr(controller, "lsq_linear",
-                            lambda *a, **k: fallbacks.append(1) or lsq_linear(*a, **k))
         for cfg in (SimConfig(mismatch_fraction=0.05, disturbance_accel=1e-4, seed=3),
                     SimConfig(feed_forward=False), SimConfig(layout=default_layout(f_max=0.01))):
-            fallbacks.clear()
             res = run(best, cfg, target)
             states, firings, errors = reference_run(best, cfg)
             assert np.array_equal(res.states, states)
             assert np.array_equal(res.firings, firings)
             assert np.array_equal(res.errors, errors)
-        assert fallbacks  # the saturating run called lsq_linear
 
     def test_seed_changes_disturbed_run(self, nominal):
         best, target = nominal
