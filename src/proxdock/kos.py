@@ -1,12 +1,13 @@
 """Dynamic keep-out zone around the rotating target.
 
-Two configurations ("State I" for general approach, "State II" once the
-final-approach conditions hold) built from a circle of radius r_safe plus two
-half-ellipse lobes that flank the docking corridor.  All primitives are rigidly
-attached to the target frame.  Exact signed distances here are the audit-grade
-definitions; the optimizer uses the smooth variants at the bottom of this
-module (same zero sets).  A per-knot or per-step schedule of states is an int
-array of KosState values (1 or 2) throughout.
+Two configurations: "State I" for general approach is a circle of radius
+r_safe, and "State II", once the final-approach conditions hold, is two
+half-ellipse lobes that flank the docking corridor.  The lobes are halves of
+one ellipse inside the circle, so State II only ever shrinks the zone.  All
+primitives are rigidly attached to the target frame.  Exact signed distances
+here are the audit-grade definitions; the optimizer uses the smooth variants
+at the bottom of this module (same zero sets).  A per-knot or per-step
+schedule of states is an int array of KosState values (1 or 2) throughout.
 """
 from __future__ import annotations
 
@@ -164,24 +165,28 @@ def ellipse_distance(qx, qy, ax: float, ay: float):
 def signed_distance_batch(points, target_thetas, states, target_pos, cfg: KosConfig) -> np.ndarray:
     """Exact audit distances for a trajectory history, negative if forbidden.
 
-    Each is the minimum over the primitives active in that point's state: the
-    circle (State I only) and the half-ellipse lobes (semi-minor r_safe/2
-    along the docking normal, semi-major r_safe lateral).
+    A State I point gets the distance to the circle of radius r_safe; a
+    State II point the distance to the half-ellipse lobes (semi-minor
+    r_safe/2 along the docking normal, semi-major r_safe lateral).  Both
+    lobes are halves of one ellipse that lies inside the circle, so the
+    circle alone is the State I zone, and only State II points pay for the
+    ellipse bisection.
     points: (n, 2); target_thetas: (n,); states: (n,) KosState values.
     """
     pts = np.asarray(points, dtype=float)
     th = np.asarray(target_thetas, dtype=float)
-    sv = np.asarray(states)
+    state_ii = np.asarray(states) == KosState.STATE_II
     pos = np.asarray(target_pos, dtype=float)
     rs = r_safe(cfg)
 
     rel = pts - pos
-    xp, yp = target_frame(pts[:, 0], pts[:, 1], np.cos(th), np.sin(th), pos)
-    # both lobes share the ellipse; the active one is simply the side the
-    # point is on, so one distance evaluation covers them (axis: both active)
-    lobe = ellipse_distance(xp, yp, rs / 2.0, rs)
-    circle = np.hypot(rel[:, 0], rel[:, 1]) - rs
-    return np.where(sv == KosState.STATE_I, np.minimum(circle, lobe), lobe)
+    out = np.hypot(rel[:, 0], rel[:, 1]) - rs
+    # the active lobe is simply the side the point is on, so one distance
+    # evaluation covers both (axis: both active)
+    p, t = pts[state_ii], th[state_ii]
+    xp, yp = target_frame(p[:, 0], p[:, 1], np.cos(t), np.sin(t), pos)
+    out[state_ii] = ellipse_distance(xp, yp, rs / 2.0, rs)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ solve (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
 Should a factorization still fail (say with a zero effort weight), the
 solve ends with NotConvergedError and stats.message names the
 non-positive-definite Newton matrix.  An inf or nan in the Newton matrix
-(say from a body so light that dt / inertia overflows) ends it the same
-way, with a message of its own.
+or its right-hand side (say from a body so light that dt / inertia
+overflows) ends it the same way, with a message of its own.
 
 The inner loop has three other exits: the projected gradient is within the
 outer loop's current tolerance; a stall, where the accepted line-search
@@ -48,19 +48,22 @@ mu h - lam is exactly -(lam - mu h); so that norm is the final point's
 projected KKT residual.
 
 Warm start: lam0, eta0 and mu0 restart the outer loop from an earlier
-solve's multipliers instead of zeros and the default penalty.  The planner
-does this for its pass-2 re-solve, which keeps the equality rows and the
-lobes of pass 1 and drops the circle constraint at the State II knots.  If
-those dropped constraints were inactive at the pass-1 optimum (multiplier
-zero), the pass-1 point with the remaining multipliers already satisfies
-pass 2's KKT conditions: stationarity has the same terms, feasibility and
-complementarity are a subset.  The inner loop then exits at once.  When it
-took no step and the start meets FEAS_TOL on the violation and on the
-complementarity measure max|min(g, eta/mu)|, the start's projected KKT
-residual is tested with the given lam0/eta0 before the first multiplier
-update, which would move lam by mu0 h (h the pass-1 equality residual) and
-can lift that residual above KKT_TOL.  So a restart at a converged point
-returns it after one outer iteration and 0 Newton steps.
+solve's multipliers instead of zeros and the default penalty MU0.  The
+planner does this for its pass-2 re-solve, which keeps the equality rows of
+pass 1 and, at the State II knots, swaps the circle row for the two lobe
+rows, restarted at multiplier zero.  The added rows are feasible at the
+pass-1 point: each lobe value is at least the circle value / r_safe^2, so
+it is >= 0 wherever the circle value is (see kos).  With a zero multiplier
+they are complementary too and add nothing to stationarity.  So if the
+dropped circle rows were inactive at the pass-1 optimum (multiplier zero),
+the pass-1 point with the remaining multipliers already satisfies pass 2's
+KKT conditions, and the inner loop exits at once.  When it took no step
+and the start meets FEAS_TOL on the violation and on the complementarity
+measure max|min(g, eta/mu)|, the start's projected KKT residual is tested
+with the given lam0/eta0 before the first multiplier update, which would
+move lam by mu0 h (h the pass-1 equality residual) and can lift that
+residual above KKT_TOL.  So a restart at a converged point returns it after
+one outer iteration and 0 Newton steps.
 
 The problem object must expose::
 
@@ -88,13 +91,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 KKT_TOL = 1e-6     # projected KKT residual at convergence
 FEAS_TOL = 1e-8    # constraint violation at convergence
 MAX_OUTER = 500    # multiplier/penalty updates before NotConvergedError
 MAX_INNER = 200    # Newton steps per inner loop
 MU_MAX = 1e12      # penalty ceiling
+
+# Penalty of a cold start.  From mu = 10 both nominal pass-1 solves raised it
+# three times, to 1e4, before their first multiplier update.  Over a
+# 25-point sweep1/sweep2 grid, starting at 10, 1e2, 1e3 and 1e4 took 12 331,
+# 11 998, 11 533 and 11 316 Newton steps, all with the same chosen
+# durations; against the planner that also put lobe rows at State I knots
+# and started at 10, the objectives moved by up to 4.0e-9, 7.4e-9, 8.4e-8
+# and 9.6e-7 relative.
+MU0 = 1e3
 
 # messages of the inner-loop exits that end the solve
 _FACTOR_FAILURES = {"not_pd": "Newton matrix not positive definite",
@@ -120,6 +132,37 @@ def dot(a, b) -> float:
     q, r = divmod(len(a), k)
     edges = [i * q + min(i, r) for i in range(k + 1)]
     return sum(float(a[lo:hi] @ b[lo:hi]) for lo, hi in zip(edges, edges[1:]))
+
+
+def cholesky_banded(ab, lower=False):
+    """scipy.linalg.cholesky_banded without its per-call wrapper cost.
+
+    LAPACK dpbtrf on ab, which it overwrites when ab is column-major (each
+    Newton step assembles a fresh one).  Raises ValueError for an inf or nan
+    in ab and LinAlgError when the matrix is not positive definite, as
+    scipy's does.
+    """
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpbtrf(ab, lower=lower, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    return c
+
+
+def cho_solve_banded(cb_and_lower, b):
+    """scipy.linalg.cho_solve_banded the same way: LAPACK dpbtrs, with a
+    ValueError for an inf or nan in b.  The factor is cholesky_banded's,
+    which checked its input."""
+    cb, lower = cb_and_lower
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpbtrs(cb, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+    return x
 
 
 @dataclass
@@ -195,7 +238,9 @@ def projected_kkt_residual(prob, z, lam, eta) -> float:
 
 def _assemble_banded(prob, m: _Multipliers, ineq, base):
     """base (diag + mu EtE) plus mu grad g grad g^T of the active inequalities."""
-    ab = base.copy()
+    # column-major, as LAPACK stores it, so cholesky_banded factors this
+    # fresh copy in place instead of copying it again
+    ab = base.copy(order="F")
     g, gx, gy = ineq
     act = m.eta - m.mu * g > 0.0
     # iy == ix + 1 for every constraint (x, y adjacent in the layout), so the
@@ -243,12 +288,11 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol):
         _apply_active(ab, rhs, np.flatnonzero(pinned))
 
         try:
-            cb = cholesky_banded(ab, lower=True)
+            d = cho_solve_banded((cholesky_banded(ab, lower=True), True), rhs)
         except np.linalg.LinAlgError:
             return z, h, ineq[0], pgn, nit, "not_pd"
-        except ValueError:  # it checks its input for an inf or nan
+        except ValueError:  # both check their input for an inf or nan
             return z, h, ineq[0], pgn, nit, "not_finite"
-        d = cho_solve_banded((cb, True), rhs)
 
         alpha = 1.0
         for _ in range(40):
@@ -270,7 +314,7 @@ def _inner_newton(prob, z, m: _Multipliers, base, tol):
         floor = ft == f
 
 
-def solve_al(prob, z0, *, mu0=10.0, lam0=None, eta0=None):
+def solve_al(prob, z0, *, mu0=MU0, lam0=None, eta0=None):
     """Run the augmented-Lagrangian loop; returns (z, lam, eta, stats).
 
     Converged means a constraint violation within FEAS_TOL and a projected
@@ -290,7 +334,7 @@ def solve_al(prob, z0, *, mu0=10.0, lam0=None, eta0=None):
     stats = SolverStats()
     omega = 1e-2
     feas_target = 1e-2
-    base = prob.base_banded(m.mu)
+    base = np.asfortranarray(prob.base_banded(m.mu))
     best_v = np.inf
     stall = 0
 
@@ -335,7 +379,7 @@ def solve_al(prob, z0, *, mu0=10.0, lam0=None, eta0=None):
             omega = max(0.2 * omega, 0.3 * KKT_TOL)
         else:
             m.mu = min(10.0 * m.mu, MU_MAX)
-            base = prob.base_banded(m.mu)
+            base = np.asfortranarray(prob.base_banded(m.mu))
             omega = max(omega, 1e-4)
 
         if v_measure < 0.9 * best_v:

@@ -5,7 +5,9 @@ ordered by axis chain (translation block, then attitude block, knot-major
 inside each; see _layout).  The knot-to-knot defects reuse the exact
 forward-Euler map from `dynamics`; keep-out constraints come from the smooth
 forms in `kos`, scheduled per knot as State I or II by an int array of
-KosState values (`OptProblem.kos_schedule`, None for all State I).
+KosState values (`OptProblem.kos_schedule`, None for all State I).  A State
+I knot carries the circle row alone and a State II knot the two lobe rows:
+the lobes lie inside the circle, so nothing else can bind there.
 
 The transcription separates exactly into its two axis chains, so it is
 built and solved as two problems (Betts, Practical Methods for Optimal
@@ -114,15 +116,16 @@ class PlannedTrajectory:
 
     states rows are [x, y, theta, vx, vy, omega]; wrenches rows [Fx, Fy, tau]
     in the inertial frame; kos_states is the per-knot KosState int array.
-    multipliers is the solve's final (lam, circle eta per knot, lobe eta,
-    mu_final): lam has one entry per equality row, the translation chain's
-    rows first, then the attitude chain's (see _Transcription); the circle
-    eta is zero at knots without a circle constraint, and the lobe eta holds
-    the positive side's N+1 knots, then the negative side's.  solve restarts
-    from them when it is given this plan as its initial guess; plans read
-    from a file have None.  pass2_failure is the solver message of a failed
-    pass-2 re-solve (see `plan`), whose pass-1 plan this then is; None
-    otherwise.
+    multipliers is the solve's final (lam, circle eta, lobe eta, mu_final):
+    lam has one entry per equality row, the translation chain's rows first,
+    then the attitude chain's (see _Transcription); the keep-out multipliers
+    are per knot, shape (N+1,) for the circle and (2, N+1) for the lobes
+    (positive side first), zero where a knot has no such row, so they carry
+    over to pass 2's rows; without a keep-out zone the shapes are (0,) and
+    (2, 0).  solve restarts from them when it is given this plan as its
+    initial guess; plans read from a file have None.  pass2_failure is the
+    solver message of a failed pass-2 re-solve (see `plan`), whose pass-1
+    plan this then is; None otherwise.
     """
 
     times: np.ndarray
@@ -263,23 +266,27 @@ class _Transcription:
         self._ete_banded = np.zeros((self.bandwidth + 1, self.n))
         np.add.at(self._ete_banded, (r - c, c), v)
 
-        # keep-out constraints, on the translation chain only: the circle at
-        # the State I knots, then each lobe at every knot, the positive side
-        # first.  Without them the knot sets are empty, so m_in is 0,
-        # ineq_full and ineq_values return empty arrays and no row reads the
-        # nan r_safe.
+        # keep-out constraints, on the translation chain only, and only those
+        # that can bind: the circle at the State I knots, then each lobe at
+        # the State II knots, the positive side first.  The lobes lie inside
+        # the circle (see kos), so a State I knot needs no lobe row, and a
+        # pass-1 problem (no schedule) has none.  Without keep-out the knot
+        # sets are empty, so m_in is 0, ineq_full and ineq_values return
+        # empty arrays and no row reads the nan r_safe.
         kos_cfg = problem.kos_cfg if b == 0 else None
-        knots = np.arange(N + 1 if kos_cfg is not None else 0)
-        circle_knots = (knots if problem.kos_schedule is None
-                        else knots[problem.kos_schedule[knots] == KosState.STATE_I])
-        th = problem.target.attitude(knots * dt)
+        self.kos_knots = N + 1 if kos_cfg is not None else 0
+        knots = np.arange(self.kos_knots)
+        sched = (np.full(self.kos_knots, KosState.STATE_I) if problem.kos_schedule is None
+                 else problem.kos_schedule[knots])
+        self._circle_knots = knots[sched == KosState.STATE_I]
+        self._lobe_knots = lobe_knots = knots[sched == KosState.STATE_II]
+        th = problem.target.attitude(lobe_knots * dt)
         self._rs = koslib.r_safe(kos_cfg) if kos_cfg is not None else math.nan
-        self._circle_knots = circle_knots
-        self._lobe_sides = np.repeat([1.0, -1.0], len(knots))
+        self._lobe_sides = np.repeat([1.0, -1.0], len(lobe_knots))
         self._lobe_cos = np.tile(np.cos(th), 2)
         self._lobe_sin = np.tile(np.sin(th), 2)
         self._center = problem.target.position
-        knots_all = np.concatenate([circle_knots, knots, knots])
+        knots_all = np.concatenate([self._circle_knots, lobe_knots, lobe_knots])
         self.ineq_ix = pos[knots_all, 0]
         self.ineq_iy = pos[knots_all, 1]
         self.m_in = len(knots_all)
@@ -304,9 +311,10 @@ class _Transcription:
         gx = np.empty(self.m_in)
         gy = np.empty(self.m_in)
         g[:nc], gx[:nc], gy[:nc] = koslib.smooth_circle(xs[:nc], ys[:nc], self._center, self._rs)
-        g[nc:], gx[nc:], gy[nc:] = koslib.smooth_lobe(
-            xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin,
-            self._center, self._rs, self._rs / 2.0, self._lobe_sides)
+        if nc < self.m_in:  # no lobe row on pass 1: skip the empty pass
+            g[nc:], gx[nc:], gy[nc:] = koslib.smooth_lobe(
+                xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin,
+                self._center, self._rs, self._rs / 2.0, self._lobe_sides)
         return g, gx, gy
 
     def ineq_values(self, z):
@@ -315,8 +323,10 @@ class _Transcription:
         xs, ys = z[self.ineq_ix], z[self.ineq_iy]
         g = np.empty(self.m_in)
         g[:nc] = koslib.circle_value(xs[:nc], ys[:nc], self._center, self._rs)
-        xp, yp = koslib.target_frame(xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin, self._center)
-        g[nc:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0, self._lobe_sides)
+        if nc < self.m_in:
+            xp, yp = koslib.target_frame(xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin,
+                                         self._center)
+            g[nc:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0, self._lobe_sides)
         return g
 
 
@@ -414,8 +424,9 @@ def solve(problem: OptProblem,
         z0 = pack_variables(initial_guess.states, initial_guess.wrenches)
         if initial_guess.multipliers is not None:
             lam0, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
-            eta0 = np.concatenate([circle_eta[trans._circle_knots], lobe_eta])
-            if len(eta0) == trans.m_in:  # same keep-out model
+            if len(circle_eta) == trans.kos_knots:  # same keep-out model
+                eta0 = np.concatenate([circle_eta[trans._circle_knots],
+                                       lobe_eta[:, trans._lobe_knots].ravel()])
                 warm = np.split(lam0, [trans.E.shape[0]]), eta0, min(mu_final, _WARM_MU_CAP)
     z0 = np.split(z0, [trans.n])
     runs = [None, None]
@@ -435,8 +446,10 @@ def solve(problem: OptProblem,
     states, wrenches = unpack_variables(np.concatenate([z_t, z_a]), problem.N)
     terms = breakdown(problem, states, wrenches)
     nc = len(trans._circle_knots)
-    circle_eta = np.zeros(problem.N + 1)
+    circle_eta = np.zeros(trans.kos_knots)
     circle_eta[trans._circle_knots] = eta[:nc]
+    lobe_eta = np.zeros((2, trans.kos_knots))
+    lobe_eta[:, trans._lobe_knots] = eta[nc:].reshape(2, -1)
     return PlannedTrajectory(
         times=np.arange(problem.N + 1) * problem.dt,
         states=states,
@@ -450,7 +463,7 @@ def solve(problem: OptProblem,
         x_goal=problem.x_goal,
         theta_finish=problem.theta_finish,
         dt=problem.dt,
-        multipliers=(np.concatenate([lam_t, lam_a]), circle_eta, eta[nc:], stats.mu_final),
+        multipliers=(np.concatenate([lam_t, lam_a]), circle_eta, lobe_eta, stats.mu_final),
     )
 
 

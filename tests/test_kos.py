@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from proxdock import records
-from proxdock.kos import (KosConfig, KosState, classify,
+from proxdock.kos import (KosConfig, KosState, circle_value, classify,
                           corner_safe_angle_threshold, ellipse_distance,
-                          latch, r_safe, signed_distance_batch, smooth_circle,
-                          smooth_lobe)
+                          latch, lobe_value, r_safe, signed_distance_batch,
+                          smooth_circle, smooth_lobe)
 
 SQ2 = math.sqrt(2.0)
 
@@ -327,6 +327,44 @@ class TestSmoothForms:
             vy0, *_ = smooth_lobe(np.array([px]), np.array([py - h]), *args)
             assert gx[0] == pytest.approx((vx1[0] - vx0[0]) / (2 * h), rel=2e-5, abs=2e-5)
             assert gy[0] == pytest.approx((vy1[0] - vy0[0]) / (2 * h), rel=2e-5, abs=2e-5)
+
+
+class TestLobesInsideCircle:
+    """Both lobes are halves of one ellipse inside the State I circle, so
+    wherever the circle is in force the lobes add nothing: the planner puts
+    lobe rows at State II knots only, and the audit grades State I points by
+    the circle alone."""
+
+    @staticmethod
+    def target_frame_points(rs):
+        """(x', y') points: uniform over a disc of radius 2 r_safe, near the
+        tangent points (0, +-r_safe), and r_safe's float neighbours on the
+        lateral axis."""
+        rng = np.random.default_rng(5)
+        n = 100_000
+        r, phi = rs * rng.uniform(0.0, 2.0, n), rng.uniform(-math.pi, math.pi, n)
+        xt = rs * rng.normal(scale=1e-6, size=n) * (rng.random(n) > 0.2)
+        yt = rs * (1.0 + rng.normal(scale=1e-9, size=n)) * rng.choice([-1.0, 1.0], n)
+        ye = rs + np.arange(-50, 51) * np.spacing(rs)
+        zero = np.zeros(len(ye))
+        return (np.concatenate([r * np.cos(phi), xt, zero, zero]),
+                np.concatenate([r * np.sin(phi), yt, ye, -ye]))
+
+    def test_smooth_lobe_non_negative_where_circle_is(self):
+        rs = r_safe(KosConfig())
+        xp, yp = self.target_frame_points(rs)
+        outside = circle_value(xp, yp, np.zeros(2), rs) >= 0.0
+        assert np.count_nonzero(outside) > 100_000
+        for side in (1.0, -1.0):
+            assert np.all(lobe_value(xp, yp, rs, rs / 2.0, side)[outside] >= 0.0)
+
+    def test_ellipse_distance_at_least_circle_distance(self):
+        # not bit for bit: near the tangent points the two distances can
+        # round apart by an ulp
+        rs = r_safe(KosConfig())
+        xp, yp = self.target_frame_points(rs)
+        lobe = ellipse_distance(xp, yp, rs / 2.0, rs)
+        assert np.all(lobe >= np.hypot(xp, yp) - rs - 1e-15)
 
 
 def test_signed_distance_batch_matches_regions():

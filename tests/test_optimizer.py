@@ -242,7 +242,10 @@ class TestChains:
 
     @pytest.mark.parametrize("N", [2, 50])
     def test_every_row_and_constraint_reads_one_chain(self, N):
-        p = simple_problem(N=N, kos=True)
+        # a schedule with both states: a State I knot has the circle row, a
+        # State II knot the two lobe rows
+        sched = np.where(np.arange(N + 1) % 3 == 1, KosState.STATE_II, KosState.STATE_I)
+        p = simple_problem(N=N, kos=True, kos_schedule=sched)
         tr, att = _Transcription(p, 0), _Transcription(p, 1)
         # the attitude chain is the trailing block of z
         np.testing.assert_array_equal(np.arange(tr.n, tr.n + att.n), self.attitude_columns(N))
@@ -252,7 +255,9 @@ class TestChains:
         pos = optimizer._layout(N)
         np.testing.assert_array_equal(np.unique(tr.ineq_ix), pos[:, 0])
         np.testing.assert_array_equal(np.unique(tr.ineq_iy), pos[:, 1])
-        assert (tr.m_in, att.m_in) == (3 * (N + 1), 0)
+        n_ii = np.count_nonzero(sched == KosState.STATE_II)
+        assert n_ii > 0
+        assert (tr.m_in, att.m_in) == ((N + 1 - n_ii) + 2 * n_ii, 0)
         # the chains' objectives sum to the objective's terms
         rng = np.random.default_rng(N)
         states, wrenches = rng.normal(size=(N + 1, 6)), rng.normal(size=(N, 3))
@@ -314,10 +319,14 @@ class TestValuePath:
         tr = _Transcription(p, 0)
         z = self.knots_near_kos(p)[:tr.n]
         g = tr.ineq_values(z)
-        assert g.shape == (tr.m_in,)
+        # the circle at the State I knots, then both lobes at the State II
+        # knots; all State I: no lobe row
+        n_i = (p.N + 1 if p.kos_schedule is None
+               else np.count_nonzero(p.kos_schedule == KosState.STATE_I))
+        assert g.shape == (tr.m_in,) == (n_i + 2 * (p.N + 1 - n_i),)
         assert np.array_equal(g, tr.ineq_full(z)[0])
         # some knots lie inside the circle
-        assert np.any(g[:tr.m_in - 2 * (p.N + 1)] < 0)
+        assert np.any(g[:n_i] < 0)
 
 
 class TestNewtonMatrix:
@@ -344,8 +353,11 @@ class TestNewtonMatrix:
         z = TestValuePath.knots_near_kos(p)[:tr.n]
         rng = np.random.default_rng(3)
         mu = 100.0
-        m = nlp._Multipliers(lam=np.zeros(tr.E.shape[0]),
-                             eta=rng.uniform(0.0, 50.0, tr.m_in), mu=mu)
+        # every other multiplier zero, so that the rows of knots outside
+        # the zone are inactive
+        eta = rng.uniform(0.0, 50.0, tr.m_in)
+        eta[::2] = 0.0
+        m = nlp._Multipliers(lam=np.zeros(tr.E.shape[0]), eta=eta, mu=mu)
         ineq = g, gx, gy = tr.ineq_full(z)
         act = m.eta - mu * g > 0.0
         assert 0 < np.count_nonzero(act) < tr.m_in
@@ -418,6 +430,32 @@ class TestFactorizationFailure:
             plan(3 * math.pi / 4, nominal_template(), max_candidates=2)
         assert len(ex.value.reasons) == 2
         assert all("not positive definite" in r for r in ex.value.reasons)
+
+    def test_factor_calls_match_scipy_and_keep_its_checks(self):
+        # nlp's LAPACK calls give scipy.linalg's results bit for bit and raise
+        # what scipy's raise: ValueError on an inf or nan, LinAlgError when
+        # the matrix is not positive definite
+        import scipy.linalg
+        rng = np.random.default_rng(4)
+        ab = rng.uniform(-0.1, 0.1, (7, 300))
+        ab[0] += 2.0
+        rhs = rng.normal(size=300)
+        want = scipy.linalg.cholesky_banded(ab, lower=True)
+        cb = nlp.cholesky_banded(ab.copy(), lower=True)
+        assert cb.tobytes() == want.tobytes()
+        assert (nlp.cho_solve_banded((cb, True), rhs).tobytes()
+                == scipy.linalg.cho_solve_banded((want, True), rhs).tobytes())
+        for bad in (np.nan, np.inf):
+            broken = ab.copy()
+            broken[3, 17] = bad
+            with pytest.raises(ValueError):
+                nlp.cholesky_banded(broken, lower=True)
+            with pytest.raises(ValueError):
+                nlp.cho_solve_banded((cb, True), np.where(np.arange(300) == 5, bad, rhs))
+        indefinite = ab.copy()
+        indefinite[0, 40] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            nlp.cholesky_banded(indefinite, lower=True)
 
     def test_non_finite_newton_matrix_raises_not_converged(self, monkeypatch):
         # cholesky_banded raises ValueError on an inf or nan
@@ -641,11 +679,14 @@ class TestInnerExits:
         assert again.message == "converged"
 
     def test_both_stalls(self, exits):
-        # the sweep1 point omega = 1.66, f_thr = 0.27: its solves end inner
-        # loops both where no backtracking trial passes the Armijo test and
-        # where an accepted step leaves the merit unchanged
+        # the sweep2 point theta = 180 deg, omega = 0.55 (f_thr = 0.03): the
+        # pass-1 solve of its first candidate, which spends the outer
+        # iteration budget, ends inner loops both where no backtracking trial
+        # passes the Armijo test and where an accepted step leaves the merit
+        # unchanged
         cfg = harness.RunConfig({**harness.load_config(None).values,
-                                 "target.omega": 1.66, "layout.f_thr": 0.27,
+                                 "opt.theta_approach": math.pi, "target.omega": 0.55,
+                                 "layout.f_thr": 0.03,
                                  "opt.min_duration": "auto", "opt.goal_corotate": True})
         plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
         stalls = [evals - nit for evals, nit, e in exits if e == "stall"]
@@ -729,7 +770,9 @@ class TestWarmMultipliers:
         p2 = replace(p, kos_schedule=sched)
         solve(p2, sol)
         lam, circle_eta, lobe_eta, mu_final = sol.multipliers
-        assert circle_eta.shape == (p.N + 1,) and lobe_eta.shape == (2 * (p.N + 1),)
+        # per knot: pass 1 has no lobe row, so its lobe multipliers are zero
+        assert circle_eta.shape == (p.N + 1,) and lobe_eta.shape == (2, p.N + 1)
+        assert not np.any(lobe_eta)
         state_i = sched == KosState.STATE_I
         # the attitude chain runs first, then the translation chain, which
         # holds every keep-out constraint; each restarts from its rows' lam,
@@ -737,7 +780,8 @@ class TestWarmMultipliers:
         m_t = _Transcription(p2, 0).E.shape[0]
         translation, attitude = seen[1], seen[0]
         np.testing.assert_array_equal(
-            translation["eta0"], np.concatenate([circle_eta[state_i], lobe_eta]))
+            translation["eta0"],
+            np.concatenate([circle_eta[state_i], lobe_eta[:, ~state_i].ravel()]))
         np.testing.assert_array_equal(translation["lam0"], lam[:m_t])
         assert attitude["eta0"].shape == (0,)
         np.testing.assert_array_equal(attitude["lam0"], lam[m_t:])
@@ -747,12 +791,27 @@ class TestWarmMultipliers:
             solve(replace(p, N=60), sol)
         assert len(seen) == 2
 
-    def test_keep_out_model_change_restarts_multipliers(self):
+    def test_keep_out_model_change_restarts_multipliers(self, monkeypatch):
         # a guess from a problem with another constraint set hands over its
-        # primal only
-        sol = solve(simple_problem(N=50, kos=True))
-        again = solve(simple_problem(N=50), sol)
-        assert again.converged and again.multipliers[2].shape == (0,)
+        # primal only, in either direction
+        with_kos, without = simple_problem(N=50, kos=True), simple_problem(N=50)
+        sol, free = solve(with_kos), solve(without)
+        seen = []
+        real = optimizer.solve_al
+
+        def spy(prob, z0, **kwargs):
+            seen.append(kwargs)
+            return real(prob, z0, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve_al", spy)
+        again = solve(without, sol)
+        assert again.converged
+        assert again.multipliers[1].shape == (0,) and again.multipliers[2].shape == (2, 0)
+        assert solve(with_kos, free).converged
+        assert seen == [{}] * 4
+        # the same model hands them over
+        solve(with_kos, sol)
+        assert ["eta0" in kw for kw in seen[4:]] == [True, True]
 
     def test_failed_pass2_keeps_pass1_plan(self, monkeypatch):
         real = optimizer.solve
