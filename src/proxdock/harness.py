@@ -398,7 +398,8 @@ def cmd_plan(config_path, out_dir):
         f"  solver               : {best.solver_stats.outer_iterations} outer / "
         f"{best.solver_stats.newton_iterations} newton "
         f"({best.solver_stats.inner_stalls} stalled, "
-        f"{best.solver_stats.inner_capped} capped inner loops), "
+        f"{best.solver_stats.inner_capped} capped inner loops, "
+        f"{best.solver_stats.mu_raises} penalty raises), "
         f"kkt {best.solver_stats.kkt_residual:.2e}, "
         f"viol {best.solver_stats.constraint_violation:.2e}",
         f"  wall time            : {wall:.2f} s",

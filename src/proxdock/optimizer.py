@@ -34,6 +34,7 @@ and multipliers), and the lowest-objective converged solution wins.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -195,6 +196,47 @@ def unpack_variables(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return z[pos[:, :6]], z[pos[:-1, 6:]]
 
 
+@functools.lru_cache(maxsize=2)
+def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
+    """(E, ET, E^T E) of axis chain b's equality rows: the Jacobian as CSR,
+    its transpose as CSR and E^T E in lower-banded storage, all read-only.
+
+    They depend on nothing else, so a pass-2 re-solve, which changes only the
+    keep-out schedule, reuses pass 1's; two entries hold one candidate's two
+    chains, so a plan's next candidate (another N) finds none of them.
+    """
+    quantities = _BLOCKS[b]
+    states = [j for j in quantities if j < 6]
+    s = len(states)
+    pos = _layout(N)
+    pos -= pos[0, quantities[0]]
+    n = int(pos[:, quantities].max()) + 1
+    A, Bw = euler_matrices(body, dt)
+    k = np.arange(N)
+    rows, cols, vals = [np.arange(s)], [pos[0, states]], [np.ones(s)]
+    for i, j in enumerate(states):
+        r = s + s * k + i
+        # rate (velocity or wrench) driving quantity j is quantity j + 3
+        rate = A[j, j + 3] if j < 3 else Bw[j, j - 3]
+        rows += [r, r, r]
+        cols += [pos[k + 1, j], pos[k, j], pos[k, j + 3]]
+        vals += [np.ones(N), np.full(N, -1.0), np.full(N, -rate)]
+    if b == 1:
+        rows.append([s + s * N]); cols.append([pos[N, 2]]); vals.append([1.0])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    E = sp.csr_matrix((vals, (rows, cols)), shape=(int(rows.max()) + 1, n))
+    ET = E.T.tocsr()
+
+    ete = (E.T @ E).tocoo()
+    mask = ete.row >= ete.col
+    r, c, v = ete.row[mask], ete.col[mask], ete.data[mask]
+    band = np.zeros((int(np.max(r - c)) + 1, n))
+    np.add.at(band, (r - c, c), v)
+    for a in (E.data, E.indices, E.indptr, ET.data, ET.indices, ET.indptr, band):
+        a.flags.writeable = False
+    return E, ET, band
+
+
 class _Transcription:
     """Axis chain b of the transcription (0 translation, 1 attitude; see
     _layout) as a problem object for nlp.solve_al, over the chain's block
@@ -240,31 +282,12 @@ class _Transcription:
         self.ub[chain[:-1, s:]] = problem.wrench_max[wrench]
 
         # equality rows: initial state, Euler defects, terminal attitude
-        A, Bw = euler_matrices(body, dt)
-        k = np.arange(N)
-        rows, cols, vals = [np.arange(s)], [chain[0, :s]], [np.ones(s)]
-        for i, j in enumerate(states):
-            r = s + s * k + i
-            # rate (velocity or wrench) driving quantity j is quantity j + 3
-            rate = A[j, j + 3] if j < 3 else Bw[j, j - 3]
-            rows += [r, r, r]
-            cols += [pos[k + 1, j], pos[k, j], pos[k, j + 3]]
-            vals += [np.ones(N), np.full(N, -1.0), np.full(N, -rate)]
+        self.E, self.ET, self._ete_banded = _equality_rows(b, N, dt, body)
+        self.bandwidth = len(self._ete_banded) - 1
         rhs = [problem.x_init[states], np.zeros(s * N)]
         if b == 1:
-            rows.append([s + s * N]); cols.append([pos[N, 2]]); vals.append([1.0])
             rhs.append([problem.theta_finish])
         self.e_rhs = np.concatenate(rhs)
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        self.E = sp.csr_matrix((vals, (rows, cols)), shape=(len(self.e_rhs), self.n))
-        self.ET = self.E.T.tocsr()
-
-        ete = (self.E.T @ self.E).tocoo()
-        mask = ete.row >= ete.col
-        r, c, v = ete.row[mask], ete.col[mask], ete.data[mask]
-        self.bandwidth = int(np.max(r - c))
-        self._ete_banded = np.zeros((self.bandwidth + 1, self.n))
-        np.add.at(self._ete_banded, (r - c, c), v)
 
         # keep-out constraints, on the translation chain only, and only those
         # that can bind: the circle at the State I knots, then each lobe at
@@ -406,8 +429,8 @@ def solve(problem: OptProblem,
 
     The attitude chain is solved first, then the translation chain (see the
     module docstring).  The plan's solver_stats sum the two runs' iteration,
-    stall and cap counts and take the larger KKT residual and violation;
-    mu_final is the translation chain's.
+    stall, cap and penalty-raise counts and take the larger KKT residual and
+    violation; mu_final is the translation chain's.
 
     Raises NotConvergedError / InfeasibleError (from proxdock.nlp) on
     failure, with the stats of the chain that failed.
@@ -440,7 +463,8 @@ def solve(problem: OptProblem,
     (z_t, lam_t, eta, stats), (z_a, lam_a, _, att) = runs
     stats = replace(
         stats, **{k: getattr(att, k) + getattr(stats, k) for k in
-                  ("outer_iterations", "newton_iterations", "inner_stalls", "inner_capped")},
+                  ("outer_iterations", "newton_iterations", "inner_stalls", "inner_capped",
+                   "mu_raises")},
         kkt_residual=max(att.kkt_residual, stats.kkt_residual),
         constraint_violation=max(att.constraint_violation, stats.constraint_violation))
     states, wrenches = unpack_variables(np.concatenate([z_t, z_a]), problem.N)

@@ -233,6 +233,8 @@ class TestPlanTrackCli:
         assert (out / "plan_summary.txt").exists()
         text = (out / "plan_summary.txt").read_text()
         assert "KOS switch" in text and "objective" in text
+        solver = next(line for line in text.splitlines() if "solver" in line)
+        assert " capped inner loops, " in solver and " penalty raises), kkt " in solver
 
     def test_trajectory_round_trip(self, planned):
         out, traj = planned

@@ -77,6 +77,21 @@ def nominal_template(**overrides):
     return OptProblem(**kw)
 
 
+@pytest.fixture(scope="module")
+def two_pass():
+    """Pass 1 of a docking approach that ends against the keep-out circle,
+    and its latched State II schedule, which drops circle knots with
+    positive multipliers."""
+    p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
+                       x_goal=state(x=0.35, theta=0.4))
+    sol = solve(p)
+    sched = latch(classify(sol.states[:, :2], p.target.attitude(sol.times),
+                           p.target.position, p.kos_cfg))
+    assert KosState.STATE_I in sched and KosState.STATE_II in sched
+    assert np.any(sol.multipliers[1][sched == KosState.STATE_II] > 0)
+    return p, sol, sched
+
+
 class TestDurationCandidates:
     def test_phase_arithmetic(self):
         t = TargetState(omega=0.1, theta0=0.0)
@@ -631,21 +646,30 @@ class TestInnerExits:
     @staticmethod
     @pytest.fixture
     def exits(monkeypatch):
-        """Spy on nlp._inner_newton: checks every return against a fresh
-        evaluation and records (gradient evaluations, Newton steps, exit)."""
+        """Spy on nlp._inner_newton: checks its start and every return
+        against a fresh evaluation and records (evaluated iterates, Newton
+        steps, exit), the start counted as evaluated."""
         seen = []
-        real_inner, real_merit = nlp._inner_newton, nlp._merit
+        real_inner, real_evaluate = nlp._inner_newton, nlp._evaluate
         evals = [0]
 
-        def merit(prob, z, m, *, grad=False):
-            evals[0] += grad
-            return real_merit(prob, z, m, grad=grad)
+        def evaluate(prob, z):
+            evals[0] += 1
+            return real_evaluate(prob, z)
 
-        def spy(prob, z, m, base, tol):
-            evals[0] = 0
-            out = zf, h, g, pgn, nit, exit_ = real_inner(prob, z, m, base, tol)
-            _, grad, h2, (g2, _, _) = real_merit(prob, zf, m, grad=True)
-            assert h.tobytes() == h2.tobytes() and g.tobytes() == g2.tobytes()
+        def bits(ev):
+            f, df, h, ineq = ev
+            return [float(f).hex()] + [a.tobytes() for a in (df, h, *ineq)]
+
+        def spy(prob, z, ev, m, base, tol):
+            # the evaluation handed over from the last inner loop (or the
+            # start) is z's, bit for bit, whatever the multipliers now are
+            assert bits(ev) == bits(real_evaluate(prob, z))
+            evals[0] = 1
+            out = zf, evf, pgn, nit, exit_ = real_inner(prob, z, ev, m, base, tol)
+            fresh = real_evaluate(prob, zf)
+            assert bits(evf) == bits(fresh)
+            grad = nlp._merit_grad(prob, fresh, m)[1]
             assert pgn == nlp._projected_grad(zf, grad, prob.lb, prob.ub)[0]
             # one evaluation per iterate: the point of a step that no trial
             # accepted is the one evaluated last
@@ -653,7 +677,7 @@ class TestInnerExits:
             seen.append((evals[0], nit, exit_))
             return out
 
-        monkeypatch.setattr(nlp, "_merit", merit)
+        monkeypatch.setattr(nlp, "_evaluate", evaluate)
         monkeypatch.setattr(nlp, "_inner_newton", spy)
         return seen
 
@@ -678,12 +702,15 @@ class TestInnerExits:
         assert (again.outer_iterations, again.newton_iterations, again.inner_capped) == (2, 0, 2)
         assert again.message == "converged"
 
-    def test_both_stalls(self, exits):
+    def test_both_stalls(self, exits, monkeypatch):
         # the sweep2 point theta = 180 deg, omega = 0.55 (f_thr = 0.03): the
         # pass-1 solve of its first candidate, which spends the outer
-        # iteration budget, ends inner loops both where no backtracking trial
-        # passes the Armijo test and where an accepted step leaves the merit
-        # unchanged
+        # iteration budget.  With every trial taken as clipped, each
+        # evaluates the merit whole; inner loops then end both where no
+        # backtracking trial passes the Armijo test and where an accepted
+        # step leaves the merit unchanged
+        real_trial = nlp._trial_point
+        monkeypatch.setattr(nlp, "_trial_point", lambda *args: (real_trial(*args)[0], False))
         cfg = harness.RunConfig({**harness.load_config(None).values,
                                  "opt.theta_approach": math.pi, "target.omega": 0.55,
                                  "layout.f_thr": 0.03,
@@ -692,25 +719,204 @@ class TestInnerExits:
         stalls = [evals - nit for evals, nit, e in exits if e == "stall"]
         assert 0 in stalls and 1 in stalls
 
+    def test_closed_form_floor_is_a_stall(self, two_pass, monkeypatch):
+        # from a converged point, with no gradient tolerance, the Newton
+        # steps soon lower the merit by less than its rounding: that step's
+        # first closed-form trial passes the Armijo test but not the noise
+        # test, so the loop ends as a stall where the step started, after
+        # one trial, instead of halving 40 times
+        p, sol, _ = two_pass
+        tr = _Transcription(p, 0)
+        z = pack_variables(sol.states, sol.wrenches)[:tr.n]
+        lam, circle_eta, _, mu = sol.multipliers
+        m = nlp._Multipliers(lam=lam[:tr.E.shape[0]], eta=circle_eta, mu=mu)
+        trials, evals = [], []
+        real_values, real_evaluate = tr.ineq_values, nlp._evaluate
+        monkeypatch.setattr(tr, "ineq_values", lambda zt: trials.append(zt) or real_values(zt))
+        monkeypatch.setattr(nlp, "_evaluate", lambda prob, zt: evals.append(zt)
+                            or real_evaluate(prob, zt))
+        zf, _, pgn, nit, exit_ = nlp._inner_newton(
+            tr, z, real_evaluate(tr, z), m, np.asfortranarray(tr.base_banded(mu)), tol=0.0)
+        assert exit_ == "stall" and pgn > 0.0
+        # one trial per step, and the last step is not taken: zf is the
+        # point evaluated last
+        assert len(trials) == nit <= 3
+        assert len(evals) == nit - 1 and zf is (evals[-1] if evals else z)
+
+
+class TestClosedFormTrials:
+    """Up to the box step a line-search trial's merit change is closed form
+    but for the keep-out term; past it the trial is clipped into the box
+    and its merit evaluated whole."""
+
+    @pytest.mark.parametrize("which", ["pass1", "pass2", "attitude"])
+    def test_change_matches_merit_difference(self, two_pass, which):
+        p, sol, sched = two_pass
+        b = int(which == "attitude")
+        tr = _Transcription(replace(p, kos_schedule=sched) if which == "pass2" else p, b)
+        assert tr.m_in == (0 if b else len(tr._circle_knots) + 2 * len(tr._lobe_knots))
+        assert (len(tr._lobe_knots) > 0) == (which == "pass2")
+        rng = np.random.default_rng(11)
+        z = np.split(pack_variables(sol.states, sol.wrenches), [_Transcription(p, 0).n])[b]
+        z = np.clip(z + 1e-3 * rng.normal(size=tr.n), tr.lb, tr.ub)
+        eta = rng.uniform(0.0, 10.0, tr.m_in)
+        eta[::2] = 0.0
+        m = nlp._Multipliers(lam=rng.normal(size=tr.E.shape[0]), eta=eta, mu=1e4)
+        ev = nlp._evaluate(tr, z)
+        f, grad, a = nlp._merit_grad(tr, ev, m)
+        d = 1e-2 * rng.normal(size=tr.n)
+        d[(z == tr.lb) | (z == tr.ub)] = 0.0  # as a pinned variable's
+        delta = nlp._merit_change(tr, m, grad, a, ev[3], d)
+        # the longest step inside the wrench box
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(d > 0, tr.ub - z, tr.lb - z) / d
+        alpha_box = np.min(room[d != 0])
+        assert 0.0 < alpha_box < np.inf
+        keep_out_moved = False
+        for alpha in 0.999 * alpha_box * np.append(rng.uniform(0.0, 1.0, 20), 1.0):
+            zt, inside = nlp._trial_point(z, alpha, d, tr.lb, tr.ub)
+            assert inside and zt.tobytes() == (z + alpha * d).tobytes()
+            want = nlp._merit(tr, zt, m) - f
+            assert abs(delta(alpha, zt) - want) <= 1e-10 * max(1.0, abs(f))
+            at = np.maximum(0.0, m.eta - m.mu * tr.ineq_values(zt))
+            keep_out_moved |= not np.array_equal(at, a)
+        assert keep_out_moved == (b == 0)
+
+    def test_step_across_a_wrench_bound_is_clipped(self, monkeypatch):
+        # a box too tight for the maneuver: steps cross wrench bounds, and
+        # those trials are clipped into the box and evaluated whole
+        p = simple_problem(N=40, kos=True, wrench_min=wrench(-0.004, -0.004, -0.02),
+                           wrench_max=wrench(0.004, 0.004, 0.02))
+        tr = _Transcription(p, 0)
+        inside = lambda zt: bool(np.all((tr.lb <= zt) & (zt <= tr.ub)))
+        clipped, trials = [], []
+        real_merit, real_values = nlp._merit, tr.ineq_values
+        monkeypatch.setattr(nlp, "_merit", lambda prob, zt, m: clipped.append(zt)
+                            or real_merit(prob, zt, m))
+        monkeypatch.setattr(tr, "ineq_values", lambda zt: trials.append(zt) or real_values(zt))
+        z, _, _, stats = nlp.solve_al(tr, optimizer.default_initial_guess(p)[:tr.n])
+        assert stats.message == "converged"
+        assert 0 < len(clipped) < len(trials)
+        assert all(map(inside, trials)) and inside(z)
+        # a clipped trial lands a wrench on its bound; the plan uses the box
+        boxed = np.isfinite(tr.lb)
+        assert all(np.any(boxed & ((zt == tr.lb) | (zt == tr.ub))) for zt in clipped)
+        assert np.any(boxed & ((z == tr.lb) | (z == tr.ub)))
+
+
+class TestPenaltyRaises:
+    """After a multiplier update whose violation measure is above both a
+    quarter of the last update's and 100 FEAS_TOL, the penalty rises too."""
+
+    def test_raise_when_the_violation_stops_contracting(self, monkeypatch):
+        calls = {}
+        real = nlp._inner_newton
+
+        def spy(prob, z, ev, m, base, tol):
+            # the updates replace lam and eta, so holding them is a snapshot
+            mu, lam, eta = m.mu, m.lam, m.eta
+            out = real(prob, z, ev, m, base, tol)
+            _, _, h, (g, _, _) = out[1]
+            v = max(np.max(np.abs(h), initial=0.0),
+                    np.max(np.abs(np.minimum(g, eta / mu)), initial=0.0))
+            calls.setdefault(id(prob), []).append((mu, lam, v))
+            return out
+
+        runs = []
+        real_al = optimizer.solve_al
+
+        def spy_al(prob, z0, **kwargs):
+            out = real_al(prob, z0, **kwargs)
+            runs.append((id(prob), out[3]))
+            return out
+
+        monkeypatch.setattr(nlp, "_inner_newton", spy)
+        monkeypatch.setattr(optimizer, "solve_al", spy_al)
+        plan(3 * math.pi / 4, nominal_template(), max_candidates=2)
+        contraction = floor = 0
+        for key, stats in runs:
+            seq = calls[key]
+            v_update = np.inf
+            raises = 0
+            for (mu, lam, v), (mu_next, lam_next, _) in zip(seq, seq[1:]):
+                raised = min(10.0 * mu, nlp.MU_MAX)
+                if lam_next is lam:  # no update: the feasibility target failed
+                    assert mu_next == raised
+                elif v > max(v_update / 4, 1e-6):
+                    assert mu_next == raised
+                    contraction += 1
+                else:
+                    assert mu_next == mu
+                    floor += v <= 1e-6 < v_update / 4
+                if lam_next is not lam:
+                    v_update = v
+                raises += mu_next > mu
+            assert stats.mu_raises == raises
+        # both sides of the rule are exercised
+        assert contraction > 0 and floor > 0
+
+    def test_plan_sums_both_chains(self, two_pass, monkeypatch):
+        p, sol, sched = two_pass
+        runs = []
+        real = optimizer.solve_al
+
+        def spy(prob, z0, **kwargs):
+            out = real(prob, z0, **kwargs)
+            runs.append(out[3])
+            return out
+
+        monkeypatch.setattr(optimizer, "solve_al", spy)
+        cold = solve(p).solver_stats
+        warm = solve(replace(p, kos_schedule=sched), sol).solver_stats
+        attitude, translation = runs[0], runs[1]
+        assert cold.mu_raises == attitude.mu_raises + translation.mu_raises
+        assert translation.mu_raises > 0
+        # the attitude chain's warm restart returns at once and adds nothing
+        assert runs[2].mu_raises == 0
+        assert warm.mu_raises == runs[3].mu_raises
+
+
+class TestEqualityRowCache:
+    """A chain's E, ET and E^T E band are built once per (chain, N, dt,
+    body), so a pass-2 re-solve reuses pass 1's."""
+
+    def test_pass2_reuses_pass1_rows(self, monkeypatch):
+        probs = []
+        real = optimizer.solve_al
+
+        def spy(prob, z0, **kwargs):
+            probs.append(prob)
+            return real(prob, z0, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve_al", spy)
+        optimizer._equality_rows.cache_clear()
+        best, results = plan(3 * math.pi / 4, nominal_template(), max_candidates=2)
+        # per candidate: attitude, translation; then pass 2 when it engages
+        by_n = {}
+        for prob in probs:
+            by_n.setdefault((prob.n, prob.m_in == 0), []).append(prob)
+        pairs = [ps for ps in by_n.values() if len(ps) == 2]
+        assert len(pairs) == 2  # the State II candidate's two chains
+        for first, second in pairs:
+            assert second.E is first.E and second.ET is first.ET
+            assert second._ete_banded is first._ete_banded
+        # bit for bit a fresh build, and read-only
+        p = replace(nominal_template(), N=37)
+        for b in (0, 1):
+            tr = _Transcription(p, b)
+            E, ET, band = optimizer._equality_rows.__wrapped__(b, p.N, p.dt, p.body)
+            fresh = sp.csr_matrix(tr.E.toarray())
+            for cached, new in ((tr.E, E), (tr.ET, ET), (tr.E, fresh)):
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(cached, attr).tobytes() == getattr(new, attr).tobytes()
+                    assert not getattr(cached, attr).flags.writeable
+            assert tr._ete_banded.tobytes() == band.tobytes()
+            assert not tr._ete_banded.flags.writeable
+
 
 class TestWarmMultipliers:
     """A solve returns its multipliers; a later solve at the same N restarts
     the multiplier loop from them."""
-
-    @staticmethod
-    @pytest.fixture(scope="class")
-    def two_pass():
-        """Pass 1 of a docking approach that ends against the keep-out circle,
-        and its latched State II schedule, which drops circle knots with
-        positive multipliers."""
-        p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
-                           x_goal=state(x=0.35, theta=0.4))
-        sol = solve(p)
-        sched = latch(classify(sol.states[:, :2], p.target.attitude(sol.times),
-                               p.target.position, p.kos_cfg))
-        assert KosState.STATE_I in sched and KosState.STATE_II in sched
-        assert np.any(sol.multipliers[1][sched == KosState.STATE_II] > 0)
-        return p, sol, sched
 
     def test_resolve_from_own_plan(self, monkeypatch):
         p = simple_problem(N=50, kos=True)
