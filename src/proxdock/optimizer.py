@@ -202,8 +202,8 @@ def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
     its transpose as CSR and E^T E in lower-banded storage, all read-only.
 
     They depend on nothing else, so a pass-2 re-solve, which changes only the
-    keep-out schedule, reuses pass 1's; two entries hold one candidate's two
-    chains, so a plan's next candidate (another N) finds none of them.
+    keep-out schedule, reuses pass 1's.  Two entries hold one candidate's two
+    chains; plan empties the cache when it ends.
     """
     quantities = _BLOCKS[b]
     states = [j for j in quantities if j < 6]
@@ -603,6 +603,8 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
                     sol = replace(sol, pass2_failure=ex.stats.message)
         results.append(sol)
 
+    # the rows are reused within a candidate only; keep none past the plan
+    _equality_rows.cache_clear()
     if not results:
         raise AllCandidatesFailed(failures)
 
