@@ -54,8 +54,9 @@ Outer loop: when the violation measure max(|h|, max|min(g, eta/mu)|) misses
 the current feasibility target, mu rises tenfold; otherwise the multipliers
 are updated, and mu also rises when the measure did not contract to
 CONTRACTION (1/4) of its value at the last update, unless it is already
-within 100 FEAS_TOL, where a larger penalty only slows the last updates.
-SolverStats counts both kinds of penalty raise.
+within 100 FEAS_TOL (without that floor, raises near convergence cost one
+grid point its convergence; see CONTRACTION).  SolverStats counts both
+kinds of penalty raise.
 
 Each iterate is evaluated once.  The inner loop hands the outer loop its
 final point's objective, gradient, equality residual h and keep-out values
@@ -109,8 +110,8 @@ ineq_values is the value-only path used by line-search trials; it must equal
 ineq_full(z)[0] bit for bit.  A closed-form trial subtracts |a|^2 at the
 current point (from ineq_full) from |a(alpha)|^2 at the trial (from
 ineq_values): any difference between the two paths would enter the merit
-change as a spurious term of the size of the rounding-noise test that it
-must pass.  A clipped trial compares its merit (from ineq_values) with the
+change as a spurious term that the rounding-noise test cannot tell from
+progress.  A clipped trial compares its merit (from ineq_values) with the
 current one (from ineq_full) by ==.
 """
 from __future__ import annotations
@@ -329,18 +330,19 @@ def _trial_point(z, alpha, d, lb, ub):
     return zt, np.array_equal(zt, step)
 
 
-def _merit_change(prob, m: _Multipliers, grad, a, ineq, d):
+def _merit_change(prob, m: _Multipliers, gd, a, ineq, d):
     """delta(alpha, zt): the merit at zt = z + alpha d minus the merit at z,
-    where _merit_grad gave grad and a and ineq is z's (g, gx, gy).
+    where gd is the merit gradient's dot product with d, _merit_grad gave a
+    and ineq is z's (g, gx, gy).
 
     Along d the objective and the equality terms are quadratic, so the
     change is alpha s1 + alpha^2 s2 + (|a(alpha)|^2 - |a|^2) / 2mu with
-    s1 = grad.d + sum a (grad g . d) and s2 = d.(q d) + mu/2 |E d|^2; only
+    s1 = gd + sum a (grad g . d) and s2 = d.(q d) + mu/2 |E d|^2; only
     the keep-out estimate a(alpha) needs zt, through ineq_values.  Exact
     while zt is z + alpha d, that is, while the step stays in the box.
     """
     _, gx, gy = ineq
-    s1 = dot(grad, d) + dot(a, gx * d[prob.ineq_ix] + gy * d[prob.ineq_iy])
+    s1 = gd + dot(a, gx * d[prob.ineq_ix] + gy * d[prob.ineq_iy])
     ed = prob.E @ d
     s2 = dot(d, prob.q * d) + 0.5 * m.mu * dot(ed, ed)
     aa = dot(a, a)
@@ -385,7 +387,7 @@ def _inner_newton(prob, z, ev, m: _Multipliers, base, tol):
 
         gd = dot(grad, d)
         # a trial inside the box gets its merit change in closed form
-        delta = _merit_change(prob, m, grad, a, ev[3], d)
+        delta = _merit_change(prob, m, gd, a, ev[3], d)
         alpha = 1.0
         for _ in range(40):
             zt, closed = _trial_point(z, alpha, d, lb, ub)

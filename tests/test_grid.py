@@ -91,10 +91,6 @@ def read_reference() -> dict[str, tuple[int, float, float, int]]:
     return ref
 
 
-def format_line(name, conv, duration, objective, newton) -> str:
-    return f"{name} {conv} {duration:.17g} {objective:.17g} {newton}"
-
-
 def test_grid_against_reference(capsys):
     ref = read_reference()
     assert list(ref) == list(POINTS)
@@ -124,7 +120,7 @@ if __name__ == "__main__":
     lines = ["# name converged duration_s objective newton_steps"]
     for name, values in POINTS.items():
         conv, duration, objective, newton, wall = run_point(values)
-        lines.append(format_line(name, conv, duration, objective, newton))
+        lines.append(f"{name} {conv} {duration:.17g} {objective:.17g} {newton}")
         print(f"{lines[-1]}   ({wall:.2f} s)", flush=True)
     REFERENCE.parent.mkdir(exist_ok=True)
     REFERENCE.write_text("\n".join(lines) + "\n")

@@ -766,7 +766,7 @@ class TestClosedFormTrials:
         f, grad, a = nlp._merit_grad(tr, ev, m)
         d = 1e-2 * rng.normal(size=tr.n)
         d[(z == tr.lb) | (z == tr.ub)] = 0.0  # as a pinned variable's
-        delta = nlp._merit_change(tr, m, grad, a, ev[3], d)
+        delta = nlp._merit_change(tr, m, nlp.dot(grad, d), a, ev[3], d)
         # the longest step inside the wrench box
         with np.errstate(divide="ignore", invalid="ignore"):
             room = np.where(d > 0, tr.ub - z, tr.lb - z) / d
