@@ -9,6 +9,12 @@ attitude chain) and factored by LAPACK's banded Cholesky, so each Newton
 step is O(N).  Every vector dot product goes through dot, so no result
 depends on the BLAS thread count.
 
+The module needs numpy only to import.  LAPACK's dpbtrf and dpbtrs come
+from scipy.linalg, whose import is about 0.35 s, more than half of `import
+proxdock`; only planning factors a matrix, so banded_lapack binds them on
+the first factorization, and a process that tracks or audits never loads
+scipy.
+
 The Newton matrix is the Gauss-Newton form of the merit's Hessian,
 diag(2q) + mu E^T E + mu sum grad g grad g^T over the keep-out constraints
 whose PHR multiplier estimate a = max(0, eta - mu g) is positive.  The
@@ -116,10 +122,10 @@ current one (from ineq_full) by ==.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 KKT_TOL = 1e-6     # projected KKT residual at convergence
 FEAS_TOL = 1e-8    # constraint violation at convergence
@@ -179,17 +185,27 @@ def dot(a, b) -> float:
     return sum(float(a[lo:hi] @ b[lo:hi]) for lo, hi in zip(edges, edges[1:]))
 
 
+@functools.cache
+def banded_lapack():
+    """LAPACK's (dpbtrf, dpbtrs), imported from scipy.linalg on the first
+    call (see optimizer.import_scipy for callers that must not pay it then)."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    return dpbtrf, dpbtrs
+
+
 def cholesky_banded(ab, lower=False):
     """scipy.linalg.cholesky_banded without its per-call wrapper cost.
 
     LAPACK dpbtrf on ab, which it overwrites when ab is column-major (each
     Newton step assembles a fresh one).  Raises ValueError for an inf or nan
     in ab and LinAlgError when the matrix is not positive definite, as
-    scipy's does.
+    scipy's does.  dpbtrf is bound on the first factorization (see
+    banded_lapack): importing scipy.linalg costs about 0.35 s, which
+    processes that never plan should not pay.
     """
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    c, info = dpbtrf(ab, lower=lower, overwrite_ab=1)
+    c, info = banded_lapack()[0](ab, lower=lower, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     if info < 0:
@@ -204,7 +220,7 @@ def cho_solve_banded(cb_and_lower, b):
     cb, lower = cb_and_lower
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dpbtrs(cb, b, lower=lower)
+    x, info = banded_lapack()[1](cb, b, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrs")
     return x

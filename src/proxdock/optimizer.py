@@ -39,16 +39,16 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kos as koslib
 from .dynamics import BodyParams, TargetState, euler_matrices, wrap_angle
 from .kos import KosConfig, KosState
-from .nlp import InfeasibleError, NotConvergedError, SolverStats, dot, solve_al
+from .nlp import (InfeasibleError, NotConvergedError, SolverStats, banded_lapack, dot,
+                  solve_al)
 
 __all__ = [
     "OptProblem", "PlannedTrajectory", "AllCandidatesFailed",
-    "duration_candidates", "solve", "plan",
+    "duration_candidates", "solve", "plan", "import_scipy",
     "build_goal_state", "pack_variables", "unpack_variables",
     "NotConvergedError", "InfeasibleError",
 ]
@@ -196,6 +196,19 @@ def unpack_variables(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return z[pos[:, :6]], z[pos[:-1, 6:]]
 
 
+def import_scipy() -> None:
+    """Import the scipy modules that planning uses: scipy.sparse and
+    LAPACK's banded Cholesky (nlp.banded_lapack).
+
+    Planning imports them on first use, about 0.35 s, so that only the
+    processes that plan load scipy.  A caller that times a plan or forks
+    planning workers calls this first, which keeps the import out of its
+    clock and lets the workers inherit the modules.
+    """
+    import scipy.sparse  # noqa: F401
+    banded_lapack()
+
+
 @functools.lru_cache(maxsize=2)
 def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
     """(E, ET, E^T E) of axis chain b's equality rows: the Jacobian as CSR,
@@ -204,7 +217,12 @@ def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
     They depend on nothing else, so a pass-2 re-solve, which changes only the
     keep-out schedule, reuses pass 1's.  Two entries hold one candidate's two
     chains; plan empties the cache when it ends.
+
+    scipy.sparse is imported here, on the first chain built, so that of the
+    subcommands only plan, sweep1 and sweep2 load scipy; track and audit,
+    which read a written plan, run on numpy alone.
     """
+    import scipy.sparse as sp
     quantities = _BLOCKS[b]
     states = [j for j in quantities if j < 6]
     s = len(states)

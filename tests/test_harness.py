@@ -503,42 +503,79 @@ class TestPlanTrackCli:
         assert not (tmp_path / "o").exists()
 
 
-# Runs in a fresh interpreter: prints, as its last line, whether
-# scipy.optimize is loaded after each step of plan -> audit -> track.
+def run_fresh(code, *args):
+    """Run code in a fresh interpreter that imports this checkout's proxdock;
+    returns its stdout's last line."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+# Prints, as its last line, the scipy modules loaded after each step of
+# import -> load_config -> audit -> track, on a plan and a run record written
+# beforehand, and then after a plan.
 IMPORT_PROBE = """
 import json, sys
 from proxdock import harness
-out, record = sys.argv[1:]
+traj, record, out = sys.argv[1:]
 seen = {}
 def step(name):
-    seen[name] = "scipy.optimize" in sys.modules
+    seen[name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 step("import")
 harness.load_config(None)
 step("load_config")
-traj = harness.cmd_plan(None, out)
-step("cmd_plan")
 harness.cmd_audit(record, None)
 step("cmd_audit")
 harness.cmd_track(traj, None, out)
 step("cmd_track")
+harness.cmd_plan(None, out)
+step("cmd_plan")
 print(json.dumps(seen))
 """
 
 
-def test_no_subcommand_loads_scipy_optimize(planned, tmp_path):
+@pytest.fixture(scope="module")
+def scipy_modules(planned, tmp_path_factory):
+    """{step of IMPORT_PROBE: the scipy modules loaded after it}"""
+    out = tmp_path_factory.mktemp("probe")
+    cmd_track(planned[1], None, out / "rec")
+    seen = run_fresh(IMPORT_PROBE, planned[1], out / "rec" / "run_record.txt", out / "o")
+    return {step: set(mods) for step, mods in json.loads(seen).items()}
+
+
+def test_no_subcommand_loads_scipy_optimize(scipy_modules):
     # no subcommand calls scipy.optimize (sweeps plan as cmd_plan does), so
     # none pays for importing it
-    cmd_track(planned[1], None, tmp_path / "rec")
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "o"),
-                           str(tmp_path / "rec" / "run_record.txt")],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
+    assert {step: "scipy.optimize" in mods for step, mods in scipy_modules.items()} == {
         "import": False, "load_config": False, "cmd_plan": False, "cmd_audit": False,
         "cmd_track": False}
+
+
+def test_only_planning_loads_scipy(scipy_modules):
+    # tracking and auditing factor no matrix, so they run on numpy alone;
+    # planning loads LAPACK's banded Cholesky and scipy.sparse
+    assert {step: mods for step, mods in scipy_modules.items() if step != "cmd_plan"} == \
+        dict.fromkeys(["import", "load_config", "cmd_audit", "cmd_track"], set())
+    assert {"scipy.linalg.lapack", "scipy.sparse"} <= scipy_modules["cmd_plan"]
+
+
+def test_parallel_sweep_imports_scipy_before_forking(tmp_path):
+    # the parent never plans a point itself, so scipy is in its modules only
+    # if the sweep imported it before the workers started
+    cfg_path = write(tmp_path, (
+        "sweep1.omega_start = 0.1\nsweep1.omega_step = 0.1\nsweep1.omega_stop = 0.1\n"
+        "sweep1.f_start = 0.03\nsweep1.f_step = 0.03\nsweep1.f_stop = 0.06\n"
+        "sweep1.goal_corotate = false\nsweep1.min_duration = 5.0\n"))
+    probe = ("import sys\nfrom proxdock import harness\n"
+             "harness.cmd_sweep1(sys.argv[1], sys.argv[2], parallel=2)\n"
+             "print('scipy.linalg.lapack' in sys.modules)\n")
+    assert run_fresh(probe, cfg_path, tmp_path / "s") == "True"
+    table = records.read_table(tmp_path / "s" / "sweep1_points.txt", "sweep1-points")
+    assert [r[table["columns"].index("converged")] for r in table["rows"]] == ["1", "1"]
 
 
 class TestSweeps:
