@@ -8,10 +8,9 @@ POSITIVE or FRACTION that load_config applies to every value but None and
 "auto".  Checks that span keys stay in _validate.  Subcommands: plan,
 track, sweep1, sweep2, audit.
 
-Only the planning subcommands, plan, sweep1 and sweep2, load scipy (its
-sparse matrices and LAPACK's banded Cholesky, about 0.35 s to import); they
-do so before their clocks start and before a --parallel pool forks.  track,
-audit and load_config run on numpy alone.
+Only the planning subcommands, plan, sweep1 and sweep2, load scipy, and of
+it only the two compiled kernels the planner calls (see nlp.scipy_kernels),
+on the first solve.  track, audit and load_config run on numpy alone.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from . import records
 from .controller import PdGains
 from .dynamics import BodyParams, TargetState, default_layout
 from .kos import KosConfig, KosState
-from .optimizer import AllCandidatesFailed, OptProblem, import_scipy, plan, terminal_errors
+from .optimizer import AllCandidatesFailed, OptProblem, plan, terminal_errors
 from .sim import ConfigMisaligned, SimConfig, audit_safety, run, steps_per_period
 
 
@@ -380,7 +379,6 @@ def _plan_point(cfg: RunConfig):
 def cmd_plan(config_path, out_dir):
     cfg = load_config(config_path)
     out = _out_dir(out_dir)
-    import_scipy()  # outside the wall time, which the summary reports
     t0 = time.perf_counter()
     best, all_results, rec = _plan_point(cfg)
     wall = time.perf_counter() - t0
@@ -472,9 +470,7 @@ def _run_points(tasks, parallel: int):
     if parallel <= 1:
         return [_sweep_point(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
-    # forked workers inherit the parent's scipy; a spawned one imports it
-    # before its first point's clock starts
-    with ProcessPoolExecutor(max_workers=parallel, initializer=import_scipy) as pool:
+    with ProcessPoolExecutor(max_workers=parallel) as pool:
         return list(pool.map(_sweep_point, tasks))
 
 
@@ -494,7 +490,6 @@ def _grid_sweep(cfg: RunConfig, out_dir, sweep: str, parallel: int, point,
                     for prefix, degrees, _ in axes)
     own = {f"opt.{key}": cfg[f"{sweep}.{key}"]
            for key in ("max_candidates", "min_duration", "goal_corotate")}
-    import_scipy()  # before the first point's wall_time and the workers' fork
     recs = _run_points([{**cfg.values, **own, **point(float(a), float(b))}
                         for a in outer for b in inner], parallel)
 

@@ -9,11 +9,14 @@ attitude chain) and factored by LAPACK's banded Cholesky, so each Newton
 step is O(N).  Every vector dot product goes through dot, so no result
 depends on the BLAS thread count.
 
-The module needs numpy only to import.  LAPACK's dpbtrf and dpbtrs come
-from scipy.linalg, whose import is about 0.35 s, more than half of `import
-proxdock`; only planning factors a matrix, so banded_lapack binds them on
-the first factorization, and a process that tracks or audits never loads
-scipy.
+The module needs numpy only to import.  Of scipy, a solve calls two
+compiled kernels: LAPACK's banded Cholesky dpbtrf/dpbtrs and sparsetools'
+CSR mat-vec csr_matvec.  scipy_kernels loads their two extension modules by
+file location on the first call, without the scipy.linalg and scipy.sparse
+packages around them: about 6 ms and 2.3 MB of resident memory, where
+importing the two packages took 0.2-0.35 s and 24-28 MB (2-vCPU x86-64,
+Python 3.11, scipy 1.17).  So a process that tracks or audits loads no
+scipy module, and one that plans loads those two alone.
 
 The Newton matrix is the Gauss-Newton form of the merit's Hessian,
 diag(2q) + mu E^T E + mu sum grad g grad g^T over the keep-out constraints
@@ -98,8 +101,8 @@ The problem object must expose::
     n, lb, ub                      decision size and box bounds
     q                              the objective's quadratic diagonal: it is
                                    z.(q z) + a linear and a constant term
-    E, e_rhs                       sparse equality Jacobian and rhs
-    ET                             E's transpose as a CSR matrix, built once
+    E, e_rhs                       equality Jacobian as a Csr, and rhs
+    ET                             E's transpose as a Csr, built once
     base_banded(mu)                -> lower-banded constant objective Hessian
                                       diagonal plus mu E^T E, one row per band
     objective_value_grad(z)        -> (f, grad)
@@ -123,6 +126,10 @@ current one (from ineq_full) by ==.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,12 +192,71 @@ def dot(a, b) -> float:
     return sum(float(a[lo:hi] @ b[lo:hi]) for lo, hi in zip(edges, edges[1:]))
 
 
+def _extension(name):
+    """The extension module of this dotted name, loaded from its file
+    without running the __init__ of the packages it sits in; or the module
+    already imported under the name."""
+    if name in sys.modules:
+        return sys.modules[name]
+    top, *middle, _ = name.split(".")
+    spec = importlib.machinery.PathFinder.find_spec(top)
+    spec = spec and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(p, *middle) for p in spec.submodule_search_locations])
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 @functools.cache
-def banded_lapack():
-    """LAPACK's (dpbtrf, dpbtrs), imported from scipy.linalg on the first
-    call (see optimizer.import_scipy for callers that must not pay it then)."""
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
-    return dpbtrf, dpbtrs
+def scipy_kernels():
+    """(dpbtrf, dpbtrs, csr_matvec), bound on the first call.
+
+    dpbtrf and dpbtrs come from scipy.linalg._flapack, whose functions are
+    the objects scipy.linalg.lapack re-exports; csr_matvec from
+    scipy.sparse._sparsetools is the kernel that csr_matrix @ x calls.
+    Loading the two extension modules takes a few milliseconds (see the
+    module docstring), so no caller needs to warm them up outside its
+    clock.
+    """
+    flapack = _extension("scipy.linalg._flapack")
+    return flapack.dpbtrf, flapack.dpbtrs, _extension("scipy.sparse._sparsetools").csr_matvec
+
+
+class Csr:
+    """A sparse matrix in scipy.sparse's CSR arrays, read-only: int32 indptr
+    and indices, the column indices of each row ascending, float64 data.
+
+    A @ x runs scipy's csr_matvec into a zeroed output, as csr_matrix @ x
+    does, so the product is scipy's bit for bit.
+    """
+
+    __slots__ = ("shape", "indptr", "indices", "data")
+
+    def __init__(self, shape, indptr, indices, data):
+        self.shape, self.indptr, self.indices, self.data = shape, indptr, indices, data
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, shape):
+        """The matrix with vals at (rows, cols), whose pairs are distinct;
+        as scipy.sparse.csr_matrix((vals, (rows, cols)), shape) stores it."""
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        arrays = indptr, cols[order].astype(np.int32), np.asarray(vals, dtype=float)[order]
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(tuple(shape), *arrays)
+
+    def __matmul__(self, x):
+        # csr_matvec reads x by the column indices unchecked
+        if x.shape != self.shape[1:]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {x.shape}")
+        out = np.zeros(self.shape[0])
+        scipy_kernels()[2](*self.shape, self.indptr, self.indices, self.data, x, out)
+        return out
 
 
 def cholesky_banded(ab, lower=False):
@@ -199,13 +265,11 @@ def cholesky_banded(ab, lower=False):
     LAPACK dpbtrf on ab, which it overwrites when ab is column-major (each
     Newton step assembles a fresh one).  Raises ValueError for an inf or nan
     in ab and LinAlgError when the matrix is not positive definite, as
-    scipy's does.  dpbtrf is bound on the first factorization (see
-    banded_lapack): importing scipy.linalg costs about 0.35 s, which
-    processes that never plan should not pay.
+    scipy's does.  dpbtrf is scipy's own (see scipy_kernels).
     """
     if not np.isfinite(ab).all():
         raise ValueError("array must not contain infs or NaNs")
-    c, info = banded_lapack()[0](ab, lower=lower, overwrite_ab=1)
+    c, info = scipy_kernels()[0](ab, lower=lower, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     if info < 0:
@@ -220,7 +284,7 @@ def cho_solve_banded(cb_and_lower, b):
     cb, lower = cb_and_lower
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    x, info = banded_lapack()[1](cb, b, lower=lower)
+    x, info = scipy_kernels()[1](cb, b, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrs")
     return x

@@ -43,12 +43,11 @@ import numpy as np
 from . import kos as koslib
 from .dynamics import BodyParams, TargetState, euler_matrices, wrap_angle
 from .kos import KosConfig, KosState
-from .nlp import (InfeasibleError, NotConvergedError, SolverStats, banded_lapack, dot,
-                  solve_al)
+from .nlp import Csr, InfeasibleError, NotConvergedError, SolverStats, dot, solve_al
 
 __all__ = [
     "OptProblem", "PlannedTrajectory", "AllCandidatesFailed",
-    "duration_candidates", "solve", "plan", "import_scipy",
+    "duration_candidates", "solve", "plan",
     "build_goal_state", "pack_variables", "unpack_variables",
     "NotConvergedError", "InfeasibleError",
 ]
@@ -196,33 +195,21 @@ def unpack_variables(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return z[pos[:, :6]], z[pos[:-1, 6:]]
 
 
-def import_scipy() -> None:
-    """Import the scipy modules that planning uses: scipy.sparse and
-    LAPACK's banded Cholesky (nlp.banded_lapack).
-
-    Planning imports them on first use, about 0.35 s, so that only the
-    processes that plan load scipy.  A caller that times a plan or forks
-    planning workers calls this first, which keeps the import out of its
-    clock and lets the workers inherit the modules.
-    """
-    import scipy.sparse  # noqa: F401
-    banded_lapack()
-
-
 @functools.lru_cache(maxsize=2)
 def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
-    """(E, ET, E^T E) of axis chain b's equality rows: the Jacobian as CSR,
-    its transpose as CSR and E^T E in lower-banded storage, all read-only.
+    """(E, ET, E^T E) of axis chain b's equality rows: the Jacobian and its
+    transpose as nlp.Csr and E^T E in lower-banded storage, all read-only.
 
     They depend on nothing else, so a pass-2 re-solve, which changes only the
     keep-out schedule, reuses pass 1's.  Two entries hold one candidate's two
     chains; plan empties the cache when it ends.
 
-    scipy.sparse is imported here, on the first chain built, so that of the
-    subcommands only plan, sweep1 and sweep2 load scipy; track and audit,
-    which read a written plan, run on numpy alone.
+    Each is equal byte for byte to its scipy.sparse construction:
+    csr_matrix((vals, (rows, cols))), E.T.tocsr() and E.T @ E, whose entry
+    (i, j) sums E[k, j] E[k, i] over the rows k in ascending order, starting
+    from 0.  So the Newton steps run on the bytes they ran on with
+    scipy.sparse.
     """
-    import scipy.sparse as sp
     quantities = _BLOCKS[b]
     states = [j for j in quantities if j < 6]
     s = len(states)
@@ -242,16 +229,21 @@ def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
     if b == 1:
         rows.append([s + s * N]); cols.append([pos[N, 2]]); vals.append([1.0])
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    E = sp.csr_matrix((vals, (rows, cols)), shape=(int(rows.max()) + 1, n))
-    ET = E.T.tocsr()
+    m = int(rows.max()) + 1
+    E = Csr.from_coo(rows, cols, vals, (m, n))
+    ET = Csr.from_coo(cols, rows, vals, (n, m))
 
-    ete = (E.T @ E).tocoo()
-    mask = ete.row >= ete.col
-    r, c, v = ete.row[mask], ete.col[mask], ete.data[mask]
-    band = np.zeros((int(np.max(r - c)) + 1, n))
-    np.add.at(band, (r - c, c), v)
-    for a in (E.data, E.indices, E.indptr, ET.data, ET.indices, ET.indptr, band):
-        a.flags.writeable = False
+    # each pair of entries hi >= lo in row k of E, whose columns ascend, adds
+    # E[k, hi] E[k, lo] to band entry (col hi - col lo, col lo), k ascending
+    width = np.diff(E.indptr)
+    hi, lo = np.tril_indices(int(width.max()))
+    ok = hi < width[:, None]
+    ph, pl = ((E.indptr[:-1, None] + o)[ok] for o in (hi, lo))
+    ch, cl = E.indices[ph], E.indices[pl]
+    band = np.zeros((int(np.max(ch - cl)) + 1, n))
+    with np.errstate(all="ignore"):  # an inf is the solve's to report, as with scipy
+        np.add.at(band, (ch - cl, cl), E.data[ph] * E.data[pl])
+    band.flags.writeable = False
     return E, ET, band
 
 

@@ -8,8 +8,10 @@ non-finite data, except where a column holds it by design.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +27,10 @@ FORMAT_VERSION = 1
 TRAJECTORY_COLUMNS = ["t", "x", "y", "theta", "vx", "vy", "omega",
                       "Fx", "Fy", "tau", "kos_state", "g_min"]
 RUN_COLUMNS = ["t", "x", "y", "theta", "vx", "vy", "omega", "rel_vx", "rel_vy", "g"]
+
+# rows per block: writers format and write, and hand over array rows, one
+# block at a time, so no record is held whole as Python numbers or text
+_BLOCK = 1024
 
 
 class RecordError(ValueError):
@@ -50,13 +56,24 @@ def _fmt(v) -> str:
     return _row_format((type(v),)) % v
 
 
+def _line(row) -> str:
+    row = tuple(row)
+    return _row_format(tuple(map(type, row))) % row + "\n"
+
+
 def _write(path, header_lines, rows) -> None:
-    lines = list(header_lines)
-    for row in rows:
-        row = tuple(row)
-        lines.append(_row_format(tuple(map(type, row))) % row)
+    rows = iter(rows)
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("".join(ln + "\n" for ln in header_lines))
+        while block := "".join(map(_line, itertools.islice(rows, _BLOCK))):
+            f.write(block)
+
+
+def _array_rows(a):
+    """The rows of a 2-D array as lists of Python floats, converted one block
+    at a time."""
+    for i in range(0, len(a), _BLOCK):
+        yield from a[i:i + _BLOCK].tolist()
 
 
 def _header(kind: str, config_lines, meta: dict, columns) -> list[str]:
@@ -95,26 +112,41 @@ def _parse_header(lines, kind: str):
     return meta, config, columns
 
 
-def _read(path, kind: str, columns=None):
-    """(lines, meta, config, columns) of a record file of this kind; with
-    columns given, the file's manifest must equal them."""
+@contextlib.contextmanager
+def _open_record(path, kind: str, columns=None):
+    """Read a record file of this kind up to its data block, and yield
+    (meta, config, columns, rows): rows iterates over the data lines, read
+    from the open file inside the with block.  With columns given, the
+    file's manifest must equal them.  A file that cannot be read or decoded,
+    in the header or in the data block, raises RecordError."""
     try:
         with open(path) as f:
-            lines = f.read().splitlines()
+            # the lines of f.read().splitlines(), one at a time
+            lines = itertools.chain.from_iterable(map(str.splitlines, f))
+            header = []
+            for ln in lines:
+                header.append(ln)
+                if not ln.startswith("#"):
+                    break
+            meta, config, found = _parse_header(header, kind)
+            if columns is not None and found != columns:
+                raise RecordError(f"unexpected {kind} columns: {found}")
+            yield meta, config, found, (ln for ln in itertools.chain(header[-1:], lines)
+                                        if ln and not ln.startswith("#"))
     except (OSError, UnicodeDecodeError) as ex:
         raise RecordError(f"cannot read {kind} record: {ex}") from None
-    meta, config, found = _parse_header(lines, kind)
-    if columns is not None and found != columns:
-        raise RecordError(f"unexpected {kind} columns: {found}")
-    return lines, meta, config, found
 
 
-def _data_block(lines, kind: str, ncols: int) -> np.ndarray:
-    """The numeric rows below the header as an (n, ncols) array, parsed by
-    numpy's C float parser (the same values float() gives)."""
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
+def _data_block(rows, kind: str, ncols: int) -> np.ndarray:
+    """The data rows as an (n, ncols) array, parsed by numpy's C float
+    parser (the same values float() gives)."""
+    first = next(rows, None)
+    if first is None:
+        raise RecordError(f"{kind} data block malformed")
     try:
-        data = np.loadtxt(rows, comments=None, ndmin=2) if rows else np.empty((0, 0))
+        data = np.loadtxt(itertools.chain([first], rows), comments=None, ndmin=2)
+    except UnicodeDecodeError:
+        raise  # unreadable, not malformed: _open_record reports it
     except ValueError as ex:  # non-numeric field or ragged rows
         raise RecordError(f"{kind} data block malformed: {ex}") from None
     if data.shape[1] != ncols:
@@ -169,8 +201,8 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
 
 
 def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
-    lines, meta, config, _ = _read(path, "trajectory", TRAJECTORY_COLUMNS)
-    data = _data_block(lines, "trajectory", len(TRAJECTORY_COLUMNS))
+    with _open_record(path, "trajectory", TRAJECTORY_COLUMNS) as (meta, config, _, rows):
+        data = _data_block(rows, "trajectory", len(TRAJECTORY_COLUMNS))
     times = data[:, 0]
     states = data[:, 1:7]
     wrenches = data[:-1, 7:10]
@@ -220,13 +252,13 @@ def write_run_record(path, result, config_lines) -> None:
         "min_kos_distance": _fmt(result.min_kos_distance),
     }
     _write(path, _header("run", config_lines, meta, RUN_COLUMNS),
-           np.column_stack([result.times, result.states, result.relative_velocity,
-                            result.kos_distance]).tolist())
+           _array_rows(np.column_stack([result.times, result.states,
+                                        result.relative_velocity, result.kos_distance])))
 
 
 def read_run_record(path):
-    lines, meta, config, _ = _read(path, "run", RUN_COLUMNS)
-    data = _data_block(lines, "run", len(RUN_COLUMNS))
+    with _open_record(path, "run", RUN_COLUMNS) as (meta, config, _, rows):
+        data = _data_block(rows, "run", len(RUN_COLUMNS))
     if not np.all(np.isfinite(data)):
         raise RecordError("non-finite value in the run record")
     return {"times": data[:, 0], "states": data[:, 1:7],
@@ -248,6 +280,6 @@ def write_table(path, kind: str, columns, rows, config_lines) -> None:
 
 
 def read_table(path, kind: str):
-    lines, meta, config, columns = _read(path, kind)
-    rows = [ln.split() for ln in lines if ln and not ln.startswith("#")]
+    with _open_record(path, kind) as (meta, config, columns, rows):
+        rows = [ln.split() for ln in rows]
     return {"columns": columns, "rows": rows, "meta": meta, "config": config}

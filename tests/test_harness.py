@@ -557,23 +557,23 @@ def test_no_subcommand_loads_scipy_optimize(scipy_modules):
 
 def test_only_planning_loads_scipy(scipy_modules):
     # tracking and auditing factor no matrix, so they run on numpy alone;
-    # planning loads LAPACK's banded Cholesky and scipy.sparse
+    # planning loads the two compiled kernels it calls, and none of the
+    # scipy packages around them
     assert {step: mods for step, mods in scipy_modules.items() if step != "cmd_plan"} == \
         dict.fromkeys(["import", "load_config", "cmd_audit", "cmd_track"], set())
-    assert {"scipy.linalg.lapack", "scipy.sparse"} <= scipy_modules["cmd_plan"]
+    assert scipy_modules["cmd_plan"] == {"scipy.linalg._flapack", "scipy.sparse._sparsetools"}
 
 
-def test_parallel_sweep_imports_scipy_before_forking(tmp_path):
-    # the parent never plans a point itself, so scipy is in its modules only
-    # if the sweep imported it before the workers started
+def test_parallel_sweep_converges(tmp_path):
+    # two points planned in a two-worker pool, from a fresh interpreter
     cfg_path = write(tmp_path, (
         "sweep1.omega_start = 0.1\nsweep1.omega_step = 0.1\nsweep1.omega_stop = 0.1\n"
         "sweep1.f_start = 0.03\nsweep1.f_step = 0.03\nsweep1.f_stop = 0.06\n"
         "sweep1.goal_corotate = false\nsweep1.min_duration = 5.0\n"))
     probe = ("import sys\nfrom proxdock import harness\n"
              "harness.cmd_sweep1(sys.argv[1], sys.argv[2], parallel=2)\n"
-             "print('scipy.linalg.lapack' in sys.modules)\n")
-    assert run_fresh(probe, cfg_path, tmp_path / "s") == "True"
+             "print('done')\n")
+    assert run_fresh(probe, cfg_path, tmp_path / "s") == "done"
     table = records.read_table(tmp_path / "s" / "sweep1_points.txt", "sweep1-points")
     assert [r[table["columns"].index("converged")] for r in table["rows"]] == ["1", "1"]
 
@@ -755,3 +755,31 @@ class TestRecordFormat:
         out, traj = planned
         with pytest.raises(records.RecordError):
             records.read_run_record(traj)
+
+    def test_record_of_several_blocks(self, tmp_path):
+        # rows are written and read a block at a time: a record 2.5 blocks
+        # long has the bytes the one-string writer gave, and round-trips
+        n = 5 * records._BLOCK // 2
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.integers(-9, 9, (n, 1))
+        data = rng.normal(size=(n, len(records.RUN_COLUMNS))) * scale
+        data[::5, 3] = -0.0
+        result = SimpleNamespace(
+            times=data[:, 0], states=data[:, 1:7], relative_velocity=data[:, 7:9],
+            kos_distance=data[:, 9], terminal_position_error=0.1,
+            terminal_attitude_error=0.0, terminal_relative_speed=1 / 3,
+            min_kos_distance=-2.5e-3)
+        config = ["a = 1"]
+        path = tmp_path / "r.txt"
+        records.write_run_record(path, result, config)
+        meta = {k: records._fmt(getattr(result, k)) for k in (
+            "terminal_position_error", "terminal_attitude_error",
+            "terminal_relative_speed", "min_kos_distance")}
+        lines = records._header("run", config, meta, records.RUN_COLUMNS)
+        lines += [" ".join("%.17g" % v for v in row) for row in data.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        back = records.read_run_record(path)
+        got = np.column_stack([back["times"], back["states"], back["relative_velocity"],
+                               back["g"]])
+        assert got.tobytes() == data.tobytes()
+        assert back["meta"] == meta and back["config"] == config

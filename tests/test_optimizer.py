@@ -64,6 +64,11 @@ def equality_residuals(p, states, wrenches) -> dict:
     return {"init": init, "defects": defects, "terminal": float(r[-1])}
 
 
+def scipy_csr(M):
+    """An nlp.Csr as the scipy.sparse matrix of the same arrays."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+
+
 def objective_value(p, states, wrenches) -> float:
     return sum(tr.objective_value(z) for tr, z in chain_parts(p, states, wrenches))
 
@@ -291,7 +296,7 @@ class TestChains:
         assert np.max(np.abs(sol.wrenches[:, 2])) < 0.5 * p.wrench_max[2]
         tr = _Transcription(p, 1)
         att = self.attitude_columns(p.N)
-        A = tr.E.toarray()
+        A = scipy_csr(tr.E).toarray()
         m = A.shape[0]
         kkt = np.block([[np.diag(2.0 * tr.q), A.T], [A, np.zeros((m, m))]])
         qp = np.linalg.solve(kkt, np.concatenate([-tr.c, tr.e_rhs]))[:tr.n]
@@ -379,7 +384,7 @@ class TestNewtonMatrix:
 
         H = self.dense_from_band(nlp._assemble_banded(tr, m, ineq, tr.base_banded(mu)))
 
-        E = tr.E.toarray()
+        E = scipy_csr(tr.E).toarray()
         G = np.zeros((tr.m_in, tr.n))
         rows = np.arange(tr.m_in)
         G[rows, tr.ineq_ix] = gx
@@ -390,7 +395,7 @@ class TestNewtonMatrix:
         # the attitude chain has no keep-out term
         att = _Transcription(p, 1)
         H = self.dense_from_band(att.base_banded(mu))
-        E = att.E.toarray()
+        E = scipy_csr(att.E).toarray()
         expected = np.diag(2.0 * att.q) + mu * E.T @ E
         assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.linalg.eigvalsh(H)[0] > 0.0
@@ -496,7 +501,7 @@ class TestSolve:
         chains = _Transcription(p, 0), _Transcription(p, 1)
         n = sum(tr.n for tr in chains)
         H = sp.diags(2.0 * np.concatenate([tr.q for tr in chains]))
-        E = sp.block_diag([tr.E for tr in chains])
+        E = sp.block_diag([scipy_csr(tr.E) for tr in chains])
         kkt = sp.bmat([[H, E.T], [E, None]], format="csc")
         rhs = np.concatenate([-tr.c for tr in chains] + [tr.e_rhs for tr in chains])
         zl = spla.spsolve(kkt, rhs)
@@ -905,13 +910,46 @@ class TestEqualityRowCache:
         for b in (0, 1):
             tr = _Transcription(p, b)
             E, ET, band = optimizer._equality_rows.__wrapped__(b, p.N, p.dt, p.body)
-            fresh = sp.csr_matrix(tr.E.toarray())
+            fresh = sp.csr_matrix(scipy_csr(tr.E).toarray())
             for cached, new in ((tr.E, E), (tr.ET, ET), (tr.E, fresh)):
                 for attr in ("data", "indices", "indptr"):
                     assert getattr(cached, attr).tobytes() == getattr(new, attr).tobytes()
                     assert not getattr(cached, attr).flags.writeable
             assert tr._ete_banded.tobytes() == band.tobytes()
             assert not tr._ete_banded.flags.writeable
+
+
+class TestEqualityRows:
+    """E, ET and the E^T E band, built in numpy, equal scipy.sparse's
+    construction byte for byte, and so do their products."""
+
+    @pytest.mark.parametrize("N", [2, 236, 1234])
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_equal_scipy_construction(self, b, N):
+        p = nominal_template()
+        E, ET, band = optimizer._equality_rows.__wrapped__(b, N, p.dt, p.body)
+        want = sp.csr_matrix(scipy_csr(E).toarray())
+        want_t = want.T.tocsr()
+        ete = (want.T @ want).tocoo()
+        lower = ete.row >= ete.col
+        r, c, v = ete.row[lower], ete.col[lower], ete.data[lower]
+        want_band = np.zeros((int(np.max(r - c)) + 1, want.shape[1]))
+        np.add.at(want_band, (r - c, c), v)
+        for got, exp in ((E, want), (ET, want_t)):
+            assert got.shape == exp.shape
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(got, attr).dtype == getattr(exp, attr).dtype
+                assert getattr(got, attr).tobytes() == getattr(exp, attr).tobytes()
+        assert band.shape == want_band.shape and band.tobytes() == want_band.tobytes()
+        # products of vectors with signed zeros, one of them all -0.0
+        rng = np.random.default_rng(N + b)
+        for n, M, Ms in ((E.shape[1], E, want), (E.shape[0], ET, want_t)):
+            x = rng.normal(size=n)
+            x[::3], x[1::3] = 0.0, -0.0
+            for vec in (x, np.full(n, -0.0)):
+                assert (M @ vec).tobytes() == (Ms @ vec).tobytes()
+            with pytest.raises(ValueError):
+                M @ x[1:]
 
 
 class TestWarmMultipliers:
