@@ -467,10 +467,12 @@ def _sweep_point(values):
 
 
 def _run_points(tasks, parallel: int):
-    if parallel <= 1:
+    """_sweep_point of each task, in a pool of at most one worker per task."""
+    workers = min(parallel, len(tasks))
+    if workers <= 1:
         return [_sweep_point(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_point, tasks))
 
 
@@ -484,6 +486,8 @@ def _grid_sweep(cfg: RunConfig, out_dir, sweep: str, parallel: int, point,
     of an (outer, inner) pair of grid values.  summarize(converged records)
     gives the summary_columns of one outer value.  Returns the summary rows.
     """
+    if parallel < 1:
+        raise ConfigError(f"--parallel must be at least 1 (got {parallel})")
     out = _out_dir(out_dir)
     axes = SWEEP_AXES[sweep]
     outer, inner = (grid_values(*(cfg[k] for k in _axis_keys(prefix, degrees)))

@@ -46,7 +46,8 @@ alpha s1 + alpha^2 s2 + (|a(alpha)|^2 - |a|^2) / 2mu, with s1 and s2
 computed once per step and only the keep-out values of the trial point
 evaluated.  Such a trial is accepted only when it also lowers the merit by
 more than its rounding noise, 8 eps |merit|.  A trial that leaves the box
-is clipped into it and its merit evaluated whole.
+is clipped into it and evaluated whole, by the _evaluate that every iterate
+gets; an accepted one's evaluation is the next iterate's.
 
 The inner loop has three other exits: the projected gradient is within the
 outer loop's current tolerance; a stall, where the iterate sits at the
@@ -99,14 +100,12 @@ one outer iteration and 0 Newton steps.
 The problem object must expose::
 
     n, lb, ub                      decision size and box bounds
-    q                              the objective's quadratic diagonal: it is
-                                   z.(q z) + a linear and a constant term
+    q, c, c0                       the objective z.(q z) + c.z + c0: its
+                                   diagonal, linear and constant terms
     E, e_rhs                       equality Jacobian as a Csr, and rhs
     ET                             E's transpose as a Csr, built once
-    base_banded(mu)                -> lower-banded constant objective Hessian
-                                      diagonal plus mu E^T E, one row per band
-    objective_value_grad(z)        -> (f, grad)
-    objective_value(z)             -> f
+    ete_band                       E^T E in lower-banded storage, one row
+                                   per band
     m_in, ineq_ix, ineq_iy         inequality count and variable indices
     ineq_values(z)                 -> g
     ineq_full(z)                   -> (g, gx, gy)
@@ -115,13 +114,12 @@ m_in may be 0, with empty index arrays, as on the planner's attitude chain;
 ineq_values and ineq_full then return empty arrays, and every path runs the
 same arithmetic on them.
 
-ineq_values is the value-only path used by line-search trials; it must equal
-ineq_full(z)[0] bit for bit.  A closed-form trial subtracts |a|^2 at the
+ineq_values is the value-only path of the closed-form trials; it must
+equal ineq_full(z)[0] bit for bit.  Such a trial subtracts |a|^2 at the
 current point (from ineq_full) from |a(alpha)|^2 at the trial (from
 ineq_values): any difference between the two paths would enter the merit
 change as a spurious term that the rounding-noise test cannot tell from
-progress.  A clipped trial compares its merit (from ineq_values) with the
-current one (from ineq_full) by ==.
+progress.  Clipped trials and iterates go through ineq_full alone.
 """
 from __future__ import annotations
 
@@ -322,16 +320,29 @@ class _Multipliers:
     mu: float
 
 
+def _objective(prob, z):
+    """(f, grad f) of the objective f = z.(q z) + c.z + c0."""
+    return dot(z, prob.q * z) + dot(prob.c, z) + prob.c0, 2.0 * prob.q * z + prob.c
+
+
+def _base_banded(prob, mu):
+    """diag(2q) + mu E^T E in column-major lower-banded storage."""
+    ab = mu * prob.ete_band
+    ab[0] += 2.0 * prob.q
+    return np.asfortranarray(ab)
+
+
 def _evaluate(prob, z):
     """What the merit and its gradient need of z, whatever the multipliers:
     (objective, its gradient, h = E z - e_rhs, (g, gx, gy))."""
-    f, df = prob.objective_value_grad(z)
+    f, df = _objective(prob, z)
     return f, df, prob.E @ z - prob.e_rhs, prob.ineq_full(z)
 
 
-def _al_terms(f, h, g, m: _Multipliers):
-    """(AL merit, PHR multiplier estimate a) from the objective f, the
-    equality residual h and the keep-out values g."""
+def _al_terms(ev, m: _Multipliers):
+    """(AL merit, PHR multiplier estimate a) at the point that _evaluate
+    gave ev for."""
+    f, _, h, (g, _, _) = ev
     f += 0.5 * m.mu * dot(h, h) - dot(m.lam, h)
     a = np.maximum(0.0, m.eta - m.mu * g)
     f += (dot(a, a) - dot(m.eta, m.eta)) / (2.0 * m.mu)
@@ -340,18 +351,12 @@ def _al_terms(f, h, g, m: _Multipliers):
 
 def _merit_grad(prob, ev, m: _Multipliers):
     """(merit, gradient, a) at the point that _evaluate gave ev for."""
-    f, df, h, (g, gx, gy) = ev
-    f, a = _al_terms(f, h, g, m)
+    _, df, h, (_, gx, gy) = ev
+    f, a = _al_terms(ev, m)
     df = df + prob.ET @ (m.mu * h - m.lam)
     np.add.at(df, prob.ineq_ix, -a * gx)
     np.add.at(df, prob.ineq_iy, -a * gy)
     return f, df, a
-
-
-def _merit(prob, z, m: _Multipliers):
-    """The AL merit at z, from the value-only paths."""
-    return _al_terms(prob.objective_value(z), prob.E @ z - prob.e_rhs,
-                     prob.ineq_values(z), m)[0]
 
 
 def _projected_grad(z, grad, lb, ub):
@@ -365,7 +370,7 @@ def _projected_grad(z, grad, lb, ub):
 
 def projected_kkt_residual(prob, z, lam, eta) -> float:
     """Stationarity of the Lagrangian projected onto the box bounds."""
-    _, grad = prob.objective_value_grad(z)
+    _, grad = _objective(prob, z)
     r = grad - prob.ET @ lam
     _, gx, gy = prob.ineq_full(z)
     np.add.at(r, prob.ineq_ix, -eta * gx)
@@ -481,9 +486,11 @@ def _inner_newton(prob, z, ev, m: _Multipliers, base, tol):
                     if df >= -_NOISE * abs(f):
                         # a decrease within the merit's rounding: at its floor
                         return z, ev, pgn, nit, "stall"
+                    ev_t = _evaluate(prob, zt)
                     break
             else:
-                ft = _merit(prob, zt, m)
+                ev_t = _evaluate(prob, zt)
+                ft = _al_terms(ev_t, m)[0]
                 if ft <= f + 1e-4 * gs:
                     # at the merit's rounding floor further steps only spin;
                     # the outer multiplier/penalty update takes over from here
@@ -492,8 +499,7 @@ def _inner_newton(prob, z, ev, m: _Multipliers, base, tol):
             alpha *= 0.5
         else:
             return z, ev, pgn, nit, "stall"  # no trial lowered the merit
-        z = zt
-        ev = _evaluate(prob, z)
+        z, ev = zt, ev_t
 
 
 def solve_al(prob, z0, *, mu0=MU0, lam0=None, eta0=None):
@@ -516,7 +522,7 @@ def solve_al(prob, z0, *, mu0=MU0, lam0=None, eta0=None):
     stats = SolverStats()
     omega = 1e-2
     feas_target = 1e-2
-    base = np.asfortranarray(prob.base_banded(m.mu))
+    base = _base_banded(prob, m.mu)
     best_v = np.inf
     v_update = np.inf  # v_measure at the last multiplier update
     stall = 0
@@ -571,7 +577,7 @@ def solve_al(prob, z0, *, mu0=MU0, lam0=None, eta0=None):
             omega = max(omega, 1e-4)
         if raise_mu and m.mu < MU_MAX:
             m.mu = min(10.0 * m.mu, MU_MAX)
-            base = np.asfortranarray(prob.base_banded(m.mu))
+            base = _base_banded(prob, m.mu)
             stats.mu_raises += 1
 
         if v_measure < 0.9 * best_v:

@@ -1,26 +1,27 @@
 """Direct transcription of the rendezvous problem and the duration search.
 
 Decision variables are the N+1 knot states and N inertial-frame wrenches,
-ordered by axis chain (translation block, then attitude block, knot-major
-inside each; see _layout).  The knot-to-knot defects reuse the exact
-forward-Euler map from `dynamics`; keep-out constraints come from the smooth
-forms in `kos`, scheduled per knot as State I or II by an int array of
-KosState values (`OptProblem.kos_schedule`, None for all State I).  A State
-I knot carries the circle row alone and a State II knot the two lobe rows:
-the lobes lie inside the circle, so nothing else can bind there.
+split into two axis chains, each a vector of its own (knot-major; see
+_CHAINS).  The knot-to-knot defects reuse the exact forward-Euler map from
+`dynamics`; keep-out constraints come from the smooth forms in `kos`,
+scheduled per knot as State I or II by an int array of KosState values
+(`OptProblem.kos_schedule`, None for all State I).  A State I knot carries
+the circle row alone and a State II knot the two lobe rows: the lobes lie
+inside the circle, so nothing else can bind there.
 
 The transcription separates exactly into its two axis chains, so it is
 built and solved as two problems (Betts, Practical Methods for Optimal
-Control, ch. 2).  No equality row reads both blocks: the translation defects
+Control, ch. 2).  No equality row reads both chains: the translation defects
 never see theta, omega or tau, and the attitude rows never see x, y or a
 force.  The objective is diagonal.  The keep-out constraints read only x and
 y, since `kos.r_safe` is the worst-case corner circle and the chaser's
 attitude never enters.  So the whole problem's KKT conditions are the two
 chains' side by side, and a KKT point of each chain is one of the whole.
-_Transcription(problem, b) builds chain b directly.  The attitude chain,
-[theta, omega, tau] with the initial theta and omega rows, their Euler
-defects, the terminal-theta row and the torque box, is a box-constrained QP
-that nlp.solve_al solves with no keep-out constraint; the
+_Transcription(problem, b) builds chain b directly, as a problem over its
+own vector, which pack and unpack convert to and from a plan's knots.  The
+attitude chain, [theta, omega, tau] with the initial theta and omega rows,
+their Euler defects, the terminal-theta row and the torque box, is a
+box-constrained QP that nlp.solve_al solves with no keep-out constraint; the
 augmented-Lagrangian loop then runs on the translation chain, [x, y, vx,
 vy, Fx, Fy] with the keep-out constraints.  A pass-2 re-solve changes only
 the keep-out schedule, so its warm restart of the attitude chain returns
@@ -34,7 +35,6 @@ and multipliers), and the lowest-objective converged solution wins.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -43,12 +43,12 @@ import numpy as np
 from . import kos as koslib
 from .dynamics import BodyParams, TargetState, euler_matrices, wrap_angle
 from .kos import KosConfig, KosState
-from .nlp import Csr, InfeasibleError, NotConvergedError, SolverStats, dot, solve_al
+from .nlp import Csr, InfeasibleError, NotConvergedError, SolverStats, solve_al
 
 __all__ = [
     "OptProblem", "PlannedTrajectory", "AllCandidatesFailed",
     "duration_candidates", "solve", "plan",
-    "build_goal_state", "pack_variables", "unpack_variables",
+    "build_goal_state",
     "NotConvergedError", "InfeasibleError",
 ]
 
@@ -117,8 +117,8 @@ class PlannedTrajectory:
     states rows are [x, y, theta, vx, vy, omega]; wrenches rows [Fx, Fy, tau]
     in the inertial frame; kos_states is the per-knot KosState int array.
     multipliers is the solve's final (lam, circle eta, lobe eta, mu_final):
-    lam has one entry per equality row, the translation chain's rows first,
-    then the attitude chain's (see _Transcription); the keep-out multipliers
+    lam is the pair (translation, attitude) of the chains' equality-row
+    multipliers, indexed as _Transcription's b; the keep-out multipliers
     are per knot, shape (N+1,) for the circle and (2, N+1) for the lobes
     (positive side first), zero where a knot has no such row, so they carry
     over to pass 2's rows; without a keep-out zone the shapes are (0,) and
@@ -156,53 +156,20 @@ def terminal_errors(plan: PlannedTrajectory, state) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # variable layout.  Quantity j of a knot is numbered as in [state | wrench] =
-# [x, y, theta, vx, vy, omega, Fx, Fy, tau].  z holds one block per axis
-# chain, knot-major inside each block: first the translation block, [x, y,
-# vx, vy, Fx, Fy] per knot k < N and [x, y, vx, vy] at knot N, then the
-# attitude block, [theta, omega, tau] per knot and [theta, omega] at knot N.
-# Each chain is transcribed over its own block (see _Transcription), whose
-# states come before its wrenches in _BLOCKS.  Its Euler rows couple z
-# entries at most one knot apart, so E^T E has bandwidth 6 on the
-# translation chain (x_k to x_{k+1}) and 3 on the attitude chain.  x and y
-# must stay adjacent: nlp puts the keep-out cross term on the first
-# subdiagonal.
-_BLOCKS = ((0, 1, 3, 4, 6, 7), (2, 5, 8))
+# [x, y, theta, vx, vy, omega, Fx, Fy, tau]; _CHAINS lists each axis chain's
+# quantities, its states first.  Each chain is transcribed over its own
+# vector (see _Transcription), knot-major: the chain's quantities at each
+# knot k < N, then its states at knot N, so quantity i of the chain sits at
+# w k + i, w the chain's quantity count.  Its Euler rows couple entries at
+# most one knot apart, so E^T E has bandwidth 6 on the translation chain
+# (x_k to x_{k+1}) and 3 on the attitude chain.  x and y must stay
+# adjacent: nlp puts the keep-out cross term on the first subdiagonal.
+_CHAINS = ((0, 1, 3, 4, 6, 7), (2, 5, 8))
 
 
-def _layout(N: int) -> np.ndarray:
-    """Position in z of quantity j at knot k, as an (N+1, 9) int array; the
-    wrench columns of knot N, which has no wrench, hold -1."""
-    pos = np.full((N + 1, 9), -1)
-    start = 0
-    for cols in _BLOCKS:
-        w = len(cols)
-        pos[:, cols] = start + w * np.arange(N + 1)[:, None] + np.arange(w)
-        start += w * (N + 1) - sum(j >= 6 for j in cols)
-    pos[N, 6:] = -1
-    return pos
-
-
-def pack_variables(states: np.ndarray, wrenches: np.ndarray) -> np.ndarray:
-    pos = _layout(len(wrenches))
-    z = np.empty(pos.max() + 1)
-    z[pos[:, :6]] = states
-    z[pos[:-1, 6:]] = wrenches
-    return z
-
-
-def unpack_variables(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    pos = _layout(N)
-    return z[pos[:, :6]], z[pos[:-1, 6:]]
-
-
-@functools.lru_cache(maxsize=2)
 def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
     """(E, ET, E^T E) of axis chain b's equality rows: the Jacobian and its
     transpose as nlp.Csr and E^T E in lower-banded storage, all read-only.
-
-    They depend on nothing else, so a pass-2 re-solve, which changes only the
-    keep-out schedule, reuses pass 1's.  Two entries hold one candidate's two
-    chains; plan empties the cache when it ends.
 
     Each is equal byte for byte to its scipy.sparse construction:
     csr_matrix((vals, (rows, cols))), E.T.tocsr() and E.T @ E, whose entry
@@ -210,24 +177,23 @@ def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
     from 0.  So the Newton steps run on the bytes they ran on with
     scipy.sparse.
     """
-    quantities = _BLOCKS[b]
+    quantities = _CHAINS[b]
+    w = len(quantities)
     states = [j for j in quantities if j < 6]
     s = len(states)
-    pos = _layout(N)
-    pos -= pos[0, quantities[0]]
-    n = int(pos[:, quantities].max()) + 1
+    n = w * N + s
     A, Bw = euler_matrices(body, dt)
     k = np.arange(N)
-    rows, cols, vals = [np.arange(s)], [pos[0, states]], [np.ones(s)]
+    rows, cols, vals = [np.arange(s)], [np.arange(s)], [np.ones(s)]
     for i, j in enumerate(states):
         r = s + s * k + i
         # rate (velocity or wrench) driving quantity j is quantity j + 3
         rate = A[j, j + 3] if j < 3 else Bw[j, j - 3]
         rows += [r, r, r]
-        cols += [pos[k + 1, j], pos[k, j], pos[k, j + 3]]
+        cols += [w * (k + 1) + i, w * k + i, w * k + quantities.index(j + 3)]
         vals += [np.ones(N), np.full(N, -1.0), np.full(N, -rate)]
     if b == 1:
-        rows.append([s + s * N]); cols.append([pos[N, 2]]); vals.append([1.0])
+        rows.append([s + s * N]); cols.append([w * N]); vals.append([1.0])
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     m = int(rows.max()) + 1
     E = Csr.from_coo(rows, cols, vals, (m, n))
@@ -249,52 +215,49 @@ def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
 
 class _Transcription:
     """Axis chain b of the transcription (0 translation, 1 attitude; see
-    _layout) as a problem object for nlp.solve_al, over the chain's block
-    of z.
+    _CHAINS) as a problem for nlp.solve_al, over the chain's own vector z.
 
-    The objective is the chain's share of the quadratic J = w_goal |x_N - g|^2
-    + sum dt (w_kin E_kin + w_u |F|^2), as z.(q*z) + c.z + c0; the two
-    chains' shares sum to J.  The equality rows are the chain's initial-state
-    rows, then its Euler defects knot-major, then on the attitude chain the
+    pack and unpack convert between a plan's knots and z.  The objective is
+    the chain's share of the quadratic J = w_goal |x_N - g|^2 + sum dt
+    (w_kin E_kin + w_u |F|^2), as z.(q*z) + c.z + c0; the two chains' shares
+    sum to J.  The equality rows are the chain's initial-state rows, then
+    its Euler defects knot-major, then on the attitude chain the
     terminal-attitude row.
     """
 
     def __init__(self, problem: OptProblem, b: int):
         N, dt = problem.N, problem.dt
-        quantities = _BLOCKS[b]
-        states = [j for j in quantities if j < 6]
-        s = len(states)
-        # positions in the chain's block; the other chain's columns point
-        # outside it
-        pos = _layout(N)
-        pos -= pos[0, quantities[0]]
-        chain = pos[:, quantities]
-        self.n = int(chain.max()) + 1
+        quantities = _CHAINS[b]
+        self._w = w = len(quantities)
+        self._states = [j for j in quantities if j < 6]
+        self._wrenches = [j - 6 for j in quantities if j >= 6]
+        s = len(self._states)
+        self.n = w * N + s
+        # positions in z, (N+1, w); knot N's wrench columns lie past its end
+        pos = w * np.arange(N + 1)[:, None] + np.arange(w)
         # per-quantity weights: kinetic energy on the rates, effort on the
         # wrenches, the goal on every state of knot N
         body = problem.body
-        w = np.zeros(9)
-        w[3:6] = 0.5 * dt * problem.w_kin * np.array([body.mass, body.mass, body.inertia])
-        w[6:] = problem.w_u * dt
+        weight = np.zeros(9)
+        weight[3:6] = 0.5 * dt * problem.w_kin * np.array([body.mass, body.mass, body.inertia])
+        weight[6:] = problem.w_u * dt
         self.q = np.zeros(self.n)
-        self.q[chain[:-1]] = w[list(quantities)]
-        self.q[chain[N, :s]] += problem.w_goal
-        goal = problem.x_goal[states]
+        self.q[pos[:-1]] = weight[list(quantities)]
+        self.q[pos[N, :s]] += problem.w_goal
+        goal = problem.x_goal[self._states]
         self.c = np.zeros(self.n)
-        self.c[chain[N, :s]] = -2.0 * problem.w_goal * goal
+        self.c[pos[N, :s]] = -2.0 * problem.w_goal * goal
         self.c0 = problem.w_goal * float(goal @ goal)
 
         # box bounds: states free, wrenches boxed
-        wrench = [j - 6 for j in quantities[s:]]
         self.lb = np.full(self.n, -np.inf)
         self.ub = np.full(self.n, np.inf)
-        self.lb[chain[:-1, s:]] = problem.wrench_min[wrench]
-        self.ub[chain[:-1, s:]] = problem.wrench_max[wrench]
+        self.lb[pos[:-1, s:]] = problem.wrench_min[self._wrenches]
+        self.ub[pos[:-1, s:]] = problem.wrench_max[self._wrenches]
 
         # equality rows: initial state, Euler defects, terminal attitude
-        self.E, self.ET, self._ete_banded = _equality_rows(b, N, dt, body)
-        self.bandwidth = len(self._ete_banded) - 1
-        rhs = [problem.x_init[states], np.zeros(s * N)]
+        self.E, self.ET, self.ete_band = _equality_rows(b, N, dt, body)
+        rhs = [problem.x_init[self._states], np.zeros(s * N)]
         if b == 1:
             rhs.append([problem.theta_finish])
         self.e_rhs = np.concatenate(rhs)
@@ -324,17 +287,21 @@ class _Transcription:
         self.ineq_iy = pos[knots_all, 1]
         self.m_in = len(knots_all)
 
-    def base_banded(self, mu: float) -> np.ndarray:
-        """diag(2q) + mu E^T E in lower-banded storage."""
-        ab = mu * self._ete_banded
-        ab[0] += 2.0 * self.q
-        return ab
+    def pack(self, states, wrenches) -> np.ndarray:
+        """The chain's z of knot states (N+1, 6) and wrenches (N, 3)."""
+        s = len(self._states)
+        knots = np.empty((len(states), self._w))
+        knots[:, :s] = states[:, self._states]
+        knots[:-1, s:] = wrenches[:, self._wrenches]
+        return knots.reshape(-1)[:self.n]
 
-    def objective_value(self, z):
-        return dot(z, self.q * z) + dot(self.c, z) + self.c0
-
-    def objective_value_grad(self, z):
-        return self.objective_value(z), 2.0 * self.q * z + self.c
+    def unpack(self, z, states, wrenches) -> None:
+        """Write the chain's columns of states and wrenches from its z."""
+        s = len(self._states)
+        knots = np.empty((len(states), self._w))
+        knots.reshape(-1)[:self.n] = z
+        states[:, self._states] = knots[:, :s]
+        wrenches[:, self._wrenches] = knots[:-1, s:]
 
     def ineq_full(self, z):
         """Constraint values and gradients, as (g, gx, gy)."""
@@ -375,8 +342,9 @@ def breakdown(problem: OptProblem, states, wrenches) -> tuple[float, float, floa
     return goal, kinetic, effort
 
 
-def default_initial_guess(problem: OptProblem) -> np.ndarray:
-    """Pose interpolation with zero wrenches, detoured around the keep-out circle.
+def default_initial_guess(problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(states, wrenches): pose interpolation with zero wrenches, detoured
+    around the keep-out circle.
 
     Straight-line interpolation of position/attitude; any span of the line
     inside the safety circle is replaced by an arc slightly outside it (the
@@ -418,7 +386,7 @@ def default_initial_guess(problem: OptProblem) -> np.ndarray:
 
     states[:-1, 3:5] = np.diff(states[:, :2], axis=0) / problem.dt
     states[-1, 3:5] = states[-2, 3:5]
-    return pack_variables(states, np.zeros((N, 3)))
+    return states, np.zeros((N, 3))
 
 
 # Penalty ceiling for a same-N warm start.  Pass 1 ends at mu 1e6-1e8.  Over
@@ -449,19 +417,18 @@ def solve(problem: OptProblem,
     trans = chains[0]
     warm = None
     if initial_guess is None:
-        z0 = default_initial_guess(problem)
+        guess = default_initial_guess(problem)
     elif initial_guess.N != problem.N:
         raise ValueError(f"initial guess has N = {initial_guess.N}, "
                          f"the problem has N = {problem.N}")
     else:
-        z0 = pack_variables(initial_guess.states, initial_guess.wrenches)
+        guess = initial_guess.states, initial_guess.wrenches
         if initial_guess.multipliers is not None:
             lam0, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
             if len(circle_eta) == trans.kos_knots:  # same keep-out model
                 eta0 = np.concatenate([circle_eta[trans._circle_knots],
                                        lobe_eta[:, trans._lobe_knots].ravel()])
-                warm = np.split(lam0, [trans.E.shape[0]]), eta0, min(mu_final, _WARM_MU_CAP)
-    z0 = np.split(z0, [trans.n])
+                warm = lam0, eta0, min(mu_final, _WARM_MU_CAP)
     runs = [None, None]
     # the cheap attitude chain first, so a hopeless solve ends soonest; the
     # translation chain holds every keep-out constraint (the attitude chain's
@@ -469,7 +436,7 @@ def solve(problem: OptProblem,
     for b in (1, 0):
         kw = {} if warm is None else dict(lam0=warm[0][b], eta0=warm[1][:chains[b].m_in],
                                           mu0=warm[2])
-        runs[b] = solve_al(chains[b], z0[b], **kw)
+        runs[b] = solve_al(chains[b], chains[b].pack(*guess), **kw)
     (z_t, lam_t, eta, stats), (z_a, lam_a, _, att) = runs
     stats = replace(
         stats, **{k: getattr(att, k) + getattr(stats, k) for k in
@@ -477,7 +444,9 @@ def solve(problem: OptProblem,
                    "mu_raises")},
         kkt_residual=max(att.kkt_residual, stats.kkt_residual),
         constraint_violation=max(att.constraint_violation, stats.constraint_violation))
-    states, wrenches = unpack_variables(np.concatenate([z_t, z_a]), problem.N)
+    states, wrenches = np.empty((problem.N + 1, 6)), np.empty((problem.N, 3))
+    for tr, z in zip(chains, (z_t, z_a)):
+        tr.unpack(z, states, wrenches)
     terms = breakdown(problem, states, wrenches)
     nc = len(trans._circle_knots)
     circle_eta = np.zeros(trans.kos_knots)
@@ -497,7 +466,7 @@ def solve(problem: OptProblem,
         x_goal=problem.x_goal,
         theta_finish=problem.theta_finish,
         dt=problem.dt,
-        multipliers=(np.concatenate([lam_t, lam_a]), circle_eta, lobe_eta, stats.mu_final),
+        multipliers=((lam_t, lam_a), circle_eta, lobe_eta, stats.mu_final),
     )
 
 
@@ -613,8 +582,6 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
                     sol = replace(sol, pass2_failure=ex.stats.message)
         results.append(sol)
 
-    # the rows are reused within a candidate only; keep none past the plan
-    _equality_rows.cache_clear()
     if not results:
         raise AllCandidatesFailed(failures)
 

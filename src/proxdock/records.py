@@ -241,6 +241,8 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
     if not np.all(np.isfinite([plan.theta_finish, plan.objective_value,
                                *plan.objective_breakdown])):
         raise RecordError("trajectory meta theta_finish and objective values must be finite")
+    if not plan.converged:
+        raise RecordError("trajectory is not a converged plan")
     return plan, {"meta": meta, "config": config}
 
 

@@ -57,9 +57,6 @@ class SimConfig:
     seed: int = 0
     kos_cfg: KosConfig | None = None  # None -> built from body/target sides
 
-    def steps_per_period(self) -> int:
-        return steps_per_period(self.physics_dt, self.control_hz, self.n_slots)
-
 
 @dataclass
 class SimResult:
@@ -110,7 +107,7 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
     """
     if not plan.converged:
         raise ValueError("refusing to track a non-converged plan")
-    spp = cfg.steps_per_period()
+    spp = steps_per_period(cfg.physics_dt, cfg.control_hz, cfg.n_slots)
     steps_per_slot = spp // cfg.n_slots
     period = 1.0 / cfg.control_hz
     horizon = float(plan.times[-1])

@@ -461,7 +461,7 @@ class TestPlanTrackCli:
         ("x_goal", "nan 0 0 0 0 0"), ("x_goal", "1 2 3"),
         ("theta_finish", "inf"),
         ("objective_value", "nan"), ("objective_effort", "inf"),
-        ("dt", "fast")])
+        ("dt", "fast"), ("converged", "0")])
     def test_track_rejects_bad_meta_value(self, planned, tmp_path, capsys, key, value):
         out, traj = planned
         text = traj.read_text()
@@ -576,6 +576,53 @@ def test_parallel_sweep_converges(tmp_path):
     assert run_fresh(probe, cfg_path, tmp_path / "s") == "done"
     table = records.read_table(tmp_path / "s" / "sweep1_points.txt", "sweep1-points")
     assert [r[table["columns"].index("converged")] for r in table["rows"]] == ["1", "1"]
+
+
+_TWO_POINTS = ("sweep1.omega_start = 0.1\nsweep1.omega_step = 0.1\nsweep1.omega_stop = 0.1\n"
+               "sweep1.f_start = 0.03\nsweep1.f_step = 0.03\nsweep1.f_stop = 0.06\n")
+
+
+@pytest.mark.parametrize("parallel,workers", [(8, [2]), (2, [2]), (1, [])])
+def test_parallel_pool_capped_at_point_count(tmp_path, monkeypatch, parallel, workers):
+    # a pool has at most one worker per grid point; one worker runs serially
+    import concurrent.futures
+    pools, planned = [], []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    def point(values):
+        planned.append(values["layout.f_thr"])
+        return dict.fromkeys(harness._POINT_COLUMNS, math.nan) | dict(
+            converged=0, reason="stub", wall_time=0.0)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_sweep_point", point)
+    cmd_sweep1(write(tmp_path, _TWO_POINTS), tmp_path / "s", parallel=parallel)
+    assert pools == workers
+    assert planned == [0.03, 0.06]
+
+
+@pytest.mark.parametrize("parallel", ["0", "-1"])
+@pytest.mark.parametrize("command", ["sweep1", "sweep2"])
+def test_parallel_below_one_rejected(tmp_path, monkeypatch, capsys, command, parallel):
+    monkeypatch.setattr(harness, "_sweep_point", lambda values: pytest.fail("a point ran"))
+    argv = [command, "--config", write(tmp_path, _TWO_POINTS), "--out", str(tmp_path / "s"),
+            "--parallel", parallel]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --parallel must be at least 1 (got {parallel})\n"
+    assert not (tmp_path / "s").exists()
 
 
 class TestSweeps:

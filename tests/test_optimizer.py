@@ -16,8 +16,7 @@ from proxdock.kos import (BLEND_BAND, KosConfig, KosState, classify, latch, r_sa
 from proxdock import harness, nlp, optimizer
 from proxdock.nlp import InfeasibleError, NotConvergedError
 from proxdock.optimizer import (AllCandidatesFailed, OptProblem, build_goal_state,
-                                duration_candidates, pack_variables, plan, solve,
-                                unpack_variables)
+                                duration_candidates, plan, solve)
 from proxdock.optimizer import _Transcription
 
 
@@ -47,9 +46,8 @@ def simple_problem(N=40, kos=False, **overrides):
 
 
 def chain_parts(p, states, wrenches):
-    """(chain, its block of z) for the translation and the attitude chain."""
-    chains = _Transcription(p, 0), _Transcription(p, 1)
-    return list(zip(chains, np.split(pack_variables(states, wrenches), [chains[0].n])))
+    """(chain, its z) for the translation and the attitude chain."""
+    return [(tr, tr.pack(states, wrenches)) for tr in (_Transcription(p, 0), _Transcription(p, 1))]
 
 
 def equality_residuals(p, states, wrenches) -> dict:
@@ -70,7 +68,7 @@ def scipy_csr(M):
 
 
 def objective_value(p, states, wrenches) -> float:
-    return sum(tr.objective_value(z) for tr, z in chain_parts(p, states, wrenches))
+    return sum(nlp._objective(tr, z)[0] for tr, z in chain_parts(p, states, wrenches))
 
 
 def nominal_template(**overrides):
@@ -172,14 +170,14 @@ class TestObjective:
         for b in (0, 1):
             tr = _Transcription(p, b)
             z = rng.normal(size=tr.n)
-            grad = tr.objective_value_grad(z)[1]
+            grad = nlp._objective(tr, z)[1]
             h = 1e-6
             fd = np.empty_like(z)
             for i in range(len(z)):
                 zp, zm = z.copy(), z.copy()
                 zp[i] += h
                 zm[i] -= h
-                fd[i] = (tr.objective_value(zp) - tr.objective_value(zm)) / (2 * h)
+                fd[i] = (nlp._objective(tr, zp)[0] - nlp._objective(tr, zm)[0]) / (2 * h)
             denom = np.maximum(np.abs(fd), 1.0)
             assert np.max(np.abs(grad - fd) / denom) <= 1e-4
 
@@ -215,26 +213,39 @@ class TestConstraints:
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(2)
         for N in (2, 3, 6, 50):
+            p = simple_problem(N=N)
             states = rng.normal(size=(N + 1, 6))
             wrenches = rng.normal(size=(N, 3))
-            z = pack_variables(states, wrenches)
-            assert z.shape == (9 * N + 6,)
-            s2, w2 = unpack_variables(z, N)
+            s2, w2 = np.full_like(states, np.nan), np.full_like(wrenches, np.nan)
+            parts = chain_parts(p, states, wrenches)
+            assert [z.shape for _, z in parts] == [(6 * N + 4,), (3 * N + 2,)]
+            for tr, z in parts:
+                tr.unpack(z, s2, w2)
             np.testing.assert_array_equal(states, s2)
             np.testing.assert_array_equal(wrenches, w2)
 
 
 class TestLayout:
-    """The axis-blocked variable layout: translation chain first, then
-    attitude, which keeps the Newton matrix's bandwidth at 6 on the
-    translation chain and 3 on the attitude chain."""
+    """Each chain's vector, knot-major: its quantities at each knot k < N,
+    states first, then its states at knot N.  This keeps the Newton matrix's
+    bandwidth at 6 on the translation chain and 3 on the attitude chain."""
 
     @pytest.mark.parametrize("N", [2, 3, 50])
     def test_table_covers_every_variable_once(self, N):
-        pos = optimizer._layout(N)
-        assert pos.shape == (N + 1, 9)
-        assert np.all(pos[N, 6:] == -1)
-        np.testing.assert_array_equal(np.sort(pos[pos >= 0]), np.arange(9 * N + 6))
+        # every state and wrench entry gets a distinct code: 10 k + j for
+        # quantity j of knot k, as numbered in [state | wrench]
+        code = 10.0 * np.arange(N + 1)[:, None] + np.arange(9)
+        states, wrenches = code[:, :6], code[:-1, 6:]
+        packed = []
+        for b, quantities in enumerate(([0, 1, 3, 4, 6, 7], [2, 5, 8])):
+            tr = _Transcription(simple_problem(N=N), b)
+            z = tr.pack(states, wrenches)
+            w = len(quantities)
+            assert tr.n == w * N + sum(j < 6 for j in quantities)
+            np.testing.assert_array_equal(z, code[:, quantities].ravel()[:tr.n])
+            packed.append(z)
+        np.testing.assert_array_equal(np.sort(np.concatenate(packed)),
+                                      np.sort(np.concatenate([states.ravel(), wrenches.ravel()])))
 
     @pytest.mark.parametrize("N", [2, 3, 50])
     @pytest.mark.parametrize("model", ["no_kos", "all_state_i", "mixed"])
@@ -244,7 +255,7 @@ class TestLayout:
             p = replace(p, kos_schedule=[KosState.STATE_I] * (N // 2 + 1)
                         + [KosState.STATE_II] * (N - N // 2))
         tr, att = _Transcription(p, 0), _Transcription(p, 1)
-        assert (tr.bandwidth, att.bandwidth) == (6, 3)
+        assert (len(tr.ete_band) - 1, len(att.ete_band) - 1) == (6, 3)
         # nlp puts the keep-out cross term on the first subdiagonal
         np.testing.assert_array_equal(tr.ineq_iy, tr.ineq_ix + 1)
         if model != "no_kos":
@@ -253,12 +264,7 @@ class TestLayout:
 
 class TestChains:
     """The transcription is built as the translation chain and the attitude
-    chain, over their blocks of z, and solve solves them apart."""
-
-    @staticmethod
-    def attitude_columns(N):
-        pos = optimizer._layout(N)[:, [2, 5, 8]]
-        return np.sort(pos[pos >= 0])
+    chain, each over its own vector, and solve solves them apart."""
 
     @pytest.mark.parametrize("N", [2, 50])
     def test_every_row_and_constraint_reads_one_chain(self, N):
@@ -267,21 +273,20 @@ class TestChains:
         sched = np.where(np.arange(N + 1) % 3 == 1, KosState.STATE_II, KosState.STATE_I)
         p = simple_problem(N=N, kos=True, kos_schedule=sched)
         tr, att = _Transcription(p, 0), _Transcription(p, 1)
-        # the attitude chain is the trailing block of z
-        np.testing.assert_array_equal(np.arange(tr.n, tr.n + att.n), self.attitude_columns(N))
+        # the chains' variables: 4 states and 2 forces, 2 states and a torque
+        assert (tr.n, att.n) == (6 * N + 4, 3 * N + 2)
         # every equality row: initial state, defects, terminal attitude
         assert tr.E.shape == (4 * (N + 1), tr.n) and att.E.shape == (2 * (N + 1) + 1, att.n)
-        # every keep-out constraint reads x and y of the translation block
-        pos = optimizer._layout(N)
-        np.testing.assert_array_equal(np.unique(tr.ineq_ix), pos[:, 0])
-        np.testing.assert_array_equal(np.unique(tr.ineq_iy), pos[:, 1])
+        # every keep-out constraint reads x and y of the translation chain
+        np.testing.assert_array_equal(np.unique(tr.ineq_ix), 6 * np.arange(N + 1))
+        np.testing.assert_array_equal(np.unique(tr.ineq_iy), 6 * np.arange(N + 1) + 1)
         n_ii = np.count_nonzero(sched == KosState.STATE_II)
         assert n_ii > 0
         assert (tr.m_in, att.m_in) == ((N + 1 - n_ii) + 2 * n_ii, 0)
         # the chains' objectives sum to the objective's terms
         rng = np.random.default_rng(N)
         states, wrenches = rng.normal(size=(N + 1, 6)), rng.normal(size=(N, 3))
-        parts = [c.objective_value(z) for c, z in chain_parts(p, states, wrenches)]
+        parts = [nlp._objective(c, z)[0] for c, z in chain_parts(p, states, wrenches)]
         assert sum(parts) == pytest.approx(sum(optimizer.breakdown(p, states, wrenches)),
                                            rel=1e-12)
 
@@ -295,22 +300,22 @@ class TestChains:
         assert np.count_nonzero(sol.multipliers[1]) + np.count_nonzero(sol.multipliers[2]) > 0
         assert np.max(np.abs(sol.wrenches[:, 2])) < 0.5 * p.wrench_max[2]
         tr = _Transcription(p, 1)
-        att = self.attitude_columns(p.N)
         A = scipy_csr(tr.E).toarray()
         m = A.shape[0]
         kkt = np.block([[np.diag(2.0 * tr.q), A.T], [A, np.zeros((m, m))]])
         qp = np.linalg.solve(kkt, np.concatenate([-tr.c, tr.e_rhs]))[:tr.n]
-        np.testing.assert_allclose(pack_variables(sol.states, sol.wrenches)[att], qp,
-                                   rtol=0, atol=1e-6)
+        np.testing.assert_allclose(tr.pack(sol.states, sol.wrenches), qp, rtol=0, atol=1e-6)
 
 
 class TestValuePath:
-    """ineq_values(z) must equal ineq_full(z)[0] bit for bit: the inner loop
-    compares merit values computed through both paths with ==."""
+    """ineq_values(z) must equal ineq_full(z)[0] bit for bit: a closed-form
+    trial's merit change subtracts a value of one path from one of the
+    other."""
 
     @staticmethod
     def knots_near_kos(p):
-        """Knot positions laid out in the rotating target frame: inside the
+        """(states, wrenches) with knot positions laid out in the rotating
+        target frame: inside the
         blend band on both sides of the docking axis, on the axis and the band
         edges, inside the circle and well outside everything."""
         rs = r_safe(p.kos_cfg)
@@ -326,7 +331,7 @@ class TestValuePath:
             c, s = math.cos(th[k]), math.sin(th[k])
             states[k, 0] = p.target.x + c * xp - s * yp
             states[k, 1] = p.target.y + s * xp + c * yp
-        return pack_variables(states, rng.normal(size=(p.N, 3)))
+        return states, rng.normal(size=(p.N, 3))
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["all_state_i", "mixed"])
     def test_values_equal_full_bit_for_bit(self, mixed):
@@ -337,7 +342,7 @@ class TestValuePath:
                 + [KosState.STATE_I] * 10 + [KosState.STATE_II] * 21
             p = replace(p, kos_schedule=tuple(sched))
         tr = _Transcription(p, 0)
-        z = self.knots_near_kos(p)[:tr.n]
+        z = tr.pack(*self.knots_near_kos(p))
         g = tr.ineq_values(z)
         # the circle at the State I knots, then both lobes at the State II
         # knots; all State I: no lobe row
@@ -370,7 +375,7 @@ class TestNewtonMatrix:
         if mixed:
             p = replace(p, kos_schedule=[KosState.STATE_I] * 12 + [KosState.STATE_II] * 19)
         tr = _Transcription(p, 0)
-        z = TestValuePath.knots_near_kos(p)[:tr.n]
+        z = tr.pack(*TestValuePath.knots_near_kos(p))
         rng = np.random.default_rng(3)
         mu = 100.0
         # every other multiplier zero, so that the rows of knots outside
@@ -382,7 +387,7 @@ class TestNewtonMatrix:
         act = m.eta - mu * g > 0.0
         assert 0 < np.count_nonzero(act) < tr.m_in
 
-        H = self.dense_from_band(nlp._assemble_banded(tr, m, ineq, tr.base_banded(mu)))
+        H = self.dense_from_band(nlp._assemble_banded(tr, m, ineq, nlp._base_banded(tr, mu)))
 
         E = scipy_csr(tr.E).toarray()
         G = np.zeros((tr.m_in, tr.n))
@@ -394,7 +399,7 @@ class TestNewtonMatrix:
         assert np.linalg.eigvalsh(H)[0] > 0.0
         # the attitude chain has no keep-out term
         att = _Transcription(p, 1)
-        H = self.dense_from_band(att.base_banded(mu))
+        H = self.dense_from_band(nlp._base_banded(att, mu))
         E = scipy_csr(att.E).toarray()
         expected = np.diag(2.0 * att.q) + mu * E.T @ E
         assert np.max(np.abs(H - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -421,7 +426,7 @@ class TestNewtonMatrix:
         p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
                            x_goal=state(x=0.35, theta=0.4))
         tr = _Transcription(p, 0)
-        z0 = optimizer.default_initial_guess(p)[:tr.n]
+        z0 = tr.pack(*optimizer.default_initial_guess(p))
         z, lam, eta, stats = nlp.solve_al(tr, z0, mu0=1e8)
         assert stats.mu_final == 1e8 and np.any(eta > 0)
         assert len(steps) == stats.newton_iterations > 0
@@ -505,8 +510,8 @@ class TestSolve:
         kkt = sp.bmat([[H, E.T], [E, None]], format="csc")
         rhs = np.concatenate([-tr.c for tr in chains] + [tr.e_rhs for tr in chains])
         zl = spla.spsolve(kkt, rhs)
-        np.testing.assert_allclose(pack_variables(sol.states, sol.wrenches),
-                                   zl[:n], atol=2e-4)
+        np.testing.assert_allclose(np.concatenate([tr.pack(sol.states, sol.wrenches)
+                                                   for tr in chains]), zl[:n], atol=2e-4)
 
     def test_already_at_goal(self):
         s = state(x=-1.0, theta=0.4)
@@ -572,9 +577,8 @@ class TestSolve:
         assert objective_value(p2, sol.states, sol.wrenches) == pytest.approx(
             c * sol.objective_value, rel=1e-9)
         sol2 = solve(p2, sol)
-        np.testing.assert_allclose(
-            pack_variables(sol2.states, sol2.wrenches),
-            pack_variables(sol.states, sol.wrenches), atol=5e-5)
+        np.testing.assert_allclose(sol2.states, sol.states, atol=5e-5)
+        np.testing.assert_allclose(sol2.wrenches, sol.wrenches, atol=5e-5)
 
     # A spin-0.07 rendezvous at N = 1234 (the long candidate of the sweep1
     # point omega = 0.07, f_thr = 0.12): n = 9N + 6 = 11 112 variables.
@@ -624,7 +628,7 @@ print(sol.solver_stats.newton_iterations,
     def test_multiplier_shapes_checked(self):
         p = simple_problem(N=10, kos=True)
         tr = _Transcription(p, 0)
-        z0 = optimizer.default_initial_guess(p)[:tr.n]
+        z0 = tr.pack(*optimizer.default_initial_guess(p))
         for bad in (dict(lam0=np.zeros(3)), dict(eta0=np.zeros(tr.m_in + 1))):
             with pytest.raises(ValueError, match="lam0/eta0 must match"):
                 nlp.solve_al(tr, z0, **bad)
@@ -644,22 +648,36 @@ print(sol.solver_stats.newton_iterations,
 
 
 class TestInnerExits:
-    """Each inner loop evaluates every iterate once and hands back the
-    equality residual, the keep-out values and the projected AL-gradient
-    norm of the point it ends at, whichever way it ends."""
+    """Each inner loop evaluates every iterate once, and besides them only
+    the trials that the box clipped, and hands back the equality residual,
+    the keep-out values and the projected AL-gradient norm of the point it
+    ends at, whichever way it ends."""
 
     @staticmethod
     @pytest.fixture
     def exits(monkeypatch):
         """Spy on nlp._inner_newton: checks its start and every return
         against a fresh evaluation and records (evaluated iterates, Newton
-        steps, exit), the start counted as evaluated."""
+        steps, exit), the start counted as evaluated.  Inside the loop only
+        the latest line-search trial may be evaluated, a closed-form one
+        only as its step's last evaluation, and each step must start from
+        the point evaluated last, whose evaluation is then the iterate's."""
         seen = []
-        real_inner, real_evaluate = nlp._inner_newton, nlp._evaluate
-        evals = [0]
+        real_inner, real_evaluate, real_trial = nlp._inner_newton, nlp._evaluate, nlp._trial_point
+        loop = {}  # the running inner loop's state; empty outside one
+
+        def trial(z, alpha, d, lb, ub):
+            if z is not loop["z"]:  # a Newton step starts at z
+                assert z is loop["evaluated"]
+                loop.update(z=z, closed_evaluated=False, steps=loop["steps"] + 1)
+            loop["trial"] = real_trial(z, alpha, d, lb, ub)
+            return loop["trial"]
 
         def evaluate(prob, z):
-            evals[0] += 1
+            if loop:
+                zt, closed = loop["trial"]
+                assert z is zt and z is not loop["evaluated"] and not loop["closed_evaluated"]
+                loop.update(evaluated=z, closed_evaluated=closed)
             return real_evaluate(prob, z)
 
         def bits(ev):
@@ -670,21 +688,34 @@ class TestInnerExits:
             # the evaluation handed over from the last inner loop (or the
             # start) is z's, bit for bit, whatever the multipliers now are
             assert bits(ev) == bits(real_evaluate(prob, z))
-            evals[0] = 1
+            loop.update(z=None, evaluated=z, trial=None, steps=0)
             out = zf, evf, pgn, nit, exit_ = real_inner(prob, z, ev, m, base, tol)
+            last_start, steps, evaluated = loop["z"], loop["steps"], loop["evaluated"]
+            loop.clear()
             fresh = real_evaluate(prob, zf)
             assert bits(evf) == bits(fresh)
             grad = nlp._merit_grad(prob, fresh, m)[1]
             assert pgn == nlp._projected_grad(zf, grad, prob.lb, prob.ub)[0]
             # one evaluation per iterate: the point of a step that no trial
-            # accepted is the one evaluated last
-            assert evals[0] == nit + 1 or (evals[0] == nit and exit_ == "stall")
-            seen.append((evals[0], nit, exit_))
+            # accepted is the one its step started from
+            assert steps == nit and (zf is evaluated or (zf is last_start and exit_ == "stall"))
+            iterates = 1 + nit - (nit > 0 and zf is last_start)
+            assert iterates == nit + 1 or (iterates == nit and exit_ == "stall")
+            seen.append((iterates, nit, exit_))
             return out
 
+        monkeypatch.setattr(nlp, "_trial_point", trial)
         monkeypatch.setattr(nlp, "_evaluate", evaluate)
         monkeypatch.setattr(nlp, "_inner_newton", spy)
         return seen
+
+    @staticmethod
+    @pytest.fixture
+    def all_trials_clipped(monkeypatch):
+        """Every line-search trial taken as clipped, so each evaluates the
+        merit whole; requested before exits, whose spy then sees it."""
+        real_trial = nlp._trial_point
+        monkeypatch.setattr(nlp, "_trial_point", lambda *args: (real_trial(*args)[0], False))
 
     def test_cap(self, exits, monkeypatch):
         monkeypatch.setattr(nlp, "MAX_INNER", 2)
@@ -707,21 +738,19 @@ class TestInnerExits:
         assert (again.outer_iterations, again.newton_iterations, again.inner_capped) == (2, 0, 2)
         assert again.message == "converged"
 
-    def test_both_stalls(self, exits, monkeypatch):
+    def test_both_stalls(self, all_trials_clipped, exits):
         # the sweep2 point theta = 180 deg, omega = 0.55 (f_thr = 0.03): the
         # pass-1 solve of its first candidate, which spends the outer
         # iteration budget.  With every trial taken as clipped, each
         # evaluates the merit whole; inner loops then end both where no
         # backtracking trial passes the Armijo test and where an accepted
         # step leaves the merit unchanged
-        real_trial = nlp._trial_point
-        monkeypatch.setattr(nlp, "_trial_point", lambda *args: (real_trial(*args)[0], False))
         cfg = harness.RunConfig({**harness.load_config(None).values,
                                  "opt.theta_approach": math.pi, "target.omega": 0.55,
                                  "layout.f_thr": 0.03,
                                  "opt.min_duration": "auto", "opt.goal_corotate": True})
         plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
-        stalls = [evals - nit for evals, nit, e in exits if e == "stall"]
+        stalls = [iterates - nit for iterates, nit, e in exits if e == "stall"]
         assert 0 in stalls and 1 in stalls
 
     def test_closed_form_floor_is_a_stall(self, two_pass, monkeypatch):
@@ -732,16 +761,16 @@ class TestInnerExits:
         # one trial, instead of halving 40 times
         p, sol, _ = two_pass
         tr = _Transcription(p, 0)
-        z = pack_variables(sol.states, sol.wrenches)[:tr.n]
+        z = tr.pack(sol.states, sol.wrenches)
         lam, circle_eta, _, mu = sol.multipliers
-        m = nlp._Multipliers(lam=lam[:tr.E.shape[0]], eta=circle_eta, mu=mu)
+        m = nlp._Multipliers(lam=lam[0], eta=circle_eta, mu=mu)
         trials, evals = [], []
         real_values, real_evaluate = tr.ineq_values, nlp._evaluate
         monkeypatch.setattr(tr, "ineq_values", lambda zt: trials.append(zt) or real_values(zt))
         monkeypatch.setattr(nlp, "_evaluate", lambda prob, zt: evals.append(zt)
                             or real_evaluate(prob, zt))
         zf, _, pgn, nit, exit_ = nlp._inner_newton(
-            tr, z, real_evaluate(tr, z), m, np.asfortranarray(tr.base_banded(mu)), tol=0.0)
+            tr, z, real_evaluate(tr, z), m, nlp._base_banded(tr, mu), tol=0.0)
         assert exit_ == "stall" and pgn > 0.0
         # one trial per step, and the last step is not taken: zf is the
         # point evaluated last
@@ -752,7 +781,7 @@ class TestInnerExits:
 class TestClosedFormTrials:
     """Up to the box step a line-search trial's merit change is closed form
     but for the keep-out term; past it the trial is clipped into the box
-    and its merit evaluated whole."""
+    and evaluated whole."""
 
     @pytest.mark.parametrize("which", ["pass1", "pass2", "attitude"])
     def test_change_matches_merit_difference(self, two_pass, which):
@@ -762,7 +791,7 @@ class TestClosedFormTrials:
         assert tr.m_in == (0 if b else len(tr._circle_knots) + 2 * len(tr._lobe_knots))
         assert (len(tr._lobe_knots) > 0) == (which == "pass2")
         rng = np.random.default_rng(11)
-        z = np.split(pack_variables(sol.states, sol.wrenches), [_Transcription(p, 0).n])[b]
+        z = tr.pack(sol.states, sol.wrenches)
         z = np.clip(z + 1e-3 * rng.normal(size=tr.n), tr.lb, tr.ub)
         eta = rng.uniform(0.0, 10.0, tr.m_in)
         eta[::2] = 0.0
@@ -781,7 +810,7 @@ class TestClosedFormTrials:
         for alpha in 0.999 * alpha_box * np.append(rng.uniform(0.0, 1.0, 20), 1.0):
             zt, inside = nlp._trial_point(z, alpha, d, tr.lb, tr.ub)
             assert inside and zt.tobytes() == (z + alpha * d).tobytes()
-            want = nlp._merit(tr, zt, m) - f
+            want = nlp._merit_grad(tr, nlp._evaluate(tr, zt), m)[0] - f
             assert abs(delta(alpha, zt) - want) <= 1e-10 * max(1.0, abs(f))
             at = np.maximum(0.0, m.eta - m.mu * tr.ineq_values(zt))
             keep_out_moved |= not np.array_equal(at, a)
@@ -794,14 +823,23 @@ class TestClosedFormTrials:
                            wrench_max=wrench(0.004, 0.004, 0.02))
         tr = _Transcription(p, 0)
         inside = lambda zt: bool(np.all((tr.lb <= zt) & (zt <= tr.ub)))
-        clipped, trials = [], []
-        real_merit, real_values = nlp._merit, tr.ineq_values
-        monkeypatch.setattr(nlp, "_merit", lambda prob, zt, m: clipped.append(zt)
-                            or real_merit(prob, zt, m))
-        monkeypatch.setattr(tr, "ineq_values", lambda zt: trials.append(zt) or real_values(zt))
-        z, _, _, stats = nlp.solve_al(tr, optimizer.default_initial_guess(p)[:tr.n])
+        trials, clipped, evaluated = [], [], []
+        real_trial, real_evaluate = nlp._trial_point, nlp._evaluate
+
+        def trial(*args):
+            zt, closed = real_trial(*args)
+            trials.append(zt)
+            if not closed:
+                clipped.append(zt)
+            return zt, closed
+
+        monkeypatch.setattr(nlp, "_trial_point", trial)
+        monkeypatch.setattr(nlp, "_evaluate", lambda prob, zt: evaluated.append(zt)
+                            or real_evaluate(prob, zt))
+        z, _, _, stats = nlp.solve_al(tr, tr.pack(*optimizer.default_initial_guess(p)))
         assert stats.message == "converged"
         assert 0 < len(clipped) < len(trials)
+        assert any(any(zt is e for e in evaluated) for zt in clipped)
         assert all(map(inside, trials)) and inside(z)
         # a clipped trial lands a wrench on its bound; the plan uses the box
         boxed = np.isfinite(tr.lb)
@@ -824,7 +862,8 @@ class TestPenaltyRaises:
             _, _, h, (g, _, _) = out[1]
             v = max(np.max(np.abs(h), initial=0.0),
                     np.max(np.abs(np.minimum(g, eta / mu)), initial=0.0))
-            calls.setdefault(id(prob), []).append((mu, lam, v))
+            # keyed by the problem itself: held here, no two share an id
+            calls.setdefault(prob, []).append((mu, lam, v))
             return out
 
         runs = []
@@ -832,7 +871,7 @@ class TestPenaltyRaises:
 
         def spy_al(prob, z0, **kwargs):
             out = real_al(prob, z0, **kwargs)
-            runs.append((id(prob), out[3]))
+            runs.append((prob, out[3]))
             return out
 
         monkeypatch.setattr(nlp, "_inner_newton", spy)
@@ -881,44 +920,6 @@ class TestPenaltyRaises:
         assert warm.mu_raises == runs[3].mu_raises
 
 
-class TestEqualityRowCache:
-    """A chain's E, ET and E^T E band are built once per (chain, N, dt,
-    body), so a pass-2 re-solve reuses pass 1's."""
-
-    def test_pass2_reuses_pass1_rows(self, monkeypatch):
-        probs = []
-        real = optimizer.solve_al
-
-        def spy(prob, z0, **kwargs):
-            probs.append(prob)
-            return real(prob, z0, **kwargs)
-
-        monkeypatch.setattr(optimizer, "solve_al", spy)
-        optimizer._equality_rows.cache_clear()
-        best, results = plan(3 * math.pi / 4, nominal_template(), max_candidates=2)
-        # per candidate: attitude, translation; then pass 2 when it engages
-        by_n = {}
-        for prob in probs:
-            by_n.setdefault((prob.n, prob.m_in == 0), []).append(prob)
-        pairs = [ps for ps in by_n.values() if len(ps) == 2]
-        assert len(pairs) == 2  # the State II candidate's two chains
-        for first, second in pairs:
-            assert second.E is first.E and second.ET is first.ET
-            assert second._ete_banded is first._ete_banded
-        # bit for bit a fresh build, and read-only
-        p = replace(nominal_template(), N=37)
-        for b in (0, 1):
-            tr = _Transcription(p, b)
-            E, ET, band = optimizer._equality_rows.__wrapped__(b, p.N, p.dt, p.body)
-            fresh = sp.csr_matrix(scipy_csr(tr.E).toarray())
-            for cached, new in ((tr.E, E), (tr.ET, ET), (tr.E, fresh)):
-                for attr in ("data", "indices", "indptr"):
-                    assert getattr(cached, attr).tobytes() == getattr(new, attr).tobytes()
-                    assert not getattr(cached, attr).flags.writeable
-            assert tr._ete_banded.tobytes() == band.tobytes()
-            assert not tr._ete_banded.flags.writeable
-
-
 class TestEqualityRows:
     """E, ET and the E^T E band, built in numpy, equal scipy.sparse's
     construction byte for byte, and so do their products."""
@@ -927,7 +928,7 @@ class TestEqualityRows:
     @pytest.mark.parametrize("b", [0, 1])
     def test_equal_scipy_construction(self, b, N):
         p = nominal_template()
-        E, ET, band = optimizer._equality_rows.__wrapped__(b, N, p.dt, p.body)
+        E, ET, band = optimizer._equality_rows(b, N, p.dt, p.body)
         want = sp.csr_matrix(scipy_csr(E).toarray())
         want_t = want.T.tocsr()
         ete = (want.T @ want).tocoo()
@@ -950,6 +951,22 @@ class TestEqualityRows:
                 assert (M @ vec).tobytes() == (Ms @ vec).tobytes()
             with pytest.raises(ValueError):
                 M @ x[1:]
+
+
+    def test_transcription_rows_are_fresh_and_read_only(self):
+        # each transcription builds its own rows, bit for bit a fresh build
+        p = replace(nominal_template(), N=37)
+        for b in (0, 1):
+            tr = _Transcription(p, b)
+            E, ET, band = optimizer._equality_rows(b, p.N, p.dt, p.body)
+            assert _Transcription(p, b).E is not tr.E
+            fresh = sp.csr_matrix(scipy_csr(tr.E).toarray())
+            for built, new in ((tr.E, E), (tr.ET, ET), (tr.E, fresh)):
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(built, attr).tobytes() == getattr(new, attr).tobytes()
+                    assert not getattr(built, attr).flags.writeable
+            assert tr.ete_band.tobytes() == band.tobytes()
+            assert not tr.ete_band.flags.writeable
 
 
 class TestWarmMultipliers:
@@ -1020,15 +1037,16 @@ class TestWarmMultipliers:
         state_i = sched == KosState.STATE_I
         # the attitude chain runs first, then the translation chain, which
         # holds every keep-out constraint; each restarts from its rows' lam,
-        # which lam holds translation rows first
-        m_t = _Transcription(p2, 0).E.shape[0]
+        # a pair (translation, attitude)
+        m_t, m_a = (_Transcription(p2, b).E.shape[0] for b in (0, 1))
+        assert [a.shape for a in lam] == [(m_t,), (m_a,)]
         translation, attitude = seen[1], seen[0]
         np.testing.assert_array_equal(
             translation["eta0"],
             np.concatenate([circle_eta[state_i], lobe_eta[:, ~state_i].ravel()]))
-        np.testing.assert_array_equal(translation["lam0"], lam[:m_t])
+        np.testing.assert_array_equal(translation["lam0"], lam[0])
         assert attitude["eta0"].shape == (0,)
-        np.testing.assert_array_equal(attitude["lam0"], lam[m_t:])
+        np.testing.assert_array_equal(attitude["lam0"], lam[1])
         assert translation["mu0"] == attitude["mu0"] == min(mu_final, 1e5)
         # a guess at another N is refused before the multiplier loop starts
         with pytest.raises(ValueError, match="N = 50"):

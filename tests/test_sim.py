@@ -13,7 +13,7 @@ from proxdock.nlp import SolverStats
 from proxdock.optimizer import PlannedTrajectory, plan
 from proxdock.sim import (ConfigMisaligned, SimConfig, audit_safety,
                           kos_distance_series, relative_velocity_target_frame,
-                          run)
+                          run, steps_per_period)
 
 
 def state(x=0.0, y=0.0, theta=0.0, vx=0.0, vy=0.0, omega=0.0):
@@ -49,7 +49,7 @@ def reference_run(plan, cfg):
     wrench rotated to the inertial frame plus the period's disturbance, then
     one forward-Euler step.  Returns (states, firings, errors).
     """
-    spp = cfg.steps_per_period()
+    spp = steps_per_period(cfg.physics_dt, cfg.control_hz, cfg.n_slots)
     period = 1.0 / cfg.control_hz
     horizon = float(plan.times[-1])
     n_periods = max(1, int(round((horizon + cfg.tail) * cfg.control_hz)))
@@ -157,10 +157,9 @@ class TestRelativeVelocity:
 
 class TestRunBasics:
     def test_config_misalignment_raises(self):
-        with pytest.raises(ConfigMisaligned):
-            SimConfig(physics_dt=0.03).steps_per_period()
-        with pytest.raises(ConfigMisaligned):
-            SimConfig(n_slots=7).steps_per_period()
+        for cfg in (SimConfig(physics_dt=0.03), SimConfig(n_slots=7)):
+            with pytest.raises(ConfigMisaligned):
+                steps_per_period(cfg.physics_dt, cfg.control_hz, cfg.n_slots)
 
     def test_refuses_unconverged_plan(self):
         p = stationary_plan()
@@ -240,7 +239,7 @@ class TestTracking:
         target = TargetState(omega=0.0)
         cfg = SimConfig(gains=PdGains(2.0, 8.0, 1e-30, 0.0), tail=0.0)
         res = run(p, cfg, target)
-        spp = cfg.steps_per_period()
+        spp = steps_per_period(cfg.physics_dt, cfg.control_hz, cfg.n_slots)
         layout = cfg.layout
         B = layout.effectiveness_matrix() * layout.f_max
         m = cfg.body.mass
