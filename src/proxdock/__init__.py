@@ -12,7 +12,7 @@ from .dynamics import (BodyParams, TargetState, ThrusterLayout, default_layout,
 from .kos import (KosConfig, KosState, classify, corner_safe_angle_threshold,
                   r_safe, signed_distance_batch)
 from .nlp import InfeasibleError, NotConvergedError, SolverStats
-from .optimizer import (AllCandidatesFailed, OptProblem, PlannedTrajectory,
+from .optimizer import (AllCandidatesFailed, Candidate, OptProblem, PlannedTrajectory,
                         build_goal_state, duration_candidates, plan, solve)
 from .sim import (ConfigMisaligned, SimConfig, SimResult, audit_safety,
                   relative_velocity_target_frame, run)

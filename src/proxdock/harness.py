@@ -9,8 +9,9 @@ POSITIVE or FRACTION that load_config applies to every value but None and
 track, sweep1, sweep2, audit.
 
 Only the planning subcommands, plan, sweep1 and sweep2, load scipy, and of
-it only the two compiled kernels the planner calls (see nlp.scipy_kernels),
-on the first solve.  track, audit and load_config run on numpy alone.
+it only the two extension modules of the compiled kernels the planner calls
+(see nlp.scipy_kernels), on the first plan.  track, audit and load_config
+run on numpy alone, without numpy.random.
 """
 from __future__ import annotations
 
@@ -366,21 +367,21 @@ def _out_dir(out_dir) -> Path:
 
 
 def _plan_point(cfg: RunConfig):
-    """Plan cfg's scenario: (best plan, converged candidates, record), where
-    the record holds a converged point's _POINT_COLUMNS but wall_time."""
-    best, results = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
+    """Plan cfg's scenario: (best plan, optimizer.Candidate list, record),
+    where the record holds a converged point's _POINT_COLUMNS but wall_time."""
+    best, cands = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
     goal, kinetic, effort = best.objective_breakdown
     pos_err, att_err = terminal_errors(best, best.states[-1])
-    return best, results, dict(converged=1, duration=float(best.times[-1]),
-                               objective=best.objective_value, goal=goal, kinetic=kinetic,
-                               effort=effort, pos_err=pos_err, att_err=att_err, reason="")
+    return best, cands, dict(converged=1, duration=float(best.times[-1]),
+                             objective=best.objective_value, goal=goal, kinetic=kinetic,
+                             effort=effort, pos_err=pos_err, att_err=att_err, reason="")
 
 
 def cmd_plan(config_path, out_dir):
     cfg = load_config(config_path)
     out = _out_dir(out_dir)
     t0 = time.perf_counter()
-    best, all_results, rec = _plan_point(cfg)
+    best, cands, rec = _plan_point(cfg)
     wall = time.perf_counter() - t0
     traj_path = out / "trajectory.txt"
     records.write_trajectory(traj_path, best, cfg.resolved_lines(),
@@ -391,7 +392,8 @@ def cmd_plan(config_path, out_dir):
     lines = [
         "proxdock plan summary",
         f"  chosen duration      : {best.times[-1]:.2f} s "
-        f"(of {len(all_results)} converged candidates)",
+        f"(of {len(cands)} candidates: {sum(c.plan is not None for c in cands)} solved, "
+        f"{sum(c.pruned for c in cands)} pruned)",
         f"  objective            : {best.objective_value:.6g}",
         f"    goal term          : {rec['goal']:.6g}",
         f"    kinetic term       : {rec['kinetic']:.6g}",
@@ -409,10 +411,16 @@ def cmd_plan(config_path, out_dir):
         f"  wall time            : {wall:.2f} s",
         "  candidates:",
     ]
-    for r in all_results:
-        line = f"    T={r.times[-1]:8.2f} s  J={r.objective_value:.6g}"
-        if r.pass2_failure is not None:
-            line += f"  (pass 2 failed: {r.pass2_failure}; pass-1 plan)"
+    # each candidate's LQ bound, then its plan's J, "pruned" when the bound
+    # exceeded the best J found, or its pass-1 failure
+    for c in cands:
+        line = f"    T={c.duration:8.2f} s  bound={c.bound:.6g}  "
+        if c.plan is not None:
+            line += f"J={c.plan.objective_value:.6g}"
+            if c.plan.pass2_failure is not None:
+                line += f"  (pass 2 failed: {c.plan.pass2_failure}; pass-1 plan)"
+        else:
+            line += "pruned" if c.pruned else f"pass 1 failed: {c.failure}"
         lines.append(line)
     summary = out / "plan_summary.txt"
     summary.write_text("\n".join(lines) + "\n")

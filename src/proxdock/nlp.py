@@ -11,9 +11,10 @@ depends on the BLAS thread count.
 
 The module needs numpy only to import.  Of scipy, a solve calls two
 compiled kernels: LAPACK's banded Cholesky dpbtrf/dpbtrs and sparsetools'
-CSR mat-vec csr_matvec.  scipy_kernels loads their two extension modules by
-file location on the first call, without the scipy.linalg and scipy.sparse
-packages around them: about 6 ms and 2.3 MB of resident memory, where
+CSR mat-vec csr_matvec; the planner's LQ relaxation calls a third,
+LAPACK's banded LU solve dgbsv (lu_solve_banded).  scipy_kernels loads
+their two extension modules by file location on the first call, without
+the scipy.linalg and scipy.sparse packages around them: about 6 ms and 2.3 MB of resident memory, where
 importing the two packages took 0.2-0.35 s and 24-28 MB (2-vCPU x86-64,
 Python 3.11, scipy 1.17).  So a process that tracks or audits loads no
 scipy module, and one that plans loads those two alone.
@@ -81,9 +82,17 @@ AL-gradient norm is the final point's projected KKT residual.
 
 Warm start: lam0, eta0 and mu0 restart the outer loop from an earlier
 solve's multipliers instead of zeros and the default penalty MU0.  The
-planner does this for its pass-2 re-solve, which keeps the equality rows of
-pass 1 and, at the State II knots, swaps the circle row for the two lobe
-rows, restarted at multiplier zero.  The added rows are feasible at the
+planner starts each pass-1 solve from lam0 alone: its LQ relaxation's
+equality multipliers, with eta at zero and mu at MU0.  Over the solver grid
+of tests/test_grid.py that cut Newton steps by a tenth (13 382 -> 11 978
+without the planner's pruning), no point moving beyond the grid's 1e-5
+gate; but it selects among local optima: over the default sweep2, 7 of 480
+points moved, 5 of them to worse ones.  With pruning, mu0 = 1e5 as well took 8 890 steps but moved sweep2
+theta 210 deg, omega 0.9 to a local optimum 7.9 % worse, and starting from
+the relaxation's primal point took 11 999 and moved theta 180 deg, omega
+0.05 by 3.6 %.  The planner also restarts its pass-2 re-solve, which
+keeps the equality rows of pass 1 and, at the State II knots, swaps the
+circle row for the two lobe rows, restarted at multiplier zero.  The added rows are feasible at the
 pass-1 point: each lobe value is at least the circle value / r_safe^2, so
 it is >= 0 wherever the circle value is (see kos).  With a zero multiplier
 they are complementary too and add nothing to stationarity.  So if the
@@ -210,17 +219,18 @@ def _extension(name):
 
 @functools.cache
 def scipy_kernels():
-    """(dpbtrf, dpbtrs, csr_matvec), bound on the first call.
+    """(dpbtrf, dpbtrs, csr_matvec, dgbsv), bound on the first call.
 
-    dpbtrf and dpbtrs come from scipy.linalg._flapack, whose functions are
-    the objects scipy.linalg.lapack re-exports; csr_matvec from
+    dpbtrf, dpbtrs and dgbsv come from scipy.linalg._flapack, whose
+    functions are the objects scipy.linalg.lapack re-exports; csr_matvec from
     scipy.sparse._sparsetools is the kernel that csr_matrix @ x calls.
     Loading the two extension modules takes a few milliseconds (see the
     module docstring), so no caller needs to warm them up outside its
     clock.
     """
     flapack = _extension("scipy.linalg._flapack")
-    return flapack.dpbtrf, flapack.dpbtrs, _extension("scipy.sparse._sparsetools").csr_matvec
+    return (flapack.dpbtrf, flapack.dpbtrs, _extension("scipy.sparse._sparsetools").csr_matvec,
+            flapack.dgbsv)
 
 
 class Csr:
@@ -285,6 +295,23 @@ def cho_solve_banded(cb_and_lower, b):
     x, info = scipy_kernels()[1](cb, b, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+    return x
+
+
+def lu_solve_banded(kl, ku, ab, b):
+    """x with A x = b, for a general banded A with kl sub- and ku
+    superdiagonals: LAPACK dgbsv, an LU factorization with partial pivoting.
+
+    ab is A in LAPACK's band storage, kl spare leading rows for the fill
+    included: shape (2 kl + ku + 1, n), ab[kl + ku + i - j, j] = A[i, j].
+    dgbsv overwrites ab and b when they are column-major.  Raises
+    LinAlgError when A is singular.
+    """
+    _, _, x, info = scipy_kernels()[3](kl, ku, ab, b, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"U({info}, {info}) is exactly zero: singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgbsv")
     return x
 
 

@@ -28,10 +28,15 @@ the keep-out schedule, so its warm restart of the attitude chain returns
 the pass-1 columns after one outer iteration and no Newton step.
 
 The maneuver duration (a float, in seconds) is picked from
-rotation-phase-consistent candidates.  Each candidate is solved on its own
-from the default initial guess (twice when the final-approach relaxation
-engages, the second pass restarting at the same N from the first's primal
-and multipliers), and the lowest-objective converged solution wins.
+rotation-phase-consistent candidates by bound and prune (see plan).  Each
+candidate's LQ relaxation, the problem without the wrench box and the
+keep-out rows, is solved exactly (lq_relaxation); its objective bounds the
+candidate's plans from below.  The candidates are solved in ascending bound
+order, each from the default initial guess and its relaxation's equality
+multipliers (twice when the final-approach relaxation engages, the second
+pass restarting at the same N from the first's primal and multipliers).  A
+candidate whose bound exceeds the best objective found is skipped, and the
+lowest-objective converged solution wins.
 """
 from __future__ import annotations
 
@@ -43,11 +48,12 @@ import numpy as np
 from . import kos as koslib
 from .dynamics import BodyParams, TargetState, euler_matrices, wrap_angle
 from .kos import KosConfig, KosState
-from .nlp import Csr, InfeasibleError, NotConvergedError, SolverStats, solve_al
+from .nlp import (Csr, InfeasibleError, NotConvergedError, SolverStats, lu_solve_banded,
+                  solve_al)
 
 __all__ = [
-    "OptProblem", "PlannedTrajectory", "AllCandidatesFailed",
-    "duration_candidates", "solve", "plan",
+    "OptProblem", "PlannedTrajectory", "AllCandidatesFailed", "Candidate", "LqRelaxation",
+    "duration_candidates", "lq_relaxation", "solve", "plan",
     "build_goal_state",
     "NotConvergedError", "InfeasibleError",
 ]
@@ -342,6 +348,80 @@ def breakdown(problem: OptProblem, states, wrenches) -> tuple[float, float, floa
     return goal, kinetic, effort
 
 
+@dataclass(frozen=True)
+class LqRelaxation:
+    """A problem with the wrench box and the keep-out rows dropped: the
+    objective under the Euler dynamics, the initial state and the terminal
+    attitude alone, an equality-constrained LQ solved exactly.
+
+    states and wrenches are its optimum, objective its J.  Every plan of the
+    problem, and of any keep-out schedule at the same N, is feasible for it,
+    so objective bounds their J from below.  lam holds the equality-row
+    multipliers per chain (translation, attitude), in _Transcription's row
+    order and with nlp's sign, grad f = E^T lam.
+    """
+
+    states: np.ndarray
+    wrenches: np.ndarray
+    lam: tuple
+    objective: float
+
+
+def lq_relaxation(problem: OptProblem) -> LqRelaxation:
+    """The LQ relaxation of problem, by one banded LU solve per axis.
+
+    The LQ splits into the axes x, y and theta, each a chain of knots
+    (p_k, v_k, u_k): position, rate and wrench.  Its KKT system,
+    [2Q E^T; E 0] [z; nu] = [-c; e] with lam = -nu, is ordered knot by knot,
+    each knot's unknowns [nu of the row that fixes (p_k, v_k), p_k, v_k,
+    u_k] (the initial rows at knot 0, the Euler defect k - 1 after it), and
+    the slot of u_N holds the terminal-attitude multiplier on theta and an
+    unused unknown with a unit diagonal on x and y.  Every row then reads
+    unknowns at most three places away, so the system is banded with three
+    sub- and superdiagonals (the first of them zero) and 5(N+1) unknowns,
+    and x and y share its matrix: two right-hand sides of one solve.
+    """
+    p = problem
+    N, dt = p.N, p.dt
+    A, Bw = euler_matrices(p.body, dt)
+    states, wrenches = np.empty((N + 1, 6)), np.empty((N, 3))
+    nu = np.empty((N + 1, 6))  # per state: its initial row, then defects 0 .. N-1
+    for axes, inertia in (([0, 1], p.body.mass), ([2], p.body.inertia)):
+        j = axes[0]
+        rates = [a + 3 for a in axes]
+        # LAPACK band storage: row 6 + d holds subdiagonal d and row 6 - d
+        # superdiagonal d; rows 0-2 are dgbsv's room for the fill.  diag, d2
+        # and d3 view the diagonal and subdiagonals 2 and 3 knot by knot.
+        ab = np.zeros((10, 5 * (N + 1)), order="F")
+        diag, d2, d3 = (ab[r].reshape(N + 1, 5) for r in (6, 8, 9))
+        diag[:N, 3] = dt * p.w_kin * inertia   # 2 q of the rate
+        diag[:N, 4] = 2.0 * p.w_u * dt          # 2 q of the wrench
+        diag[N, 2:4] = 2.0 * p.w_goal
+        d2[:, :2] = 1.0                         # p_k, v_k in the row fixing them
+        d2[:N, 3] = -A[j, j + 3]                # v_k in defect k's position row
+        d2[:N, 4] = -Bw[j + 3, j]               # u_k in defect k's rate row
+        d3[:N, 2:4] = -1.0                      # p_k, v_k in defect k
+        if j == 2:
+            d2[N, 2] = 1.0                      # theta_N in the terminal row
+        else:
+            diag[N, 4] = 1.0                    # the unused unknown
+        ab[4, 2:] = ab[8, :-2]                  # the upper half, by symmetry
+        ab[3, 3:] = ab[9, :-3]
+        rhs = np.zeros((N + 1, 5, len(axes)))
+        rhs[0, 0], rhs[0, 1] = p.x_init[axes], p.x_init[rates]
+        rhs[N, 2:4] = 2.0 * p.w_goal * p.x_goal[axes + rates].reshape(2, -1)
+        if j == 2:
+            rhs[N, 4] = p.theta_finish
+        x = lu_solve_banded(3, 3, ab, rhs.reshape(5 * (N + 1), -1)).reshape(rhs.shape)
+        states[:, axes], states[:, rates] = x[:, 2], x[:, 3]
+        wrenches[:, axes] = x[:N, 4]
+        nu[:, axes], nu[:, rates] = x[:, 0], x[:, 1]
+    # x is theta's solution, the last one, with the terminal row's nu
+    lam = (-nu[:, list(_CHAINS[0][:4])].ravel(),
+           -np.append(nu[:, [2, 5]].ravel(), x[N, 4, 0]))
+    return LqRelaxation(states, wrenches, lam, float(sum(breakdown(p, states, wrenches))))
+
+
 def default_initial_guess(problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
     """(states, wrenches): pose interpolation with zero wrenches, detoured
     around the keep-out circle.
@@ -395,15 +475,18 @@ def default_initial_guess(problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
 _WARM_MU_CAP = 1e5
 
 
-def solve(problem: OptProblem,
-          initial_guess: PlannedTrajectory | None = None) -> PlannedTrajectory:
+def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
+          lam0: tuple | None = None) -> PlannedTrajectory:
     """Solve one transcription to a local optimum within nlp's FEAS_TOL and KKT_TOL.
 
     Without a guess the solve starts from default_initial_guess.  A guess
     must be a plan at the problem's N (another N raises ValueError); its
     knots give the primal start, and when it carries multipliers for the
     same keep-out model the multiplier loop restarts from them, with the
-    penalty capped at _WARM_MU_CAP.
+    penalty capped at _WARM_MU_CAP.  Otherwise lam0, a pair of equality-row
+    multipliers (translation, attitude) such as LqRelaxation.lam, starts
+    the multiplier loop at the penalty nlp.MU0, the keep-out multipliers at
+    zero; without it every multiplier starts at zero.
 
     The attitude chain is solved first, then the translation chain (see the
     module docstring).  The plan's solver_stats sum the two runs' iteration,
@@ -424,18 +507,20 @@ def solve(problem: OptProblem,
     else:
         guess = initial_guess.states, initial_guess.wrenches
         if initial_guess.multipliers is not None:
-            lam0, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
+            lam, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
             if len(circle_eta) == trans.kos_knots:  # same keep-out model
                 eta0 = np.concatenate([circle_eta[trans._circle_knots],
                                        lobe_eta[:, trans._lobe_knots].ravel()])
-                warm = lam0, eta0, min(mu_final, _WARM_MU_CAP)
+                warm = lam, eta0, min(mu_final, _WARM_MU_CAP)
     runs = [None, None]
     # the cheap attitude chain first, so a hopeless solve ends soonest; the
     # translation chain holds every keep-out constraint (the attitude chain's
     # m_in is 0), runs last and leaves eta, their multipliers
     for b in (1, 0):
-        kw = {} if warm is None else dict(lam0=warm[0][b], eta0=warm[1][:chains[b].m_in],
-                                          mu0=warm[2])
+        if warm is not None:
+            kw = dict(lam0=warm[0][b], eta0=warm[1][:chains[b].m_in], mu0=warm[2])
+        else:
+            kw = {} if lam0 is None else dict(lam0=lam0[b])
         runs[b] = solve_al(chains[b], chains[b].pack(*guess), **kw)
     (z_t, lam_t, eta, stats), (z_a, lam_a, _, att) = runs
     stats = replace(
@@ -519,19 +604,54 @@ def build_goal_state(target: TargetState, theta_target_final: float, body: BodyP
     return np.array([target.x + rx, target.y + ry, theta_unwrapped, vx, vy, om])
 
 
+# Relative margin of the prune test.  The bound is exact, but a plan meets
+# its equality rows only to nlp.FEAS_TOL, which can put its J a rounding
+# amount below the bound.
+PRUNE_RTOL = 1e-6
+
+
+def _tie(j: float) -> float:
+    """Objective difference within which two candidates tie, at objective j."""
+    return 1e-9 * max(1.0, abs(j))
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One duration candidate of plan: its horizon N dt [s], the objective of
+    its LQ relaxation, a lower bound on any plan of it, and its outcome.
+    plan is its converged plan, or None: failure then holds its pass-1
+    solver message, or is None when the candidate was pruned, its bound
+    above the best objective found."""
+
+    duration: float
+    bound: float
+    plan: PlannedTrajectory | None = None
+    failure: str | None = None
+
+    @property
+    def pruned(self) -> bool:
+        return self.plan is None and self.failure is None
+
+
 def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
          *, min_duration: float = 5.0, static_durations=(20.0, 40.0, 60.0, 80.0),
          capture_offset: float = 0.05, goal_corotate: bool = False,
          latch_delay: float | str = "auto"):
-    """Duration search + two-pass keep-out scheduling; returns (best, results).
+    """Duration search + two-pass keep-out scheduling; returns (best, candidates).
 
-    Every candidate duration is solved on its own from default_initial_guess;
-    each converged solution whose knots trigger the final-approach
-    classification is re-solved with the relaxed State II schedule latched
-    from first satisfaction; a failed re-solve keeps the pass-1 plan and
-    records the failure in its pass2_failure.  results holds the converged
-    plans in ascending duration; best is the one with the lowest objective,
-    ties going to the shortest duration.
+    Bound and prune (Land & Doig 1960, with a convex relaxation): every
+    candidate duration's LQ relaxation (lq_relaxation) bounds its plans'
+    objective from below.  The candidates are solved in ascending bound
+    order, and one whose bound exceeds the best objective found so far by
+    more than PRUNE_RTOL (and the tie tolerance) is skipped: it cannot win.
+    Each solved candidate's pass 1 starts from default_initial_guess with
+    its relaxation's equality multipliers.  Each converged solution whose
+    knots trigger the final-approach classification is re-solved with the
+    relaxed State II schedule latched from first satisfaction; a failed
+    re-solve keeps the pass-1 plan and records the failure in its
+    pass2_failure.  candidates holds one Candidate per duration, ascending;
+    best is the converged plan with the lowest objective, ties going to the
+    shortest duration, which a pruned candidate can never be.
     """
     target = template.target
     if target.omega == 0.0 and abs(wrap_angle(theta_approach - target.theta0)) > 1e-9:
@@ -544,26 +664,39 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
             latch_delay = min(5.0, 0.5 * template.kos_cfg.angle_threshold / abs(target.omega))
         else:
             latch_delay = 0.0
-    cands = duration_candidates(target, theta_approach, max_candidates,
-                                min_duration=min_duration, static_durations=static_durations)
-    if not cands:
+    durations = duration_candidates(target, theta_approach, max_candidates,
+                                    min_duration=min_duration, static_durations=static_durations)
+    if not durations:
         raise AllCandidatesFailed(["no admissible duration candidates"])
 
-    results = []
-    failures = []
-    for t_total in cands:
+    problems, lams, cands = [], [], []
+    for t_total in durations:
         N = max(2, int(round(t_total / template.dt)))
-        T = N * template.dt
-        theta_t_final = target.attitude(T)
+        theta_t_final = target.attitude(N * template.dt)
         theta_init = float(template.x_init[2])
         theta_fin = theta_init + wrap_angle(theta_t_final - theta_init)
         goal = build_goal_state(target, theta_t_final, template.body, theta_fin,
                                 capture_offset, corotate=goal_corotate)
         prob1 = replace(template, N=N, theta_finish=theta_fin, x_goal=goal, kos_schedule=None)
         try:
-            sol = solve(prob1)
+            relax = lq_relaxation(prob1)
+        except np.linalg.LinAlgError:
+            # an LQ without a unique optimum (no effort and no kinetic
+            # weight): no bound, and a start from zero multipliers
+            relax = None
+        problems.append(prob1)
+        lams.append(relax and relax.lam)
+        cands.append(Candidate(prob1.horizon, -math.inf if relax is None else relax.objective))
+
+    best_j = math.inf
+    for i in sorted(range(len(cands)), key=lambda i: cands[i].bound):
+        if cands[i].bound > best_j + max(PRUNE_RTOL * best_j, _tie(best_j)):
+            continue  # pruned: no plan of it can beat best_j
+        prob1 = problems[i]
+        try:
+            sol = solve(prob1, lam0=lams[i])
         except (NotConvergedError, InfeasibleError) as ex:
-            failures.append(f"t={T:.2f}s pass1: {ex.stats.message}")
+            cands[i] = replace(cands[i], failure=ex.stats.message)
             continue
         if template.kos_cfg is not None:
             # the latch delay is a confirmation window: the re-solved
@@ -580,13 +713,14 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
                 except (NotConvergedError, InfeasibleError) as ex:
                     # keep the conservative pass-1 plan, and say why
                     sol = replace(sol, pass2_failure=ex.stats.message)
-        results.append(sol)
+        cands[i] = replace(cands[i], plan=sol)
+        best_j = min(best_j, sol.objective_value)
 
-    if not results:
-        raise AllCandidatesFailed(failures)
-
-    best = results[0]
-    for r in results[1:]:
-        if r.objective_value < best.objective_value - 1e-9 * max(1.0, abs(best.objective_value)):
-            best = r  # strictly better J; earlier (shorter) candidate wins ties
-    return best, results
+    best = None
+    for c in cands:
+        if c.plan is not None and (best is None or c.plan.objective_value
+                                   < best.objective_value - _tie(best.objective_value)):
+            best = c.plan  # strictly better J; earlier (shorter) candidate wins ties
+    if best is None:
+        raise AllCandidatesFailed([f"t={c.duration:.2f}s pass1: {c.failure}" for c in cands])
+    return best, cands

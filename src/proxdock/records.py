@@ -69,11 +69,9 @@ def _write(path, header_lines, rows) -> None:
             f.write(block)
 
 
-def _array_rows(a):
-    """The rows of a 2-D array as lists of Python floats, converted one block
-    at a time."""
-    for i in range(0, len(a), _BLOCK):
-        yield from a[i:i + _BLOCK].tolist()
+def _blocks(n):
+    """Slices of at most _BLOCK rows that cover n rows in order."""
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
 
 
 def _header(kind: str, config_lines, meta: dict, columns) -> list[str]:
@@ -253,9 +251,10 @@ def write_run_record(path, result, config_lines) -> None:
         "terminal_relative_speed": _fmt(result.terminal_relative_speed),
         "min_kos_distance": _fmt(result.min_kos_distance),
     }
+    cols = result.times, result.states, result.relative_velocity, result.kos_distance
     _write(path, _header("run", config_lines, meta, RUN_COLUMNS),
-           _array_rows(np.column_stack([result.times, result.states,
-                                        result.relative_velocity, result.kos_distance])))
+           (row for b in _blocks(len(result.times))
+            for row in np.column_stack([c[b] for c in cols]).tolist()))
 
 
 def read_run_record(path):
@@ -271,7 +270,8 @@ def read_run_record(path):
 def write_firing_sequence(path, result, config_lines) -> None:
     cols = ["t_slot"] + [f"u{i+1}" for i in range(8)]
     _write(path, _header("firing", config_lines, {}, cols),
-           ([t, *f] for t, f in zip(result.slot_times.tolist(), result.firings.T.tolist())))
+           ([t, *f] for b in _blocks(len(result.slot_times))
+            for t, f in zip(result.slot_times[b].tolist(), result.firings[:, b].T.tolist())))
 
 
 def write_table(path, kind: str, columns, rows, config_lines) -> None:

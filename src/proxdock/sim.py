@@ -115,7 +115,10 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
     n_periods = max(1, int(round(duration * cfg.control_hz)))
     n_steps = n_periods * spp
 
-    rng = np.random.default_rng(cfg.seed)
+    # numpy.random is imported on first use, so a run without mismatch or
+    # disturbance never loads it
+    rng = (np.random.default_rng(cfg.seed)
+           if cfg.mismatch_fraction or cfg.disturbance_accel else None)
     if cfg.mismatch_fraction:
         fm, fi, ft = 1.0 + cfg.mismatch_fraction * rng.uniform(-1.0, 1.0, 3)
     else:

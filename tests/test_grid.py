@@ -10,8 +10,10 @@ minimum duration, corotating goal, 2 candidates.
 For each point the reference holds one line: name, converged (1/0), chosen
 duration [s], objective (%.17g) and the Newton steps of every solve_al run
 of the point, failed ones included.  The test gates convergence, chosen
-durations and objectives within 1e-5 relative; it prints the Newton totals
-and wall time beside the reference's, ungated.  A change that moves a point
+durations and objectives within 1e-5 relative, and that the LQ relaxation
+bounds the objective of every pass-1 and pass-2 solve of every point from
+below; it prints the Newton totals and wall time beside the reference's,
+ungated.  A change that moves a point
 rewrites the reference and says which points moved, and why:
 
     PYTHONPATH=src python tests/test_grid.py --write
@@ -54,11 +56,22 @@ def _points() -> dict[str, dict]:
 POINTS = _points()
 
 
-def run_point(values: dict) -> tuple[int, float, float, int, float]:
-    """(converged, chosen duration, objective, Newton steps, wall time [s])."""
+def run_point(values: dict) -> tuple[int, float, float, int, float, list]:
+    """(converged, chosen duration, objective, Newton steps, wall time [s],
+    unbounded solves): the last lists (N, pass, bound, J) of each converged
+    solve whose objective J lies below its LQ relaxation's."""
     cfg = harness.RunConfig({**harness.load_config(None).values, **values})
     newton = [0]
-    real = optimizer.solve_al
+    unbounded = []
+    real, real_solve = optimizer.solve_al, optimizer.solve
+
+    def bounded(problem, *args, **kwargs):
+        sol = real_solve(problem, *args, **kwargs)
+        bound = optimizer.lq_relaxation(problem).objective
+        if bound > sol.objective_value:
+            unbounded.append((problem.N, 1 if problem.kos_schedule is None else 2,
+                              bound, sol.objective_value))
+        return sol
 
     def counting(prob, z0, **kwargs):
         try:
@@ -69,7 +82,7 @@ def run_point(values: dict) -> tuple[int, float, float, int, float]:
         newton[0] += out[3].newton_iterations
         return out
 
-    optimizer.solve_al = counting
+    optimizer.solve_al, optimizer.solve = counting, bounded
     t0 = time.perf_counter()
     try:
         best, _ = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
@@ -77,8 +90,8 @@ def run_point(values: dict) -> tuple[int, float, float, int, float]:
     except AllCandidatesFailed:
         conv, duration, objective = 0, math.nan, math.nan
     finally:
-        optimizer.solve_al = real
-    return conv, duration, objective, newton[0], time.perf_counter() - t0
+        optimizer.solve_al, optimizer.solve = real, real_solve
+    return conv, duration, objective, newton[0], time.perf_counter() - t0, unbounded
 
 
 def read_reference() -> dict[str, tuple[int, float, float, int]]:
@@ -97,8 +110,10 @@ def test_grid_against_reference(capsys):
     rows, moved = [], []
     newton_total = 0
     for name, values in POINTS.items():
-        conv, duration, objective, newton, wall = run_point(values)
+        conv, duration, objective, newton, wall, unbounded = run_point(values)
         r_conv, r_duration, r_objective, r_newton = ref[name]
+        moved += [f"{name}: N {n} pass {k}: J {j!r} below its bound {b!r}"
+                  for n, k, b, j in unbounded]
         newton_total += newton
         rows.append(f"{name:32s} newton {r_newton:5d} -> {newton:5d}   {wall:6.2f} s")
         if conv != r_conv:
@@ -119,7 +134,7 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_grid.py --write")
     lines = ["# name converged duration_s objective newton_steps"]
     for name, values in POINTS.items():
-        conv, duration, objective, newton, wall = run_point(values)
+        conv, duration, objective, newton, wall, _ = run_point(values)
         lines.append(f"{name} {conv} {duration:.17g} {objective:.17g} {newton}")
         print(f"{lines[-1]}   ({wall:.2f} s)", flush=True)
     REFERENCE.parent.mkdir(exist_ok=True)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,12 @@ class TestPlanTrackCli:
         assert "KOS switch" in text and "objective" in text
         solver = next(line for line in text.splitlines() if "solver" in line)
         assert " capped inner loops, " in solver and " penalty raises), kkt " in solver
+        # each candidate with its LQ bound, then its J or "pruned"
+        assert "s (of 2 candidates: 1 solved, 1 pruned)" in text
+        lines = text.splitlines()
+        short, chosen = lines[lines.index("  candidates:") + 1:]
+        assert re.fullmatch(r"    T= +23\.60 s  bound=\S+  pruned", short)
+        assert re.fullmatch(r"    T= +86\.40 s  bound=\S+  J=0\.6378\d*", chosen)
 
     def test_trajectory_round_trip(self, planned):
         out, traj = planned
@@ -564,6 +571,26 @@ def test_only_planning_loads_scipy(scipy_modules):
     assert scipy_modules["cmd_plan"] == {"scipy.linalg._flapack", "scipy.sparse._sparsetools"}
 
 
+# Prints, as its last line, whether numpy.random is loaded after audit and
+# track on the default config.
+RANDOM_PROBE = """
+import sys
+from proxdock import harness
+traj, record, out = sys.argv[1:]
+harness.cmd_audit(record, None)
+harness.cmd_track(traj, None, out)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_track_and_audit_skip_numpy_random(planned, tmp_path):
+    # without mismatch or disturbance the simulator draws no random number,
+    # so neither subcommand pays for importing numpy.random
+    cmd_track(planned[1], None, tmp_path / "rec")
+    assert run_fresh(RANDOM_PROBE, planned[1], tmp_path / "rec" / "run_record.txt",
+                     tmp_path / "o") == "False"
+
+
 def test_parallel_sweep_converges(tmp_path):
     # two points planned in a two-worker pool, from a fresh interpreter
     cfg_path = write(tmp_path, (
@@ -804,18 +831,20 @@ class TestRecordFormat:
             records.read_run_record(traj)
 
     def test_record_of_several_blocks(self, tmp_path):
-        # rows are written and read a block at a time: a record 2.5 blocks
-        # long has the bytes the one-string writer gave, and round-trips
+        # rows are converted, written and read a block at a time: run and
+        # firing records 2.5 blocks long have the bytes the one-string
+        # writer gave, and the run record round-trips
         n = 5 * records._BLOCK // 2
         rng = np.random.default_rng(7)
         scale = 10.0 ** rng.integers(-9, 9, (n, 1))
         data = rng.normal(size=(n, len(records.RUN_COLUMNS))) * scale
         data[::5, 3] = -0.0
+        firings = rng.integers(0, 2, (8, n)).astype(np.int8)
         result = SimpleNamespace(
             times=data[:, 0], states=data[:, 1:7], relative_velocity=data[:, 7:9],
             kos_distance=data[:, 9], terminal_position_error=0.1,
             terminal_attitude_error=0.0, terminal_relative_speed=1 / 3,
-            min_kos_distance=-2.5e-3)
+            min_kos_distance=-2.5e-3, slot_times=data[:, 0], firings=firings)
         config = ["a = 1"]
         path = tmp_path / "r.txt"
         records.write_run_record(path, result, config)
@@ -825,6 +854,12 @@ class TestRecordFormat:
         lines = records._header("run", config, meta, records.RUN_COLUMNS)
         lines += [" ".join("%.17g" % v for v in row) for row in data.tolist()]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        records.write_firing_sequence(tmp_path / "f.txt", result, config)
+        lines = records._header("firing", config, {},
+                                ["t_slot"] + [f"u{i + 1}" for i in range(8)])
+        lines += ["%.17g " % t + " ".join("%d" % u for u in f)
+                  for t, f in zip(data[:, 0].tolist(), firings.T.tolist())]
+        assert (tmp_path / "f.txt").read_bytes() == ("\n".join(lines) + "\n").encode()
         back = records.read_run_record(path)
         got = np.column_stack([back["times"], back["states"], back["relative_velocity"],
                                back["g"]])

@@ -493,6 +493,50 @@ class TestFactorizationFailure:
         assert ex.value.stats.newton_iterations == 1
 
 
+class TestLqRelaxation:
+    """lq_relaxation, one banded LU solve per axis, against a dense solve of
+    each chain's KKT system [2Q E^T; E 0] [z; -lam] = [-c; e]."""
+
+    @pytest.mark.parametrize("N, kos, weights", [
+        (2, False, {}), (7, True, {}), (40, False, dict(w_kin=0.0)),
+        (60, True, dict(w_u=0.5, w_goal=3.0, dt=0.3))])
+    def test_matches_dense_kkt(self, N, kos, weights):
+        p = simple_problem(N=N, kos=kos, x_init=state(-1.5, 0.2, 0.1, 0.01, -0.02, 0.03),
+                           x_goal=state(-1.0, 0.1, 0.5, 0.002, -0.001, 0.01), **weights)
+        relax = optimizer.lq_relaxation(p)
+        objective = 0.0
+        for b in (0, 1):
+            tr = _Transcription(p, b)
+            E = scipy_csr(tr.E).toarray()
+            m = len(E)
+            kkt = np.block([[np.diag(2.0 * tr.q), E.T], [E, np.zeros((m, m))]])
+            x = np.linalg.solve(kkt, np.concatenate([-tr.c, tr.e_rhs]))
+            z, lam = x[:tr.n], -x[tr.n:]
+            np.testing.assert_allclose(tr.pack(relax.states, relax.wrenches), z,
+                                       rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(z))))
+            np.testing.assert_allclose(relax.lam[b], lam,
+                                       rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(lam))))
+            objective += nlp._objective(tr, z)[0]
+        assert relax.objective == pytest.approx(objective, rel=1e-10, abs=1e-12)
+
+    def test_no_unique_optimum_gives_no_bound(self):
+        # without effort and kinetic weights the LQ has no unique optimum:
+        # the planner then prunes nothing and starts from zero multipliers,
+        # and the candidates fail as the solver reports
+        p = nominal_template(w_u=0.0, w_kin=0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            optimizer.lq_relaxation(replace(p, N=40))
+        with pytest.raises(AllCandidatesFailed, match="not positive definite") as ex:
+            plan(3 * math.pi / 4, p, max_candidates=2)
+        assert len(ex.value.reasons) == 2
+
+    def test_bounds_the_plan_and_its_pass2(self, two_pass):
+        p, sol, sched = two_pass
+        bound = optimizer.lq_relaxation(p).objective
+        assert bound <= sol.objective_value
+        assert bound <= solve(replace(p, kos_schedule=sched), sol).objective_value
+
+
 class TestSolve:
     def test_reaches_goal_against_lq_oracle(self):
         # unconstrained transcription has a closed-form KKT solution; compare
@@ -1086,9 +1130,10 @@ class TestWarmMultipliers:
             return real(problem, initial_guess, **kwargs)
 
         monkeypatch.setattr(optimizer, "solve", solve_failing_warm)
-        best, results = plan(1.2, nominal_template(target=TargetState(omega=0.3)),
-                             max_candidates=2)
-        assert len(failed) == len(results) == 2
+        best, cands = plan(1.2, nominal_template(target=TargetState(omega=0.3)),
+                           max_candidates=2)
+        results = [c.plan for c in cands]
+        assert len(failed) == len(results) == 2 and None not in results
         for r in results:
             assert r.converged and r.solver_stats.message == "converged"
             assert np.all(r.kos_states == KosState.STATE_I)
@@ -1098,10 +1143,14 @@ class TestWarmMultipliers:
 
 class TestPlan:
     def test_nominal_two_candidates(self):
-        best, results = plan(3 * math.pi / 4, nominal_template(), max_candidates=2)
-        assert len(results) == 2
+        best, cands = plan(3 * math.pi / 4, nominal_template(), max_candidates=2)
+        assert [c.duration for c in cands] == pytest.approx([23.6, 86.4])
         assert best.times[-1] == pytest.approx(86.4)
-        assert best.objective_value == min(r.objective_value for r in results)
+        # the 86.4 s candidate has the lower bound, so it is solved first;
+        # the 23.6 s candidate's bound exceeds its J, so it is pruned
+        short, chosen = cands
+        assert chosen.plan is best and chosen.bound <= best.objective_value
+        assert short.pruned and short.bound > best.objective_value
         # relaxation engages in the terminal segment
         assert KosState.STATE_II in best.kos_states
         first = int(np.flatnonzero(best.kos_states == KosState.STATE_II)[0])
@@ -1122,19 +1171,81 @@ class TestPlan:
             plan(1.0, nominal_template(target=t), max_candidates=2)
 
     def test_matches_exhaustive_candidate_search(self):
-        # oracle: plan each candidate alone; every candidate is solved from
-        # its own cold start, so each result equals its single-candidate
-        # plan bit for bit, and the best is the lowest J among them
+        # oracle: plan each candidate alone.  Every solved candidate starts
+        # from its own default guess and relaxation, so it equals its
+        # single-candidate plan bit for bit; a pruned one's bound exceeds
+        # the best J, and so does its plan alone; the best is the lowest J
+        # of them all.  Two candidates are both solved, three prune two.
         template = nominal_template(target=TargetState(omega=0.3))
-        best, results = plan(1.2, template, max_candidates=3)
-        cands = duration_candidates(TargetState(omega=0.3), 1.2, 3)
-        assert len(results) == len(cands) == 3
-        for r, t_total in zip(results, cands):
-            alone, _ = plan(1.2, template, max_candidates=1, min_duration=t_total - 1e-6)
-            np.testing.assert_array_equal(r.states, alone.states)
-            np.testing.assert_array_equal(r.wrenches, alone.wrenches)
-            assert r.objective_value == alone.objective_value
-        assert best.objective_value == min(r.objective_value for r in results)
+        for n, pruned in ((2, False), (3, True)):
+            best, cands = plan(1.2, template, max_candidates=n)
+            durations = duration_candidates(TargetState(omega=0.3), 1.2, n)
+            assert len(cands) == len(durations) == n
+            alone = [plan(1.2, template, max_candidates=1, min_duration=t - 1e-6)[0]
+                     for t in durations]
+            for c, a in zip(cands, alone):
+                assert c.bound <= a.objective_value
+                if c.pruned:
+                    assert c.bound > best.objective_value
+                    assert a.objective_value > best.objective_value
+                else:
+                    np.testing.assert_array_equal(c.plan.states, a.states)
+                    np.testing.assert_array_equal(c.plan.wrenches, a.wrenches)
+                    assert c.plan.objective_value == a.objective_value
+            assert best.objective_value == min(a.objective_value for a in alone)
+            assert any(c.pruned for c in cands) == pruned
+
+    def test_solves_in_bound_order_from_lq_multipliers(self, monkeypatch):
+        # pass 1 starts from the relaxation's equality multipliers and the
+        # default penalty; pass 2 restarts from pass 1's multipliers
+        template = nominal_template(target=TargetState(omega=0.3))
+        seen = []
+        real = optimizer.solve_al
+
+        def spy(prob, z0, **kwargs):
+            seen.append((prob, kwargs))
+            return real(prob, z0, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve_al", spy)
+        best, cands = plan(1.2, template, max_candidates=2)
+        assert not any(c.pruned for c in cands)
+        order = np.argsort([c.bound for c in cands], kind="stable")
+        starts = [(prob, kw) for prob, kw in seen if "eta0" not in kw]
+        assert len(starts) == 2 * len(cands)
+        for i, k in enumerate(order):
+            lam = optimizer.lq_relaxation(replace(
+                template, N=cands[k].plan.N, theta_finish=cands[k].plan.theta_finish,
+                x_goal=cands[k].plan.x_goal)).lam
+            for prob, kw in starts[2 * i:2 * i + 2]:
+                assert prob.n in (6 * cands[k].plan.N + 4, 3 * cands[k].plan.N + 2)
+                assert set(kw) == {"lam0"}
+                b = 0 if prob.m_in else 1
+                np.testing.assert_array_equal(kw["lam0"], lam[b])
+
+    @pytest.mark.parametrize("excess, pruned", [(1e-7, False), (1e-5, True)])
+    def test_prune_margin_keeps_the_tie_rule(self, monkeypatch, excess, pruned):
+        # both candidates' plans get J = 5; the longer one's bound is 0, so
+        # it is solved first, and the shorter one's is 5 (1 + excess).  Within
+        # PRUNE_RTOL the shorter one is still solved and wins the tie, as
+        # without pruning; beyond it, it is pruned
+        real_relax, real_solve = optimizer.lq_relaxation, optimizer.solve
+        calls = []
+
+        def bound(problem):
+            # plan bounds the candidates in ascending duration
+            calls.append(problem.N)
+            b = 5.0 * (1.0 + excess) if len(calls) == 1 else 0.0
+            return replace(real_relax(problem), objective=b)
+
+        def objective_five(problem, initial_guess=None, **kwargs):
+            return replace(real_solve(problem, initial_guess, **kwargs), objective_value=5.0)
+
+        monkeypatch.setattr(optimizer, "lq_relaxation", bound)
+        monkeypatch.setattr(optimizer, "solve", objective_five)
+        best, cands = plan(1.2, nominal_template(target=TargetState(omega=0.3)),
+                           max_candidates=2)
+        assert [c.pruned for c in cands] == [pruned, False]
+        assert best is cands[1 if pruned else 0].plan
 
     def test_all_candidates_failed(self):
         template = nominal_template(wrench_min=wrench(), wrench_max=wrench())
