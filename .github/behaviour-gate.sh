@@ -1,9 +1,11 @@
 #!/bin/sh
-# Plan, track and audit the nominal config with the src/ of a base commit and
-# with the working tree's src/, then write both sets of record digests, the
-# plan and audit figures behind them and the src/ Python line counts as
-# markdown tables to $GITHUB_STEP_SUMMARY (stdout when unset), marking what
-# differs.  Report
+# Plan, track and audit the nominal config, and run sweep1 on the benchmark's
+# sweep points (omega 0.07, 0.57, 1.07 at f_thr 0.12, 2 candidates), with the
+# src/ of a base commit and with the working tree's src/.  Then write both
+# sets of record digests, the digest of the sweep1 points table without its
+# wall_time column, the plan and audit figures behind them and the src/
+# Python line counts as markdown tables to $GITHUB_STEP_SUMMARY (stdout when
+# unset), marking what differs.  Report
 # only: it exits 0 even when the outputs differ, since a change may alter
 # them on purpose; the figures show what an intended change did.
 #
@@ -16,6 +18,15 @@ summary=${GITHUB_STEP_SUMMARY:-/dev/stdout}
 digest() { [ -f "$1" ] && sha256sum "$1" | cut -d' ' -f1; }
 # the value after the colon of the first line of file $1 that starts with $2
 field() { [ -f "$1" ] && grep -m1 "^ *$2" "$1" | sed 's/^[^:]*: *//'; }
+# sha256 of the columns and rows of the table in file $1, its wall_time
+# column left out
+table_digest() {
+    [ -f "$1" ] && awk '
+        /^# columns: / { sub(/^# columns: /, ""); for (i = 1; i <= NF; i++) if ($i == "wall_time") w = i }
+        /^#/ { next }
+        { s = ""; for (i = 1; i <= NF; i++) if (i != w) s = s (s == "" ? "" : " ") $i; print s }
+    ' "$1" | sha256sum | cut -d' ' -f1
+}
 # lines of the Python files under directory $1
 lines() { find "$1" -name '*.py' -exec cat {} + | wc -l; }
 row() {
@@ -26,6 +37,10 @@ row() {
 
 mkdir -p "$work/base"
 git archive "$base" src | tar -x -C "$work/base" || exit 0
+printf '%s\n' 'sweep1.omega_start = 0.07' 'sweep1.omega_step = 0.49999999999999994' \
+    'sweep1.omega_stop = 1.07' 'sweep1.f_start = 0.12' 'sweep1.f_step = 0.12' \
+    'sweep1.f_stop = 0.12' 'sweep1.max_candidates = 2' 'sweep1.min_duration = auto' \
+    'sweep1.goal_corotate = true' > "$work/sweep.cfg"
 for side in base head; do
     src=$([ "$side" = base ] && echo "$work/base/src" || echo "$PWD/src")
     out="$work/$side/out"
@@ -33,16 +48,21 @@ for side in base head; do
         PYTHONPATH=$src python -m proxdock track "$out/trajectory.txt" --out "$out" > /dev/null &&
         PYTHONPATH=$src python -m proxdock audit "$out/run_record.txt" > "$out/audit.txt" ||
         echo "$side: plan, track or audit failed" >&2
+    PYTHONPATH=$src python -m proxdock sweep1 --config "$work/sweep.cfg" --out "$out/sweep" \
+        > /dev/null || echo "$side: sweep1 failed" >&2
 done
 
 {
-    echo "### Nominal records: base $(git rev-parse --short "$base") vs head"
+    echo "### Nominal records and bench sweep1 table: base $(git rev-parse --short "$base") vs head"
     echo
     echo "| file | base sha256 | head sha256 | |"
     echo "|---|---|---|---|"
     for f in trajectory.txt run_record.txt firing_sequence.txt; do
         row "$f" "$(digest "$work/base/out/$f")" "$(digest "$work/head/out/$f")"
     done
+    row "sweep1_points.txt without wall_time" \
+        "$(table_digest "$work/base/out/sweep/sweep1_points.txt")" \
+        "$(table_digest "$work/head/out/sweep/sweep1_points.txt")"
     echo
     echo "| figure | base | head | |"
     echo "|---|---|---|---|"

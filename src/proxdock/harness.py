@@ -387,8 +387,8 @@ def cmd_plan(config_path, out_dir):
     records.write_trajectory(traj_path, best, cfg.resolved_lines(),
                              cfg.target(), cfg.kos_config())
 
-    switch = next((float(t) for t, s in zip(best.times, best.kos_states)
-                   if s == KosState.STATE_II), None)
+    state_ii = np.flatnonzero(best.kos_states == KosState.STATE_II)
+    switch = float(best.times[state_ii[0]]) if len(state_ii) else None
     lines = [
         "proxdock plan summary",
         f"  chosen duration      : {best.times[-1]:.2f} s "

@@ -11,12 +11,13 @@ depends on the BLAS thread count.
 
 The module needs numpy only to import.  Of scipy, a solve calls two
 compiled kernels: LAPACK's banded Cholesky dpbtrf/dpbtrs and sparsetools'
-CSR mat-vec csr_matvec; the planner's LQ relaxation calls a third,
-LAPACK's banded LU solve dgbsv (lu_solve_banded).  scipy_kernels loads
-their two extension modules by file location on the first call, without
-the scipy.linalg and scipy.sparse packages around them: about 6 ms and 2.3 MB of resident memory, where
-importing the two packages took 0.2-0.35 s and 24-28 MB (2-vCPU x86-64,
-Python 3.11, scipy 1.17).  So a process that tracks or audits loads no
+mat-vecs csr_matvec and csc_matvec (Csr's E x and E^T y); the planner's LQ
+relaxation calls a third, LAPACK's banded LU solve dgbsv
+(lu_solve_banded).  scipy_kernels loads their two extension modules by
+file location on the first call, without the scipy.linalg and
+scipy.sparse packages around them: about 6 ms and 2.3 MB of resident
+memory, where importing the two packages took 0.2-0.35 s and 24-28 MB
+(2-vCPU x86-64, Python 3.11, scipy 1.17).  So a process that tracks or audits loads no
 scipy module, and one that plans loads those two alone.
 
 The Newton matrix is the Gauss-Newton form of the merit's Hessian,
@@ -87,14 +88,12 @@ equality multipliers, with eta at zero and mu at MU0.  Over the solver grid
 of tests/test_grid.py that cut Newton steps by a tenth (13 382 -> 11 978
 without the planner's pruning), no point moving beyond the grid's 1e-5
 gate; but it selects among local optima: over the default sweep2, 7 of 480
-points moved, 5 of them to worse ones.  With pruning, mu0 = 1e5 as well took 8 890 steps but moved sweep2
-theta 210 deg, omega 0.9 to a local optimum 7.9 % worse, and starting from
-the relaxation's primal point took 11 999 and moved theta 180 deg, omega
-0.05 by 3.6 %.  The planner also restarts its pass-2 re-solve, which
-keeps the equality rows of pass 1 and, at the State II knots, swaps the
-circle row for the two lobe rows, restarted at multiplier zero.  The added rows are feasible at the
-pass-1 point: each lobe value is at least the circle value / r_safe^2, so
-it is >= 0 wherever the circle value is (see kos).  With a zero multiplier
+points moved, 5 of them to worse ones.  The planner also restarts its
+pass-2 re-solve, which keeps the equality rows of pass 1 and, at the State
+II knots, swaps the circle row for the two lobe rows, restarted at
+multiplier zero.  The added rows are feasible at the pass-1 point: each
+lobe value is at least the circle value / r_safe^2, so it is >= 0 wherever
+the circle value is (see kos).  With a zero multiplier
 they are complementary too and add nothing to stationarity.  So if the
 dropped circle rows were inactive at the pass-1 optimum (multiplier zero),
 the pass-1 point with the remaining multipliers already satisfies pass 2's
@@ -111,8 +110,8 @@ The problem object must expose::
     n, lb, ub                      decision size and box bounds
     q, c, c0                       the objective z.(q z) + c.z + c0: its
                                    diagonal, linear and constant terms
-    E, e_rhs                       equality Jacobian as a Csr, and rhs
-    ET                             E's transpose as a Csr, built once
+    E, e_rhs                       equality Jacobian as a Csr (E @ x and
+                                   E.rmatvec(y) = E^T y), and rhs
     ete_band                       E^T E in lower-banded storage, one row
                                    per band
     m_in, ineq_ix, ineq_iy         inequality count and variable indices
@@ -219,17 +218,18 @@ def _extension(name):
 
 @functools.cache
 def scipy_kernels():
-    """(dpbtrf, dpbtrs, csr_matvec, dgbsv), bound on the first call.
+    """(dpbtrf, dpbtrs, csr_matvec, csc_matvec, dgbsv), bound on the first call.
 
-    dpbtrf, dpbtrs and dgbsv come from scipy.linalg._flapack, whose
-    functions are the objects scipy.linalg.lapack re-exports; csr_matvec from
-    scipy.sparse._sparsetools is the kernel that csr_matrix @ x calls.
-    Loading the two extension modules takes a few milliseconds (see the
-    module docstring), so no caller needs to warm them up outside its
-    clock.
+    The LAPACK ones come from scipy.linalg._flapack, whose functions are the
+    objects scipy.linalg.lapack re-exports; csr_matvec and csc_matvec from
+    scipy.sparse._sparsetools are the kernels of csr_matrix @ x and
+    csc_matrix @ x.  Loading the two extension modules takes a few
+    milliseconds (see the module docstring), so no caller needs to warm them
+    up outside its clock.
     """
     flapack = _extension("scipy.linalg._flapack")
-    return (flapack.dpbtrf, flapack.dpbtrs, _extension("scipy.sparse._sparsetools").csr_matvec,
+    sparsetools = _extension("scipy.sparse._sparsetools")
+    return (flapack.dpbtrf, flapack.dpbtrs, sparsetools.csr_matvec, sparsetools.csc_matvec,
             flapack.dgbsv)
 
 
@@ -237,8 +237,10 @@ class Csr:
     """A sparse matrix in scipy.sparse's CSR arrays, read-only: int32 indptr
     and indices, the column indices of each row ascending, float64 data.
 
-    A @ x runs scipy's csr_matvec into a zeroed output, as csr_matrix @ x
-    does, so the product is scipy's bit for bit.
+    A @ x runs csr_matvec into a zeroed output, as csr_matrix @ x does.
+    A.rmatvec(y) = A^T y runs csc_matvec on the same arrays, which are A^T's
+    CSC arrays, as A.T @ y does for a csr_matrix A.  So both products are
+    scipy's bit for bit.
     """
 
     __slots__ = ("shape", "indptr", "indices", "data")
@@ -246,24 +248,18 @@ class Csr:
     def __init__(self, shape, indptr, indices, data):
         self.shape, self.indptr, self.indices, self.data = shape, indptr, indices, data
 
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape):
-        """The matrix with vals at (rows, cols), whose pairs are distinct;
-        as scipy.sparse.csr_matrix((vals, (rows, cols)), shape) stores it."""
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        arrays = indptr, cols[order].astype(np.int32), np.asarray(vals, dtype=float)[order]
-        for a in arrays:
-            a.flags.writeable = False
-        return cls(tuple(shape), *arrays)
-
     def __matmul__(self, x):
-        # csr_matvec reads x by the column indices unchecked
-        if x.shape != self.shape[1:]:
-            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {x.shape}")
-        out = np.zeros(self.shape[0])
-        scipy_kernels()[2](*self.shape, self.indptr, self.indices, self.data, x, out)
+        return self._product(2, self.shape, x)
+
+    def rmatvec(self, y):
+        return self._product(3, self.shape[::-1], y)
+
+    def _product(self, kernel, shape, v):
+        # the kernels read v at the stored indices unchecked
+        if v.shape != shape[1:]:
+            raise ValueError(f"cannot multiply a {shape} matrix by shape {v.shape}")
+        out = np.zeros(shape[0])
+        scipy_kernels()[kernel](*shape, self.indptr, self.indices, self.data, v, out)
         return out
 
 
@@ -307,7 +303,7 @@ def lu_solve_banded(kl, ku, ab, b):
     dgbsv overwrites ab and b when they are column-major.  Raises
     LinAlgError when A is singular.
     """
-    _, _, x, info = scipy_kernels()[3](kl, ku, ab, b, overwrite_ab=1, overwrite_b=1)
+    _, _, x, info = scipy_kernels()[4](kl, ku, ab, b, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"U({info}, {info}) is exactly zero: singular matrix")
     if info < 0:
@@ -380,7 +376,7 @@ def _merit_grad(prob, ev, m: _Multipliers):
     """(merit, gradient, a) at the point that _evaluate gave ev for."""
     _, df, h, (_, gx, gy) = ev
     f, a = _al_terms(ev, m)
-    df = df + prob.ET @ (m.mu * h - m.lam)
+    df = df + prob.E.rmatvec(m.mu * h - m.lam)
     np.add.at(df, prob.ineq_ix, -a * gx)
     np.add.at(df, prob.ineq_iy, -a * gy)
     return f, df, a
@@ -398,7 +394,7 @@ def _projected_grad(z, grad, lb, ub):
 def projected_kkt_residual(prob, z, lam, eta) -> float:
     """Stationarity of the Lagrangian projected onto the box bounds."""
     _, grad = _objective(prob, z)
-    r = grad - prob.ET @ lam
+    r = grad - prob.E.rmatvec(lam)
     _, gx, gy = prob.ineq_full(z)
     np.add.at(r, prob.ineq_ix, -eta * gx)
     np.add.at(r, prob.ineq_iy, -eta * gy)

@@ -118,7 +118,8 @@ class OptProblem:
 
 @dataclass
 class PlannedTrajectory:
-    """Knot states/wrenches plus solve metadata.
+    """Knot states/wrenches of a converged plan (solve returns no other, and
+    records.read_trajectory reads no other's record) plus solve metadata.
 
     states rows are [x, y, theta, vx, vy, omega]; wrenches rows [Fx, Fy, tau]
     in the inertial frame; kos_states is the per-knot KosState int array.
@@ -140,7 +141,6 @@ class PlannedTrajectory:
     objective_value: float
     objective_breakdown: tuple
     kos_states: np.ndarray
-    converged: bool
     solver_stats: SolverStats
     x_goal: np.ndarray
     theta_finish: float
@@ -174,14 +174,17 @@ _CHAINS = ((0, 1, 3, 4, 6, 7), (2, 5, 8))
 
 
 def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
-    """(E, ET, E^T E) of axis chain b's equality rows: the Jacobian and its
-    transpose as nlp.Csr and E^T E in lower-banded storage, all read-only.
+    """(E, E^T E) of axis chain b's equality rows: the Jacobian as an
+    nlp.Csr, its arrays written in row order, and E^T E in lower-banded
+    storage, all read-only.
 
-    Each is equal byte for byte to its scipy.sparse construction:
-    csr_matrix((vals, (rows, cols))), E.T.tocsr() and E.T @ E, whose entry
-    (i, j) sums E[k, j] E[k, i] over the rows k in ascending order, starting
-    from 0.  So the Newton steps run on the bytes they ran on with
-    scipy.sparse.
+    The rows: the s initial ones (1 at column i); per knot k and state i the
+    Euler defect, -1, -rate and +1 at columns w k + i, w k + j(i) and
+    w (k + 1) + i, j(i) > i the rate driving state i; on the attitude chain
+    the terminal row (1 at column w N).  E and the band equal byte for byte
+    csr_matrix((vals, (rows, cols))) and E.T @ E, whose entry (i, j) sums
+    E[k, j] E[k, i] over the rows k in ascending order, starting from 0.  So
+    the Newton steps run on the bytes they ran on with scipy.sparse.
     """
     quantities = _CHAINS[b]
     w = len(quantities)
@@ -189,34 +192,32 @@ def _equality_rows(b: int, N: int, dt: float, body: BodyParams):
     s = len(states)
     n = w * N + s
     A, Bw = euler_matrices(body, dt)
-    k = np.arange(N)
-    rows, cols, vals = [np.arange(s)], [np.arange(s)], [np.ones(s)]
-    for i, j in enumerate(states):
-        r = s + s * k + i
-        # rate (velocity or wrench) driving quantity j is quantity j + 3
-        rate = A[j, j + 3] if j < 3 else Bw[j, j - 3]
-        rows += [r, r, r]
-        cols += [w * (k + 1) + i, w * k + i, w * k + quantities.index(j + 3)]
-        vals += [np.ones(N), np.full(N, -1.0), np.full(N, -rate)]
-    if b == 1:
-        rows.append([s + s * N]); cols.append([w * N]); vals.append([1.0])
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    m = int(rows.max()) + 1
-    E = Csr.from_coo(rows, cols, vals, (m, n))
-    ET = Csr.from_coo(cols, rows, vals, (n, m))
+    i = np.arange(s)
+    # rate (velocity or wrench) driving quantity j is quantity j + 3
+    j_rate = [quantities.index(j + 3) for j in states]
+    rate = np.array([A[j, j + 3] if j < 3 else Bw[j, j - 3] for j in states])
+    cols = w * np.arange(N)[:, None, None] + np.stack([i, j_rate, i + w], axis=-1)  # (N, s, 3)
+    vals = np.broadcast_to(np.stack([np.full(s, -1.0), -rate, np.ones(s)], axis=-1), cols.shape)
+    term = [w * N] if b == 1 else []
+    width = np.repeat([1, 3, 1], [s, s * N, len(term)])
+    indptr = np.append(0, np.cumsum(width)).astype(np.int32)
+    indices = np.concatenate([i, cols.ravel(), term]).astype(np.int32)
+    data = np.concatenate([np.ones(s), vals.ravel(), np.ones(len(term))])
+    for a in (indptr, indices, data):
+        a.flags.writeable = False
+    E = Csr((len(width), n), indptr, indices, data)
 
     # each pair of entries hi >= lo in row k of E, whose columns ascend, adds
     # E[k, hi] E[k, lo] to band entry (col hi - col lo, col lo), k ascending
-    width = np.diff(E.indptr)
-    hi, lo = np.tril_indices(int(width.max()))
+    hi, lo = np.tril_indices(3)
     ok = hi < width[:, None]
-    ph, pl = ((E.indptr[:-1, None] + o)[ok] for o in (hi, lo))
-    ch, cl = E.indices[ph], E.indices[pl]
+    ph, pl = ((indptr[:-1, None] + o)[ok] for o in (hi, lo))
+    ch, cl = indices[ph], indices[pl]
     band = np.zeros((int(np.max(ch - cl)) + 1, n))
     with np.errstate(all="ignore"):  # an inf is the solve's to report, as with scipy
-        np.add.at(band, (ch - cl, cl), E.data[ph] * E.data[pl])
+        np.add.at(band, (ch - cl, cl), data[ph] * data[pl])
     band.flags.writeable = False
-    return E, ET, band
+    return E, band
 
 
 class _Transcription:
@@ -228,7 +229,7 @@ class _Transcription:
     (w_kin E_kin + w_u |F|^2), as z.(q*z) + c.z + c0; the two chains' shares
     sum to J.  The equality rows are the chain's initial-state rows, then
     its Euler defects knot-major, then on the attitude chain the
-    terminal-attitude row.
+    terminal-attitude row, held once, in E, beside the E^T E band.
     """
 
     def __init__(self, problem: OptProblem, b: int):
@@ -262,7 +263,7 @@ class _Transcription:
         self.ub[pos[:-1, s:]] = problem.wrench_max[self._wrenches]
 
         # equality rows: initial state, Euler defects, terminal attitude
-        self.E, self.ET, self.ete_band = _equality_rows(b, N, dt, body)
+        self.E, self.ete_band = _equality_rows(b, N, dt, body)
         rhs = [problem.x_init[self._states], np.zeros(s * N)]
         if b == 1:
             rhs.append([problem.theta_finish])
@@ -546,7 +547,6 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         objective_breakdown=terms,
         kos_states=(np.full(problem.N + 1, KosState.STATE_I) if problem.kos_schedule is None
                     else problem.kos_schedule),
-        converged=True,
         solver_stats=stats,
         x_goal=problem.x_goal,
         theta_finish=problem.theta_finish,

@@ -56,17 +56,19 @@ def _fmt(v) -> str:
     return _row_format((type(v),)) % v
 
 
-def _line(row) -> str:
-    row = tuple(row)
-    return _row_format(tuple(map(type, row))) % row + "\n"
-
-
-def _write(path, header_lines, rows) -> None:
-    rows = iter(rows)
+def _write(path, header_lines, blocks) -> None:
+    """The header lines, then each block of formatted rows."""
     with open(path, "w") as f:
         f.write("".join(ln + "\n" for ln in header_lines))
-        while block := "".join(map(_line, itertools.islice(rows, _BLOCK))):
-            f.write(block)
+        f.writelines(blocks)
+
+
+def _row_blocks(rows):
+    """The text of rows, _BLOCK rows a block, each cell formatted by type."""
+    rows = iter(rows)
+    while block := "".join(_row_format(tuple(map(type, r))) % r + "\n"
+                           for r in map(tuple, itertools.islice(rows, _BLOCK))):
+        yield block
 
 
 def _blocks(n):
@@ -183,7 +185,7 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
         "theta_finish": _fmt(plan.theta_finish),
         "x_goal": " ".join(_fmt(v) for v in plan.x_goal),
         "dt": _fmt(plan.dt),
-        "converged": int(plan.converged),
+        "converged": 1,  # every PlannedTrajectory is a converged plan
         "kkt_residual": _fmt(plan.solver_stats.kkt_residual),
         "constraint_violation": _fmt(plan.solver_stats.constraint_violation),
     }
@@ -194,8 +196,8 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
         lines += _primitive_lines(sched[-1], t_end, target.attitude(t_end),
                                   target.position, kos_cfg)
     wrenches = [*plan.wrenches, [math.nan] * 3]  # the final knot has no wrench
-    _write(path, lines, ([t, *plan.states[k], *wrenches[k], sched[k], g[k]]
-                         for k, t in enumerate(plan.times)))
+    _write(path, lines, _row_blocks([t, *plan.states[k], *wrenches[k], sched[k], g[k]]
+                                    for k, t in enumerate(plan.times)))
 
 
 def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
@@ -212,6 +214,7 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
     if not np.all(np.isin(data[:, 10], (KosState.STATE_I, KosState.STATE_II))):
         raise RecordError("trajectory kos_state must be 1 or 2")
     try:
+        converged = int(meta["converged"])
         stats = SolverStats(kkt_residual=float(meta.get("kkt_residual", "inf")),
                             constraint_violation=float(meta.get("constraint_violation", "inf")),
                             message="loaded from file")
@@ -222,7 +225,6 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
                                  float(meta["objective_kinetic"]),
                                  float(meta["objective_effort"])),
             kos_states=data[:, 10].astype(int),
-            converged=bool(int(meta["converged"])),
             solver_stats=stats,
             x_goal=np.array([float(v) for v in meta["x_goal"].split()]),
             theta_finish=float(meta["theta_finish"]),
@@ -239,7 +241,7 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
     if not np.all(np.isfinite([plan.theta_finish, plan.objective_value,
                                *plan.objective_breakdown])):
         raise RecordError("trajectory meta theta_finish and objective values must be finite")
-    if not plan.converged:
+    if not converged:
         raise RecordError("trajectory is not a converged plan")
     return plan, {"meta": meta, "config": config}
 
@@ -253,8 +255,8 @@ def write_run_record(path, result, config_lines) -> None:
     }
     cols = result.times, result.states, result.relative_velocity, result.kos_distance
     _write(path, _header("run", config_lines, meta, RUN_COLUMNS),
-           (row for b in _blocks(len(result.times))
-            for row in np.column_stack([c[b] for c in cols]).tolist()))
+           _row_blocks(row for b in _blocks(len(result.times))
+                       for row in np.column_stack([c[b] for c in cols]).tolist()))
 
 
 def read_run_record(path):
@@ -269,16 +271,18 @@ def read_run_record(path):
 
 def write_firing_sequence(path, result, config_lines) -> None:
     cols = ["t_slot"] + [f"u{i+1}" for i in range(8)]
+    # one %-format per block, of its cells as floats ("%d" % 1.0 is "1")
+    blocks = (np.column_stack([result.slot_times[b], result.firings[:, b].T])
+              for b in _blocks(len(result.slot_times)))
     _write(path, _header("firing", config_lines, {}, cols),
-           ([t, *f] for b in _blocks(len(result.slot_times))
-            for t, f in zip(result.slot_times[b].tolist(), result.firings[:, b].T.tolist())))
+           (("%.17g" + " %d" * 8 + "\n") * len(c) % tuple(c.ravel().tolist()) for c in blocks))
 
 
 def write_table(path, kind: str, columns, rows, config_lines) -> None:
     """Generic sweep table: rows are sequences aligned with columns; an
     empty string is written as "-", so every row splits into its cells."""
     _write(path, _header(kind, config_lines, {}, columns),
-           ([v or "-" if isinstance(v, str) else v for v in row] for row in rows))
+           _row_blocks([v or "-" if isinstance(v, str) else v for v in row] for row in rows))
 
 
 def read_table(path, kind: str):

@@ -105,8 +105,6 @@ def run(plan: PlannedTrajectory, cfg: SimConfig, target: TargetState) -> SimResu
     firing column differs from the previous slot's, and each
     physics step is one `euler_step` on plain floats.
     """
-    if not plan.converged:
-        raise ValueError("refusing to track a non-converged plan")
     spp = steps_per_period(cfg.physics_dt, cfg.control_hz, cfg.n_slots)
     steps_per_slot = spp // cfg.n_slots
     period = 1.0 / cfg.control_hz

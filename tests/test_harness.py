@@ -243,10 +243,19 @@ class TestPlanTrackCli:
         assert re.fullmatch(r"    T= +23\.60 s  bound=\S+  pruned", short)
         assert re.fullmatch(r"    T= +86\.40 s  bound=\S+  J=0\.6378\d*", chosen)
 
+    def test_summary_switch_time_is_first_state_ii_knot(self, planned):
+        out, traj = planned
+        text = (out / "plan_summary.txt").read_text()
+        switch = re.search(r"^  KOS switch to II     : (\S+) s$", text, re.M)
+        data = np.loadtxt(traj)
+        cols = records.TRAJECTORY_COLUMNS
+        state_ii = data[:, cols.index("kos_state")] == KosState.STATE_II
+        assert switch.group(1) == "%.2f" % data[state_ii, cols.index("t")][0]
+
     def test_trajectory_round_trip(self, planned):
         out, traj = planned
         loaded, info = records.read_trajectory(traj)
-        assert loaded.converged
+        assert info["meta"]["converged"] == "1"
         assert loaded.N + 1 == len(loaded.times)
         assert KosState.STATE_II in loaded.kos_states
         assert info["meta"]["objective_value"]

@@ -26,7 +26,7 @@ def stationary_plan(pose=state(x=1.0), n=50):
     return PlannedTrajectory(
         times=np.arange(n + 1) * 0.1, states=states, wrenches=np.zeros((n, 3)),
         objective_value=0.0, objective_breakdown=(0.0, 0.0, 0.0),
-        kos_states=np.full(n + 1, KosState.STATE_I), converged=True,
+        kos_states=np.full(n + 1, KosState.STATE_I),
         solver_stats=SolverStats(message="synthetic"),
         x_goal=pose.copy(), theta_finish=pose[2], dt=0.1)
 
@@ -160,12 +160,6 @@ class TestRunBasics:
         for cfg in (SimConfig(physics_dt=0.03), SimConfig(n_slots=7)):
             with pytest.raises(ConfigMisaligned):
                 steps_per_period(cfg.physics_dt, cfg.control_hz, cfg.n_slots)
-
-    def test_refuses_unconverged_plan(self):
-        p = stationary_plan()
-        p.converged = False
-        with pytest.raises(ValueError):
-            run(p, SimConfig(), TargetState())
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_state_rejected(self):
