@@ -3,13 +3,14 @@
 Every file starts with `# proxdock <kind> v<version>` followed by the full
 resolved configuration (one `# config:` line per key), its digest, optional
 `# meta:` entries, a `# columns:` manifest, then whitespace-delimited data
-rows printed with %.17g so reads round-trip bit-exactly.  Readers reject
-non-finite data, except where a column holds it by design.
+rows, numbers printed with %.17g so reads round-trip bit-exactly.  Each
+record has one row format, applied a block of rows at a time; a table's
+cells are formatted by type.  Readers reject non-finite data, except where a
+column holds it by design.
 """
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import itertools
 import math
@@ -28,8 +29,8 @@ TRAJECTORY_COLUMNS = ["t", "x", "y", "theta", "vx", "vy", "omega",
                       "Fx", "Fy", "tau", "kos_state", "g_min"]
 RUN_COLUMNS = ["t", "x", "y", "theta", "vx", "vy", "omega", "rel_vx", "rel_vy", "g"]
 
-# rows per block: writers format and write, and hand over array rows, one
-# block at a time, so no record is held whole as Python numbers or text
+# rows per block: writers format and write one block at a time, so no
+# record is held whole as Python numbers or text
 _BLOCK = 1024
 
 
@@ -42,18 +43,9 @@ def config_digest(config_lines) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@functools.lru_cache(maxsize=256)
-def _row_format(types: tuple) -> str:
-    """The %-format of a row whose cells have these types: ints as integers,
-    strings as they are, everything else %.17g, which round-trips
-    bit-exactly."""
-    return " ".join("%d" if issubclass(t, (int, np.integer))
-                    else "%s" if issubclass(t, str) else "%.17g" for t in types)
-
-
 def _fmt(v) -> str:
-    """One number, formatted as a row cell."""
-    return _row_format((type(v),)) % v
+    """One number as a meta or primitive cell."""
+    return "%.17g" % v
 
 
 def _write(path, header_lines, blocks) -> None:
@@ -63,17 +55,13 @@ def _write(path, header_lines, blocks) -> None:
         f.writelines(blocks)
 
 
-def _row_blocks(rows):
-    """The text of rows, _BLOCK rows a block, each cell formatted by type."""
-    rows = iter(rows)
-    while block := "".join(_row_format(tuple(map(type, r))) % r + "\n"
-                           for r in map(tuple, itertools.islice(rows, _BLOCK))):
-        yield block
-
-
-def _blocks(n):
-    """Slices of at most _BLOCK rows that cover n rows in order."""
-    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+def _array_blocks(row_format: str, *columns):
+    """The rows of the columns (arrays of equal length), _BLOCK rows a block:
+    one % of row_format per row on the column_stack of the block's slices,
+    whose ints are floats ("%d" % 1.0 is "1")."""
+    for i in range(0, len(columns[0]), _BLOCK):
+        block = np.column_stack([c[i:i + _BLOCK] for c in columns])
+        yield (row_format + "\n") * len(block) % tuple(block.ravel().tolist())
 
 
 def _header(kind: str, config_lines, meta: dict, columns) -> list[str]:
@@ -195,9 +183,9 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
         lines += _primitive_lines(sched[0], 0.0, target.theta0, target.position, kos_cfg)
         lines += _primitive_lines(sched[-1], t_end, target.attitude(t_end),
                                   target.position, kos_cfg)
-    wrenches = [*plan.wrenches, [math.nan] * 3]  # the final knot has no wrench
-    _write(path, lines, _row_blocks([t, *plan.states[k], *wrenches[k], sched[k], g[k]]
-                                    for k, t in enumerate(plan.times)))
+    wrenches = np.vstack([plan.wrenches, np.full((1, 3), math.nan)])  # none at the final knot
+    _write(path, lines, _array_blocks(" ".join(["%.17g"] * 10 + ["%d", "%.17g"]),
+                                      plan.times, plan.states, wrenches, sched, g))
 
 
 def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
@@ -214,7 +202,7 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
     if not np.all(np.isin(data[:, 10], (KosState.STATE_I, KosState.STATE_II))):
         raise RecordError("trajectory kos_state must be 1 or 2")
     try:
-        converged = int(meta["converged"])
+        converged = meta["converged"]
         stats = SolverStats(kkt_residual=float(meta.get("kkt_residual", "inf")),
                             constraint_violation=float(meta.get("constraint_violation", "inf")),
                             message="loaded from file")
@@ -241,22 +229,18 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
     if not np.all(np.isfinite([plan.theta_finish, plan.objective_value,
                                *plan.objective_breakdown])):
         raise RecordError("trajectory meta theta_finish and objective values must be finite")
-    if not converged:
-        raise RecordError("trajectory is not a converged plan")
+    if converged != "1":  # the writer writes 1, the only value read as converged
+        raise RecordError(f"trajectory is not a converged plan (converged = {converged})")
     return plan, {"meta": meta, "config": config}
 
 
 def write_run_record(path, result, config_lines) -> None:
-    meta = {
-        "terminal_position_error": _fmt(result.terminal_position_error),
-        "terminal_attitude_error": _fmt(result.terminal_attitude_error),
-        "terminal_relative_speed": _fmt(result.terminal_relative_speed),
-        "min_kos_distance": _fmt(result.min_kos_distance),
-    }
-    cols = result.times, result.states, result.relative_velocity, result.kos_distance
+    meta = {k: _fmt(getattr(result, k)) for k in (
+        "terminal_position_error", "terminal_attitude_error",
+        "terminal_relative_speed", "min_kos_distance")}
     _write(path, _header("run", config_lines, meta, RUN_COLUMNS),
-           _row_blocks(row for b in _blocks(len(result.times))
-                       for row in np.column_stack([c[b] for c in cols]).tolist()))
+           _array_blocks(" ".join(["%.17g"] * 10), result.times, result.states,
+                         result.relative_velocity, result.kos_distance))
 
 
 def read_run_record(path):
@@ -271,21 +255,34 @@ def read_run_record(path):
 
 def write_firing_sequence(path, result, config_lines) -> None:
     cols = ["t_slot"] + [f"u{i+1}" for i in range(8)]
-    # one %-format per block, of its cells as floats ("%d" % 1.0 is "1")
-    blocks = (np.column_stack([result.slot_times[b], result.firings[:, b].T])
-              for b in _blocks(len(result.slot_times)))
     _write(path, _header("firing", config_lines, {}, cols),
-           (("%.17g" + " %d" * 8 + "\n") * len(c) % tuple(c.ravel().tolist()) for c in blocks))
+           _array_blocks("%.17g" + " %d" * 8, result.slot_times, result.firings.T))
+
+
+def _cell_format(v) -> str:
+    """A table cell's format: ints %d, strings %s, other numbers %.17g."""
+    return "%d" if isinstance(v, (int, np.integer)) else "%s" if isinstance(v, str) else "%.17g"
 
 
 def write_table(path, kind: str, columns, rows, config_lines) -> None:
-    """Generic sweep table: rows are sequences aligned with columns; an
-    empty string is written as "-", so every row splits into its cells."""
+    """Generic sweep table: rows hold one cell per column (a row that does
+    not raises ValueError before the file is opened), and an empty string is
+    written as "-", so every row splits into its cells."""
+    rows = [[v or "-" if isinstance(v, str) else v for v in row] for row in rows]
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise ValueError(f"{kind} row {i} has {len(row)} cells for {len(columns)} columns")
+    blocks = (rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK))
     _write(path, _header(kind, config_lines, {}, columns),
-           _row_blocks([v or "-" if isinstance(v, str) else v for v in row] for row in rows))
+           ("".join(" ".join(map(_cell_format, r)) + "\n" for r in b)
+            % tuple(itertools.chain.from_iterable(b)) for b in blocks))
 
 
 def read_table(path, kind: str):
     with _open_record(path, kind) as (meta, config, columns, rows):
         rows = [ln.split() for ln in rows]
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise RecordError(f"{kind} data row {i} has {len(row)} cells for "
+                              f"{len(columns)} columns: {' '.join(row)!r}")
     return {"columns": columns, "rows": rows, "meta": meta, "config": config}

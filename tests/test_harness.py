@@ -477,7 +477,7 @@ class TestPlanTrackCli:
         ("x_goal", "nan 0 0 0 0 0"), ("x_goal", "1 2 3"),
         ("theta_finish", "inf"),
         ("objective_value", "nan"), ("objective_effort", "inf"),
-        ("dt", "fast"), ("converged", "0")])
+        ("dt", "fast"), ("converged", "0"), ("converged", "7"), ("converged", "-1")])
     def test_track_rejects_bad_meta_value(self, planned, tmp_path, capsys, key, value):
         out, traj = planned
         text = traj.read_text()
@@ -840,9 +840,10 @@ class TestRecordFormat:
             records.read_run_record(traj)
 
     def test_record_of_several_blocks(self, tmp_path):
-        # rows are converted, written and read a block at a time: run and
-        # firing records 2.5 blocks long have the bytes the one-string
-        # writer gave, and the run record round-trips
+        # rows are converted, written and read a block at a time: run,
+        # firing, trajectory and table records 2.5 blocks long have the
+        # bytes of a per-row, per-cell "%.17g"/"%d"/"%s" writer, and the run
+        # and trajectory records round-trip
         n = 5 * records._BLOCK // 2
         rng = np.random.default_rng(7)
         scale = 10.0 ** rng.integers(-9, 9, (n, 1))
@@ -874,3 +875,51 @@ class TestRecordFormat:
                                back["g"]])
         assert got.tobytes() == data.tobytes()
         assert back["meta"] == meta and back["config"] == config
+
+        # trajectory: n knots, n - 1 wrenches, so the final row's are nan;
+        # kos_state 1 and 2, -0.0 cells and, without a keep-out zone, g_min inf
+        wrenches = data[:-1, 7:10]
+        sched = rng.integers(1, 3, n)
+        plan = SimpleNamespace(
+            times=data[:, 0], states=data[:, 1:7], wrenches=wrenches, kos_states=sched,
+            objective_value=1.5, objective_breakdown=(1.0, 0.25, 0.25), theta_finish=0.5,
+            x_goal=np.arange(6.0), dt=0.1,
+            solver_stats=nlp.SolverStats(kkt_residual=1e-9, constraint_violation=0.0,
+                                         message=""))
+        path = tmp_path / "t.txt"
+        records.write_trajectory(path, plan, config, None, None)
+        rows = [" ".join("%.17g" % v for v in x) + " %d inf" % k
+                for x, k in zip(data[:-1, :10].tolist(), sched.tolist())]
+        rows.append(" ".join("%.17g" % v for v in data[-1, :7].tolist())
+                    + " nan nan nan %d inf" % sched[-1])
+        head = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+        assert path.read_bytes() == ("\n".join(head + rows) + "\n").encode()
+        back, _ = records.read_trajectory(path)
+        assert back.states.tobytes() == data[:, 1:7].tobytes()
+        assert back.wrenches.tobytes() == wrenches.tobytes()
+        np.testing.assert_array_equal(back.kos_states, sched)
+
+        # table: ints, floats, strings ("" written as "-") in each row
+        reasons = np.array(["", "ok", "max_outer"])[rng.integers(0, 3, n)].tolist()
+        table = [[i, np.int64(-i), x, y, r] for i, (x, y, r) in enumerate(
+            zip(data[:, 1].tolist(), data[:, 2].tolist(), reasons))]
+        table[1][2], table[2][3] = math.nan, -math.inf
+        path = tmp_path / "tab.txt"
+        records.write_table(path, "demo-points", ["i", "j", "x", "y", "reason"], table, config)
+        lines = records._header("demo-points", config, {}, ["i", "j", "x", "y", "reason"])
+        lines += ["%d %d %.17g %.17g %s" % (i, j, x, y, r or "-") for i, j, x, y, r in table]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        back = records.read_table(path, "demo-points")
+        assert back["rows"] == [ln.split() for ln in lines[-n:]]
+
+    def test_ragged_table_row_rejected(self, tmp_path):
+        # one % per block would shift every cell after a short row, so the
+        # writer refuses it before it opens the file, and the reader names it
+        path = tmp_path / "t.txt"
+        rows = [[1, 0.5, "ok"], [2, 1.5]]
+        with pytest.raises(ValueError, match="row 2 has 2 cells for 3 columns"):
+            records.write_table(path, "demo-points", ["i", "x", "reason"], rows, ["a = 1"])
+        assert not path.exists()
+        path.write_text("# proxdock demo-points v1\n# columns: i x reason\n1 0.5 ok\n2 1.5\n")
+        with pytest.raises(records.RecordError, match="row 2 has 2 cells for 3 columns"):
+            records.read_table(path, "demo-points")
