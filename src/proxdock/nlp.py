@@ -150,9 +150,7 @@ MU_MAX = 1e12      # penalty ceiling
 # three times, to 1e4, before their first multiplier update.  Over a
 # 25-point sweep1/sweep2 grid, starting at 10, 1e2, 1e3 and 1e4 took 12 331,
 # 11 998, 11 533 and 11 316 Newton steps, all with the same chosen
-# durations; against the planner that also put lobe rows at State I knots
-# and started at 10, the objectives moved by up to 4.0e-9, 7.4e-9, 8.4e-8
-# and 9.6e-7 relative.
+# durations.
 MU0 = 1e3
 
 # Contraction the violation measure must reach from one multiplier update to

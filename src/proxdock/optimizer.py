@@ -73,7 +73,7 @@ class OptProblem:
     x_init and x_goal are states [x, y, theta, vx, vy, omega]; wrench_min and
     wrench_max bound each inertial wrench [Fx, Fy, tau] componentwise.  All
     four are stored as read-only float arrays, and kos_schedule as a read-only
-    int array.
+    int array.  kos_cfg sizes the keep-out zone that every plan keeps out of.
     """
 
     N: int
@@ -83,7 +83,7 @@ class OptProblem:
     x_goal: np.ndarray
     target: TargetState
     body: BodyParams
-    kos_cfg: KosConfig | None
+    kos_cfg: KosConfig
     w_goal: float = 100.0
     w_u: float = 10.0
     w_kin: float = 1.0
@@ -128,11 +128,10 @@ class PlannedTrajectory:
     multipliers, indexed as _Transcription's b; the keep-out multipliers
     are per knot, shape (N+1,) for the circle and (2, N+1) for the lobes
     (positive side first), zero where a knot has no such row, so they carry
-    over to pass 2's rows; without a keep-out zone the shapes are (0,) and
-    (2, 0).  solve restarts from them when it is given this plan as its
-    initial guess; plans read from a file have None.  pass2_failure is the
-    solver message of a failed pass-2 re-solve (see `plan`), whose pass-1
-    plan this then is; None otherwise.
+    over to pass 2's rows.  solve restarts from them when it is given this
+    plan as its initial guess; plans read from a file have None.
+    pass2_failure is the solver message of a failed pass-2 re-solve (see
+    `plan`), whose pass-1 plan this then is; None otherwise.
     """
 
     times: np.ndarray
@@ -273,18 +272,16 @@ class _Transcription:
         # that can bind: the circle at the State I knots, then each lobe at
         # the State II knots, the positive side first.  The lobes lie inside
         # the circle (see kos), so a State I knot needs no lobe row, and a
-        # pass-1 problem (no schedule) has none.  Without keep-out the knot
-        # sets are empty, so m_in is 0, ineq_full and ineq_values return
-        # empty arrays and no row reads the nan r_safe.
-        kos_cfg = problem.kos_cfg if b == 0 else None
-        self.kos_knots = N + 1 if kos_cfg is not None else 0
-        knots = np.arange(self.kos_knots)
-        sched = (np.full(self.kos_knots, KosState.STATE_I) if problem.kos_schedule is None
+        # pass-1 problem (no schedule) has none.  The attitude chain's knot
+        # sets are empty, so its m_in is 0 and ineq_full and ineq_values
+        # return empty arrays.
+        knots = np.arange(N + 1 if b == 0 else 0)
+        sched = (np.full(len(knots), KosState.STATE_I) if problem.kos_schedule is None
                  else problem.kos_schedule[knots])
         self._circle_knots = knots[sched == KosState.STATE_I]
         self._lobe_knots = lobe_knots = knots[sched == KosState.STATE_II]
         th = problem.target.attitude(lobe_knots * dt)
-        self._rs = koslib.r_safe(kos_cfg) if kos_cfg is not None else math.nan
+        self._rs = koslib.r_safe(problem.kos_cfg)
         self._lobe_sides = np.repeat([1.0, -1.0], len(lobe_knots))
         self._lobe_cos = np.tile(np.cos(th), 2)
         self._lobe_sin = np.tile(np.sin(th), 2)
@@ -442,28 +439,27 @@ def default_initial_guess(problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
     states[:, 2] = s0[2] + frac * (problem.theta_finish - s0[2])
     states[:, 5] = (problem.theta_finish - s0[2]) / problem.horizon
 
-    if problem.kos_cfg is not None:
-        rs = koslib.r_safe(problem.kos_cfg) + 0.02
-        c = problem.target.position
-        rel = states[:, :2] - c
-        r = np.hypot(rel[:, 0], rel[:, 1])
-        inside = np.flatnonzero(r < rs)
-        if len(inside):
-            k_in = inside[0]
-            if k_in > 0:
-                a0 = math.atan2(rel[k_in - 1, 1], rel[k_in - 1, 0])
-            else:
-                a0 = math.atan2(rel[k_in, 1], rel[k_in, 0]) if r[k_in] > 1e-9 else 0.0
-            k_out = inside[-1]
-            ref = rel[k_out + 1] if k_out < N else rel[k_out]
-            a1 = math.atan2(ref[1], ref[0]) if np.hypot(*ref) > 1e-9 else a0
-            da = wrap_angle(a1 - a0)
-            if abs(abs(da) - math.pi) < 1e-9:  # diametral tie: detour co-rotating
-                da = math.copysign(math.pi, problem.target.omega if problem.target.omega else 1.0)
-            span = np.arange(k_in, k_out + 1)
-            ang = a0 + da * (span - k_in + 1) / (k_out - k_in + 2)
-            states[span, 0] = c[0] + rs * np.cos(ang)
-            states[span, 1] = c[1] + rs * np.sin(ang)
+    rs = koslib.r_safe(problem.kos_cfg) + 0.02
+    c = problem.target.position
+    rel = states[:, :2] - c
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    inside = np.flatnonzero(r < rs)
+    if len(inside):
+        k_in = inside[0]
+        if k_in > 0:
+            a0 = math.atan2(rel[k_in - 1, 1], rel[k_in - 1, 0])
+        else:
+            a0 = math.atan2(rel[k_in, 1], rel[k_in, 0]) if r[k_in] > 1e-9 else 0.0
+        k_out = inside[-1]
+        ref = rel[k_out + 1] if k_out < N else rel[k_out]
+        a1 = math.atan2(ref[1], ref[0]) if np.hypot(*ref) > 1e-9 else a0
+        da = wrap_angle(a1 - a0)
+        if abs(abs(da) - math.pi) < 1e-9:  # diametral tie: detour co-rotating
+            da = math.copysign(math.pi, problem.target.omega if problem.target.omega else 1.0)
+        span = np.arange(k_in, k_out + 1)
+        ang = a0 + da * (span - k_in + 1) / (k_out - k_in + 2)
+        states[span, 0] = c[0] + rs * np.cos(ang)
+        states[span, 1] = c[1] + rs * np.sin(ang)
 
     states[:-1, 3:5] = np.diff(states[:, :2], axis=0) / problem.dt
     states[-1, 3:5] = states[-2, 3:5]
@@ -482,12 +478,12 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
 
     Without a guess the solve starts from default_initial_guess.  A guess
     must be a plan at the problem's N (another N raises ValueError); its
-    knots give the primal start, and when it carries multipliers for the
-    same keep-out model the multiplier loop restarts from them, with the
-    penalty capped at _WARM_MU_CAP.  Otherwise lam0, a pair of equality-row
-    multipliers (translation, attitude) such as LqRelaxation.lam, starts
-    the multiplier loop at the penalty nlp.MU0, the keep-out multipliers at
-    zero; without it every multiplier starts at zero.
+    knots give the primal start, and when it carries multipliers the
+    multiplier loop restarts from them, with the penalty capped at
+    _WARM_MU_CAP.  Otherwise lam0, a pair of equality-row multipliers
+    (translation, attitude) such as LqRelaxation.lam, starts the multiplier
+    loop at the penalty nlp.MU0, the keep-out multipliers at zero; without
+    it every multiplier starts at zero.
 
     The attitude chain is solved first, then the translation chain (see the
     module docstring).  The plan's solver_stats sum the two runs' iteration,
@@ -509,10 +505,9 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         guess = initial_guess.states, initial_guess.wrenches
         if initial_guess.multipliers is not None:
             lam, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
-            if len(circle_eta) == trans.kos_knots:  # same keep-out model
-                eta0 = np.concatenate([circle_eta[trans._circle_knots],
-                                       lobe_eta[:, trans._lobe_knots].ravel()])
-                warm = lam, eta0, min(mu_final, _WARM_MU_CAP)
+            eta0 = np.concatenate([circle_eta[trans._circle_knots],
+                                   lobe_eta[:, trans._lobe_knots].ravel()])
+            warm = lam, eta0, min(mu_final, _WARM_MU_CAP)
     runs = [None, None]
     # the cheap attitude chain first, so a hopeless solve ends soonest; the
     # translation chain holds every keep-out constraint (the attitude chain's
@@ -535,9 +530,9 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         tr.unpack(z, states, wrenches)
     terms = breakdown(problem, states, wrenches)
     nc = len(trans._circle_knots)
-    circle_eta = np.zeros(trans.kos_knots)
+    circle_eta = np.zeros(problem.N + 1)
     circle_eta[trans._circle_knots] = eta[:nc]
-    lobe_eta = np.zeros((2, trans.kos_knots))
+    lobe_eta = np.zeros((2, problem.N + 1))
     lobe_eta[:, trans._lobe_knots] = eta[nc:].reshape(2, -1)
     return PlannedTrajectory(
         times=np.arange(problem.N + 1) * problem.dt,
@@ -660,10 +655,8 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
     if latch_delay == "auto":
         # confirmation window scaled to the gate-crossing timescale, so slow
         # approaches get a solid debounce and fast spins still engage
-        if template.kos_cfg is not None and target.omega != 0.0:
-            latch_delay = min(5.0, 0.5 * template.kos_cfg.angle_threshold / abs(target.omega))
-        else:
-            latch_delay = 0.0
+        latch_delay = (0.0 if target.omega == 0.0 else
+                       min(5.0, 0.5 * template.kos_cfg.angle_threshold / abs(target.omega)))
     durations = duration_candidates(target, theta_approach, max_candidates,
                                     min_duration=min_duration, static_durations=static_durations)
     if not durations:
@@ -698,21 +691,19 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
         except (NotConvergedError, InfeasibleError) as ex:
             cands[i] = replace(cands[i], failure=ex.stats.message)
             continue
-        if template.kos_cfg is not None:
-            # the latch delay is a confirmation window: the re-solved
-            # trajectory starts its descent only after the live conditions
-            # have held for that long, so the flown relaxation never leads
-            # the classification
-            sched = koslib.latch(
-                koslib.classify(sol.states[:, :2], target.attitude(sol.times),
-                                target.position, template.kos_cfg),
-                int(round(latch_delay / template.dt)))
-            if KosState.STATE_II in sched:
-                try:
-                    sol = solve(replace(prob1, kos_schedule=sched), sol)
-                except (NotConvergedError, InfeasibleError) as ex:
-                    # keep the conservative pass-1 plan, and say why
-                    sol = replace(sol, pass2_failure=ex.stats.message)
+        # the latch delay is a confirmation window: the re-solved trajectory
+        # starts its descent only after the live conditions have held for
+        # that long, so the flown relaxation never leads the classification
+        sched = koslib.latch(
+            koslib.classify(sol.states[:, :2], target.attitude(sol.times),
+                            target.position, template.kos_cfg),
+            int(round(latch_delay / template.dt)))
+        if KosState.STATE_II in sched:
+            try:
+                sol = solve(replace(prob1, kos_schedule=sched), sol)
+            except (NotConvergedError, InfeasibleError) as ex:
+                # keep the conservative pass-1 plan, and say why
+                sol = replace(sol, pass2_failure=ex.stats.message)
         cands[i] = replace(cands[i], plan=sol)
         best_j = min(best_j, sol.objective_value)
 

@@ -5,8 +5,8 @@ resolved configuration (one `# config:` line per key), its digest, optional
 `# meta:` entries, a `# columns:` manifest, then whitespace-delimited data
 rows, numbers printed with %.17g so reads round-trip bit-exactly.  Each
 record has one row format, applied a block of rows at a time; a table's
-cells are formatted by type.  Readers reject non-finite data, except where a
-column holds it by design.
+cells are formatted by type.  Readers reject non-finite data, except the
+final trajectory knot's wrench, which is NaN by design.
 """
 from __future__ import annotations
 
@@ -157,14 +157,10 @@ def _primitive_lines(state: int, t: float, target_theta: float, center,
 
 
 def write_trajectory(path, plan: PlannedTrajectory, config_lines,
-                     target: TargetState, kos_cfg: KosConfig | None) -> None:
+                     target: TargetState, kos_cfg: KosConfig) -> None:
     sched = plan.kos_states
-    if kos_cfg is not None:
-        th = target.attitude(plan.times)
-        g = koslib.signed_distance_batch(plan.states[:, :2], th, sched,
-                                         target.position, kos_cfg)
-    else:
-        g = np.full(len(plan.times), np.inf)
+    g = koslib.signed_distance_batch(plan.states[:, :2], target.attitude(plan.times), sched,
+                                     target.position, kos_cfg)
     meta = {
         "objective_value": _fmt(plan.objective_value),
         "objective_goal": _fmt(plan.objective_breakdown[0]),
@@ -177,12 +173,10 @@ def write_trajectory(path, plan: PlannedTrajectory, config_lines,
         "kkt_residual": _fmt(plan.solver_stats.kkt_residual),
         "constraint_violation": _fmt(plan.solver_stats.constraint_violation),
     }
+    t_end = float(plan.times[-1])
     lines = _header("trajectory", config_lines, meta, TRAJECTORY_COLUMNS)
-    if kos_cfg is not None:
-        t_end = float(plan.times[-1])
-        lines += _primitive_lines(sched[0], 0.0, target.theta0, target.position, kos_cfg)
-        lines += _primitive_lines(sched[-1], t_end, target.attitude(t_end),
-                                  target.position, kos_cfg)
+    lines += _primitive_lines(sched[0], 0.0, target.theta0, target.position, kos_cfg)
+    lines += _primitive_lines(sched[-1], t_end, target.attitude(t_end), target.position, kos_cfg)
     wrenches = np.vstack([plan.wrenches, np.full((1, 3), math.nan)])  # none at the final knot
     _write(path, lines, _array_blocks(" ".join(["%.17g"] * 10 + ["%d", "%.17g"]),
                                       plan.times, plan.states, wrenches, sched, g))
@@ -194,9 +188,9 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
     times = data[:, 0]
     states = data[:, 1:7]
     wrenches = data[:-1, 7:10]
-    # the final knot's wrench is nan and g_min is inf without a KOS, by design
-    if not np.all(np.isfinite(data[:, :7])):
-        raise RecordError("non-finite time or state in the trajectory")
+    # the final knot's wrench is nan, by design
+    if not (np.all(np.isfinite(data[:, :7])) and np.all(np.isfinite(data[:, 11]))):
+        raise RecordError("non-finite time, state or g_min in the trajectory")
     if np.any(~np.isfinite(wrenches)):
         raise RecordError("non-finite wrench rows before the final knot")
     if not np.all(np.isin(data[:, 10], (KosState.STATE_I, KosState.STATE_II))):
@@ -224,6 +218,9 @@ def read_trajectory(path) -> tuple[PlannedTrajectory, dict]:
         raise RecordError(f"trajectory record malformed: {ex}") from None
     if not (math.isfinite(plan.dt) and plan.dt > 0):
         raise RecordError("trajectory meta dt must be finite and positive")
+    # the tracker looks knots up by dt, so the times must be its multiples
+    if np.any(np.abs(times - np.arange(len(times)) * plan.dt) > 1e-9 * plan.dt):
+        raise RecordError(f"trajectory times are not k * dt (dt = {plan.dt!r})")
     if plan.x_goal.shape != (6,) or not np.all(np.isfinite(plan.x_goal)):
         raise RecordError("trajectory meta x_goal must be 6 finite values")
     if not np.all(np.isfinite([plan.theta_finish, plan.objective_value,

@@ -7,6 +7,7 @@ from proxdock.controller import pwm_schedule
 from proxdock.dynamics import (BodyParams, TargetState, ThrusterLayout,
                                default_layout, euler_matrices, euler_step,
                                total_wrench, wrap_angle)
+from proxdock.kos import KosConfig
 from proxdock.optimizer import OptProblem
 
 
@@ -243,7 +244,7 @@ def test_params_validation():
         BodyParams(inertia=0.0)
     # non-finite planner inputs are rejected where they enter the program
     kw = dict(N=2, dt=0.1, x_init=state(x=1.0), theta_finish=0.0, x_goal=state(),
-              target=TargetState(), body=BodyParams(), kos_cfg=None)
+              target=TargetState(), body=BodyParams(), kos_cfg=KosConfig())
     OptProblem(**kw)
     with pytest.raises(ValueError, match="x_init"):
         OptProblem(**{**kw, "x_init": state(x=math.nan)})

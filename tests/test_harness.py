@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from proxdock import harness, nlp, optimizer, records
+from proxdock.dynamics import TargetState
 from proxdock.harness import (ConfigError, cmd_audit, cmd_plan, cmd_sweep1,
                               cmd_sweep2, cmd_track, grid_values, load_config,
                               main)
-from proxdock.kos import KosState
+from proxdock.kos import KosConfig, KosState, signed_distance_batch
 from proxdock.optimizer import terminal_errors
 from proxdock.sim import SimConfig
 
@@ -268,16 +269,6 @@ class TestPlanTrackCli:
         np.testing.assert_array_equal(loaded.states, loaded2.states)
         np.testing.assert_array_equal(loaded.wrenches, loaded2.wrenches)
         assert loaded.objective_value == loaded2.objective_value
-        # without a keep-out zone: no primitives, and g_min is inf by design
-        p3 = out / "no_zone.txt"
-        records.write_trajectory(p3, loaded, cfg.resolved_lines(), cfg.target(), None)
-        loaded3, _ = records.read_trajectory(p3)
-        np.testing.assert_array_equal(loaded.states, loaded3.states)
-        np.testing.assert_array_equal(loaded.wrenches, loaded3.wrenches)
-        text = p3.read_text()
-        assert "# kos_primitive:" not in text
-        rows = [ln.split() for ln in text.splitlines() if not ln.startswith("#")]
-        assert len(rows) == len(loaded.times) and all(r[-1] == "inf" for r in rows)
 
     def test_track_and_audit(self, planned, tmp_path):
         out, traj = planned
@@ -434,7 +425,9 @@ class TestPlanTrackCli:
         (TRAJECTORY_ROWS.replace("0 0 0 1 0.5", "0 nan 0 1 0.5", 1),
          "non-finite wrench rows before the final knot"),
         (TRAJECTORY_ROWS.replace(" 1 0.5", " 3 0.5", 1), "kos_state must be 1 or 2"),
-    ], ids=["nan_wrench", "kos_state_3"])
+        (TRAJECTORY_ROWS.replace(" 1 0.5", " 1 inf", 1),
+         "non-finite time, state or g_min in the trajectory"),
+    ], ids=["nan_wrench", "kos_state_3", "inf_g_min"])
     def test_track_rejects_bad_trajectory_row(self, tmp_path, capsys, rows, message):
         bogus = tmp_path / "t.txt"
         bogus.write_text(TRAJECTORY_HEAD + rows)
@@ -477,7 +470,7 @@ class TestPlanTrackCli:
         ("x_goal", "nan 0 0 0 0 0"), ("x_goal", "1 2 3"),
         ("theta_finish", "inf"),
         ("objective_value", "nan"), ("objective_effort", "inf"),
-        ("dt", "fast"), ("converged", "0"), ("converged", "7"), ("converged", "-1")])
+        ("dt", "fast"), ("dt", "0.2"), ("converged", "0"), ("converged", "7"), ("converged", "-1")])
     def test_track_rejects_bad_meta_value(self, planned, tmp_path, capsys, key, value):
         out, traj = planned
         text = traj.read_text()
@@ -876,25 +869,32 @@ class TestRecordFormat:
         assert got.tobytes() == data.tobytes()
         assert back["meta"] == meta and back["config"] == config
 
-        # trajectory: n knots, n - 1 wrenches, so the final row's are nan;
-        # kos_state 1 and 2, -0.0 cells and, without a keep-out zone, g_min inf
+        # trajectory: n knots at t = k dt, n - 1 wrenches, so the final
+        # row's are nan; kos_state 1 and 2, -0.0 cells and g_min the signed
+        # distance to the zone in force
         wrenches = data[:-1, 7:10]
         sched = rng.integers(1, 3, n)
+        times = np.arange(n) * 0.1
         plan = SimpleNamespace(
-            times=data[:, 0], states=data[:, 1:7], wrenches=wrenches, kos_states=sched,
+            times=times, states=data[:, 1:7], wrenches=wrenches, kos_states=sched,
             objective_value=1.5, objective_breakdown=(1.0, 0.25, 0.25), theta_finish=0.5,
             x_goal=np.arange(6.0), dt=0.1,
             solver_stats=nlp.SolverStats(kkt_residual=1e-9, constraint_violation=0.0,
                                          message=""))
+        target, kos_cfg = TargetState(omega=0.1), KosConfig()
+        g = signed_distance_batch(data[:, 1:3], target.attitude(times), sched,
+                                  target.position, kos_cfg)
         path = tmp_path / "t.txt"
-        records.write_trajectory(path, plan, config, None, None)
-        rows = [" ".join("%.17g" % v for v in x) + " %d inf" % k
-                for x, k in zip(data[:-1, :10].tolist(), sched.tolist())]
-        rows.append(" ".join("%.17g" % v for v in data[-1, :7].tolist())
-                    + " nan nan nan %d inf" % sched[-1])
+        records.write_trajectory(path, plan, config, target, kos_cfg)
+        rows = ["%.17g " % t + " ".join("%.17g" % v for v in x) + " %d %.17g" % (k, gk)
+                for t, x, k, gk in zip(times.tolist(), data[:-1, 1:10].tolist(),
+                                       sched.tolist(), g.tolist())]
+        rows.append("%.17g " % times[-1] + " ".join("%.17g" % v for v in data[-1, 1:7].tolist())
+                    + " nan nan nan %d %.17g" % (sched[-1], g[-1]))
         head = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
         assert path.read_bytes() == ("\n".join(head + rows) + "\n").encode()
         back, _ = records.read_trajectory(path)
+        assert back.times.tobytes() == times.tobytes()
         assert back.states.tobytes() == data[:, 1:7].tobytes()
         assert back.wrenches.tobytes() == wrenches.tobytes()
         np.testing.assert_array_equal(back.kos_states, sched)

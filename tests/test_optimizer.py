@@ -28,7 +28,7 @@ def wrench(fx=0.0, fy=0.0, tau=0.0):
     return np.array([fx, fy, tau])
 
 
-def simple_problem(N=40, kos=False, **overrides):
+def simple_problem(N=40, **overrides):
     body = BodyParams()
     target = TargetState(omega=0.0)
     kw = dict(
@@ -37,7 +37,7 @@ def simple_problem(N=40, kos=False, **overrides):
         theta_finish=0.4,
         x_goal=state(x=-1.0, y=0.0, theta=0.4),
         target=target, body=body,
-        kos_cfg=KosConfig() if kos else None,
+        kos_cfg=KosConfig(),
         wrench_min=wrench(-0.1, -0.1, -0.02),
         wrench_max=wrench(0.1, 0.1, 0.02),
     )
@@ -85,7 +85,7 @@ def two_pass():
     """Pass 1 of a docking approach that ends against the keep-out circle,
     and its latched State II schedule, which drops circle knots with
     positive multipliers."""
-    p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
+    p = simple_problem(N=50, dt=0.5, x_init=state(x=-1.0, y=0.3),
                        x_goal=state(x=0.35, theta=0.4))
     sol = solve(p)
     sched = latch(classify(sol.states[:, :2], p.target.attitude(sol.times),
@@ -193,7 +193,7 @@ class TestConstraints:
         assert res["terminal"] == 0
 
     def test_knot_at_target_center_flagged(self):
-        p = simple_problem(N=4, kos=True)
+        p = simple_problem(N=4)
         states = np.tile(p.x_init, (5, 1))
         states[2, :2] = 0.0  # knot parked at the target's center
         tr, z = chain_parts(p, states, np.zeros((4, 3)))[0]
@@ -248,18 +248,19 @@ class TestLayout:
                                       np.sort(np.concatenate([states.ravel(), wrenches.ravel()])))
 
     @pytest.mark.parametrize("N", [2, 3, 50])
-    @pytest.mark.parametrize("model", ["no_kos", "all_state_i", "mixed"])
+    @pytest.mark.parametrize("model", ["all_state_i", "mixed", "all_state_ii"])
     def test_bandwidth_six(self, N, model):
-        p = simple_problem(N=N, kos=model != "no_kos")
+        p = simple_problem(N=N)
         if model == "mixed":
             p = replace(p, kos_schedule=[KosState.STATE_I] * (N // 2 + 1)
                         + [KosState.STATE_II] * (N - N // 2))
+        elif model == "all_state_ii":
+            p = replace(p, kos_schedule=[KosState.STATE_II] * (N + 1))
         tr, att = _Transcription(p, 0), _Transcription(p, 1)
         assert (len(tr.ete_band) - 1, len(att.ete_band) - 1) == (6, 3)
         # nlp puts the keep-out cross term on the first subdiagonal
         np.testing.assert_array_equal(tr.ineq_iy, tr.ineq_ix + 1)
-        if model != "no_kos":
-            assert tr.m_in > 0
+        assert tr.m_in > 0
 
 
 class TestChains:
@@ -271,7 +272,7 @@ class TestChains:
         # a schedule with both states: a State I knot has the circle row, a
         # State II knot the two lobe rows
         sched = np.where(np.arange(N + 1) % 3 == 1, KosState.STATE_II, KosState.STATE_I)
-        p = simple_problem(N=N, kos=True, kos_schedule=sched)
+        p = simple_problem(N=N, kos_schedule=sched)
         tr, att = _Transcription(p, 0), _Transcription(p, 1)
         # the chains' variables: 4 states and 2 forces, 2 states and a torque
         assert (tr.n, att.n) == (6 * N + 4, 3 * N + 2)
@@ -294,7 +295,7 @@ class TestChains:
         # a keep-out problem whose keep-out constraints are active and whose
         # torque box stays slack: its attitude columns are the solution of
         # the attitude block's equality-constrained QP, solved densely
-        p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
+        p = simple_problem(N=50, dt=0.5, x_init=state(x=-1.0, y=0.3),
                            x_goal=state(x=0.35, theta=0.4))
         sol = solve(p)
         assert np.count_nonzero(sol.multipliers[1]) + np.count_nonzero(sol.multipliers[2]) > 0
@@ -336,7 +337,7 @@ class TestValuePath:
     @pytest.mark.parametrize("mixed", [False, True], ids=["all_state_i", "mixed"])
     def test_values_equal_full_bit_for_bit(self, mixed):
         target = TargetState(omega=0.37, theta0=0.4, x=0.2, y=-0.1)
-        p = simple_problem(N=80, kos=True, target=target)
+        p = simple_problem(N=80, target=target)
         if mixed:
             sched = [KosState.STATE_I] * 30 + [KosState.STATE_II] * 20 \
                 + [KosState.STATE_I] * 10 + [KosState.STATE_II] * 21
@@ -371,7 +372,7 @@ class TestNewtonMatrix:
     @pytest.mark.parametrize("mixed", [False, True], ids=["all_state_i", "mixed"])
     def test_matches_definition_and_is_positive_definite(self, mixed):
         target = TargetState(omega=0.37, theta0=0.4, x=0.2, y=-0.1)
-        p = simple_problem(N=30, kos=True, target=target)
+        p = simple_problem(N=30, target=target)
         if mixed:
             p = replace(p, kos_schedule=[KosState.STATE_I] * 12 + [KosState.STATE_II] * 19)
         tr = _Transcription(p, 0)
@@ -423,7 +424,7 @@ class TestNewtonMatrix:
 
         monkeypatch.setattr(nlp, "cholesky_banded", chol)
         monkeypatch.setattr(nlp, "cho_solve_banded", cho_solve)
-        p = simple_problem(N=50, kos=True, dt=0.5, x_init=state(x=-1.0, y=0.3),
+        p = simple_problem(N=50, dt=0.5, x_init=state(x=-1.0, y=0.3),
                            x_goal=state(x=0.35, theta=0.4))
         tr = _Transcription(p, 0)
         z0 = tr.pack(*optimizer.default_initial_guess(p))
@@ -446,7 +447,7 @@ class TestFactorizationFailure:
 
     def test_solve_raises_not_converged(self, cholesky_fails):
         with pytest.raises(NotConvergedError) as ex:
-            solve(simple_problem(N=20, kos=True))
+            solve(simple_problem(N=20))
         assert ex.value.stats.message == "Newton matrix not positive definite"
         assert ex.value.stats.newton_iterations == 1
 
@@ -488,7 +489,7 @@ class TestFactorizationFailure:
             raise ValueError("array must not contain infs or NaNs")
         monkeypatch.setattr(nlp, "cholesky_banded", fail)
         with pytest.raises(NotConvergedError) as ex:
-            solve(simple_problem(N=20, kos=True))
+            solve(simple_problem(N=20))
         assert ex.value.stats.message == "Newton matrix holds an inf or nan"
         assert ex.value.stats.newton_iterations == 1
 
@@ -497,12 +498,17 @@ class TestLqRelaxation:
     """lq_relaxation, one banded LU solve per axis, against a dense solve of
     each chain's KKT system [2Q E^T; E 0] [z; -lam] = [-c; e]."""
 
-    @pytest.mark.parametrize("N, kos, weights", [
+    @pytest.mark.parametrize("N, scheduled, weights", [
         (2, False, {}), (7, True, {}), (40, False, dict(w_kin=0.0)),
         (60, True, dict(w_u=0.5, w_goal=3.0, dt=0.3))])
-    def test_matches_dense_kkt(self, N, kos, weights):
-        p = simple_problem(N=N, kos=kos, x_init=state(-1.5, 0.2, 0.1, 0.01, -0.02, 0.03),
+    def test_matches_dense_kkt(self, N, scheduled, weights):
+        # the relaxation drops the keep-out rows, so a State II schedule
+        # leaves it as it is
+        p = simple_problem(N=N, x_init=state(-1.5, 0.2, 0.1, 0.01, -0.02, 0.03),
                            x_goal=state(-1.0, 0.1, 0.5, 0.002, -0.001, 0.01), **weights)
+        if scheduled:
+            p = replace(p, kos_schedule=np.where(np.arange(N + 1) % 2, KosState.STATE_II,
+                                                 KosState.STATE_I))
         relax = optimizer.lq_relaxation(p)
         objective = 0.0
         for b in (0, 1):
@@ -565,7 +571,7 @@ class TestSolve:
         assert np.abs(sol.wrenches).max() <= 1e-6
 
     def test_converged_invariants(self):
-        p = simple_problem(N=50, kos=True, x_init=state(x=1.0),
+        p = simple_problem(N=50, x_init=state(x=1.0),
                            x_goal=state(x=0.6, theta=0.2), theta_finish=0.2)
         sol = solve(p)
         assert sol.solver_stats.message == "converged"
@@ -601,12 +607,12 @@ class TestSolve:
         sol = solve(p)
         assert sol.solver_stats.kkt_residual <= 1e-6
         assert sol.solver_stats.constraint_violation <= 1e-8
-        k = simple_problem(N=50, kos=True)
+        k = simple_problem(N=50)
         solve(k, solve(k))
         # the reported residual is the returned point's, recomputed from the
-        # returned multipliers, bit for bit: without and with keep-out
-        # constraints, and for a restart at a converged point, in both of
-        # each solve's solve_al runs (attitude chain, then translation chain)
+        # returned multipliers, bit for bit: for two cold solves and a
+        # restart at a converged point, in both of each solve's solve_al
+        # runs (attitude chain, then translation chain)
         assert len(seen) == 6
         for prob, (z, lam, eta, stats) in seen:
             pk = nlp.projected_kkt_residual(prob, z, lam, eta)
@@ -670,7 +676,7 @@ print(sol.solver_stats.newton_iterations,
             assert nlp.dot(a, b) == float(a @ b)
 
     def test_multiplier_shapes_checked(self):
-        p = simple_problem(N=10, kos=True)
+        p = simple_problem(N=10)
         tr = _Transcription(p, 0)
         z0 = tr.pack(*optimizer.default_initial_guess(p))
         for bad in (dict(lam0=np.zeros(3)), dict(eta0=np.zeros(tr.m_in + 1))):
@@ -680,7 +686,7 @@ print(sol.solver_stats.newton_iterations,
     def test_iteration_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(nlp, "MAX_OUTER", 2)
         with pytest.raises(NotConvergedError) as ex:
-            solve(simple_problem(N=30, kos=True))
+            solve(simple_problem(N=30))
         assert ex.value.stats.message == "iteration budget exhausted"
         assert ex.value.stats.outer_iterations == 2
 
@@ -764,7 +770,7 @@ class TestInnerExits:
     def test_cap(self, exits, monkeypatch):
         monkeypatch.setattr(nlp, "MAX_INNER", 2)
         with pytest.raises(InfeasibleError) as ex:
-            solve(simple_problem(N=30, kos=True))
+            solve(simple_problem(N=30))
         stats = ex.value.stats
         assert stats.inner_capped == sum(e == "cap" for _, _, e in exits) > 0
         assert all((nit == 2) == (e == "cap") for _, nit, e in exits if e != "stall")
@@ -773,7 +779,7 @@ class TestInnerExits:
     def test_cap_ranks_above_tol(self, exits, monkeypatch):
         # a restart at a converged point meets the tolerance at once, but
         # with MAX_INNER = 0 its inner loop ends as a cap
-        p = simple_problem(N=50, kos=True)
+        p = simple_problem(N=50)
         first = solve(p)
         monkeypatch.setattr(nlp, "MAX_INNER", 0)
         again = solve(p, first).solver_stats
@@ -863,7 +869,7 @@ class TestClosedFormTrials:
     def test_step_across_a_wrench_bound_is_clipped(self, monkeypatch):
         # a box too tight for the maneuver: steps cross wrench bounds, and
         # those trials are clipped into the box and evaluated whole
-        p = simple_problem(N=40, kos=True, wrench_min=wrench(-0.004, -0.004, -0.02),
+        p = simple_problem(N=40, wrench_min=wrench(-0.004, -0.004, -0.02),
                            wrench_max=wrench(0.004, 0.004, 0.02))
         tr = _Transcription(p, 0)
         inside = lambda zt: bool(np.all((tr.lb <= zt) & (zt <= tr.ub)))
@@ -1020,7 +1026,7 @@ class TestWarmMultipliers:
     the multiplier loop from them."""
 
     def test_resolve_from_own_plan(self, monkeypatch):
-        p = simple_problem(N=50, kos=True)
+        p = simple_problem(N=50)
         first = solve(p)
         again = solve(p, first).solver_stats
         # the start is tested with its own multipliers before the first
@@ -1098,28 +1104,6 @@ class TestWarmMultipliers:
         with pytest.raises(ValueError, match="N = 50"):
             solve(replace(p, N=60), sol)
         assert len(seen) == 2
-
-    def test_keep_out_model_change_restarts_multipliers(self, monkeypatch):
-        # a guess from a problem with another constraint set hands over its
-        # primal only, in either direction
-        with_kos, without = simple_problem(N=50, kos=True), simple_problem(N=50)
-        sol, free = solve(with_kos), solve(without)
-        seen = []
-        real = optimizer.solve_al
-
-        def spy(prob, z0, **kwargs):
-            seen.append(kwargs)
-            return real(prob, z0, **kwargs)
-
-        monkeypatch.setattr(optimizer, "solve_al", spy)
-        again = solve(without, sol)
-        assert again.solver_stats.message == "converged"
-        assert again.multipliers[1].shape == (0,) and again.multipliers[2].shape == (2, 0)
-        assert solve(with_kos, free).solver_stats.message == "converged"
-        assert seen == [{}] * 4
-        # the same model hands them over
-        solve(with_kos, sol)
-        assert ["eta0" in kw for kw in seen[4:]] == [True, True]
 
     def test_failed_pass2_keeps_pass1_plan(self, monkeypatch):
         real = optimizer.solve
