@@ -389,6 +389,9 @@ def cmd_plan(config_path, out_dir):
 
     state_ii = np.flatnonzero(best.kos_states == KosState.STATE_II)
     switch = float(best.times[state_ii[0]]) if len(state_ii) else None
+    # the angle swept about the target centre from the first knot to the last
+    rel = best.states[:, :2] - cfg.target().position
+    bearing = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
     lines = [
         "proxdock plan summary",
         f"  chosen duration      : {best.times[-1]:.2f} s "
@@ -399,6 +402,7 @@ def cmd_plan(config_path, out_dir):
         f"    kinetic term       : {rec['kinetic']:.6g}",
         f"    effort term        : {rec['effort']:.6g}",
         f"  KOS switch to II     : {'%.2f s' % switch if switch is not None else 'never'}",
+        f"  winding about target : {bearing[-1] - bearing[0]:+.3f} rad",
         f"  terminal pos error   : {rec['pos_err']:.6g} m",
         f"  terminal att residual: {rec['att_err']:.3g} rad",
         f"  solver               : {best.solver_stats.outer_iterations} outer / "
@@ -411,17 +415,22 @@ def cmd_plan(config_path, out_dir):
         f"  wall time            : {wall:.2f} s",
         "  candidates:",
     ]
-    # each candidate's LQ bound, then its plan's J, "pruned" when the bound
-    # exceeded the best J found, or its pass-1 failure
+    # each candidate's LQ bound, then its plan's J and what its pass 2 did,
+    # "pruned" when the bound exceeded the best J found, or its pass-1 failure
     for c in cands:
         line = f"    T={c.duration:8.2f} s  bound={c.bound:.6g}  "
-        if c.plan is not None:
-            line += f"J={c.plan.objective_value:.6g}"
-            if c.plan.pass2_failure is not None:
-                line += f"  (pass 2 failed: {c.plan.pass2_failure}; pass-1 plan)"
+        if c.plan is None:
+            lines.append(line + ("pruned" if c.pruned else f"pass 1 failed: {c.failure}"))
+            continue
+        p2 = c.plan.pass2
+        if p2 is None:
+            did = "pass 2: " + ("kept pass 1" if KosState.STATE_II in c.plan.kos_states
+                                else "no State II knot")
+        elif p2.message == "converged":
+            did = f"pass 2: {p2.outer_iterations} outer / {p2.newton_iterations} newton"
         else:
-            line += "pruned" if c.pruned else f"pass 1 failed: {c.failure}"
-        lines.append(line)
+            did = f"pass 2 failed: {p2.message}; pass-1 plan"
+        lines.append(line + f"J={c.plan.objective_value:.6g}  ({did})")
     summary = out / "plan_summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))

@@ -83,27 +83,13 @@ AL-gradient norm is the final point's projected KKT residual.
 
 Warm start: lam0, eta0 and mu0 restart the outer loop from an earlier
 solve's multipliers instead of zeros and the default penalty MU0.  The
-planner starts each pass-1 solve from lam0 alone: its LQ relaxation's
-equality multipliers, with eta at zero and mu at MU0.  Over the solver grid
-of tests/test_grid.py that cut Newton steps by a tenth (13 382 -> 11 978
-without the planner's pruning), no point moving beyond the grid's 1e-5
-gate; but it selects among local optima: over the default sweep2, 7 of 480
-points moved, 5 of them to worse ones.  The planner also restarts its
-pass-2 re-solve, which keeps the equality rows of pass 1 and, at the State
-II knots, swaps the circle row for the two lobe rows, restarted at
-multiplier zero.  The added rows are feasible at the pass-1 point: each
-lobe value is at least the circle value / r_safe^2, so it is >= 0 wherever
-the circle value is (see kos).  With a zero multiplier
-they are complementary too and add nothing to stationarity.  So if the
-dropped circle rows were inactive at the pass-1 optimum (multiplier zero),
-the pass-1 point with the remaining multipliers already satisfies pass 2's
-KKT conditions, and the inner loop exits at once.  When it took no step
-and the start meets FEAS_TOL on the violation and on the complementarity
-measure max|min(g, eta/mu)|, the start's projected KKT residual is tested
-with the given lam0/eta0 before the first multiplier update, which would
-move lam by mu0 h (h the pass-1 equality residual) and can lift that
-residual above KKT_TOL.  So a restart at a converged point returns it after
-one outer iteration and 0 Newton steps.
+planner starts each pass-1 solve from its LQ relaxation's equality
+multipliers, which saves Newton steps but selects among local optima (see
+CHANGES.md), and restarts pass 2 from pass 1's, its lobe rows at zero.
+Whether pass 2 runs at all is the planner's decision (optimizer.plan), so
+this loop has no special case for a start at a KKT point: its first
+multiplier update moves lam by mu0 h, h the start's equality residual, and
+the solve goes on from there.
 
 The problem object must expose::
 
@@ -146,11 +132,9 @@ MAX_OUTER = 500    # multiplier/penalty updates before NotConvergedError
 MAX_INNER = 200    # Newton steps per inner loop
 MU_MAX = 1e12      # penalty ceiling
 
-# Penalty of a cold start.  From mu = 10 both nominal pass-1 solves raised it
-# three times, to 1e4, before their first multiplier update.  Over a
-# 25-point sweep1/sweep2 grid, starting at 10, 1e2, 1e3 and 1e4 took 12 331,
-# 11 998, 11 533 and 11 316 Newton steps, all with the same chosen
-# durations.
+# Penalty of a cold start.  From a lower one the first inner loops raise it
+# before the first multiplier update, at a cost in Newton steps (measured in
+# CHANGES.md).
 MU0 = 1e3
 
 # Contraction the violation measure must reach from one multiplier update to
@@ -158,12 +142,8 @@ MU0 = 1e3
 # measure is already within 100 FEAS_TOL (Bertsekas, Constrained
 # Optimization and Lagrange Multiplier Methods, 2.2; Birgin & Martinez,
 # Practical Augmented Lagrangian Methods, Alg. 4.1).  1/4 is the textbook
-# value.  Over the solver grid of tests/test_grid.py, its 25 sweep points and
-# the nominal config took 11 965 Newton steps before this rule and the
-# closed-form trials; with both, 0.1, 1/4 and 1/2 took 8 933, 9 870 and
-# 11 827, all with the same durations and objectives within 1e-5 relative.
-# Without the floor three of the grid's 29 points moved and sweep2 240 deg,
-# omega 1.5 no longer converged.
+# value.  Without the floor, raises near convergence cost a solver-grid
+# point its convergence (see CHANGES.md).
 CONTRACTION = 0.25
 
 # a closed-form line-search trial must lower the merit by more than this
@@ -389,16 +369,6 @@ def _projected_grad(z, grad, lb, ub):
     return float(np.max(pg, initial=0.0)), pinned
 
 
-def projected_kkt_residual(prob, z, lam, eta) -> float:
-    """Stationarity of the Lagrangian projected onto the box bounds."""
-    _, grad = _objective(prob, z)
-    r = grad - prob.E.rmatvec(lam)
-    _, gx, gy = prob.ineq_full(z)
-    np.add.at(r, prob.ineq_ix, -eta * gx)
-    np.add.at(r, prob.ineq_iy, -eta * gy)
-    return _projected_grad(z, r, prob.lb, prob.ub)[0]
-
-
 def _assemble_banded(prob, m: _Multipliers, ineq, base):
     """base (diag + mu EtE) plus mu grad g grad g^T of the active inequalities."""
     # column-major, as LAPACK stores it, so cholesky_banded factors this
@@ -569,16 +539,6 @@ def solve_al(prob, z0, *, mu0=MU0, lam0=None, eta0=None):
         v_measure = max(hinf, mixed)
         stats.constraint_violation = viol
         stats.mu_final = m.mu
-
-        if outer == 0 and nit == 0 and v_measure <= FEAS_TOL:
-            # a feasible, complementary start (v_measure bounds viol too):
-            # test it with the given multipliers before the first update
-            # moves them
-            pk = projected_kkt_residual(prob, z, m.lam, m.eta)
-            if pk <= KKT_TOL:
-                stats.kkt_residual = pk
-                stats.message = "converged"
-                return z, m.lam, m.eta, stats
 
         raise_mu = v_measure > feas_target
         if not raise_mu:

@@ -23,9 +23,7 @@ attitude chain, [theta, omega, tau] with the initial theta and omega rows,
 their Euler defects, the terminal-theta row and the torque box, is a
 box-constrained QP that nlp.solve_al solves with no keep-out constraint; the
 augmented-Lagrangian loop then runs on the translation chain, [x, y, vx,
-vy, Fx, Fy] with the keep-out constraints.  A pass-2 re-solve changes only
-the keep-out schedule, so its warm restart of the attitude chain returns
-the pass-1 columns after one outer iteration and no Newton step.
+vy, Fx, Fy] with the keep-out constraints.
 
 The maneuver duration (a float, in seconds) is picked from
 rotation-phase-consistent candidates by bound and prune (see plan).  Each
@@ -33,23 +31,23 @@ candidate's LQ relaxation, the problem without the wrench box and the
 keep-out rows, is solved exactly (lq_relaxation); its objective bounds the
 candidate's plans from below.  The candidates are solved in ascending bound
 order, each from the default initial guess and its relaxation's equality
-multipliers (twice when the final-approach relaxation engages, the second
-pass restarting at the same N from the first's primal and multipliers).  A
-candidate whose bound exceeds the best objective found is skipped, and the
-lowest-objective converged solution wins.
+multipliers; plan then decides whether it needs a pass 2 under the State II
+schedule.  A candidate whose bound exceeds the best objective found is
+skipped, and the lowest-objective converged solution wins.
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import kos as koslib
 from .dynamics import BodyParams, TargetState, euler_matrices, wrap_angle
 from .kos import KosConfig, KosState
-from .nlp import (Csr, InfeasibleError, NotConvergedError, SolverStats, lu_solve_banded,
-                  solve_al)
+from .nlp import (FEAS_TOL, Csr, InfeasibleError, NotConvergedError, SolverStats,
+                  lu_solve_banded, solve_al)
 
 __all__ = [
     "OptProblem", "PlannedTrajectory", "AllCandidatesFailed", "Candidate", "LqRelaxation",
@@ -123,15 +121,12 @@ class PlannedTrajectory:
 
     states rows are [x, y, theta, vx, vy, omega]; wrenches rows [Fx, Fy, tau]
     in the inertial frame; kos_states is the per-knot KosState int array.
-    multipliers is the solve's final (lam, circle eta, lobe eta, mu_final):
-    lam is the pair (translation, attitude) of the chains' equality-row
-    multipliers, indexed as _Transcription's b; the keep-out multipliers
-    are per knot, shape (N+1,) for the circle and (2, N+1) for the lobes
-    (positive side first), zero where a knot has no such row, so they carry
-    over to pass 2's rows.  solve restarts from them when it is given this
-    plan as its initial guess; plans read from a file have None.
-    pass2_failure is the solver message of a failed pass-2 re-solve (see
-    `plan`), whose pass-1 plan this then is; None otherwise.
+    restart is what solve needs to restart from this plan (see _Restart),
+    None on plans read from a file or returned by plan.  pass2 records what
+    plan's pass 2 did: the stats of the translation run that re-solved this
+    plan, or of a failed one, whose pass-1 plan this then is; None where
+    pass 2 did not run, and then kos_states holds State II knots only if
+    the pass-1 plan already met pass 2's KKT conditions (see plan).
     """
 
     times: np.ndarray
@@ -144,12 +139,28 @@ class PlannedTrajectory:
     x_goal: np.ndarray
     theta_finish: float
     dt: float
-    multipliers: tuple | None = None
-    pass2_failure: str | None = None
+    restart: _Restart | None = None
+    pass2: SolverStats | None = None
 
     @property
     def N(self) -> int:
         return len(self.wrenches)
+
+
+@dataclass(frozen=True)
+class _Restart:
+    """What solve takes from a plan to restart it under another keep-out
+    schedule: the problem and translation chain it solved, the chain's
+    equality multipliers, circle multipliers per knot (zero where a knot
+    has no circle row) and final penalty, and the stats of the attitude run
+    that produced its theta, omega and tau columns, which a restart keeps."""
+
+    problem: OptProblem
+    chain: _Transcription
+    lam: np.ndarray
+    circle_eta: np.ndarray
+    mu: float
+    attitude: SolverStats
 
 
 def terminal_errors(plan: PlannedTrajectory, state) -> tuple[float, float]:
@@ -268,28 +279,35 @@ class _Transcription:
             rhs.append([problem.theta_finish])
         self.e_rhs = np.concatenate(rhs)
 
-        # keep-out constraints, on the translation chain only, and only those
-        # that can bind: the circle at the State I knots, then each lobe at
-        # the State II knots, the positive side first.  The lobes lie inside
-        # the circle (see kos), so a State I knot needs no lobe row, and a
-        # pass-1 problem (no schedule) has none.  The attitude chain's knot
-        # sets are empty, so its m_in is 0 and ineq_full and ineq_values
-        # return empty arrays.
-        knots = np.arange(N + 1 if b == 0 else 0)
-        sched = (np.full(len(knots), KosState.STATE_I) if problem.kos_schedule is None
+        self._keep_out_rows(problem, N + 1 if b == 0 else 0)
+
+    def _keep_out_rows(self, problem: OptProblem, n_knots: int) -> None:
+        """The keep-out rows of problem's first n_knots knots (none on the
+        attitude chain, whose m_in is then 0) that can bind: the circle at the
+        State I knots, then each lobe at the State II knots, positive side
+        first.  The lobes lie inside the circle (see kos)."""
+        knots = np.arange(n_knots)
+        sched = (np.full(n_knots, KosState.STATE_I) if problem.kos_schedule is None
                  else problem.kos_schedule[knots])
         self._circle_knots = knots[sched == KosState.STATE_I]
         self._lobe_knots = lobe_knots = knots[sched == KosState.STATE_II]
-        th = problem.target.attitude(lobe_knots * dt)
+        th = problem.target.attitude(lobe_knots * problem.dt)
         self._rs = koslib.r_safe(problem.kos_cfg)
         self._lobe_sides = np.repeat([1.0, -1.0], len(lobe_knots))
         self._lobe_cos = np.tile(np.cos(th), 2)
         self._lobe_sin = np.tile(np.sin(th), 2)
         self._center = problem.target.position
         knots_all = np.concatenate([self._circle_knots, lobe_knots, lobe_knots])
-        self.ineq_ix = pos[knots_all, 0]
-        self.ineq_iy = pos[knots_all, 1]
+        self.ineq_ix = self._w * knots_all
+        self.ineq_iy = self.ineq_ix + 1
         self.m_in = len(knots_all)
+
+    def rescheduled(self, problem: OptProblem) -> _Transcription:
+        """A copy with problem's keep-out rows, sharing every other row and
+        array; problem may differ from this chain's in kos_schedule alone."""
+        chain = copy.copy(self)
+        chain._keep_out_rows(problem, problem.N + 1)
+        return chain
 
     def pack(self, states, wrenches) -> np.ndarray:
         """The chain's z of knot states (N+1, 6) and wrenches (N, 3)."""
@@ -466,9 +484,8 @@ def default_initial_guess(problem: OptProblem) -> tuple[np.ndarray, np.ndarray]:
     return states, np.zeros((N, 3))
 
 
-# Penalty ceiling for a same-N warm start.  Pass 1 ends at mu 1e6-1e8.  Over
-# the nominal plan and three sweep points, restarting at 1e4, 1e6 or the
-# uncapped mu_final took 9-17 % more Newton steps than at 1e5.
+# Penalty ceiling of a pass-2 restart: starting at pass 1's far higher final
+# penalty costs Newton steps (measured in CHANGES.md).
 _WARM_MU_CAP = 1e5
 
 
@@ -476,64 +493,57 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
           lam0: tuple | None = None) -> PlannedTrajectory:
     """Solve one transcription to a local optimum within nlp's FEAS_TOL and KKT_TOL.
 
-    Without a guess the solve starts from default_initial_guess.  A guess
-    must be a plan at the problem's N (another N raises ValueError); its
-    knots give the primal start, and when it carries multipliers the
-    multiplier loop restarts from them, with the penalty capped at
-    _WARM_MU_CAP.  Otherwise lam0, a pair of equality-row multipliers
-    (translation, attitude) such as LqRelaxation.lam, starts the multiplier
-    loop at the penalty nlp.MU0, the keep-out multipliers at zero; without
-    it every multiplier starts at zero.
+    Without a guess the solve starts from default_initial_guess and solves
+    the cheap attitude chain first, so that a hopeless solve ends soonest,
+    then the translation chain (see the module docstring).  lam0, a pair of
+    equality-row multipliers (translation, attitude) such as
+    LqRelaxation.lam, starts the multiplier loop at the penalty nlp.MU0;
+    without it every multiplier starts at zero.  A guess, a plan that solve
+    returned for this problem but for kos_schedule (plan decides when pass
+    2 needs one), restarts the translation chain alone from its restart
+    state, the penalty capped at _WARM_MU_CAP, and keeps its attitude
+    columns; any other guess raises ValueError.
 
-    The attitude chain is solved first, then the translation chain (see the
-    module docstring).  The plan's solver_stats sum the two runs' iteration,
-    stall, cap and penalty-raise counts and take the larger KKT residual and
-    violation; mu_final is the translation chain's.
+    The plan's solver_stats sum the counts of the attitude run and the
+    translation run that produced its columns, and take the larger KKT
+    residual and violation; mu_final is the translation run's.
 
     Raises NotConvergedError / InfeasibleError (from proxdock.nlp) on
     failure, with the stats of the chain that failed.
     """
-    chains = _Transcription(problem, 0), _Transcription(problem, 1)
-    trans = chains[0]
-    warm = None
     if initial_guess is None:
-        guess = default_initial_guess(problem)
-    elif initial_guess.N != problem.N:
-        raise ValueError(f"initial guess has N = {initial_guess.N}, "
-                         f"the problem has N = {problem.N}")
+        states, wrenches = default_initial_guess(problem)
+        attitude = _Transcription(problem, 1)
+        z_a, _, _, att = solve_al(attitude, attitude.pack(states, wrenches),
+                                  **({} if lam0 is None else dict(lam0=lam0[1])))
+        attitude.unpack(z_a, states, wrenches)
+        chain = _Transcription(problem, 0)
+        kw = {} if lam0 is None else dict(lam0=lam0[0])
     else:
-        guess = initial_guess.states, initial_guess.wrenches
-        if initial_guess.multipliers is not None:
-            lam, circle_eta, lobe_eta, mu_final = initial_guess.multipliers
-            eta0 = np.concatenate([circle_eta[trans._circle_knots],
-                                   lobe_eta[:, trans._lobe_knots].ravel()])
-            warm = lam, eta0, min(mu_final, _WARM_MU_CAP)
-    runs = [None, None]
-    # the cheap attitude chain first, so a hopeless solve ends soonest; the
-    # translation chain holds every keep-out constraint (the attitude chain's
-    # m_in is 0), runs last and leaves eta, their multipliers
-    for b in (1, 0):
-        if warm is not None:
-            kw = dict(lam0=warm[0][b], eta0=warm[1][:chains[b].m_in], mu0=warm[2])
-        else:
-            kw = {} if lam0 is None else dict(lam0=lam0[b])
-        runs[b] = solve_al(chains[b], chains[b].pack(*guess), **kw)
-    (z_t, lam_t, eta, stats), (z_a, lam_a, _, att) = runs
+        r = initial_guess.restart
+        if r is None:
+            raise ValueError("initial guess holds no restart state, as a plan read from a file")
+        differ = [f.name for f in fields(OptProblem) if f.name != "kos_schedule"
+                  and not np.array_equal(getattr(r.problem, f.name), getattr(problem, f.name))]
+        if differ:
+            raise ValueError(f"initial guess solves another problem: {', '.join(differ)} differ")
+        states, wrenches = initial_guess.states.copy(), initial_guess.wrenches.copy()
+        att = r.attitude
+        chain = r.chain.rescheduled(problem)
+        eta0 = np.zeros(chain.m_in)
+        eta0[:len(chain._circle_knots)] = r.circle_eta[chain._circle_knots]
+        kw = dict(lam0=r.lam, eta0=eta0, mu0=min(r.mu, _WARM_MU_CAP))
+    z_t, lam_t, eta, run = solve_al(chain, chain.pack(states, wrenches), **kw)
+    chain.unpack(z_t, states, wrenches)
     stats = replace(
-        stats, **{k: getattr(att, k) + getattr(stats, k) for k in
-                  ("outer_iterations", "newton_iterations", "inner_stalls", "inner_capped",
-                   "mu_raises")},
-        kkt_residual=max(att.kkt_residual, stats.kkt_residual),
-        constraint_violation=max(att.constraint_violation, stats.constraint_violation))
-    states, wrenches = np.empty((problem.N + 1, 6)), np.empty((problem.N, 3))
-    for tr, z in zip(chains, (z_t, z_a)):
-        tr.unpack(z, states, wrenches)
+        run, **{k: getattr(att, k) + getattr(run, k) for k in
+                ("outer_iterations", "newton_iterations", "inner_stalls", "inner_capped",
+                 "mu_raises")},
+        kkt_residual=max(att.kkt_residual, run.kkt_residual),
+        constraint_violation=max(att.constraint_violation, run.constraint_violation))
     terms = breakdown(problem, states, wrenches)
-    nc = len(trans._circle_knots)
     circle_eta = np.zeros(problem.N + 1)
-    circle_eta[trans._circle_knots] = eta[:nc]
-    lobe_eta = np.zeros((2, problem.N + 1))
-    lobe_eta[:, trans._lobe_knots] = eta[nc:].reshape(2, -1)
+    circle_eta[chain._circle_knots] = eta[:len(chain._circle_knots)]
     return PlannedTrajectory(
         times=np.arange(problem.N + 1) * problem.dt,
         states=states,
@@ -546,7 +556,8 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         x_goal=problem.x_goal,
         theta_finish=problem.theta_finish,
         dt=problem.dt,
-        multipliers=((lam_t, lam_a), circle_eta, lobe_eta, stats.mu_final),
+        restart=_Restart(problem, chain, lam_t, circle_eta, run.mu_final, att),
+        pass2=None if initial_guess is None else run,
     )
 
 
@@ -628,6 +639,19 @@ class Candidate:
         return self.plan is None and self.failure is None
 
 
+def _answers_pass2(sol: PlannedTrajectory, problem: OptProblem) -> bool:
+    """Whether sol, a pass-1 plan, meets the KKT conditions of problem, its
+    pass 2, as it stands: when the circle rows that pass 2 drops had
+    multiplier 0, and the lobe rows it adds, at multiplier 0, hold to
+    FEAS_TOL, stationarity and complementarity are pass 1's."""
+    r = sol.restart
+    if np.any(r.circle_eta[problem.kos_schedule == KosState.STATE_II]):
+        return False
+    chain = r.chain.rescheduled(problem)
+    g = chain.ineq_values(chain.pack(sol.states, sol.wrenches))
+    return bool(np.all(g[len(chain._circle_knots):] >= -FEAS_TOL))
+
+
 def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
          *, min_duration: float = 5.0, static_durations=(20.0, 40.0, 60.0, 80.0),
          capture_offset: float = 0.05, goal_corotate: bool = False,
@@ -640,13 +664,15 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
     order, and one whose bound exceeds the best objective found so far by
     more than PRUNE_RTOL (and the tie tolerance) is skipped: it cannot win.
     Each solved candidate's pass 1 starts from default_initial_guess with
-    its relaxation's equality multipliers.  Each converged solution whose
-    knots trigger the final-approach classification is re-solved with the
-    relaxed State II schedule latched from first satisfaction; a failed
-    re-solve keeps the pass-1 plan and records the failure in its
-    pass2_failure.  candidates holds one Candidate per duration, ascending;
-    best is the converged plan with the lowest objective, ties going to the
-    shortest duration, which a pruned candidate can never be.
+    its relaxation's equality multipliers.  When its knots trigger the
+    final-approach classification, the relaxed State II schedule latched
+    from first satisfaction makes a pass 2: a pass-1 plan that already meets
+    its KKT conditions (_answers_pass2) is kept, with the schedule as its
+    kos_states; any other is restarted by solve, and a failed restart keeps
+    the pass-1 plan and records the failure in its pass2.  candidates holds
+    one Candidate per duration, ascending; best is the converged plan with
+    the lowest objective, ties going to the shortest duration, which a
+    pruned candidate can never be.
     """
     target = template.target
     if target.omega == 0.0 and abs(wrap_angle(theta_approach - target.theta0)) > 1e-9:
@@ -699,12 +725,16 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
                             target.position, template.kos_cfg),
             int(round(latch_delay / template.dt)))
         if KosState.STATE_II in sched:
-            try:
-                sol = solve(replace(prob1, kos_schedule=sched), sol)
-            except (NotConvergedError, InfeasibleError) as ex:
-                # keep the conservative pass-1 plan, and say why
-                sol = replace(sol, pass2_failure=ex.stats.message)
-        cands[i] = replace(cands[i], plan=sol)
+            prob2 = replace(prob1, kos_schedule=sched)
+            if _answers_pass2(sol, prob2):
+                sol = replace(sol, kos_states=prob2.kos_schedule)
+            else:
+                try:
+                    sol = solve(prob2, sol)
+                except (NotConvergedError, InfeasibleError) as ex:
+                    # keep the conservative pass-1 plan, and say why
+                    sol = replace(sol, pass2=ex.stats)
+        cands[i] = replace(cands[i], plan=replace(sol, restart=None))
         best_j = min(best_j, sol.objective_value)
 
     best = None

@@ -237,12 +237,48 @@ class TestPlanTrackCli:
         assert "KOS switch" in text and "objective" in text
         solver = next(line for line in text.splitlines() if "solver" in line)
         assert " capped inner loops, " in solver and " penalty raises), kkt " in solver
-        # each candidate with its LQ bound, then its J or "pruned"
+        # each candidate with its LQ bound, then its J and what its pass 2
+        # did, or "pruned"; the nominal plan's pass 1 ends against the circle
+        # where its State II knots begin, so pass 2 re-solves it
         assert "s (of 2 candidates: 1 solved, 1 pruned)" in text
         lines = text.splitlines()
         short, chosen = lines[lines.index("  candidates:") + 1:]
         assert re.fullmatch(r"    T= +23\.60 s  bound=\S+  pruned", short)
-        assert re.fullmatch(r"    T= +86\.40 s  bound=\S+  J=0\.6378\d*", chosen)
+        assert re.fullmatch(r"    T= +86\.40 s  bound=\S+  J=0\.6378\d*  "
+                            r"\(pass 2: [1-9]\d* outer / [1-9]\d* newton\)", chosen)
+
+    def test_summary_winding_about_target(self, planned):
+        # the unwrapped bearing of the knots about the target centre (the
+        # origin), last minus first, recomputed from the trajectory record
+        # knot by knot
+        out, traj = planned
+        text = (out / "plan_summary.txt").read_text()
+        winding = re.search(r"^  winding about target : (\S+) rad$", text, re.M).group(1)
+        assert winding == "+2.351"
+        cols = records.TRAJECTORY_COLUMNS
+        data = np.loadtxt(traj)
+        bearing = np.arctan2(data[:, cols.index("y")], data[:, cols.index("x")])
+        swept = 0.0
+        for a, b in zip(bearing, bearing[1:]):
+            swept += (b - a + math.pi) % (2.0 * math.pi) - math.pi
+        assert winding == f"{swept:+.3f}"
+
+    def test_plan_summary_says_pass_2_kept(self, tmp_path, monkeypatch):
+        # sweep1's point omega = 1.07, f_thr = 0.12: both candidates' pass-1
+        # plans reach State II clear of the circle, so each is kept as its
+        # plan, and the two pass-1 solves' four solve_al runs are all it takes
+        cfg = write(tmp_path, "target.omega = 1.07\nlayout.f_thr = 0.12\n"
+                    "opt.goal_corotate = true\nopt.min_duration = auto\n")
+        runs = []
+        real = optimizer.solve_al
+        monkeypatch.setattr(optimizer, "solve_al",
+                            lambda prob, z0, **kw: runs.append(prob) or real(prob, z0, **kw))
+        cmd_plan(cfg, tmp_path)
+        lines = (tmp_path / "plan_summary.txt").read_text().splitlines()
+        candidates = lines[lines.index("  candidates:") + 1:]
+        assert len(candidates) == 2
+        assert all(line.endswith("  (pass 2: kept pass 1)") for line in candidates)
+        assert len(runs) == 4
 
     def test_summary_switch_time_is_first_state_ii_knot(self, planned):
         out, traj = planned
@@ -396,7 +432,7 @@ class TestPlanTrackCli:
         lines = (tmp_path / "plan_summary.txt").read_text().splitlines()
         candidates = lines[lines.index("  candidates:") + 1:]
         # the 23.6 s candidate never reaches State II, so it has no pass 2
-        assert not candidates[0].endswith(")")
+        assert candidates[0].endswith("  (pass 2: no State II knot)")
         assert candidates[1].endswith("  (pass 2 failed: forced; pass-1 plan)")
         assert len(candidates) == 2
 

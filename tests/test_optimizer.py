@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from proxdock.dynamics import BodyParams, TargetState, euler_step, wrap_angle
 from proxdock.kos import (BLEND_BAND, KosConfig, KosState, classify, latch, r_safe,
                           signed_distance_batch)
-from proxdock import harness, nlp, optimizer
+from proxdock import harness, nlp, optimizer, records
 from proxdock.nlp import InfeasibleError, NotConvergedError
 from proxdock.optimizer import (AllCandidatesFailed, OptProblem, build_goal_state,
                                 duration_candidates, plan, solve)
@@ -91,7 +91,7 @@ def two_pass():
     sched = latch(classify(sol.states[:, :2], p.target.attitude(sol.times),
                            p.target.position, p.kos_cfg))
     assert KosState.STATE_I in sched and KosState.STATE_II in sched
-    assert np.any(sol.multipliers[1][sched == KosState.STATE_II] > 0)
+    assert np.any(sol.restart.circle_eta[sched == KosState.STATE_II] > 0)
     return p, sol, sched
 
 
@@ -298,7 +298,7 @@ class TestChains:
         p = simple_problem(N=50, dt=0.5, x_init=state(x=-1.0, y=0.3),
                            x_goal=state(x=0.35, theta=0.4))
         sol = solve(p)
-        assert np.count_nonzero(sol.multipliers[1]) + np.count_nonzero(sol.multipliers[2]) > 0
+        assert np.count_nonzero(sol.restart.circle_eta) > 0
         assert np.max(np.abs(sol.wrenches[:, 2])) < 0.5 * p.wrench_max[2]
         tr = _Transcription(p, 1)
         A = scipy_csr(tr.E).toarray()
@@ -594,7 +594,17 @@ class TestSolve:
         # breakdown consistency
         assert sum(sol.objective_breakdown) == pytest.approx(sol.objective_value, rel=1e-9)
 
-    def test_kkt_and_feasibility_reported(self, monkeypatch):
+    @staticmethod
+    def projected_kkt_residual(prob, z, lam, eta) -> float:
+        """Stationarity of the Lagrangian projected onto the box bounds."""
+        _, grad = nlp._objective(prob, z)
+        r = grad - prob.E.rmatvec(lam)
+        _, gx, gy = prob.ineq_full(z)
+        np.add.at(r, prob.ineq_ix, -eta * gx)
+        np.add.at(r, prob.ineq_iy, -eta * gy)
+        return nlp._projected_grad(z, r, prob.lb, prob.ub)[0]
+
+    def test_kkt_and_feasibility_reported(self, two_pass, monkeypatch):
         seen = []
         real = optimizer.solve_al
 
@@ -607,15 +617,16 @@ class TestSolve:
         sol = solve(p)
         assert sol.solver_stats.kkt_residual <= 1e-6
         assert sol.solver_stats.constraint_violation <= 1e-8
-        k = simple_problem(N=50)
-        solve(k, solve(k))
+        solve(simple_problem(N=50))
+        p2, sol2, sched = two_pass
+        solve(replace(p2, kos_schedule=sched), sol2)
         # the reported residual is the returned point's, recomputed from the
-        # returned multipliers, bit for bit: for two cold solves and a
-        # restart at a converged point, in both of each solve's solve_al
-        # runs (attitude chain, then translation chain)
-        assert len(seen) == 6
+        # returned multipliers, bit for bit: for two cold solves, in both of
+        # their solve_al runs (attitude chain, then translation chain), and
+        # a pass-2 restart, in its one (translation chain)
+        assert len(seen) == 5
         for prob, (z, lam, eta, stats) in seen:
-            pk = nlp.projected_kkt_residual(prob, z, lam, eta)
+            pk = self.projected_kkt_residual(prob, z, lam, eta)
             assert stats.kkt_residual.hex() == pk.hex()
 
     def test_weight_scaling_preserves_kkt_points(self):
@@ -626,7 +637,8 @@ class TestSolve:
         p2 = replace(p, w_goal=p.w_goal * c, w_u=p.w_u * c, w_kin=p.w_kin * c)
         assert objective_value(p2, sol.states, sol.wrenches) == pytest.approx(
             c * sol.objective_value, rel=1e-9)
-        sol2 = solve(p2, sol)
+        # a solve of its own: a restart takes a plan of the same problem only
+        sol2 = solve(p2)
         np.testing.assert_allclose(sol2.states, sol.states, atol=5e-5)
         np.testing.assert_allclose(sol2.wrenches, sol.wrenches, atol=5e-5)
 
@@ -777,16 +789,23 @@ class TestInnerExits:
         assert stats.newton_iterations == sum(nit for _, nit, _ in exits)
 
     def test_cap_ranks_above_tol(self, exits, monkeypatch):
-        # a restart at a converged point meets the tolerance at once, but
-        # with MAX_INNER = 0 its inner loop ends as a cap
+        # a restart at a converged point, from its multipliers at a penalty
+        # too small for the first update's mu0 h to move them past KKT_TOL,
+        # meets the tolerance at once, but with MAX_INNER = 0 its inner loop
+        # ends as a cap; one such restart per chain
         p = simple_problem(N=50)
-        first = solve(p)
+        starts = []
+        for b in (1, 0):
+            tr = _Transcription(p, b)
+            z, lam, eta, _ = nlp.solve_al(tr, tr.pack(*optimizer.default_initial_guess(p)))
+            starts.append((tr, z, lam, eta))
         monkeypatch.setattr(nlp, "MAX_INNER", 0)
-        again = solve(p, first).solver_stats
-        # one such inner loop per chain
-        assert exits[-2:] == [(1, 0, "cap")] * 2
-        assert (again.outer_iterations, again.newton_iterations, again.inner_capped) == (2, 0, 2)
-        assert again.message == "converged"
+        for tr, z, lam, eta in starts:
+            again = nlp.solve_al(tr, z, lam0=lam, eta0=eta, mu0=1.0)[3]
+            assert exits[-1] == (1, 0, "cap")
+            assert (again.outer_iterations, again.newton_iterations,
+                    again.inner_capped) == (1, 0, 1)
+            assert again.message == "converged"
 
     def test_both_stalls(self, all_trials_clipped, exits):
         # the sweep2 point theta = 180 deg, omega = 0.55 (f_thr = 0.03): the
@@ -812,15 +831,15 @@ class TestInnerExits:
         p, sol, _ = two_pass
         tr = _Transcription(p, 0)
         z = tr.pack(sol.states, sol.wrenches)
-        lam, circle_eta, _, mu = sol.multipliers
-        m = nlp._Multipliers(lam=lam[0], eta=circle_eta, mu=mu)
+        r = sol.restart
+        m = nlp._Multipliers(lam=r.lam, eta=r.circle_eta, mu=r.mu)
         trials, evals = [], []
         real_values, real_evaluate = tr.ineq_values, nlp._evaluate
         monkeypatch.setattr(tr, "ineq_values", lambda zt: trials.append(zt) or real_values(zt))
         monkeypatch.setattr(nlp, "_evaluate", lambda prob, zt: evals.append(zt)
                             or real_evaluate(prob, zt))
         zf, _, pgn, nit, exit_ = nlp._inner_newton(
-            tr, z, real_evaluate(tr, z), m, nlp._base_banded(tr, mu), tol=0.0)
+            tr, z, real_evaluate(tr, z), m, nlp._base_banded(tr, r.mu), tol=0.0)
         assert exit_ == "stall" and pgn > 0.0
         # one trial per step, and the last step is not taken: zf is the
         # point evaluated last
@@ -965,9 +984,10 @@ class TestPenaltyRaises:
         attitude, translation = runs[0], runs[1]
         assert cold.mu_raises == attitude.mu_raises + translation.mu_raises
         assert translation.mu_raises > 0
-        # the attitude chain's warm restart returns at once and adds nothing
-        assert runs[2].mu_raises == 0
-        assert warm.mu_raises == runs[3].mu_raises
+        # pass 2 runs the translation chain alone and sums it with the
+        # attitude run that produced its columns, pass 1's
+        assert len(runs) == 3 and sol.restart.attitude == attitude
+        assert warm.mu_raises == attitude.mu_raises + runs[2].mu_raises
 
 
 class TestEqualityRows:
@@ -1022,53 +1042,63 @@ class TestEqualityRows:
 
 
 class TestWarmMultipliers:
-    """A solve returns its multipliers; a later solve at the same N restarts
-    the multiplier loop from them."""
+    """A solve returns its restart state; a pass-2 solve restarts the
+    translation chain alone from it, and plan runs pass 2 only where the
+    pass-1 plan does not already meet pass 2's KKT conditions."""
 
     def test_resolve_from_own_plan(self, monkeypatch):
-        p = simple_problem(N=50)
-        first = solve(p)
-        again = solve(p, first).solver_stats
-        # the start is tested with its own multipliers before the first
-        # update moves lam by mu0 * h, so no Newton step is taken (a cold
-        # multiplier restart takes 32)
-        assert again.newton_iterations == 0
-        # with an equality residual too small to move lam, the re-solve
-        # accepts its start as is: one outer iteration and no Newton step
-        # in each chain
-        with monkeypatch.context() as m:
-            m.setattr(nlp, "FEAS_TOL", 1e-10)
-            tight = solve(p)
-        again = solve(p, tight).solver_stats
-        assert (again.outer_iterations, again.newton_iterations) == (2, 0)
-        assert again.message == "converged"
+        # a static target's pass 1 that stops short of the circle, inside the
+        # State II gate: it already meets pass 2's KKT conditions, so plan
+        # keeps it, with the latched schedule and no Newton step after pass 1
+        # (solving pass 2 from it once took 0 Newton steps too)
+        template = nominal_template(target=TargetState(omega=0.0))
+        pass1 = []
+        real = optimizer.solve
+        monkeypatch.setattr(optimizer, "solve",
+                            lambda *a, **kw: pass1.append(real(*a, **kw)) or pass1[-1])
+        best, _ = plan(0.0, template, max_candidates=1, static_durations=(30.0,),
+                       capture_offset=0.35)
+        assert len(pass1) == 1 and best.pass2 is None
+        assert KosState.STATE_II in best.kos_states
+        assert best.solver_stats == pass1[0].solver_stats
+        assert best.states.tobytes() == pass1[0].states.tobytes()
+        assert best.solver_stats.message == "converged"
 
     def test_warm_pass2_agrees_with_cold(self, two_pass):
         p, sol, sched = two_pass
         p2 = replace(p, kos_schedule=sched)
         warm = solve(p2, sol)
-        cold = solve(p2, replace(sol, multipliers=None))
+        cold = solve(p2)
         assert warm.solver_stats.message == cold.solver_stats.message == "converged"
         assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-4)
 
     def test_pass2_keeps_the_attitude_columns(self, two_pass, monkeypatch):
         # pass 2 changes only the keep-out schedule, which the attitude chain
-        # never reads: its warm restart takes no Newton step and returns
-        # pass 1's theta, omega and tau columns bit for bit
+        # never reads: the restart runs the translation chain alone, on pass
+        # 1's equality rows, and returns pass 1's theta, omega and tau
+        # columns bit for bit
         p, sol, sched = two_pass
         runs = []
         real = optimizer.solve_al
 
         def spy(prob, z0, **kwargs):
-            runs.append(real(prob, z0, **kwargs))
-            return runs[-1]
+            runs.append((prob, real(prob, z0, **kwargs)))
+            return runs[-1][1]
 
         monkeypatch.setattr(optimizer, "solve_al", spy)
-        warm = solve(replace(p, kos_schedule=sched), sol)
-        attitude = runs[0][3]
-        assert (attitude.outer_iterations, attitude.newton_iterations) == (1, 0)
+        p2 = replace(p, kos_schedule=sched)
+        warm = solve(p2, sol)
+        assert len(runs) == 1
+        chain = runs[0][0]
+        assert chain.E is sol.restart.chain.E and chain.ete_band is sol.restart.chain.ete_band
         assert warm.states[:, [2, 5]].tobytes() == sol.states[:, [2, 5]].tobytes()
         assert warm.wrenches[:, 2].tobytes() == sol.wrenches[:, 2].tobytes()
+        # its keep-out rows are a fresh build's
+        fresh = _Transcription(p2, 0)
+        for attr in ("ineq_ix", "ineq_iy", "_lobe_cos", "_lobe_sin", "_lobe_sides"):
+            assert getattr(chain, attr).tobytes() == getattr(fresh, attr).tobytes()
+        z = chain.pack(warm.states, warm.wrenches)
+        assert chain.ineq_values(z).tobytes() == fresh.ineq_values(z).tobytes()
 
     def test_eta_mapping(self, two_pass, monkeypatch):
         p, sol, sched = two_pass
@@ -1082,28 +1112,62 @@ class TestWarmMultipliers:
         monkeypatch.setattr(optimizer, "solve_al", spy)
         p2 = replace(p, kos_schedule=sched)
         solve(p2, sol)
-        lam, circle_eta, lobe_eta, mu_final = sol.multipliers
-        # per knot: pass 1 has no lobe row, so its lobe multipliers are zero
-        assert circle_eta.shape == (p.N + 1,) and lobe_eta.shape == (2, p.N + 1)
-        assert not np.any(lobe_eta)
+        r = sol.restart
+        # per knot: the circle multipliers of pass 1, which has no lobe row
+        assert r.circle_eta.shape == (p.N + 1,)
         state_i = sched == KosState.STATE_I
-        # the attitude chain runs first, then the translation chain, which
-        # holds every keep-out constraint; each restarts from its rows' lam,
-        # a pair (translation, attitude)
-        m_t, m_a = (_Transcription(p2, b).E.shape[0] for b in (0, 1))
-        assert [a.shape for a in lam] == [(m_t,), (m_a,)]
-        translation, attitude = seen[1], seen[0]
+        # the translation chain holds every keep-out constraint and restarts
+        # from its rows' lam; the lobe rows start at zero
+        (translation,) = seen
+        assert r.lam.shape == (_Transcription(p2, 0).E.shape[0],)
         np.testing.assert_array_equal(
             translation["eta0"],
-            np.concatenate([circle_eta[state_i], lobe_eta[:, ~state_i].ravel()]))
-        np.testing.assert_array_equal(translation["lam0"], lam[0])
-        assert attitude["eta0"].shape == (0,)
-        np.testing.assert_array_equal(attitude["lam0"], lam[1])
-        assert translation["mu0"] == attitude["mu0"] == min(mu_final, 1e5)
+            np.concatenate([r.circle_eta[state_i], np.zeros(2 * np.sum(~state_i))]))
+        np.testing.assert_array_equal(translation["lam0"], r.lam)
+        assert translation["mu0"] == min(r.mu, 1e5)
         # a guess at another N is refused before the multiplier loop starts
-        with pytest.raises(ValueError, match="N = 50"):
+        with pytest.raises(ValueError, match="N differ"):
             solve(replace(p, N=60), sol)
-        assert len(seen) == 2
+        assert len(seen) == 1
+
+    def test_restart_refuses_another_problem(self, two_pass, tmp_path):
+        # a restart takes a plan of the same problem but for kos_schedule,
+        # with its restart state: not one of another torque bound, nor one
+        # read from a file
+        p, sol, sched = two_pass
+        with pytest.raises(ValueError, match="wrench_max differ"):
+            solve(replace(p, wrench_max=p.wrench_max * [1.0, 1.0, 2.0]), sol)
+        path = tmp_path / "trajectory.txt"
+        records.write_trajectory(path, sol, [], p.target, p.kos_cfg)
+        loaded, _ = records.read_trajectory(path)
+        with pytest.raises(ValueError, match="no restart state"):
+            solve(replace(p, kos_schedule=sched), loaded)
+
+    def test_kept_plans_are_pass1_bit_for_bit(self, monkeypatch):
+        # sweep1's point omega = 1.07, f_thr = 0.12, as the sweeps plan it:
+        # both candidates' pass 1 answers pass 2, so each candidate's plan is
+        # its pass-1 plan, knots and stats, with the latched schedule
+        cfg = harness.RunConfig({**harness.load_config(None).values,
+                                 "target.omega": 1.07, "layout.f_thr": 0.12,
+                                 "opt.min_duration": "auto", "opt.goal_corotate": True})
+        pass1 = {}
+        real = optimizer.solve
+
+        def spy(problem, *args, **kwargs):
+            pass1[problem.N] = real(problem, *args, **kwargs)
+            return pass1[problem.N]
+
+        monkeypatch.setattr(optimizer, "solve", spy)
+        _, cands = plan(cfg["opt.theta_approach"], cfg.opt_template(), **cfg.plan_kwargs())
+        assert len(cands) == len(pass1) == 2
+        for c in cands:
+            first = pass1[c.plan.N]
+            assert c.plan.pass2 is None and c.plan.restart is None
+            assert KosState.STATE_II in c.plan.kos_states
+            assert np.all(first.kos_states == KosState.STATE_I)
+            assert c.plan.states.tobytes() == first.states.tobytes()
+            assert c.plan.wrenches.tobytes() == first.wrenches.tobytes()
+            assert c.plan.solver_stats == first.solver_stats
 
     def test_failed_pass2_keeps_pass1_plan(self, monkeypatch):
         real = optimizer.solve
@@ -1123,7 +1187,7 @@ class TestWarmMultipliers:
         for r in results:
             assert r.solver_stats.message == "converged"
             assert np.all(r.kos_states == KosState.STATE_I)
-            assert r.pass2_failure == "forced"  # recorded, not swallowed
+            assert r.pass2.message == "forced"  # recorded, not swallowed
         assert any(best is r for r in results)
 
 
