@@ -6,8 +6,10 @@ half-ellipse lobes that flank the docking corridor.  The lobes are halves of
 one ellipse inside the circle, so State II only ever shrinks the zone.  All
 primitives are rigidly attached to the target frame.  Exact signed distances
 here are the audit-grade definitions; the optimizer uses the smooth variants
-at the bottom of this module (same zero sets).  A per-knot or per-step
-schedule of states is an int array of KosState values (1 or 2) throughout.
+at the bottom of this module (same zero sets): one implicit quadratic per
+state, the circle's or the ellipse's, so one row per knot.  A per-knot or
+per-step schedule of states is an int array of KosState values (1 or 2)
+throughout.
 """
 from __future__ import annotations
 
@@ -16,12 +18,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-
-# Smooth-constraint tuning shared with the optimizer: half-plane activation is
-# blended over a short spatial band so constraint gradients stay continuous,
-# and released lobes get a slack far larger than any implicit-value deficit.
-BLEND_BAND = 0.02      # [m]
-RELEASE_SLACK = 10.0
 
 
 class KosState(IntEnum):
@@ -212,33 +208,24 @@ def target_frame(px, py, cos_th, sin_th, center):
     return cos_th * rx + sin_th * ry, -sin_th * rx + cos_th * ry
 
 
-def lobe_value(xp, yp, a_lat: float, b_norm: float, side):
-    """Blended half-ellipse value at target-frame coordinates (xp, yp).
+def lobe_value(xp, yp, a_lat: float, b_norm: float):
+    """The State II implicit e = (x'/b)^2 + (y'/a)^2 - 1 at target-frame
+    coordinates (xp, yp), the value of smooth_lobe.
 
-    On the active side this is the raw implicit (x'/b)^2 + (y'/a)^2 - 1; past
-    the docking axis the constraint releases smoothly over BLEND_BAND through
-    a smoothstep blend.  smooth_lobe returns exactly this value.
+    Its zero set is the ellipse whose halves are the two lobes, so the one
+    row e >= 0 keeps a point out of both.
     """
-    e = (xp / b_norm) ** 2 + (yp / a_lat) ** 2 - 1.0
-    tc = np.clip(-side * yp / BLEND_BAND, 0.0, 1.0)
-    return e + RELEASE_SLACK * (tc * tc * (3.0 - 2.0 * tc))
+    return (xp / b_norm) ** 2 + (yp / a_lat) ** 2 - 1.0
 
 
-def smooth_lobe(px, py, cos_th, sin_th, center, a_lat: float, b_norm: float, side):
+def smooth_lobe(px, py, cos_th, sin_th, center, a_lat: float, b_norm: float):
     """lobe_value at inertial point(s) with its gradient, as (g, gx, gy).
 
     cos_th, sin_th are the cosine and sine of the target attitude.
     """
     c, s = cos_th, sin_th
     xp, yp = target_frame(px, py, c, s, center)
-    val = lobe_value(xp, yp, a_lat, b_norm, side)
-
-    # smoothstep derivative, zero outside the open blend band
-    t = -side * yp / BLEND_BAND
-    tc = np.clip(t, 0.0, 1.0)
-    dblend = np.where((t > 0.0) & (t < 1.0), 6.0 * tc * (1.0 - tc), 0.0)
-
     # gradients of the local coordinates: dxp = (c, s), dyp = (-s, c)
     de_dxp = 2.0 * xp / b_norm**2
-    dv_dyp = 2.0 * yp / a_lat**2 + RELEASE_SLACK * dblend * (-side / BLEND_BAND)
-    return val, de_dxp * c + dv_dyp * (-s), de_dxp * s + dv_dyp * c
+    de_dyp = 2.0 * yp / a_lat**2
+    return lobe_value(xp, yp, a_lat, b_norm), de_dxp * c + de_dyp * (-s), de_dxp * s + de_dyp * c

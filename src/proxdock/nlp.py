@@ -15,10 +15,9 @@ mat-vecs csr_matvec and csc_matvec (Csr's E x and E^T y); the planner's LQ
 relaxation calls a third, LAPACK's banded LU solve dgbsv
 (lu_solve_banded).  scipy_kernels loads their two extension modules by
 file location on the first call, without the scipy.linalg and
-scipy.sparse packages around them: about 6 ms and 2.3 MB of resident
-memory, where importing the two packages took 0.2-0.35 s and 24-28 MB
-(2-vCPU x86-64, Python 3.11, scipy 1.17).  So a process that tracks or audits loads no
-scipy module, and one that plans loads those two alone.
+scipy.sparse packages around them, which cost far more to import (measured
+in CHANGES.md).  So a process that tracks or audits loads no scipy module,
+and one that plans loads those two alone.
 
 The Newton matrix is the Gauss-Newton form of the merit's Hessian,
 diag(2q) + mu E^T E + mu sum grad g grad g^T over the keep-out constraints
@@ -85,7 +84,7 @@ Warm start: lam0, eta0 and mu0 restart the outer loop from an earlier
 solve's multipliers instead of zeros and the default penalty MU0.  The
 planner starts each pass-1 solve from its LQ relaxation's equality
 multipliers, which saves Newton steps but selects among local optima (see
-CHANGES.md), and restarts pass 2 from pass 1's, its lobe rows at zero.
+CHANGES.md), and restarts pass 2 from pass 1's, its ellipse rows at zero.
 Whether pass 2 runs at all is the planner's decision (optimizer.plan), so
 this loop has no special case for a start at a KKT point: its first
 multiplier update moves lam by mu0 h, h the start's equality residual, and
@@ -202,7 +201,7 @@ def scipy_kernels():
     objects scipy.linalg.lapack re-exports; csr_matvec and csc_matvec from
     scipy.sparse._sparsetools are the kernels of csr_matrix @ x and
     csc_matrix @ x.  Loading the two extension modules takes a few
-    milliseconds (see the module docstring), so no caller needs to warm them
+    milliseconds (measured in CHANGES.md), so no caller needs to warm them
     up outside its clock.
     """
     flapack = _extension("scipy.linalg._flapack")

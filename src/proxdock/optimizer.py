@@ -5,9 +5,10 @@ split into two axis chains, each a vector of its own (knot-major; see
 _CHAINS).  The knot-to-knot defects reuse the exact forward-Euler map from
 `dynamics`; keep-out constraints come from the smooth forms in `kos`,
 scheduled per knot as State I or II by an int array of KosState values
-(`OptProblem.kos_schedule`, None for all State I).  A State I knot carries
-the circle row alone and a State II knot the two lobe rows: the lobes lie
-inside the circle, so nothing else can bind there.
+(`OptProblem.kos_schedule`, None for all State I), State I knots first.
+Every knot carries one keep-out row: the circle at a State I knot, the
+ellipse whose halves are the two lobes at a State II knot.  The ellipse lies
+inside the circle, so nothing else can bind at either.
 
 The transcription separates exactly into its two axis chains, so it is
 built and solved as two problems (Betts, Practical Methods for Optimal
@@ -72,6 +73,9 @@ class OptProblem:
     wrench_max bound each inertial wrench [Fx, Fy, tau] componentwise.  All
     four are stored as read-only float arrays, and kos_schedule as a read-only
     int array.  kos_cfg sizes the keep-out zone that every plan keeps out of.
+    A schedule holds KosState values, its State I knots before its State II
+    knots: the zone is never re-inflated (see kos.latch), the only form plan
+    makes and the one _Transcription's row layout needs.
     """
 
     N: int
@@ -106,6 +110,10 @@ class OptProblem:
             sched = np.array(self.kos_schedule, dtype=int)
             if sched.shape != (self.N + 1,):
                 raise ValueError("kos_schedule must have N+1 entries")
+            if not np.all(np.isin(self.kos_schedule, (KosState.STATE_I, KosState.STATE_II))):
+                raise ValueError("kos_schedule entries must be KosState values (1 or 2)")
+            if np.any(np.diff(sched) < 0):
+                raise ValueError("kos_schedule must not switch from State II back to State I")
             sched.flags.writeable = False
             object.__setattr__(self, "kos_schedule", sched)
 
@@ -151,14 +159,14 @@ class PlannedTrajectory:
 class _Restart:
     """What solve takes from a plan to restart it under another keep-out
     schedule: the problem and translation chain it solved, the chain's
-    equality multipliers, circle multipliers per knot (zero where a knot
-    has no circle row) and final penalty, and the stats of the attitude run
-    that produced its theta, omega and tau columns, which a restart keeps."""
+    equality multipliers, its keep-out multipliers (one per knot, as its
+    rows) and final penalty, and the stats of the attitude run that produced
+    its theta, omega and tau columns, which a restart keeps."""
 
     problem: OptProblem
     chain: _Transcription
     lam: np.ndarray
-    circle_eta: np.ndarray
+    eta: np.ndarray
     mu: float
     attitude: SolverStats
 
@@ -239,7 +247,10 @@ class _Transcription:
     (w_kin E_kin + w_u |F|^2), as z.(q*z) + c.z + c0; the two chains' shares
     sum to J.  The equality rows are the chain's initial-state rows, then
     its Euler defects knot-major, then on the attitude chain the
-    terminal-attitude row, held once, in E, beside the E^T E band.
+    terminal-attitude row, held once, in E, beside the E^T E band.  The
+    translation chain has one keep-out row per knot, in knot order (m_in =
+    N + 1): the circle up to the schedule's switch index, the number of
+    State I knots, and the ellipse from it on.  The attitude chain has none.
     """
 
     def __init__(self, problem: OptProblem, b: int):
@@ -279,34 +290,29 @@ class _Transcription:
             rhs.append([problem.theta_finish])
         self.e_rhs = np.concatenate(rhs)
 
-        self._keep_out_rows(problem, N + 1 if b == 0 else 0)
-
-    def _keep_out_rows(self, problem: OptProblem, n_knots: int) -> None:
-        """The keep-out rows of problem's first n_knots knots (none on the
-        attitude chain, whose m_in is then 0) that can bind: the circle at the
-        State I knots, then each lobe at the State II knots, positive side
-        first.  The lobes lie inside the circle (see kos)."""
-        knots = np.arange(n_knots)
-        sched = (np.full(n_knots, KosState.STATE_I) if problem.kos_schedule is None
-                 else problem.kos_schedule[knots])
-        self._circle_knots = knots[sched == KosState.STATE_I]
-        self._lobe_knots = lobe_knots = knots[sched == KosState.STATE_II]
-        th = problem.target.attitude(lobe_knots * problem.dt)
-        self._rs = koslib.r_safe(problem.kos_cfg)
-        self._lobe_sides = np.repeat([1.0, -1.0], len(lobe_knots))
-        self._lobe_cos = np.tile(np.cos(th), 2)
-        self._lobe_sin = np.tile(np.sin(th), 2)
-        self._center = problem.target.position
-        knots_all = np.concatenate([self._circle_knots, lobe_knots, lobe_knots])
-        self.ineq_ix = self._w * knots_all
+        # keep-out rows: row k reads x and y of knot k
+        self.m_in = N + 1 if b == 0 else 0
+        self.ineq_ix = w * np.arange(self.m_in)
         self.ineq_iy = self.ineq_ix + 1
-        self.m_in = len(knots_all)
+        self._rs = koslib.r_safe(problem.kos_cfg)
+        self._center = problem.target.position
+        self._schedule(problem)
+
+    def _schedule(self, problem: OptProblem) -> None:
+        """Set the switch index of problem's schedule and the cosine and
+        sine of the target attitude at each ellipse row's knot."""
+        sched = problem.kos_schedule
+        self._switch = (self.m_in if sched is None
+                        else int(np.count_nonzero(sched[:self.m_in] == KosState.STATE_I)))
+        th = problem.target.attitude(np.arange(self._switch, self.m_in) * problem.dt)
+        self._cos, self._sin = np.cos(th), np.sin(th)
 
     def rescheduled(self, problem: OptProblem) -> _Transcription:
-        """A copy with problem's keep-out rows, sharing every other row and
-        array; problem may differ from this chain's in kos_schedule alone."""
+        """A copy under problem's schedule, sharing every row and array but
+        the ellipse rows' attitudes; problem may differ from this chain's in
+        kos_schedule alone."""
         chain = copy.copy(self)
-        chain._keep_out_rows(problem, problem.N + 1)
+        chain._schedule(problem)
         return chain
 
     def pack(self, states, wrenches) -> np.ndarray:
@@ -327,28 +333,26 @@ class _Transcription:
 
     def ineq_full(self, z):
         """Constraint values and gradients, as (g, gx, gy)."""
-        nc = len(self._circle_knots)
+        s = self._switch
         xs, ys = z[self.ineq_ix], z[self.ineq_iy]
         g = np.empty(self.m_in)
         gx = np.empty(self.m_in)
         gy = np.empty(self.m_in)
-        g[:nc], gx[:nc], gy[:nc] = koslib.smooth_circle(xs[:nc], ys[:nc], self._center, self._rs)
-        if nc < self.m_in:  # no lobe row on pass 1: skip the empty pass
-            g[nc:], gx[nc:], gy[nc:] = koslib.smooth_lobe(
-                xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin,
-                self._center, self._rs, self._rs / 2.0, self._lobe_sides)
+        g[:s], gx[:s], gy[:s] = koslib.smooth_circle(xs[:s], ys[:s], self._center, self._rs)
+        if s < self.m_in:  # no ellipse row on pass 1: skip the empty pass
+            g[s:], gx[s:], gy[s:] = koslib.smooth_lobe(
+                xs[s:], ys[s:], self._cos, self._sin, self._center, self._rs, self._rs / 2.0)
         return g, gx, gy
 
     def ineq_values(self, z):
         """Constraint values only; bit for bit ineq_full(z)[0]."""
-        nc = len(self._circle_knots)
+        s = self._switch
         xs, ys = z[self.ineq_ix], z[self.ineq_iy]
         g = np.empty(self.m_in)
-        g[:nc] = koslib.circle_value(xs[:nc], ys[:nc], self._center, self._rs)
-        if nc < self.m_in:
-            xp, yp = koslib.target_frame(xs[nc:], ys[nc:], self._lobe_cos, self._lobe_sin,
-                                         self._center)
-            g[nc:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0, self._lobe_sides)
+        g[:s] = koslib.circle_value(xs[:s], ys[:s], self._center, self._rs)
+        if s < self.m_in:
+            xp, yp = koslib.target_frame(xs[s:], ys[s:], self._cos, self._sin, self._center)
+            g[s:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0)
         return g
 
 
@@ -530,8 +534,10 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         states, wrenches = initial_guess.states.copy(), initial_guess.wrenches.copy()
         att = r.attitude
         chain = r.chain.rescheduled(problem)
-        eta0 = np.zeros(chain.m_in)
-        eta0[:len(chain._circle_knots)] = r.circle_eta[chain._circle_knots]
+        # the circle rows of both schedules keep their multipliers, and every
+        # ellipse row starts at zero
+        eta0 = r.eta.copy()
+        eta0[min(r.chain._switch, chain._switch):] = 0.0
         kw = dict(lam0=r.lam, eta0=eta0, mu0=min(r.mu, _WARM_MU_CAP))
     z_t, lam_t, eta, run = solve_al(chain, chain.pack(states, wrenches), **kw)
     chain.unpack(z_t, states, wrenches)
@@ -542,8 +548,6 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         kkt_residual=max(att.kkt_residual, run.kkt_residual),
         constraint_violation=max(att.constraint_violation, run.constraint_violation))
     terms = breakdown(problem, states, wrenches)
-    circle_eta = np.zeros(problem.N + 1)
-    circle_eta[chain._circle_knots] = eta[:len(chain._circle_knots)]
     return PlannedTrajectory(
         times=np.arange(problem.N + 1) * problem.dt,
         states=states,
@@ -556,7 +560,7 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         x_goal=problem.x_goal,
         theta_finish=problem.theta_finish,
         dt=problem.dt,
-        restart=_Restart(problem, chain, lam_t, circle_eta, run.mu_final, att),
+        restart=_Restart(problem, chain, lam_t, eta, run.mu_final, att),
         pass2=None if initial_guess is None else run,
     )
 
@@ -641,15 +645,16 @@ class Candidate:
 
 def _answers_pass2(sol: PlannedTrajectory, problem: OptProblem) -> bool:
     """Whether sol, a pass-1 plan, meets the KKT conditions of problem, its
-    pass 2, as it stands: when the circle rows that pass 2 drops had
-    multiplier 0, and the lobe rows it adds, at multiplier 0, hold to
-    FEAS_TOL, stationarity and complementarity are pass 1's."""
+    pass 2, as it stands: when the circle rows past pass 2's switch index
+    had multiplier 0, and the ellipse rows that replace them, at multiplier
+    0, hold to FEAS_TOL, stationarity and complementarity are pass 1's."""
     r = sol.restart
-    if np.any(r.circle_eta[problem.kos_schedule == KosState.STATE_II]):
-        return False
     chain = r.chain.rescheduled(problem)
+    s = chain._switch
+    if np.any(r.eta[s:]):
+        return False
     g = chain.ineq_values(chain.pack(sol.states, sol.wrenches))
-    return bool(np.all(g[len(chain._circle_knots):] >= -FEAS_TOL))
+    return bool(np.all(g[s:] >= -FEAS_TOL))
 
 
 def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,

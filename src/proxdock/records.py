@@ -145,7 +145,8 @@ def _data_block(rows, kind: str, ncols: int) -> np.ndarray:
 def _primitive_lines(state: int, t: float, target_theta: float, center,
                      cfg: KosConfig) -> list[str]:
     """The keep-out primitives of KosState value state at time t: the circle
-    (State I only), then the +1 and -1 half-ellipse lobes."""
+    (State I only), then the +1 and -1 half-ellipse lobes, the halves of the
+    one ellipse that is the State II zone."""
     rs = koslib.r_safe(cfg)
     head = f"# kos_primitive: t={_fmt(t)} state={int(state)} "
     c = f"{_fmt(center[0])} {_fmt(center[1])}"

@@ -304,10 +304,47 @@ class TestSmoothForms:
         rs = r_safe(cfg)
         v, _, _ = smooth_circle(np.array([rs]), np.array([0.0]), np.zeros(2), rs)
         assert v[0] == pytest.approx(0.0, abs=1e-14)
-        # lobe on the active side equals the raw implicit
+        # the ellipse row at the tip of the lobes
         v, *_ = smooth_lobe(np.array([0.0]), np.array([rs]), np.array([1.0]), np.array([0.0]),
-                            np.zeros(2), rs, rs / 2, np.array([1.0]))
+                            np.zeros(2), rs, rs / 2)
         assert v[0] == pytest.approx(0.0, abs=1e-12)
+
+    @staticmethod
+    def released_lobe_rows(xp, yp, a_lat, b_norm):
+        """A State II knot's keep-out as one row per lobe: on its own side of
+        the docking axis a lobe's row is the ellipse implicit e, and past the
+        axis e plus a smoothstep release of slack 10 over a 2 cm band."""
+        e = (xp / b_norm) ** 2 + (yp / a_lat) ** 2 - 1.0
+        rows = []
+        for side in (1.0, -1.0):
+            tc = np.clip(-side * yp / 0.02, 0.0, 1.0)
+            rows.append(e + 10.0 * (tc * tc * (3.0 - 2.0 * tc)))
+        return rows
+
+    def test_ellipse_row_is_both_lobe_rows(self):
+        # target-frame points: uniform over a disc of 2 r_safe, uniform over
+        # the strip within 2 cm of the docking axis, near where the ellipse
+        # crosses that strip, and on the axis itself
+        rs = r_safe(KosConfig())
+        a, b = rs, rs / 2.0
+        rng = np.random.default_rng(7)
+        n = 100_000
+        r, phi = rs * rng.uniform(0.0, 2.0, n), rng.uniform(-math.pi, math.pi, n)
+        ys = rng.uniform(-0.02, 0.02, n)
+        yb = rng.uniform(-0.02, 0.02, n)
+        xb = b * np.sqrt(1.0 - (yb / a) ** 2) * (1.0 + rng.normal(scale=1e-9, size=n)) \
+            * rng.choice([-1.0, 1.0], n)
+        xa = rs * rng.uniform(-2.0, 2.0, n)
+        xp = np.concatenate([r * np.cos(phi), rs * rng.uniform(-2.0, 2.0, n), xb, xa, xa])
+        yp = np.concatenate([r * np.sin(phi), ys, yb, np.zeros(n), np.full(n, -0.0)])
+        e = lobe_value(xp, yp, a, b)
+        plus, minus = self.released_lobe_rows(xp, yp, a, b)
+        assert np.minimum(plus, minus).tobytes() == e.tobytes()
+        np.testing.assert_array_equal((plus >= 0.0) & (minus >= 0.0), e >= 0.0)
+        # both sides of the boundary are sampled within the strip
+        strip = np.abs(yp) <= 0.02
+        assert np.count_nonzero(strip & (e < 0.0)) > 1000
+        assert np.count_nonzero(strip & (e >= 0.0)) > 1000
 
     def test_lobe_gradients_by_finite_difference(self):
         cfg = KosConfig()
@@ -316,9 +353,7 @@ class TestSmoothForms:
         for _ in range(60):
             px, py = rng.uniform(-0.8, 0.8, 2)
             th = rng.uniform(-3, 3)
-            side = rng.choice([-1.0, 1.0])
-            args = (np.cos([th]), np.sin([th]), np.array([0.05, -0.02]), rs, rs / 2,
-                    np.array([side]))
+            args = (np.cos([th]), np.sin([th]), np.array([0.05, -0.02]), rs, rs / 2)
             h = 1e-7
             v0, gx, gy, *_ = smooth_lobe(np.array([px]), np.array([py]), *args)
             vx1, *_ = smooth_lobe(np.array([px + h]), np.array([py]), *args)
@@ -332,8 +367,8 @@ class TestSmoothForms:
 class TestLobesInsideCircle:
     """Both lobes are halves of one ellipse inside the State I circle, so
     wherever the circle is in force the lobes add nothing: the planner puts
-    lobe rows at State II knots only, and the audit grades State I points by
-    the circle alone."""
+    the ellipse row at State II knots only, and the audit grades State I
+    points by the circle alone."""
 
     @staticmethod
     def target_frame_points(rs):
@@ -355,8 +390,7 @@ class TestLobesInsideCircle:
         xp, yp = self.target_frame_points(rs)
         outside = circle_value(xp, yp, np.zeros(2), rs) >= 0.0
         assert np.count_nonzero(outside) > 100_000
-        for side in (1.0, -1.0):
-            assert np.all(lobe_value(xp, yp, rs, rs / 2.0, side)[outside] >= 0.0)
+        assert np.all(lobe_value(xp, yp, rs, rs / 2.0)[outside] >= 0.0)
 
     def test_ellipse_distance_at_least_circle_distance(self):
         # not bit for bit: near the tangent points the two distances can

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from proxdock.dynamics import BodyParams, TargetState, euler_step, wrap_angle
-from proxdock.kos import (BLEND_BAND, KosConfig, KosState, classify, latch, r_safe,
+from proxdock.kos import (KosConfig, KosState, classify, latch, r_safe,
                           signed_distance_batch)
 from proxdock import harness, nlp, optimizer, records
 from proxdock.nlp import InfeasibleError, NotConvergedError
@@ -91,7 +91,7 @@ def two_pass():
     sched = latch(classify(sol.states[:, :2], p.target.attitude(sol.times),
                            p.target.position, p.kos_cfg))
     assert KosState.STATE_I in sched and KosState.STATE_II in sched
-    assert np.any(sol.restart.circle_eta[sched == KosState.STATE_II] > 0)
+    assert np.any(sol.restart.eta[sched == KosState.STATE_II] > 0)
     return p, sol, sched
 
 
@@ -269,21 +269,22 @@ class TestChains:
 
     @pytest.mark.parametrize("N", [2, 50])
     def test_every_row_and_constraint_reads_one_chain(self, N):
-        # a schedule with both states: a State I knot has the circle row, a
-        # State II knot the two lobe rows
-        sched = np.where(np.arange(N + 1) % 3 == 1, KosState.STATE_II, KosState.STATE_I)
+        # a schedule with both states, latched from knot 1: a State I knot
+        # has the circle row, a State II knot the ellipse row
+        sched = latch(np.where(np.arange(N + 1) % 3 == 1, KosState.STATE_II, KosState.STATE_I))
         p = simple_problem(N=N, kos_schedule=sched)
         tr, att = _Transcription(p, 0), _Transcription(p, 1)
         # the chains' variables: 4 states and 2 forces, 2 states and a torque
         assert (tr.n, att.n) == (6 * N + 4, 3 * N + 2)
         # every equality row: initial state, defects, terminal attitude
         assert tr.E.shape == (4 * (N + 1), tr.n) and att.E.shape == (2 * (N + 1) + 1, att.n)
-        # every keep-out constraint reads x and y of the translation chain
-        np.testing.assert_array_equal(np.unique(tr.ineq_ix), 6 * np.arange(N + 1))
-        np.testing.assert_array_equal(np.unique(tr.ineq_iy), 6 * np.arange(N + 1) + 1)
+        # every keep-out constraint reads x and y of the translation chain,
+        # one row per knot in knot order
+        np.testing.assert_array_equal(tr.ineq_ix, 6 * np.arange(N + 1))
+        np.testing.assert_array_equal(tr.ineq_iy, 6 * np.arange(N + 1) + 1)
         n_ii = np.count_nonzero(sched == KosState.STATE_II)
-        assert n_ii > 0
-        assert (tr.m_in, att.m_in) == ((N + 1 - n_ii) + 2 * n_ii, 0)
+        assert 0 < n_ii < N + 1 and tr._switch == N + 1 - n_ii
+        assert (tr.m_in, att.m_in) == (N + 1, 0)
         # the chains' objectives sum to the objective's terms
         rng = np.random.default_rng(N)
         states, wrenches = rng.normal(size=(N + 1, 6)), rng.normal(size=(N, 3))
@@ -298,7 +299,7 @@ class TestChains:
         p = simple_problem(N=50, dt=0.5, x_init=state(x=-1.0, y=0.3),
                            x_goal=state(x=0.35, theta=0.4))
         sol = solve(p)
-        assert np.count_nonzero(sol.restart.circle_eta) > 0
+        assert np.count_nonzero(sol.restart.eta) > 0
         assert np.max(np.abs(sol.wrenches[:, 2])) < 0.5 * p.wrench_max[2]
         tr = _Transcription(p, 1)
         A = scipy_csr(tr.E).toarray()
@@ -316,12 +317,10 @@ class TestValuePath:
     @staticmethod
     def knots_near_kos(p):
         """(states, wrenches) with knot positions laid out in the rotating
-        target frame: inside the
-        blend band on both sides of the docking axis, on the axis and the band
-        edges, inside the circle and well outside everything."""
+        target frame: within 2 cm of the docking axis on both sides of it,
+        on the axis, inside the circle and well outside everything."""
         rs = r_safe(p.kos_cfg)
-        band = [0.3 * BLEND_BAND, 0.7 * BLEND_BAND, BLEND_BAND, 0.0,
-                -0.3 * BLEND_BAND, -0.7 * BLEND_BAND, -BLEND_BAND]
+        band = [0.006, 0.014, 0.02, 0.0, -0.006, -0.014, -0.02]
         local = [(xp, yp) for xp in (0.1, 0.5 * rs, 0.95 * rs, 1.2 * rs) for yp in band]
         local += [(0.0, 0.0), (-0.5 * rs, 0.2 * rs), (0.1 * rs, -0.6 * rs), (2.0, -1.5)]
         rng = np.random.default_rng(8)
@@ -339,17 +338,16 @@ class TestValuePath:
         target = TargetState(omega=0.37, theta0=0.4, x=0.2, y=-0.1)
         p = simple_problem(N=80, target=target)
         if mixed:
-            sched = [KosState.STATE_I] * 30 + [KosState.STATE_II] * 20 \
-                + [KosState.STATE_I] * 10 + [KosState.STATE_II] * 21
+            sched = [KosState.STATE_I] * 30 + [KosState.STATE_II] * 51
             p = replace(p, kos_schedule=tuple(sched))
         tr = _Transcription(p, 0)
         z = tr.pack(*self.knots_near_kos(p))
         g = tr.ineq_values(z)
-        # the circle at the State I knots, then both lobes at the State II
-        # knots; all State I: no lobe row
+        # the circle at the State I knots, then the ellipse at the State II
+        # knots; all State I: no ellipse row
         n_i = (p.N + 1 if p.kos_schedule is None
                else np.count_nonzero(p.kos_schedule == KosState.STATE_I))
-        assert g.shape == (tr.m_in,) == (n_i + 2 * (p.N + 1 - n_i),)
+        assert g.shape == (tr.m_in,) == (p.N + 1,) and tr._switch == n_i
         assert np.array_equal(g, tr.ineq_full(z)[0])
         # some knots lie inside the circle
         assert np.any(g[:n_i] < 0)
@@ -507,7 +505,7 @@ class TestLqRelaxation:
         p = simple_problem(N=N, x_init=state(-1.5, 0.2, 0.1, 0.01, -0.02, 0.03),
                            x_goal=state(-1.0, 0.1, 0.5, 0.002, -0.001, 0.01), **weights)
         if scheduled:
-            p = replace(p, kos_schedule=np.where(np.arange(N + 1) % 2, KosState.STATE_II,
+            p = replace(p, kos_schedule=np.where(np.arange(N + 1) > N // 2, KosState.STATE_II,
                                                  KosState.STATE_I))
         relax = optimizer.lq_relaxation(p)
         objective = 0.0
@@ -709,6 +707,81 @@ print(sol.solver_stats.newton_iterations,
             solve(p)
 
 
+class TestOracles:
+    """The planner's keep-out rows and plans against independent references:
+    the audit's exact distances and scipy's SLSQP."""
+
+    def test_row_signs_agree_with_the_audit(self):
+        # knots of both states at random attitudes, uniform over a disc of
+        # twice the zone's size or within a relative 1e-8.5 to 1e-3 of its
+        # boundary: away from the boundary, a knot's row is >= 0 exactly
+        # where its exact signed distance is
+        target = TargetState(omega=0.37, theta0=0.4, x=0.2, y=-0.1)
+        N, n_i = 3999, 2000
+        sched = np.repeat([KosState.STATE_I, KosState.STATE_II], [n_i, N + 1 - n_i])
+        p = simple_problem(N=N, target=target, kos_schedule=sched)
+        rs = r_safe(p.kos_cfg)
+        rng = np.random.default_rng(12)
+        phi = rng.uniform(-math.pi, math.pi, N + 1)
+        # the zone's boundary point at each knot's angle phi, in the target frame
+        bx = np.where(sched == KosState.STATE_I, rs, rs / 2.0) * np.cos(phi)
+        by = rs * np.sin(phi)
+        near = 1.0 + rng.choice([-1.0, 1.0], N + 1) * 10.0 ** rng.uniform(-8.5, -3.0, N + 1)
+        scale = np.where(rng.random(N + 1) < 0.5, near, rng.uniform(0.0, 2.0, N + 1))
+        th = target.attitude(np.arange(N + 1) * p.dt)
+        c, s = np.cos(th), np.sin(th)
+        states = np.zeros((N + 1, 6))
+        states[:, 0] = target.x + scale * (c * bx - s * by)
+        states[:, 1] = target.y + scale * (s * bx + c * by)
+        tr = _Transcription(p, 0)
+        g = tr.ineq_values(tr.pack(states, np.zeros((N, 3))))
+        d = signed_distance_batch(states[:, :2], th, sched, target.position, p.kos_cfg)
+        keep = np.abs(d) >= 1e-9
+        np.testing.assert_array_equal(g[keep] >= 0.0, d[keep] >= 0.0)
+        for state_ in (KosState.STATE_I, KosState.STATE_II):
+            kept = keep & (sched == state_)
+            assert np.count_nonzero(kept & (d < 0.0)) > 500
+            assert np.count_nonzero(kept & (d > 0.0)) > 500
+            assert np.count_nonzero(kept & (np.abs(d) < 1e-6)) > 50
+
+    def test_binding_ellipse_rows_against_slsqp(self):
+        # all State II, a static target and a straight line through the
+        # ellipse: the plan bends around it, against its rows.  SLSQP, from
+        # the plan, on the same translation chain, ends at a feasible point
+        # of the same objective
+        from scipy.optimize import minimize
+        N = 14
+        p = simple_problem(N=N, dt=2.5, x_init=state(x=0.05, y=0.6),
+                           x_goal=state(x=0.05, y=-0.6, theta=0.4),
+                           kos_schedule=[KosState.STATE_II] * (N + 1))
+        sol = solve(p)
+        tr = sol.restart.chain
+        assert tr._switch == 0 and np.any(sol.restart.eta > 0)
+        z0 = tr.pack(sol.states, sol.wrenches)
+        E = scipy_csr(tr.E).toarray()
+        rows = np.arange(tr.m_in)
+
+        def ineq_jac(z):
+            _, gx, gy = tr.ineq_full(z)
+            J = np.zeros((tr.m_in, tr.n))
+            J[rows, tr.ineq_ix], J[rows, tr.ineq_iy] = gx, gy
+            return J
+
+        res = minimize(lambda z: nlp._objective(tr, z), z0, jac=True, method="SLSQP",
+                       bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+                               for lo, hi in zip(tr.lb, tr.ub)],
+                       constraints=[dict(type="eq", fun=lambda z: E @ z - tr.e_rhs,
+                                         jac=lambda z: E),
+                                    dict(type="ineq", fun=tr.ineq_values, jac=ineq_jac)],
+                       options=dict(maxiter=1000, ftol=1e-14))
+        assert res.success, res.message
+        z = res.x
+        assert res.fun == pytest.approx(nlp._objective(tr, z0)[0], rel=1e-5)
+        assert np.max(np.abs(E @ z - tr.e_rhs)) <= 1e-8
+        assert np.min(tr.ineq_values(z)) >= -1e-8
+        assert np.all((tr.lb <= z) & (z <= tr.ub))
+
+
 class TestInnerExits:
     """Each inner loop evaluates every iterate once, and besides them only
     the trials that the box clipped, and hands back the equality residual,
@@ -832,7 +905,7 @@ class TestInnerExits:
         tr = _Transcription(p, 0)
         z = tr.pack(sol.states, sol.wrenches)
         r = sol.restart
-        m = nlp._Multipliers(lam=r.lam, eta=r.circle_eta, mu=r.mu)
+        m = nlp._Multipliers(lam=r.lam, eta=r.eta, mu=r.mu)
         trials, evals = [], []
         real_values, real_evaluate = tr.ineq_values, nlp._evaluate
         monkeypatch.setattr(tr, "ineq_values", lambda zt: trials.append(zt) or real_values(zt))
@@ -857,8 +930,8 @@ class TestClosedFormTrials:
         p, sol, sched = two_pass
         b = int(which == "attitude")
         tr = _Transcription(replace(p, kos_schedule=sched) if which == "pass2" else p, b)
-        assert tr.m_in == (0 if b else len(tr._circle_knots) + 2 * len(tr._lobe_knots))
-        assert (len(tr._lobe_knots) > 0) == (which == "pass2")
+        assert tr.m_in == (0 if b else p.N + 1)
+        assert (tr._switch < tr.m_in) == (which == "pass2")
         rng = np.random.default_rng(11)
         z = tr.pack(sol.states, sol.wrenches)
         z = np.clip(z + 1e-3 * rng.normal(size=tr.n), tr.lb, tr.ub)
@@ -1095,7 +1168,8 @@ class TestWarmMultipliers:
         assert warm.wrenches[:, 2].tobytes() == sol.wrenches[:, 2].tobytes()
         # its keep-out rows are a fresh build's
         fresh = _Transcription(p2, 0)
-        for attr in ("ineq_ix", "ineq_iy", "_lobe_cos", "_lobe_sin", "_lobe_sides"):
+        assert chain._switch == fresh._switch
+        for attr in ("ineq_ix", "ineq_iy", "_cos", "_sin"):
             assert getattr(chain, attr).tobytes() == getattr(fresh, attr).tobytes()
         z = chain.pack(warm.states, warm.wrenches)
         assert chain.ineq_values(z).tobytes() == fresh.ineq_values(z).tobytes()
@@ -1113,16 +1187,14 @@ class TestWarmMultipliers:
         p2 = replace(p, kos_schedule=sched)
         solve(p2, sol)
         r = sol.restart
-        # per knot: the circle multipliers of pass 1, which has no lobe row
-        assert r.circle_eta.shape == (p.N + 1,)
+        # per knot: the circle multipliers of pass 1, which has no ellipse row
+        assert r.eta.shape == (p.N + 1,)
         state_i = sched == KosState.STATE_I
         # the translation chain holds every keep-out constraint and restarts
-        # from its rows' lam; the lobe rows start at zero
+        # from its rows' lam; the ellipse rows start at zero
         (translation,) = seen
         assert r.lam.shape == (_Transcription(p2, 0).E.shape[0],)
-        np.testing.assert_array_equal(
-            translation["eta0"],
-            np.concatenate([r.circle_eta[state_i], np.zeros(2 * np.sum(~state_i))]))
+        np.testing.assert_array_equal(translation["eta0"], np.where(state_i, r.eta, 0.0))
         np.testing.assert_array_equal(translation["lam0"], r.lam)
         assert translation["mu0"] == min(r.mu, 1e5)
         # a guess at another N is refused before the multiplier loop starts
@@ -1324,3 +1396,17 @@ def test_problem_validation():
         simple_problem(N=1)
     with pytest.raises(ValueError):
         simple_problem(wrench_min=wrench(0.1, 0, 0), wrench_max=wrench(1, 1, 1))
+    # a knot of neither state would get no keep-out row
+    with pytest.raises(ValueError, match="KosState values"):
+        simple_problem(N=10, kos_schedule=[1] * 5 + [3] * 3 + [0] * 3)
+    with pytest.raises(ValueError, match="KosState values"):
+        simple_problem(N=2, kos_schedule=[1.5, 2, 2])
+    # the keep-out rows hold the State I knots first
+    with pytest.raises(ValueError, match="back to State I"):
+        simple_problem(N=10, kos_schedule=[1] * 5 + [2] * 3 + [1] * 3)
+    # every schedule that plan latches is one
+    rng = np.random.default_rng(3)
+    for delay in (0, 1, 4, 20):
+        for raw in ([1] * 11, [2] * 11, rng.choice([1, 2], 11), rng.choice([1, 2], 11)):
+            p = simple_problem(N=10, kos_schedule=latch(raw, delay))
+            assert _Transcription(p, 0).m_in == 11
