@@ -488,8 +488,11 @@ def _run_points(tasks, parallel: int):
     workers = min(parallel, len(tasks))
     if workers <= 1:
         return [_sweep_point(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # serial runs skip these imports.  Workers start as fresh interpreters
+    # (spawn): a fork would copy a parent that already runs OpenBLAS threads.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(_sweep_point, tasks))
 
 

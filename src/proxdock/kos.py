@@ -1,15 +1,33 @@
-"""Dynamic keep-out zone around the rotating target.
+"""Dynamic keep-out zone around the rotating target: every rule of it.
 
-Two configurations: "State I" for general approach is a circle of radius
-r_safe, and "State II", once the final-approach conditions hold, is two
-half-ellipse lobes that flank the docking corridor.  The lobes are halves of
-one ellipse inside the circle, so State II only ever shrinks the zone.  All
-primitives are rigidly attached to the target frame.  Exact signed distances
-here are the audit-grade definitions; the optimizer uses the smooth variants
-at the bottom of this module (same zero sets): one implicit quadratic per
-state, the circle's or the ellipse's, so one row per knot.  A per-knot or
-per-step schedule of states is an int array of KosState values (1 or 2)
-throughout.
+States.  A point's zone is in one of two states, KosState values 1 and 2;
+a schedule of states, per knot or per step, is an int array of them.
+
+Shapes.  Both are rigidly attached to the target frame (x' along the
+docking normal, y' lateral; target_frame).  State I, general approach, is
+the circle of radius r_safe, the worst-case corner-to-corner separation
+plus margin.  State II, final approach, is the ellipse of ellipse_axes:
+semi-major r_safe lateral, semi-minor r_safe / 2 along the normal.  Its two
+halves are the lobes that flank the docking corridor, and it lies inside
+the circle, so State II only ever shrinks the zone.
+
+Switch and latch.  classify puts a point in State II iff it is in front of
+the docking face, within the angle threshold of its normal and within the
+distance threshold; latch holds State II from the first such point,
+delay entries later, to the end, so the zone is never re-inflated.
+schedule is the one place that combines the two.  The planner latches its
+pass-2 schedule a confirmation window late (auto_latch_delay, in seconds);
+the audit latches with no delay.
+
+Distances.  signed_distance_batch gives the exact audit-grade signed
+distance to the zone in force, negative inside.
+
+Planner rows.  KnotRows holds one smooth row per knot, with the zero set of
+the exact shape: the circle's implicit |p - c|^2 - r_safe^2 at the State I
+knots, which come first, and the ellipse's (x'/b)^2 + (y'/a)^2 - 1 at the
+State II knots.  Nothing else can bind at either.  KnotRows.full gives the
+values with their gradients, KnotRows.values the values alone, bit for bit
+the same.
 """
 from __future__ import annotations
 
@@ -63,6 +81,13 @@ def r_safe(cfg: KosConfig) -> float:
     return (math.sqrt(2) / 2) * (cfg.l_s + cfg.l_t) + cfg.margin_fraction * cfg.l_s
 
 
+def ellipse_axes(cfg: KosConfig) -> tuple[float, float]:
+    """(a, b) of the State II ellipse: semi-major a = r_safe lateral,
+    semi-minor b = r_safe / 2 along the docking normal."""
+    rs = r_safe(cfg)
+    return rs, rs / 2.0
+
+
 def corner_safe_angle_threshold(cfg: KosConfig) -> float:
     """Largest off-axis angle at which the lobe boundary stays corner-safe.
 
@@ -73,9 +98,7 @@ def corner_safe_angle_threshold(cfg: KosConfig) -> float:
     (on-axis) to semi-major (broadside), so the first-touch angle is closed
     form.
     """
-    rs = r_safe(cfg)
-    a = rs            # semi-major, lateral
-    b = rs / 2.0      # semi-minor, along the docking normal
+    a, b = ellipse_axes(cfg)
     r_c = (cfg.l_s + cfg.l_t) / math.sqrt(2)
     if r_c <= b:
         return math.pi / 2
@@ -91,9 +114,8 @@ def classify(points, target_thetas, target_pos, cfg: KosConfig) -> np.ndarray:
     State II iff the chaser is in front of the docking face, within the
     angular threshold of its normal, and inside the distance threshold.
     """
-    pts = np.asarray(points, dtype=float)
     th = np.asarray(target_thetas, dtype=float)
-    rel = pts - np.asarray(target_pos, dtype=float)
+    rel = np.asarray(points, dtype=float) - np.asarray(target_pos, dtype=float)
     dist = np.hypot(rel[:, 0], rel[:, 1])
     along = np.cos(th) * rel[:, 0] + np.sin(th) * rel[:, 1]
     with np.errstate(invalid="ignore"):
@@ -113,12 +135,25 @@ def latch(states, delay: int = 0) -> np.ndarray:
     """
     if delay < 0:
         raise ValueError(f"latch delay must be non-negative (got {delay})")
-    sv = np.asarray(states)
-    out = np.full(len(sv), KosState.STATE_I)
-    hits = np.flatnonzero(sv == KosState.STATE_II)
+    out = np.full(len(states), KosState.STATE_I)
+    hits = np.flatnonzero(np.asarray(states) == KosState.STATE_II)
     if len(hits):
         out[hits[0] + delay:] = KosState.STATE_II
     return out
+
+
+def schedule(points, times, target, cfg: KosConfig, delay: int) -> np.ndarray:
+    """The zone's states along a trajectory, as latch returns them: each
+    point classified against target (a dynamics.TargetState) at its entry
+    of the array times, then latched delay entries late."""
+    return latch(classify(points, target.attitude(times), target.position, cfg), delay)
+
+
+def auto_latch_delay(cfg: KosConfig, omega: float) -> float:
+    """The planner's "auto" latch delay [s] at target spin rate omega: a
+    confirmation window scaled to the gate-crossing timescale, so slow
+    approaches get a solid debounce and fast spins still engage."""
+    return 0.0 if omega == 0.0 else min(5.0, 0.5 * cfg.angle_threshold / abs(omega))
 
 
 def ellipse_distance(qx, qy, ax: float, ay: float):
@@ -128,12 +163,10 @@ def ellipse_distance(qx, qy, ax: float, ay: float):
     nearest-point conditions; zero components are nudged by ~1e-14 so the
     on-axis/evolute degeneracies resolve to the correct off-axis foot point.
     """
-    qx = np.abs(np.asarray(qx, dtype=float))
-    qy = np.abs(np.asarray(qy, dtype=float))
     scale = max(ax, ay)
     tiny = 1e-14 * scale
-    qx = np.maximum(qx, tiny)
-    qy = np.maximum(qy, tiny)
+    qx = np.maximum(np.abs(np.asarray(qx, dtype=float)), tiny)
+    qy = np.maximum(np.abs(np.asarray(qy, dtype=float)), tiny)
     inside = (qx / ax) ** 2 + (qy / ay) ** 2 < 1.0
 
     # Bisect in u = t + min(ax,ay)^2, the distance from the Lagrange-parameter
@@ -161,27 +194,22 @@ def ellipse_distance(qx, qy, ax: float, ay: float):
 def signed_distance_batch(points, target_thetas, states, target_pos, cfg: KosConfig) -> np.ndarray:
     """Exact audit distances for a trajectory history, negative if forbidden.
 
-    A State I point gets the distance to the circle of radius r_safe; a
-    State II point the distance to the half-ellipse lobes (semi-minor
-    r_safe/2 along the docking normal, semi-major r_safe lateral).  Both
-    lobes are halves of one ellipse that lies inside the circle, so the
-    circle alone is the State I zone, and only State II points pay for the
-    ellipse bisection.
+    A State I point gets the distance to the circle, a State II point the
+    distance to the ellipse; only State II points pay for its bisection.
     points: (n, 2); target_thetas: (n,); states: (n,) KosState values.
     """
     pts = np.asarray(points, dtype=float)
     th = np.asarray(target_thetas, dtype=float)
     state_ii = np.asarray(states) == KosState.STATE_II
     pos = np.asarray(target_pos, dtype=float)
-    rs = r_safe(cfg)
-
     rel = pts - pos
-    out = np.hypot(rel[:, 0], rel[:, 1]) - rs
+    out = np.hypot(rel[:, 0], rel[:, 1]) - r_safe(cfg)
     # the active lobe is simply the side the point is on, so one distance
     # evaluation covers both (axis: both active)
     p, t = pts[state_ii], th[state_ii]
     xp, yp = target_frame(p[:, 0], p[:, 1], np.cos(t), np.sin(t), pos)
-    out[state_ii] = ellipse_distance(xp, yp, rs / 2.0, rs)
+    a, b = ellipse_axes(cfg)
+    out[state_ii] = ellipse_distance(xp, yp, b, a)
     return out
 
 
@@ -191,8 +219,7 @@ def signed_distance_batch(points, target_thetas, states, target_pos, cfg: KosCon
 
 def circle_value(px, py, center, radius: float):
     """g = |p-c|^2 - r^2, the value of smooth_circle."""
-    dx = px - center[0]
-    dy = py - center[1]
+    dx, dy = px - center[0], py - center[1]
     return dx * dx + dy * dy - radius * radius
 
 
@@ -203,8 +230,7 @@ def smooth_circle(px, py, center, radius: float):
 
 def target_frame(px, py, cos_th, sin_th, center):
     """Point(s) in the target frame: x' along the docking normal, y' lateral."""
-    rx = px - center[0]
-    ry = py - center[1]
+    rx, ry = px - center[0], py - center[1]
     return cos_th * rx + sin_th * ry, -sin_th * rx + cos_th * ry
 
 
@@ -218,14 +244,53 @@ def lobe_value(xp, yp, a_lat: float, b_norm: float):
     return (xp / b_norm) ** 2 + (yp / a_lat) ** 2 - 1.0
 
 
-def smooth_lobe(px, py, cos_th, sin_th, center, a_lat: float, b_norm: float):
+def smooth_lobe(px, py, c, s, center, a_lat: float, b_norm: float):
     """lobe_value at inertial point(s) with its gradient, as (g, gx, gy).
 
-    cos_th, sin_th are the cosine and sine of the target attitude.
+    c, s are the cosine and sine of the target attitude.
     """
-    c, s = cos_th, sin_th
     xp, yp = target_frame(px, py, c, s, center)
     # gradients of the local coordinates: dxp = (c, s), dyp = (-s, c)
-    de_dxp = 2.0 * xp / b_norm**2
-    de_dyp = 2.0 * yp / a_lat**2
+    de_dxp, de_dyp = 2.0 * xp / b_norm**2, 2.0 * yp / a_lat**2
     return lobe_value(xp, yp, a_lat, b_norm), de_dxp * c + de_dyp * (-s), de_dxp * s + de_dyp * c
+
+
+class KnotRows:
+    """The planner's keep-out rows over a sequence of knots, one per knot.
+
+    times are the knots' times [s].  schedule holds KosState values, State
+    I first, whose first len(times) entries are the knots' states; or it is
+    None for all State I.  The first switch knots, the State I ones, get the
+    circle row, the rest the ellipse row at the target attitude of their
+    time.
+    """
+
+    def __init__(self, schedule, times, target, cfg: KosConfig):
+        self.switch = len(times) if schedule is None else int(
+            np.count_nonzero(schedule[:len(times)] == KosState.STATE_I))
+        th = target.attitude(times[self.switch:])
+        self.cos, self.sin = np.cos(th), np.sin(th)
+        self.center = target.position
+        self.r = r_safe(cfg)
+        self.a, self.b = ellipse_axes(cfg)
+
+    def full(self, xs, ys):
+        """The rows' values and gradients at knot positions (xs, ys), as
+        (g, gx, gy)."""
+        s = self.switch
+        g, gx, gy = np.empty((3, len(xs)))
+        g[:s], gx[:s], gy[:s] = smooth_circle(xs[:s], ys[:s], self.center, self.r)
+        if s < len(xs):  # no ellipse row on pass 1: skip the empty pass
+            g[s:], gx[s:], gy[s:] = smooth_lobe(xs[s:], ys[s:], self.cos, self.sin,
+                                                self.center, self.a, self.b)
+        return g, gx, gy
+
+    def values(self, xs, ys):
+        """The rows' values alone; bit for bit full(xs, ys)[0]."""
+        s = self.switch
+        g = np.empty(len(xs))
+        g[:s] = circle_value(xs[:s], ys[:s], self.center, self.r)
+        if s < len(xs):
+            xp, yp = target_frame(xs[s:], ys[s:], self.cos, self.sin, self.center)
+            g[s:] = lobe_value(xp, yp, self.a, self.b)
+        return g

@@ -84,7 +84,7 @@ Warm start: lam0, eta0 and mu0 restart the outer loop from an earlier
 solve's multipliers instead of zeros and the default penalty MU0.  The
 planner starts each pass-1 solve from its LQ relaxation's equality
 multipliers, which saves Newton steps but selects among local optima (see
-CHANGES.md), and restarts pass 2 from pass 1's, its ellipse rows at zero.
+CHANGES.md), and restarts pass 2 from pass 1's (see optimizer.solve).
 Whether pass 2 runs at all is the planner's decision (optimizer.plan), so
 this loop has no special case for a start at a KKT point: its first
 multiplier update moves lam by mu0 h, h the start's equality residual, and
@@ -99,7 +99,10 @@ The problem object must expose::
                                    E.rmatvec(y) = E^T y), and rhs
     ete_band                       E^T E in lower-banded storage, one row
                                    per band
-    m_in, ineq_ix, ineq_iy         inequality count and variable indices
+    m_in, ineq_ix, ineq_iy         inequality count and variable indices:
+                                   row k reads x = z[ineq_ix[k]] and
+                                   y = z[ineq_iy[k]], ineq_ix strictly
+                                   increasing and ineq_iy = ineq_ix + 1
     ineq_values(z)                 -> g
     ineq_full(z)                   -> (g, gx, gy)
 
@@ -108,7 +111,8 @@ ineq_values and ineq_full then return empty arrays, and every path runs the
 same arithmetic on them.
 
 ineq_values is the value-only path of the closed-form trials; it must
-equal ineq_full(z)[0] bit for bit.  Such a trial subtracts |a|^2 at the
+equal ineq_full(z)[0] bit for bit (the planner's pair is kos.KnotRows
+values and full; see kos).  Such a trial subtracts |a|^2 at the
 current point (from ineq_full) from |a(alpha)|^2 at the trial (from
 ineq_values): any difference between the two paths would enter the merit
 change as a spurious term that the rounding-noise test cannot tell from
@@ -354,8 +358,9 @@ def _merit_grad(prob, ev, m: _Multipliers):
     _, df, h, (_, gx, gy) = ev
     f, a = _al_terms(ev, m)
     df = df + prob.E.rmatvec(m.mu * h - m.lam)
-    np.add.at(df, prob.ineq_ix, -a * gx)
-    np.add.at(df, prob.ineq_iy, -a * gy)
+    # one keep-out row per knot: the indices are unique (see solve_al)
+    df[prob.ineq_ix] -= a * gx
+    df[prob.ineq_iy] -= a * gy
     return f, df, a
 
 
@@ -375,14 +380,13 @@ def _assemble_banded(prob, m: _Multipliers, ineq, base):
     ab = base.copy(order="F")
     g, gx, gy = ineq
     act = m.eta - m.mu * g > 0.0
-    # iy == ix + 1 for every constraint (x, y adjacent in the layout), so the
-    # cross term lives on the first subdiagonal
+    # the rows' x indices are unique and each y index is its x index + 1
+    # (see solve_al), so the cross term lives on the first subdiagonal
     ix = prob.ineq_ix[act]
-    iy = prob.ineq_iy[act]
     gxa, gya = gx[act], gy[act]
-    np.add.at(ab[0], ix, m.mu * gxa * gxa)
-    np.add.at(ab[0], iy, m.mu * gya * gya)
-    np.add.at(ab[1], ix, m.mu * gxa * gya)
+    ab[0, ix] += m.mu * gxa * gxa
+    ab[0, ix + 1] += m.mu * gya * gya
+    ab[1, ix] += m.mu * gxa * gya
     return ab
 
 
@@ -502,7 +506,12 @@ def solve_al(prob, z0, *, mu0=MU0, lam0=None, eta0=None):
 
     Raises NotConvergedError when MAX_OUTER iterations run out and
     InfeasibleError when the violation stalls at the penalty ceiling MU_MAX.
+    Raises ValueError unless prob.ineq_ix strictly increases and
+    prob.ineq_iy = prob.ineq_ix + 1, the layout whose updates the merit
+    gradient and the Newton matrix write as plain indexed adds.
     """
+    if np.any(np.diff(prob.ineq_ix) <= 0) or not np.array_equal(prob.ineq_iy, prob.ineq_ix + 1):
+        raise ValueError("ineq_ix must strictly increase, with ineq_iy = ineq_ix + 1")
     z = np.clip(np.asarray(z0, dtype=float), prob.lb, prob.ub)
     lam = np.zeros(prob.E.shape[0]) if lam0 is None else np.array(lam0, dtype=float)
     eta = np.zeros(prob.m_in) if eta0 is None else np.array(eta0, dtype=float)

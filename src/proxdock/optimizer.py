@@ -3,12 +3,9 @@
 Decision variables are the N+1 knot states and N inertial-frame wrenches,
 split into two axis chains, each a vector of its own (knot-major; see
 _CHAINS).  The knot-to-knot defects reuse the exact forward-Euler map from
-`dynamics`; keep-out constraints come from the smooth forms in `kos`,
-scheduled per knot as State I or II by an int array of KosState values
-(`OptProblem.kos_schedule`, None for all State I), State I knots first.
-Every knot carries one keep-out row: the circle at a State I knot, the
-ellipse whose halves are the two lobes at a State II knot.  The ellipse lies
-inside the circle, so nothing else can bind at either.
+`dynamics`; the keep-out rows, one per knot under the per-knot schedule
+`OptProblem.kos_schedule` (None for all State I), are kos.KnotRows, and
+`kos` states the zone's rules.
 
 The transcription separates exactly into its two axis chains, so it is
 built and solved as two problems (Betts, Practical Methods for Optimal
@@ -74,8 +71,8 @@ class OptProblem:
     four are stored as read-only float arrays, and kos_schedule as a read-only
     int array.  kos_cfg sizes the keep-out zone that every plan keeps out of.
     A schedule holds KosState values, its State I knots before its State II
-    knots: the zone is never re-inflated (see kos.latch), the only form plan
-    makes and the one _Transcription's row layout needs.
+    knots: the zone is never re-inflated (see kos), the only form plan makes
+    and the one kos.KnotRows needs.
     """
 
     N: int
@@ -249,8 +246,8 @@ class _Transcription:
     its Euler defects knot-major, then on the attitude chain the
     terminal-attitude row, held once, in E, beside the E^T E band.  The
     translation chain has one keep-out row per knot, in knot order (m_in =
-    N + 1): the circle up to the schedule's switch index, the number of
-    State I knots, and the ellipse from it on.  The attitude chain has none.
+    N + 1), its rows the kos.KnotRows of the schedule; the attitude chain
+    has none.
     """
 
     def __init__(self, problem: OptProblem, b: int):
@@ -294,23 +291,17 @@ class _Transcription:
         self.m_in = N + 1 if b == 0 else 0
         self.ineq_ix = w * np.arange(self.m_in)
         self.ineq_iy = self.ineq_ix + 1
-        self._rs = koslib.r_safe(problem.kos_cfg)
-        self._center = problem.target.position
         self._schedule(problem)
 
     def _schedule(self, problem: OptProblem) -> None:
-        """Set the switch index of problem's schedule and the cosine and
-        sine of the target attitude at each ellipse row's knot."""
-        sched = problem.kos_schedule
-        self._switch = (self.m_in if sched is None
-                        else int(np.count_nonzero(sched[:self.m_in] == KosState.STATE_I)))
-        th = problem.target.attitude(np.arange(self._switch, self.m_in) * problem.dt)
-        self._cos, self._sin = np.cos(th), np.sin(th)
+        """Set the keep-out rows of problem's schedule."""
+        self.rows = koslib.KnotRows(problem.kos_schedule, np.arange(self.m_in) * problem.dt,
+                                    problem.target, problem.kos_cfg)
 
     def rescheduled(self, problem: OptProblem) -> _Transcription:
-        """A copy under problem's schedule, sharing every row and array but
-        the ellipse rows' attitudes; problem may differ from this chain's in
-        kos_schedule alone."""
+        """A copy under problem's schedule, sharing every array but the
+        keep-out rows'; problem may differ from this chain's in kos_schedule
+        alone."""
         chain = copy.copy(self)
         chain._schedule(problem)
         return chain
@@ -333,27 +324,11 @@ class _Transcription:
 
     def ineq_full(self, z):
         """Constraint values and gradients, as (g, gx, gy)."""
-        s = self._switch
-        xs, ys = z[self.ineq_ix], z[self.ineq_iy]
-        g = np.empty(self.m_in)
-        gx = np.empty(self.m_in)
-        gy = np.empty(self.m_in)
-        g[:s], gx[:s], gy[:s] = koslib.smooth_circle(xs[:s], ys[:s], self._center, self._rs)
-        if s < self.m_in:  # no ellipse row on pass 1: skip the empty pass
-            g[s:], gx[s:], gy[s:] = koslib.smooth_lobe(
-                xs[s:], ys[s:], self._cos, self._sin, self._center, self._rs, self._rs / 2.0)
-        return g, gx, gy
+        return self.rows.full(z[self.ineq_ix], z[self.ineq_iy])
 
     def ineq_values(self, z):
         """Constraint values only; bit for bit ineq_full(z)[0]."""
-        s = self._switch
-        xs, ys = z[self.ineq_ix], z[self.ineq_iy]
-        g = np.empty(self.m_in)
-        g[:s] = koslib.circle_value(xs[:s], ys[:s], self._center, self._rs)
-        if s < self.m_in:
-            xp, yp = koslib.target_frame(xs[s:], ys[s:], self._cos, self._sin, self._center)
-            g[s:] = koslib.lobe_value(xp, yp, self._rs, self._rs / 2.0)
-        return g
+        return self.rows.values(z[self.ineq_ix], z[self.ineq_iy])
 
 
 def breakdown(problem: OptProblem, states, wrenches) -> tuple[float, float, float]:
@@ -537,7 +512,7 @@ def solve(problem: OptProblem, initial_guess: PlannedTrajectory | None = None,
         # the circle rows of both schedules keep their multipliers, and every
         # ellipse row starts at zero
         eta0 = r.eta.copy()
-        eta0[min(r.chain._switch, chain._switch):] = 0.0
+        eta0[min(r.chain.rows.switch, chain.rows.switch):] = 0.0
         kw = dict(lam0=r.lam, eta0=eta0, mu0=min(r.mu, _WARM_MU_CAP))
     z_t, lam_t, eta, run = solve_al(chain, chain.pack(states, wrenches), **kw)
     chain.unpack(z_t, states, wrenches)
@@ -650,7 +625,7 @@ def _answers_pass2(sol: PlannedTrajectory, problem: OptProblem) -> bool:
     0, hold to FEAS_TOL, stationarity and complementarity are pass 1's."""
     r = sol.restart
     chain = r.chain.rescheduled(problem)
-    s = chain._switch
+    s = chain.rows.switch
     if np.any(r.eta[s:]):
         return False
     g = chain.ineq_values(chain.pack(sol.states, sol.wrenches))
@@ -684,10 +659,7 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
         raise AllCandidatesFailed(
             [f"static target never reaches approach attitude {theta_approach!r}"])
     if latch_delay == "auto":
-        # confirmation window scaled to the gate-crossing timescale, so slow
-        # approaches get a solid debounce and fast spins still engage
-        latch_delay = (0.0 if target.omega == 0.0 else
-                       min(5.0, 0.5 * template.kos_cfg.angle_threshold / abs(target.omega)))
+        latch_delay = koslib.auto_latch_delay(template.kos_cfg, target.omega)
     durations = duration_candidates(target, theta_approach, max_candidates,
                                     min_duration=min_duration, static_durations=static_durations)
     if not durations:
@@ -725,10 +697,8 @@ def plan(theta_approach: float, template: OptProblem, max_candidates: int = 2,
         # the latch delay is a confirmation window: the re-solved trajectory
         # starts its descent only after the live conditions have held for
         # that long, so the flown relaxation never leads the classification
-        sched = koslib.latch(
-            koslib.classify(sol.states[:, :2], target.attitude(sol.times),
-                            target.position, template.kos_cfg),
-            int(round(latch_delay / template.dt)))
+        sched = koslib.schedule(sol.states[:, :2], sol.times, target, template.kos_cfg,
+                                int(round(latch_delay / template.dt)))
         if KosState.STATE_II in sched:
             prob2 = replace(prob1, kos_schedule=sched)
             if _answers_pass2(sol, prob2):

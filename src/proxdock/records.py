@@ -144,17 +144,15 @@ def _data_block(rows, kind: str, ncols: int) -> np.ndarray:
 
 def _primitive_lines(state: int, t: float, target_theta: float, center,
                      cfg: KosConfig) -> list[str]:
-    """The keep-out primitives of KosState value state at time t: the circle
-    (State I only), then the +1 and -1 half-ellipse lobes, the halves of the
-    one ellipse that is the State II zone."""
-    rs = koslib.r_safe(cfg)
+    """The keep-out primitives of KosState value state at time t, drawn as
+    kos defines them: the circle (State I only), then the +1 and -1
+    half-ellipse lobes with their semi-axes."""
+    a, b = koslib.ellipse_axes(cfg)
     head = f"# kos_primitive: t={_fmt(t)} state={int(state)} "
     c = f"{_fmt(center[0])} {_fmt(center[1])}"
-    out = [head + f"circle {c} {_fmt(rs)}"] if state == KosState.STATE_I else []
-    for side in (+1, -1):
-        out.append(head + f"half_ellipse {c} {_fmt(target_theta)} {_fmt(rs)} "
-                   f"{_fmt(rs / 2.0)} {side:+d}")
-    return out
+    out = [head + f"circle {c} {_fmt(koslib.r_safe(cfg))}"] if state == KosState.STATE_I else []
+    return out + [head + f"half_ellipse {c} {_fmt(target_theta)} {_fmt(a)} {_fmt(b)} {side:+d}"
+                  for side in (+1, -1)]
 
 
 def write_trajectory(path, plan: PlannedTrajectory, config_lines,
@@ -263,13 +261,16 @@ def _cell_format(v) -> str:
 
 
 def write_table(path, kind: str, columns, rows, config_lines) -> None:
-    """Generic sweep table: rows hold one cell per column (a row that does
-    not raises ValueError before the file is opened), and an empty string is
-    written as "-", so every row splits into its cells."""
+    """Generic sweep table: rows hold one cell per column and no string cell
+    holds whitespace (a row that breaks either raises ValueError before the
+    file is opened), and an empty string is written as "-", so every row
+    splits into its cells."""
     rows = [[v or "-" if isinstance(v, str) else v for v in row] for row in rows]
     for i, row in enumerate(rows, 1):
         if len(row) != len(columns):
             raise ValueError(f"{kind} row {i} has {len(row)} cells for {len(columns)} columns")
+        if any(isinstance(v, str) and v.split() != [v] for v in row):
+            raise ValueError(f"{kind} row {i} has a string cell with whitespace: {row!r}")
     blocks = (rows[i:i + _BLOCK] for i in range(0, len(rows), _BLOCK))
     _write(path, _header(kind, config_lines, {}, columns),
            ("".join(" ".join(map(_cell_format, r)) + "\n" for r in b)

@@ -84,11 +84,11 @@ def relative_velocity_target_frame(states, times, target: TargetState) -> np.nda
 
 
 def kos_distance_series(states, times, target: TargetState, cfg: KosConfig) -> np.ndarray:
-    """Exact signed distance at every step, classification latched (kos.latch)."""
-    th = target.attitude(np.asarray(times, dtype=float))
+    """Exact signed distance at every step, to the zone of kos.schedule with
+    no latch delay; times is an array."""
     pts = np.asarray(states, dtype=float)[:, :2]
-    sv = koslib.latch(koslib.classify(pts, th, target.position, cfg))
-    return koslib.signed_distance_batch(pts, th, sv, target.position, cfg)
+    sv = koslib.schedule(pts, times, target, cfg, 0)
+    return koslib.signed_distance_batch(pts, target.attitude(times), sv, target.position, cfg)
 
 
 def audit_safety(states, times, target: TargetState, cfg: KosConfig) -> float:

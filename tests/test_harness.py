@@ -651,10 +651,13 @@ _TWO_POINTS = ("sweep1.omega_start = 0.1\nsweep1.omega_step = 0.1\nsweep1.omega_
 def test_parallel_pool_capped_at_point_count(tmp_path, monkeypatch, parallel, workers):
     # a pool has at most one worker per grid point; one worker runs serially
     import concurrent.futures
+    import multiprocessing
     pools, planned = [], []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            # spawned workers: a fork would copy the parent's BLAS threads
+            assert mp_context is multiprocessing.get_context("spawn")
             pools.append(max_workers)
 
         def __enter__(self):
@@ -959,3 +962,17 @@ class TestRecordFormat:
         path.write_text("# proxdock demo-points v1\n# columns: i x reason\n1 0.5 ok\n2 1.5\n")
         with pytest.raises(records.RecordError, match="row 2 has 2 cells for 3 columns"):
             records.read_table(path, "demo-points")
+
+    @pytest.mark.parametrize("cell", ["x y", " x", "x\t", "a\nb", " "])
+    def test_whitespace_table_cell_rejected(self, tmp_path, cell):
+        # a string cell with whitespace would split into several cells, and
+        # the reader would reject the row; the writer refuses it before it
+        # opens the file
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="row 1 has a string cell with whitespace"):
+            records.write_table(path, "k", ["a", "b"], [[1, cell]], [])
+        assert not path.exists()
+        # what the writer used to write: the reader's error for it
+        path.write_text("# proxdock k v1\n# columns: a b\n1 x y\n")
+        with pytest.raises(records.RecordError, match="k data row 1 has 3 cells for 2 columns"):
+            records.read_table(path, "k")

@@ -283,7 +283,7 @@ class TestChains:
         np.testing.assert_array_equal(tr.ineq_ix, 6 * np.arange(N + 1))
         np.testing.assert_array_equal(tr.ineq_iy, 6 * np.arange(N + 1) + 1)
         n_ii = np.count_nonzero(sched == KosState.STATE_II)
-        assert 0 < n_ii < N + 1 and tr._switch == N + 1 - n_ii
+        assert 0 < n_ii < N + 1 and tr.rows.switch == N + 1 - n_ii
         assert (tr.m_in, att.m_in) == (N + 1, 0)
         # the chains' objectives sum to the objective's terms
         rng = np.random.default_rng(N)
@@ -347,7 +347,7 @@ class TestValuePath:
         # knots; all State I: no ellipse row
         n_i = (p.N + 1 if p.kos_schedule is None
                else np.count_nonzero(p.kos_schedule == KosState.STATE_I))
-        assert g.shape == (tr.m_in,) == (p.N + 1,) and tr._switch == n_i
+        assert g.shape == (tr.m_in,) == (p.N + 1,) and tr.rows.switch == n_i
         assert np.array_equal(g, tr.ineq_full(z)[0])
         # some knots lie inside the circle
         assert np.any(g[:n_i] < 0)
@@ -693,6 +693,23 @@ print(sol.solver_stats.newton_iterations,
             with pytest.raises(ValueError, match="lam0/eta0 must match"):
                 nlp.solve_al(tr, z0, **bad)
 
+    @pytest.mark.parametrize("layout", ["duplicated", "descending", "not_adjacent"])
+    def test_keep_out_layout_checked(self, layout):
+        # the merit gradient and the Newton matrix add the keep-out rows'
+        # terms by plain indexed adds, right only for unique x indices with
+        # each y index right after its x index
+        p = simple_problem(N=10)
+        tr = _Transcription(p, 0)
+        z0 = tr.pack(*optimizer.default_initial_guess(p))
+        ix = tr.ineq_ix.copy()
+        if layout == "duplicated":
+            ix[4] = ix[3]
+        elif layout == "descending":
+            ix = ix[::-1].copy()
+        tr.ineq_ix, tr.ineq_iy = ix, ix + (2 if layout == "not_adjacent" else 1)
+        with pytest.raises(ValueError, match="ineq_ix must strictly increase"):
+            nlp.solve_al(tr, z0)
+
     def test_iteration_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(nlp, "MAX_OUTER", 2)
         with pytest.raises(NotConvergedError) as ex:
@@ -756,7 +773,7 @@ class TestOracles:
                            kos_schedule=[KosState.STATE_II] * (N + 1))
         sol = solve(p)
         tr = sol.restart.chain
-        assert tr._switch == 0 and np.any(sol.restart.eta > 0)
+        assert tr.rows.switch == 0 and np.any(sol.restart.eta > 0)
         z0 = tr.pack(sol.states, sol.wrenches)
         E = scipy_csr(tr.E).toarray()
         rows = np.arange(tr.m_in)
@@ -931,7 +948,7 @@ class TestClosedFormTrials:
         b = int(which == "attitude")
         tr = _Transcription(replace(p, kos_schedule=sched) if which == "pass2" else p, b)
         assert tr.m_in == (0 if b else p.N + 1)
-        assert (tr._switch < tr.m_in) == (which == "pass2")
+        assert (tr.rows.switch < tr.m_in) == (which == "pass2")
         rng = np.random.default_rng(11)
         z = tr.pack(sol.states, sol.wrenches)
         z = np.clip(z + 1e-3 * rng.normal(size=tr.n), tr.lb, tr.ub)
@@ -1168,9 +1185,10 @@ class TestWarmMultipliers:
         assert warm.wrenches[:, 2].tobytes() == sol.wrenches[:, 2].tobytes()
         # its keep-out rows are a fresh build's
         fresh = _Transcription(p2, 0)
-        assert chain._switch == fresh._switch
-        for attr in ("ineq_ix", "ineq_iy", "_cos", "_sin"):
-            assert getattr(chain, attr).tobytes() == getattr(fresh, attr).tobytes()
+        assert chain.rows.switch == fresh.rows.switch
+        for a, b in ((chain.ineq_ix, fresh.ineq_ix), (chain.ineq_iy, fresh.ineq_iy),
+                     (chain.rows.cos, fresh.rows.cos), (chain.rows.sin, fresh.rows.sin)):
+            assert a.tobytes() == b.tobytes()
         z = chain.pack(warm.states, warm.wrenches)
         assert chain.ineq_values(z).tobytes() == fresh.ineq_values(z).tobytes()
 

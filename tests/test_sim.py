@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
+from proxdock import harness, kos, optimizer
 from proxdock.controller import PdGains
 from proxdock.dynamics import (BodyParams, TargetState, default_layout, effective_ridge,
                                wrap_angle)
 from proxdock.kos import KosConfig, KosState, r_safe
 from proxdock.nlp import SolverStats
-from proxdock.optimizer import PlannedTrajectory, plan
+from proxdock.optimizer import OptProblem, PlannedTrajectory, plan
 from proxdock.sim import (ConfigMisaligned, SimConfig, audit_safety,
                           kos_distance_series, relative_velocity_target_frame,
                           run, steps_per_period)
@@ -296,3 +297,41 @@ class TestAudit:
         g = kos_distance_series(states, times, target, cfg)
         assert g[0] > 0
         assert np.min(g) > 0
+
+
+def test_plan_and_audit_share_the_switch_rule(monkeypatch):
+    # one rule, kos.schedule, classifies and latches for both.  The nominal
+    # plan (the defaults of `python -m proxdock plan`) latches its pass-1
+    # knots round(latch_delay / dt) knots late, the "auto" delay of
+    # kos.auto_latch_delay, and the audit grades with no delay.  So on the
+    # same knots the plan's zone switches that many knots after the audit's:
+    # up to 5 s, the gap this test pins.
+    cfg = harness.load_config(None)
+    template = cfg.opt_template()
+    kcfg, target, dt = template.kos_cfg, template.target, template.dt
+    assert cfg["opt.latch_delay"] == "auto"
+    pass1 = []
+    real = optimizer.solve
+
+    def spy(problem, initial_guess=None, **kwargs):
+        sol = real(problem, initial_guess, **kwargs)
+        if initial_guess is None:
+            pass1.append(sol)
+        return sol
+
+    monkeypatch.setattr(optimizer, "solve", spy)
+    best, _ = plan(cfg["opt.theta_approach"], template, **cfg.plan_kwargs())
+    assert best.pass2 is not None and best.pass2.message == "converged"
+    (sol,) = [s for s in pass1 if s.N == best.N]
+    pts = sol.states[:, :2]
+    delay = round(kos.auto_latch_delay(kcfg, target.omega) / dt)
+    planned = kos.schedule(pts, sol.times, target, kcfg, delay)
+    assert planned.tobytes() == best.kos_states.tobytes()
+
+    audited = kos.schedule(pts, sol.times, target, kcfg, 0)
+    g = kos.signed_distance_batch(pts, target.attitude(sol.times), audited, target.position, kcfg)
+    assert kos_distance_series(sol.states, sol.times, target, kcfg).tobytes() == g.tobytes()
+
+    first = [int(np.argmax(s == KosState.STATE_II)) for s in (planned, audited)]
+    assert 0 < delay <= round(5.0 / dt)
+    assert first[0] - first[1] == delay
